@@ -49,6 +49,7 @@ from .model import (
     PomdpModel,
     Signal,
     belief_update,
+    belief_update_batch,
     expected_reward_matrix,
     from_json,
     sample_trajectory,
@@ -118,6 +119,7 @@ __all__ = [
     "PomdpModel",
     "Signal",
     "belief_update",
+    "belief_update_batch",
     "expected_reward_matrix",
     "from_json",
     "sample_trajectory",

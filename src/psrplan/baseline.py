@@ -7,19 +7,18 @@ value-iteration engine.  This is the guarantee-checking baseline the
 rank-r planner is compared against.
 """
 
-import logging
 import time
-from collections import deque
 
 import numpy as np
 
 from . import grid as gridmod
-from .errors import StateCapExceededError, ValidationError
-from .model import PomdpModel, belief_update, expected_reward_matrix
+from .errors import ValidationError
+from .model import PomdpModel, belief_update_batch, expected_reward_matrix
 
-logger = logging.getLogger("psrplan")
+# Unused here, but the benchmark's tracer (pipebench/tracer.py) wraps this
+# name and would report it missing.
+from .model import belief_update  # noqa: F401
 
-P_MIN = 1e-9
 DEFAULT_STATE_CAP = 2_000_000
 
 
@@ -38,17 +37,16 @@ def simplex_round(b: np.ndarray, delta: float) -> np.ndarray:
 
     Floors every scaled coordinate, then hands the leftover lattice units
     to the coordinates with the largest remainders (lowest index first on
-    ties), so the result stays a probability vector on the lattice.
+    ties), so the result stays a probability vector on the lattice.  Works
+    on the last axis, so a stack of beliefs rounds row by row.
     """
     k = resolution(delta)
     scaled = np.asarray(b, dtype=np.float64) * k
     floors = np.floor(scaled + 1e-12).astype(np.int64)
-    leftover = k - int(floors.sum())
-    if leftover > 0:
-        remainders = scaled - floors
-        order = np.argsort(-remainders, kind="stable")
-        floors[order[:leftover]] += 1
-    return floors
+    leftover = k - floors.sum(axis=-1, keepdims=True)
+    order = np.argsort(-(scaled - floors), axis=-1, kind="stable")
+    place = np.argsort(order, axis=-1)  # each coordinate's position in that order
+    return floors + (place < leftover)
 
 
 def build_delta_grid(
@@ -57,62 +55,27 @@ def build_delta_grid(
     """Reachable closure of the rounded belief walk from the initial belief."""
     k = resolution(delta)
     r_sa = expected_reward_matrix(model)
-    index = {}
-    coords_list = []
+    na = model.n_actions
 
-    def intern(coords):
-        sid = index.get(coords)
-        if sid is None:
-            sid = len(coords_list)
-            if sid >= state_cap:
-                raise StateCapExceededError(
-                    f"simplex grid exceeded the state cap of {state_cap}; "
-                    "raise --state-cap or use a larger delta"
-                )
-            index[coords] = sid
-            coords_list.append(coords)
-        return sid
+    def expand(coords):
+        beliefs = coords * delta
+        p, post = belief_update_batch(model, beliefs)
+        keep = p > gridmod.P_MIN
+        states, actions, _ = np.nonzero(keep)
+        return states * na + actions, simplex_round(post[keep], delta), p[keep], beliefs @ r_sa
 
-    g0 = intern(tuple(int(c) for c in simplex_round(model.initial_belief, delta)))
-    queue = deque([g0])
-    transitions = []
-    rewards = []
-    processed = 0
-    while queue:
-        sid = queue.popleft()
-        assert sid == processed
-        processed += 1
-        belief = np.array(coords_list[sid], dtype=np.float64) * delta
-        row_t = []
-        before = len(coords_list)
-        for a in range(model.n_actions):
-            acc = {}
-            for z in range(model.n_signals):
-                p, post = belief_update(model, belief, a, z)
-                if p <= P_MIN or post is None:
-                    continue
-                succ = intern(tuple(int(c) for c in simplex_round(post, delta)))
-                acc[succ] = acc.get(succ, 0.0) + p
-            total = sum(acc.values())
-            if total <= P_MIN:
-                acc = {sid: 1.0}
-            else:
-                acc = {s: p / total for s, p in acc.items()}
-            row_t.append(sorted(acc.items()))
-        transitions.append(row_t)
-        rewards.append(belief @ r_sa)
-        for new_sid in range(before, len(coords_list)):
-            queue.append(new_sid)
-
-    return gridmod.grid_from_tables(
+    grid, _ = gridmod.closure(
+        simplex_round(model.initial_belief, delta),
+        expand,
+        n_actions=na,
         mesh=delta,
-        coords=coords_list,
-        transitions=transitions,
-        rewards=np.array(rewards),
         discount=model.discount,
-        initial_state=g0,
-        diagnostics={"mode": "simplex", "resolution": k},
+        state_cap=state_cap,
+        cap_hint="raise --state-cap or use a larger delta",
+        name="simplex grid",
     )
+    grid.diagnostics = {"mode": "simplex", "resolution": k}
+    return grid
 
 
 def solve_baseline(grid: gridmod.GridMdp, vi_tol: float = 1e-4) -> gridmod.PlanResult:
@@ -148,13 +111,5 @@ def plan_baseline(
 
 def act_baseline(plan_result: gridmod.PlanResult, b) -> int:
     """Planned action for a live belief via simplex rounding."""
-    from .planner import _log_fallback
-
     grid = plan_result.grid
-    coords = tuple(int(c) for c in simplex_round(np.asarray(b), grid.mesh))
-    sid = grid.state_index().get(coords)
-    if sid is None:
-        deltas = np.abs(grid.coords - np.array(coords)).sum(axis=1)
-        sid = int(np.argmin(deltas))
-        _log_fallback(grid, coords, tuple(int(c) for c in grid.coords[sid]))
-    return int(plan_result.policy[sid])
+    return int(plan_result.policy[grid.locate(simplex_round(np.asarray(b), grid.mesh))])

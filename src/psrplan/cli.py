@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -44,8 +44,6 @@ def _add_common_flags(p):
                    help="truncation slack for the oracle horizon (default 1e-2)")
     p.add_argument("--state-cap", type=int, default=plannermod.DEFAULT_STATE_CAP,
                    help="abort if a grid exceeds this many states")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed recorded in the report (reserved for sampling)")
     p.add_argument("--no-timings", action="store_true",
                    help="strip wall-clock fields for byte-stable output")
     p.add_argument("--json-out", metavar="PATH",
@@ -68,8 +66,6 @@ def build_parser():
                         help="coefficient-grid accuracy target (default 0.1)")
     p_plan.add_argument("--grid-mode", choices=("reachable", "full"),
                         default="reachable", help="grid construction mode")
-    p_plan.add_argument("--dyn-cache", metavar="PATH",
-                        help="npz cache for signal dynamics (keyed by content)")
     p_plan.add_argument("--sweep", metavar="EPS1,EPS2,...",
                         help="also plan at these epsilon values")
     p_plan.add_argument("--sweep-csv", metavar="PATH",
@@ -150,7 +146,7 @@ def _verdict(measured_gap, bound, slack):
     }
 
 
-def _planner_block(model, args, epsilon, spanner=None, dyn=None):
+def _planner_block(model, args, epsilon):
     t0 = time.perf_counter()
     result = plannermod.plan(
         model,
@@ -158,8 +154,6 @@ def _planner_block(model, args, epsilon, spanner=None, dyn=None):
         vi_tol=args.vi_tol,
         mode=getattr(args, "grid_mode", "reachable"),
         state_cap=args.state_cap,
-        spanner=spanner,
-        dyn=dyn,
     )
     wall = time.perf_counter() - t0
     dec = result.spanner.decomposition
@@ -171,12 +165,11 @@ def _planner_block(model, args, epsilon, spanner=None, dyn=None):
             "states": result.grid.n_states,
             "mesh": result.grid.mesh,
             "mode": result.metadata["gridMode"],
-            "diagnostics": gridmod._json_safe(result.grid.diagnostics),
+            "diagnostics": result.grid.diagnostics,
         },
         "valueIteration": {
             "iterations": result.iterations,
             "residual": result.residual,
-            "backend": result.metadata["backend"],
         },
         "valueAtInitialBelief": float(result.values[result.grid.initial_state]),
         "stageSeconds": dict(result.metadata["stageSeconds"], total=wall),
@@ -195,12 +188,11 @@ def _baseline_block(model, args, delta):
         "grid": {
             "states": result.grid.n_states,
             "mesh": result.grid.mesh,
-            "diagnostics": gridmod._json_safe(result.grid.diagnostics),
+            "diagnostics": result.grid.diagnostics,
         },
         "valueIteration": {
             "iterations": result.iterations,
             "residual": result.residual,
-            "backend": result.metadata["backend"],
         },
         "valueAtInitialBelief": float(result.values[result.grid.initial_state]),
         "stageSeconds": dict(result.metadata["stageSeconds"], total=wall),
@@ -216,8 +208,9 @@ def _default_paths(args):
 
 
 def _emit(args, report, policy_payload=None):
-    report["schemaVersion"] = SCHEMA_VERSION
-    report["seed"] = args.seed
+    # blocks hold their grid's live diagnostics, so counts the oracle adds
+    # through act() (actFallbacks) are copied only now
+    report = gridmod._json_safe(dict(report, schemaVersion=SCHEMA_VERSION))
     if args.no_timings:
         report = _strip_timings(report)
     report_path, policy_path = _default_paths(args)
@@ -232,19 +225,7 @@ def _emit(args, report, policy_payload=None):
 
 def cmd_plan(args):
     model = load_pomdp(args.model)
-    spanner = dyn = None
-    if args.dyn_cache and os.path.exists(args.dyn_cache):
-        dec = decompmod.discover_basis(model)
-        spanner = decompmod.improve_to_spanner(model, dec)
-        dyn = plannermod.load_dynamics(args.dyn_cache, model, spanner)
-        if dyn is None:
-            spanner = None  # stale cache: rebuild everything below
-
-    result, block = _planner_block(model, args, args.epsilon, spanner, dyn)
-    if args.dyn_cache and dyn is None:
-        plannermod.save_dynamics(
-            args.dyn_cache, model, result.spanner, result.dynamics
-        )
+    result, block = _planner_block(model, args, args.epsilon)
 
     report = {
         "command": "plan",

@@ -117,15 +117,20 @@ def discover_basis(
 
 
 def solve_coefficients(decomp: CoreDecomposition, target: np.ndarray):
-    """Unique alpha with M^T alpha = target, plus the max-norm residual."""
+    """Unique alpha with M^T alpha = target, plus the max-norm residual.
+
+    ``target`` is one length-r row or any stack of them (shape (..., r));
+    alpha has the same shape and the residual covers every row.
+    """
     if decomp.condition_ratio > 1.0 / decomp.tau_rank:
         raise DegenerateBasisError(
             f"basis matrix condition {decomp.condition_ratio:.3e} exceeds "
             f"{1.0 / decomp.tau_rank:.3e}"
         )
     target = np.asarray(target, dtype=np.float64)
-    alpha = np.linalg.solve(decomp.M.T, target)
-    residual = float(np.max(np.abs(decomp.M.T @ alpha - target)))
+    rows = target.reshape(-1, decomp.rank)
+    alpha = np.linalg.solve(decomp.M.T, rows.T).T.reshape(target.shape)
+    residual = float(np.max(np.abs(alpha @ decomp.M - target), initial=0.0))
     return alpha, residual
 
 

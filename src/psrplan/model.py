@@ -156,6 +156,31 @@ def belief_update(model: PomdpModel, b: np.ndarray, a: int, sig):
     return p, post
 
 
+def belief_update_batch(model: PomdpModel, beliefs: np.ndarray):
+    """belief_update for every action and signal from each row of ``beliefs``.
+
+    Returns ``(p, post)`` with shapes (k, A, Z) and (k, A, Z, n).  Where
+    ``p <= 0`` the posterior is all zeros (belief_update returns None).
+    Every other entry equals belief_update's bit for bit: the push-forward
+    is one matrix-vector product per belief, as there, since a matrix
+    product over the stack would sum in another order and move the ties
+    that simplex rounding breaks.
+    """
+    beliefs = np.asarray(beliefs, dtype=np.float64)
+    pushed = np.matvec(model.transition.transpose(1, 2, 0)[None], beliefs[:, None, :])
+    # C order along the state axis, so each row's sum is the same pairwise sum
+    emit = np.ascontiguousarray(model.signal_kernel.transpose(1, 2, 0))
+    joint = pushed[:, :, None, :] * emit
+    joint = _clean_probabilities(joint)
+    p = joint.sum(axis=-1)
+    possible = p[..., None] > 0.0
+    post = np.divide(joint, p[..., None], out=np.zeros_like(joint), where=possible)
+    total = post.sum(axis=-1, keepdims=True)
+    drifted = possible & (np.abs(total - 1.0) > DRIFT_TOL)
+    np.divide(post, total, out=post, where=drifted)
+    return p, post
+
+
 def sequence_probability(model: PomdpModel, b: np.ndarray, test: Test) -> float:
     """Probability that running the test's actions from b yields its signals.
 

@@ -7,25 +7,19 @@ the planner discretizes the coefficient cube [-2, 2]^r with mesh
 eps_tilde = epsilon / r, builds the induced finite MDP, and value-iterates.
 """
 
-import hashlib
-import json
-import logging
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as gridmod
 from .decomposition import SpannerBasis, discover_basis, improve_to_spanner, solve_coefficients
-from .errors import StateCapExceededError, ValidationError
-from .model import PomdpModel, Signal, to_json
+from .errors import ValidationError
+from .model import PomdpModel, Signal
 from .automaton import from_pomdp
 
-logger = logging.getLogger("psrplan")
-
-P_MIN = 1e-9
+P_MIN = gridmod.P_MIN
 COEFF_BOUND = 2.0
 DEFAULT_STATE_CAP = 2_000_000
 # absorbs float noise around exact half-cells so ties still go toward -inf
@@ -63,24 +57,34 @@ def precompute_dynamics(model: PomdpModel, spanner: SpannerBasis) -> SignalDynam
     return SignalDynamics(v=v, W=W, rho=rho, n_rewards=nr)
 
 
+def step_block(dyn: SignalDynamics, spanner: SpannerBasis, alpha):
+    """Every (action, signal) step from each row of a (k, r) coefficient block.
+
+    Returns (p, beta): p (k, A, Z) holds the signal probabilities under the
+    linear belief extension, clipped to [0, 1]; beta (k, A, Z, r) holds the
+    successor coefficients before clamping, meaningful where p > P_MIN.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    p = np.clip(np.einsum("ki,azi->kaz", alpha, dyn.v), 0.0, 1.0)
+    q = np.einsum("ki,azij->kazj", alpha, dyn.W)
+    q /= np.where(p > P_MIN, p, 1.0)[..., None]
+    beta, _ = solve_coefficients(spanner.decomposition, q)
+    return p, beta
+
+
 def step_coefficients(dyn: SignalDynamics, spanner: SpannerBasis, alpha, a, sig):
-    """One (action, signal) step on a coefficient vector.
+    """One (action, signal) step on a coefficient vector: one row of step_block.
 
     Returns (p, beta): the signal probability under the linear belief
     extension (clipped to [0,1]) and the clamped successor coefficients,
     or (p, None) when the branch carries no usable probability.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if isinstance(sig, Signal):
-        z = sig.observation * dyn.n_rewards + sig.reward
-    else:
-        z = int(sig)
-    p = float(np.clip(alpha @ dyn.v[a, z], 0.0, 1.0))
+    z = sig.observation * dyn.n_rewards + sig.reward if isinstance(sig, Signal) else int(sig)
+    p, beta = step_block(dyn, spanner, np.asarray(alpha, dtype=np.float64)[None])
+    p = float(p[0, a, z])
     if p <= P_MIN:
         return p, None
-    q = (alpha @ dyn.W[a, z]) / p
-    beta, _ = solve_coefficients(spanner.decomposition, q)
-    return p, np.clip(beta, -COEFF_BOUND, COEFF_BOUND)
+    return p, np.clip(beta[0, a, z], -COEFF_BOUND, COEFF_BOUND)
 
 
 def round_to_grid(alpha, mesh: float) -> np.ndarray:
@@ -121,111 +125,49 @@ def build_grid(
         raise ValidationError(f"epsilon {epsilon} outside (0, 1]")
     if mode not in ("reachable", "full"):
         raise ValidationError(f"unknown grid mode '{mode}'")
-    dec = spanner.decomposition
-    r = dec.rank
-    mesh = epsilon / r
+    mesh = epsilon / spanner.decomposition.rank
     m_max = lattice_radius(mesh)
-    side = 2 * m_max + 1
-
-    alpha0 = belief_coefficients(spanner, model.initial_belief)
-    g0 = tuple(round_to_grid(alpha0, mesh))
-
+    g0 = round_to_grid(belief_coefficients(spanner, model.initial_belief), mesh)
     diagnostics = {
         "mode": mode,
         "mMax": m_max,
         "clampEvents": 0,
         "maxClampDrift": 0.0,
         "rewardClamps": 0,
-        "deadEnds": 0,
     }
+    na = model.n_actions
 
-    index = {}
-    coords_list = []
-
-    def intern(coords):
-        sid = index.get(coords)
-        if sid is None:
-            sid = len(coords_list)
-            if sid >= state_cap:
-                raise StateCapExceededError(
-                    f"grid exceeded the state cap of {state_cap}; "
-                    "raise --state-cap or use a larger epsilon"
-                )
-            index[coords] = sid
-            coords_list.append(coords)
-        return sid
-
-    if mode == "full":
-        if side**r > state_cap:
-            raise StateCapExceededError(
-                f"full lattice has {side}^{r} states, above the cap of "
-                f"{state_cap}; raise --state-cap or use a larger epsilon"
+    def expand(coords):
+        alpha = coords * mesh
+        p, beta = step_block(dyn, spanner, alpha)
+        keep = p > P_MIN
+        states, actions, _ = np.nonzero(keep)  # (state, action, signal) order
+        row = states * na + actions
+        beta = beta[keep]
+        drift = np.abs(beta).max(axis=1) - COEFF_BOUND
+        clamped = drift > 1e-12
+        if clamped.any():
+            diagnostics["clampEvents"] += int(np.unique(row[clamped]).size)
+            diagnostics["maxClampDrift"] = max(
+                diagnostics["maxClampDrift"], float(drift[clamped].max())
             )
-        for coords in np.ndindex(*([side] * r)):
-            intern(tuple(int(c) - m_max for c in coords))
+        succ = round_to_grid(np.clip(beta, -COEFF_BOUND, COEFF_BOUND), mesh)
+        rewards = alpha @ dyn.rho.T
+        diagnostics["rewardClamps"] += int(np.count_nonzero((rewards < 0.0) | (rewards > 1.0)))
+        return row, succ, p[keep], np.clip(rewards, 0.0, 1.0)
 
-    intern(g0)
-    queue = deque(range(len(coords_list)))
-    transitions = []
-    rewards = []
-    na, nz = model.n_actions, model.n_signals
-    MT = dec.M.T
-
-    processed = 0
-    while queue:
-        sid = queue.popleft()
-        if sid != processed:
-            raise RuntimeError("expansion order lost")  # queue is FIFO over new ids
-        processed += 1
-        alpha = np.array(coords_list[sid], dtype=np.float64) * mesh
-        row_t = []
-        row_r = []
-        before = len(coords_list)
-        for a in range(na):
-            p_vec = np.clip(dyn.v[a] @ alpha, 0.0, 1.0)  # (Z,)
-            keep = np.nonzero(p_vec > P_MIN)[0]
-            acc = {}
-            if keep.size:
-                q = np.einsum("i,zij->zj", alpha, dyn.W[a][keep]) / p_vec[keep, None]
-                betas = np.linalg.solve(MT, q.T).T
-                drift = float(np.max(np.abs(betas))) - COEFF_BOUND
-                if drift > 1e-12:
-                    diagnostics["clampEvents"] += 1
-                    diagnostics["maxClampDrift"] = max(
-                        diagnostics["maxClampDrift"], drift
-                    )
-                    betas = np.clip(betas, -COEFF_BOUND, COEFF_BOUND)
-                coords = np.ceil(betas / mesh - 0.5 - TIE_NUDGE).astype(np.int64)
-                np.clip(coords, -m_max, m_max, out=coords)
-                for k, z in enumerate(keep):
-                    succ = intern(tuple(int(c) for c in coords[k]))
-                    acc[succ] = acc.get(succ, 0.0) + float(p_vec[z])
-            total = sum(acc.values())
-            if total <= P_MIN:
-                acc = {sid: 1.0}
-                diagnostics["deadEnds"] += 1
-            else:
-                acc = {k: p / total for k, p in acc.items()}
-            row_t.append(sorted(acc.items()))
-            rew = float(alpha @ dyn.rho[a])
-            if rew < 0.0 or rew > 1.0:
-                diagnostics["rewardClamps"] += 1
-                rew = min(max(rew, 0.0), 1.0)
-            row_r.append(rew)
-        transitions.append(row_t)
-        rewards.append(row_r)
-        for sid_new in range(before, len(coords_list)):
-            queue.append(sid_new)
-
-    return gridmod.grid_from_tables(
+    grid, dead_rows = gridmod.closure(
+        g0,
+        expand,
+        n_actions=na,
         mesh=mesh,
-        coords=coords_list,
-        transitions=transitions,
-        rewards=np.array(rewards),
         discount=model.discount,
-        initial_state=index[g0],
-        diagnostics=diagnostics,
+        state_cap=state_cap,
+        cap_hint="raise --state-cap or use a larger epsilon",
+        box=m_max if mode == "full" else None,
     )
+    grid.diagnostics = dict(diagnostics, deadEnds=dead_rows)
+    return grid
 
 
 def plan(
@@ -234,33 +176,28 @@ def plan(
     vi_tol: float = 1e-4,
     mode: str = "reachable",
     state_cap: int = DEFAULT_STATE_CAP,
-    dyn: SignalDynamics = None,
-    spanner: SpannerBasis = None,
 ) -> gridmod.PlanResult:
     """Full pipeline: basis discovery, spanner, dynamics, grid, value iteration."""
     timings = {}
     t0 = time.perf_counter()
-    if spanner is None:
-        dec = discover_basis(model)
-        timings["discoverBasis"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        spanner = improve_to_spanner(model, dec)
-        timings["improveToSpanner"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-    if dyn is None:
-        dyn = precompute_dynamics(model, spanner)
-        timings["precomputeDynamics"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
+    dec = discover_basis(model)
+    timings["discoverBasis"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    spanner = improve_to_spanner(model, dec)
+    timings["improveToSpanner"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    dyn = precompute_dynamics(model, spanner)
+    timings["precomputeDynamics"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     grid = build_grid(model, spanner, dyn, epsilon, mode=mode, state_cap=state_cap)
     timings["buildGrid"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     result = gridmod.solve(grid, vi_tol)
     timings["solve"] = time.perf_counter() - t0
 
-    dec = spanner.decomposition
     result.metadata.update(
         {
-            "rank": dec.rank,
+            "rank": spanner.decomposition.rank,
             "epsilon": epsilon,
             "viTol": vi_tol,
             "gridMode": mode,
@@ -271,7 +208,6 @@ def plan(
     )
     result.grid = grid
     result.spanner = spanner
-    result.dynamics = dyn
     return result
 
 
@@ -279,58 +215,4 @@ def act(spanner: SpannerBasis, plan_result: gridmod.PlanResult, b) -> int:
     """Map a live belief to the planned action via its rounded coefficients."""
     grid = plan_result.grid
     alpha = belief_coefficients(spanner, b)
-    coords = tuple(int(c) for c in round_to_grid(alpha, grid.mesh))
-    sid = grid.state_index().get(coords)
-    if sid is None:
-        deltas = np.abs(grid.coords - np.array(coords)).sum(axis=1)
-        sid = int(np.argmin(deltas))
-        _log_fallback(grid, coords, tuple(int(c) for c in grid.coords[sid]))
-    return int(plan_result.policy[sid])
-
-
-def _log_fallback(grid, coords, nearest):
-    """First off-grid fallback warns; later ones only count (expected when
-    evaluating the policy on beliefs outside the expanded closure)."""
-    count = grid.diagnostics.get("actFallbacks", 0)
-    grid.diagnostics["actFallbacks"] = count + 1
-    log = logger.warning if count == 0 else logger.debug
-    log(
-        "belief rounds to unexpanded grid point %s; using nearest expanded "
-        "state %s",
-        coords,
-        nearest,
-    )
-
-
-def dynamics_cache_key(model: PomdpModel, spanner: SpannerBasis) -> str:
-    """Content hash tying a dynamics cache file to its model and spanner."""
-    from .decomposition import to_json_dict as span_json
-
-    payload = to_json(model) + json.dumps(span_json(spanner), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def save_dynamics(path, model, spanner, dyn: SignalDynamics):
-    np.savez_compressed(
-        path,
-        key=np.frombuffer(
-            dynamics_cache_key(model, spanner).encode(), dtype=np.uint8
-        ),
-        v=dyn.v,
-        W=dyn.W,
-        rho=dyn.rho,
-    )
-
-
-def load_dynamics(path, model, spanner) -> SignalDynamics:
-    """Load cached dynamics; returns None when the key does not match."""
-    try:
-        data = np.load(path)
-    except (OSError, ValueError):
-        return None
-    key = bytes(data["key"]).decode()
-    if key != dynamics_cache_key(model, spanner):
-        return None
-    return SignalDynamics(
-        v=data["v"], W=data["W"], rho=data["rho"], n_rewards=model.n_rewards
-    )
+    return int(plan_result.policy[grid.locate(round_to_grid(alpha, grid.mesh))])

@@ -51,6 +51,14 @@ def test_simplex_round_error_bound():
         assert np.abs(rounded - b).max() < 0.05 + 1e-12
 
 
+def test_simplex_round_stack_matches_rows():
+    rng = np.random.default_rng(5)
+    beliefs = rng.dirichlet([0.7] * 5, size=300)
+    stacked = simplex_round(beliefs, 0.05)
+    for b, row in zip(beliefs, stacked):
+        np.testing.assert_array_equal(simplex_round(b, 0.05), row)
+
+
 def test_non_integral_resolution_rejected():
     with pytest.raises(ValidationError, match="integer"):
         simplex_round(np.array([0.5, 0.5]), 0.3)

@@ -6,12 +6,14 @@ from psrplan.model import (
     PomdpModel,
     Signal,
     belief_update,
+    belief_update_batch,
     expected_reward_matrix,
     from_json,
     sample_trajectory,
     sequence_probability,
     to_json,
 )
+from psrplan import model as modelmod
 from psrplan.zoo import fully_observable_chain, random_pomdp
 
 
@@ -214,3 +216,60 @@ def test_validate_rejects_bad_discount():
     )
     with pytest.raises(ValidationError, match="discount"):
         m2.validate()
+
+
+def assert_batch_matches_filter(model, beliefs):
+    """belief_update_batch equals belief_update bit for bit, row by row."""
+    p, post = belief_update_batch(model, beliefs)
+    assert p.shape == (len(beliefs), model.n_actions, model.n_signals)
+    assert post.shape == p.shape + (model.n,)
+    for k, b in enumerate(beliefs):
+        for a in range(model.n_actions):
+            for z in range(model.n_signals):
+                p_ref, post_ref = belief_update(model, b, a, z)
+                assert p[k, a, z] == p_ref
+                if post_ref is None:
+                    assert not post[k, a, z].any()
+                else:
+                    np.testing.assert_array_equal(post[k, a, z], post_ref)
+
+
+def random_beliefs(n, count, rng):
+    beliefs = rng.dirichlet([0.3] * n, size=count)
+    beliefs[::4, 0] = 0.0  # some beliefs off a face of the simplex
+    return beliefs / beliefs.sum(axis=1, keepdims=True)
+
+
+def test_batched_filter_matches_belief_update():
+    rng = np.random.default_rng(19)
+    shapes = ((3, 2, 2, 2), (6, 3, 2, 1), (9, 2, 3, 2))
+    for seed, (n, na, no, nr) in enumerate(shapes):
+        m = random_pomdp(n, na, no, nr, seed=seed, dirichlet=0.3)
+        assert_batch_matches_filter(m, random_beliefs(n, 40, rng))
+    # impossible signals: zero probability and an all-zero posterior
+    m = fully_observable_chain()
+    assert_batch_matches_filter(m, np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]]))
+
+
+def test_batched_filter_keeps_drift_renormalization(monkeypatch):
+    m = random_pomdp(7, 2, 2, 2, seed=4)
+    beliefs = random_beliefs(m.n, 40, np.random.default_rng(2))
+    monkeypatch.setattr(modelmod, "DRIFT_TOL", 1.0)  # never renormalize
+    _, raw = belief_update_batch(m, beliefs)
+    # renormalize every posterior whose sum is not exactly 1, in
+    # belief_update and in the batch alike
+    monkeypatch.setattr(modelmod, "DRIFT_TOL", 0.0)
+    _, post = belief_update_batch(m, beliefs)
+    assert not np.array_equal(raw, post)
+    assert_batch_matches_filter(m, beliefs)
+
+
+def test_batched_filter_rejects_negative_probability():
+    m = random_pomdp(3, 2, 2, 1, seed=6)
+    m.transition = m.transition.copy()
+    m.transition[0, 1] = [1.2, -0.1, -0.1]  # not validated: the filter must catch it
+    b = np.array([[1.0, 0.0, 0.0]])
+    with pytest.raises(ValidationError, match="negative"):
+        belief_update(m, b[0], 1, 0)
+    with pytest.raises(ValidationError, match="negative"):
+        belief_update_batch(m, b)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psrplan import grid as gridmod
+from psrplan.baseline import build_delta_grid
 from psrplan.decomposition import discover_basis, improve_to_spanner, solve_coefficients
 from psrplan.errors import StateCapExceededError, ValidationError
 from psrplan.model import Signal, belief_update, sequence_probability
@@ -9,13 +10,10 @@ from psrplan.planner import (
     act,
     belief_coefficients,
     build_grid,
-    dynamics_cache_key,
     lattice_radius,
-    load_dynamics,
     plan,
     precompute_dynamics,
     round_to_grid,
-    save_dynamics,
     step_coefficients,
 )
 from psrplan.oracle import exact_value
@@ -202,6 +200,25 @@ def test_state_cap_aborts_expansion(tiger):
         build_grid(tiger, span, dyn, epsilon=0.1, state_cap=5)
 
 
+@pytest.mark.parametrize("builder", ("planner", "baseline"))
+def test_block_size_does_not_change_the_grid(monkeypatch, tiger, builder):
+    # one state per block is the plain FIFO expansion
+    def build():
+        if builder == "baseline":
+            return build_delta_grid(tiger, 0.05)
+        span = make_spanner(tiger)
+        return build_grid(tiger, span, precompute_dynamics(tiger, span), epsilon=0.1)
+
+    batched = build()
+    monkeypatch.setattr(gridmod, "BLOCK_STATES", 1)
+    fifo = build()
+    assert batched.n_states > 10
+    for key in ("coords", "indptr", "succ", "prob", "rewards"):
+        np.testing.assert_array_equal(getattr(batched, key), getattr(fifo, key))
+    assert batched.initial_state == fifo.initial_state
+    assert batched.diagnostics == fifo.diagnostics
+
+
 def test_epsilon_validated(tiger):
     span = make_spanner(tiger)
     dyn = precompute_dynamics(tiger, span)
@@ -211,29 +228,31 @@ def test_epsilon_validated(tiger):
         build_grid(tiger, span, dyn, epsilon=0.1, mode="bogus")
 
 
-def test_value_iteration_geometric_series():
-    grid = gridmod.grid_from_tables(
+def one_action_grid(succ, rewards, discount):
+    """Deterministic single-action GridMdp: state s moves to succ[s]."""
+    n = len(succ)
+    return gridmod.GridMdp(
         mesh=1.0,
-        coords=[[0]],
-        transitions=[[[(0, 1.0)]]],
-        rewards=np.array([[0.3]]),
-        discount=0.9,
+        coords=np.arange(n)[:, None],
+        n_actions=1,
+        rewards=np.asarray(rewards, dtype=np.float64),
+        indptr=np.arange(n + 1),
+        succ=np.asarray(succ),
+        prob=np.ones(n),
+        discount=discount,
         initial_state=0,
     )
+
+
+def test_value_iteration_geometric_series():
+    grid = one_action_grid([0], [0.3], discount=0.9)
     res = gridmod.solve(grid, vi_tol=1e-6)
     assert res.values[0] == pytest.approx(0.3 / 0.1, abs=1e-4)
 
 
 def test_value_iteration_two_state_alternation():
     # deterministic swap each step, rewards (1, 0), single action
-    grid = gridmod.grid_from_tables(
-        mesh=1.0,
-        coords=[[0], [1]],
-        transitions=[[[(1, 1.0)]], [[(0, 1.0)]]],
-        rewards=np.array([[1.0], [0.0]]),
-        discount=0.5,
-        initial_state=0,
-    )
+    grid = one_action_grid([1, 0], [1.0, 0.0], discount=0.5)
     res = gridmod.solve(grid, vi_tol=1e-6)
     g = 0.5
     assert res.values[0] == pytest.approx(1.0 / (1 - g * g), abs=1e-5)
@@ -326,20 +345,3 @@ def test_grid_reward_is_linear_for_genuine_beliefs():
                 for z in range(m.n_signals)
             )
             assert alpha @ dyn.rho[a] == pytest.approx(direct, abs=1e-9)
-
-
-def test_dynamics_cache_round_trip(tmp_path, tiger):
-    span = make_spanner(tiger)
-    dyn = precompute_dynamics(tiger, span)
-    path = tmp_path / "dyn.npz"
-    save_dynamics(path, tiger, span, dyn)
-    loaded = load_dynamics(path, tiger, span)
-    assert loaded is not None
-    np.testing.assert_array_equal(loaded.v, dyn.v)
-    np.testing.assert_array_equal(loaded.W, dyn.W)
-    np.testing.assert_array_equal(loaded.rho, dyn.rho)
-    # a different model must invalidate the key
-    other = random_pomdp(2, 3, 2, 3, seed=1, discount=0.75)
-    other_span = make_spanner(other)
-    assert dynamics_cache_key(other, other_span) != dynamics_cache_key(tiger, span)
-    assert load_dynamics(path, other, other_span) is None
