@@ -121,9 +121,14 @@ def _model_summary(model, path):
     }
 
 
-def _oracle_block(model, policy_fn, slack):
+def _optimum(model, slack):
+    """(horizon, optimal value, optimal first action) at the initial belief."""
     horizon = oraclemod.horizon_for_slack(model.discount, slack)
-    v_opt, a_opt = oraclemod.exact_value(model, model.initial_belief, horizon)
+    return (horizon,) + oraclemod.exact_value(model, model.initial_belief, horizon)
+
+
+def _oracle_block(model, policy_fn, optimum):
+    horizon, v_opt, a_opt = optimum
     v_pol = oraclemod.evaluate_policy(
         model, policy_fn, model.initial_belief, horizon
     )
@@ -234,7 +239,7 @@ def cmd_plan(args):
     }
     if args.oracle:
         policy_fn = lambda b: plannermod.act(result.spanner, result, b)
-        orc = _oracle_block(model, policy_fn, args.oracle_slack)
+        orc = _oracle_block(model, policy_fn, _optimum(model, args.oracle_slack))
         gamma = model.discount
         bound = args.epsilon / (1.0 - gamma) ** 4
         orc["accuracyBound"] = _verdict(orc["gap"], bound, orc["slack"])
@@ -287,7 +292,7 @@ def cmd_baseline(args):
     }
     if args.oracle:
         policy_fn = lambda b: baselinemod.act_baseline(result, b)
-        orc = _oracle_block(model, policy_fn, args.oracle_slack)
+        orc = _oracle_block(model, policy_fn, _optimum(model, args.oracle_slack))
         gamma = model.discount
         bound = 2.0 * args.delta / (1.0 - gamma) ** 3
         orc["accuracyBound"] = _verdict(orc["gap"], bound, orc["slack"])
@@ -307,15 +312,15 @@ def cmd_compare(args):
     base_result, base_block = _baseline_block(model, args, args.delta)
 
     gamma = model.discount
-    slack = args.oracle_slack
+    optimum = _optimum(model, args.oracle_slack)  # shared by both planners
     plan_oracle = _oracle_block(
-        model, lambda b: plannermod.act(plan_result.spanner, plan_result, b), slack
+        model, lambda b: plannermod.act(plan_result.spanner, plan_result, b), optimum
     )
     plan_oracle["accuracyBound"] = _verdict(
         plan_oracle["gap"], args.epsilon / (1.0 - gamma) ** 4, plan_oracle["slack"]
     )
     base_oracle = _oracle_block(
-        model, lambda b: baselinemod.act_baseline(base_result, b), slack
+        model, lambda b: baselinemod.act_baseline(base_result, b), optimum
     )
     base_oracle["accuracyBound"] = _verdict(
         base_oracle["gap"], 2.0 * args.delta / (1.0 - gamma) ** 3, base_oracle["slack"]

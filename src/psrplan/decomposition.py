@@ -196,7 +196,7 @@ def improve_to_spanner(
 def state_coefficients(spanner: SpannerBasis) -> np.ndarray:
     """Expansion coefficients of every hidden state in the spanner basis."""
     dec = spanner.decomposition
-    return np.linalg.solve(dec.M.T, dec.state_test_matrix.T).T
+    return solve_coefficients(dec, dec.state_test_matrix)[0]
 
 
 def _test_to_json(test):

@@ -83,21 +83,19 @@ class PlanResult:
     spanner: object = None
 
 
-class _Interner:
-    """Lattice rows -> state ids, new rows numbered in order of first occurrence.
+class Interner:
+    """Integer rows -> ids, new rows numbered in order of first occurrence.
 
     Rows are compared through a fixed-width byte view, kept sorted for
     ``searchsorted``; the byte order is arbitrary but total, which is all
-    the lookup needs.
+    the lookup needs.  ``coords`` holds the distinct rows in id order.
     """
 
-    def __init__(self, dim, state_cap, cap_message):
+    def __init__(self, dim):
         self.key_type = np.dtype((np.void, 8 * dim))
         self.keys = np.empty(0, dtype=self.key_type)  # sorted
         self.ids = np.empty(0, dtype=np.int64)  # id of each sorted key
         self.coords = np.empty((0, dim), dtype=np.int64)  # rows in id order
-        self.state_cap = state_cap
-        self.cap_message = cap_message
 
     def __call__(self, coords):
         coords = np.ascontiguousarray(coords, dtype=np.int64)
@@ -111,10 +109,7 @@ class _Interner:
         unseen = ~seen
         fresh = np.flatnonzero(unseen)
         fresh = fresh[np.argsort(first[fresh], kind="stable")]
-        n = self.coords.shape[0]
-        if n + fresh.size > self.state_cap:
-            raise StateCapExceededError(self.cap_message)
-        uid[fresh] = n + np.arange(fresh.size)
+        uid[fresh] = self.coords.shape[0] + np.arange(fresh.size)
         self.coords = np.concatenate([self.coords, coords[first[fresh]]])
         self.keys = np.insert(self.keys, pos[unseen], uniq[unseen])
         self.ids = np.insert(self.ids, pos[unseen], uid[unseen])
@@ -152,9 +147,16 @@ def closure(
     """
     start = np.asarray(start, dtype=np.int64).reshape(1, -1)
     dim = start.shape[1]
-    intern = _Interner(
-        dim, state_cap, f"{name} exceeded the state cap of {state_cap}; {cap_hint}"
-    )
+    intern = Interner(dim)
+
+    def capped(coords):
+        ids = intern(coords)
+        if intern.coords.shape[0] > state_cap:
+            raise StateCapExceededError(
+                f"{name} exceeded the state cap of {state_cap}; {cap_hint}"
+            )
+        return ids
+
     if box is not None:
         side = 2 * box + 1
         if side**dim > state_cap:
@@ -163,7 +165,7 @@ def closure(
                 f"{state_cap}; {cap_hint}"
             )
         intern(np.indices((side,) * dim).reshape(dim, -1).T - box)
-    initial_state = int(intern(start)[0])
+    initial_state = int(capped(start)[0])
 
     counts, succ_parts, prob_parts, reward_parts = [], [], [], []
     dead_rows = 0
@@ -171,7 +173,7 @@ def closure(
     while lo < intern.coords.shape[0]:
         hi = min(lo + BLOCK_STATES, intern.coords.shape[0])
         row, succ_coords, weight, rewards = expand(intern.coords[lo:hi])
-        succ = intern(succ_coords)
+        succ = capped(succ_coords)
         n_rows = (hi - lo) * n_actions
         n = intern.coords.shape[0]
         merged, inverse = np.unique(row * n + succ, return_inverse=True)

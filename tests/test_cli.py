@@ -135,6 +135,17 @@ def test_state_cap_exits_3(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_nonpositive_oracle_slack_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["compare", DATA / "fair_coin.POMDP", "--oracle-slack", "-0.01",
+         "--json-out", tmp_path / "r.json"],
+        capsys,
+    )
+    assert code == 2
+    assert "slack" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_reports_byte_identical_without_timings(tmp_path, capsys):
     paths = []
     for tag in ("a", "b"):
@@ -202,6 +213,22 @@ def test_compare_rank_grid_smaller_on_duplicated_states(tmp_path, capsys):
     assert rep["summary"]["baselineGridStates"] == 28
     assert rep["planner"]["oracle"]["accuracyBound"]["pass"] is True
     assert rep["baseline"]["oracle"]["accuracyBound"]["pass"] is True
+
+
+def test_compare_searches_the_optimum_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    exact_value = cli.oraclemod.exact_value
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact_value(*args, **kwargs)
+
+    monkeypatch.setattr(cli.oraclemod, "exact_value", counted)
+    code, _, _ = run_cli(
+        ["compare", DATA / "tiger.POMDP", "--json-out", tmp_path / "r.json"], capsys
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_sweep_csv_output(tmp_path, capsys):

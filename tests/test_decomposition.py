@@ -9,6 +9,7 @@ from psrplan.automaton import (
 )
 from psrplan.decomposition import (
     CoreDecomposition,
+    SpannerBasis,
     discover_basis,
     improve_to_spanner,
     solve_coefficients,
@@ -130,6 +131,24 @@ def test_degenerate_matrix_rejected():
     )
     with pytest.raises(DegenerateBasisError, match="condition"):
         solve_coefficients(dec, np.array([1.0, 1.0]))
+
+
+def test_state_coefficients_use_the_condition_guard():
+    # condition about 2.5e13; an unguarded solve gives coefficients of +-2.5e12
+    M = np.array([[1.0, 1.0], [1.0, 1.0 + 1.6e-13]])
+    dec = CoreDecomposition(
+        basis_states=[0, 1],
+        core_tests=[(), ()],
+        M=M,
+        state_test_matrix=np.vstack([M, [[0.5, 0.1]]]),
+        rank=2,
+    )
+    assert dec.condition_ratio == pytest.approx(2.5e13, rel=1e-3)
+    span = SpannerBasis(
+        decomposition=dec, spanner_bound=2.0, det_log_ledger=[0.0], swap_count=0
+    )
+    with pytest.raises(DegenerateBasisError, match="condition"):
+        state_coefficients(span)
 
 
 def test_spanner_keeps_full_basis_fixed():

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from psrplan.errors import OracleBudgetError
+from psrplan.errors import OracleBudgetError, ValidationError
 from psrplan.model import PomdpModel, expected_reward_matrix
 from psrplan.oracle import (
     OracleConfig,
@@ -150,6 +152,12 @@ def test_horizon_for_slack_is_minimal():
             assert truncation_slack(g, H) <= slack
             if H > 0:
                 assert truncation_slack(g, H - 1) > slack
+
+
+@pytest.mark.parametrize("slack", [0.0, -1e-3, -math.inf, math.inf, math.nan])
+def test_horizon_for_slack_rejects_nonpositive_or_nonfinite(slack):
+    with pytest.raises(ValidationError, match="slack"):
+        horizon_for_slack(0.4, slack)
 
 
 def test_immediate_reward_uses_expected_matrix(tiger):
