@@ -5,7 +5,10 @@ Supported grammar: ``discount``/``values``/``states``/``actions``/
 (vector, ``uniform``, single state, ``include``/``exclude`` lists), and
 ``T:``/``O:``/``R:`` entries with ``*`` wildcards, row/matrix
 continuation lines and the ``identity``/``uniform`` keyword matrices.
-``values: cost`` is rejected.
+``values: cost`` is rejected.  Entries apply in file order: a later entry
+overwrites what an earlier one set, whether either names a ``*`` or not.
+Numbers are read with Python's ``float``; a non-finite one (``nan``,
+``inf``, or an overflow such as ``1e999``) is a ParseError.
 
 Rewards become part of the observable signal: each raw value
 R(s, a, s', o) is binned into a finite set, affinely normalized into
@@ -23,19 +26,27 @@ from .model import PomdpModel
 
 _KEYWORDS = {"discount", "values", "states", "actions", "observations", "start", "T", "O", "R"}
 _MATRIX_WORDS = {"identity", "uniform"}
+_HEAD = re.compile(r"^([A-Za-z]+)\s*(:?)\s*(.*)$")
+_START_MODE = re.compile(r"^(include|exclude)\s*:?\s*(.*)$")
+_INDEX = re.compile(r"\d+")
+_ALL = slice(None)  # a '*' slot
 
 DEFAULT_REWARD_CAP = 64
 
 
 class _Stmt:
-    __slots__ = ("keyword", "mode", "slots", "tokens", "line")
+    __slots__ = ("keyword", "mode", "slots", "body", "line")
 
-    def __init__(self, keyword, mode, slots, tokens, line):
+    def __init__(self, keyword, mode, slots, body, line):
         self.keyword = keyword
         self.mode = mode  # include/exclude for start, else None
         self.slots = slots  # colon-separated header fields
-        self.tokens = tokens  # value tokens (numbers or a matrix keyword)
+        self.body = body  # value text: rest of the header line, then continuation lines
         self.line = line
+
+    def tokens(self):
+        """Value tokens (numbers or a matrix keyword), split when applied."""
+        return " ".join(self.body).split()
 
 
 def _strip_comment(line: str) -> str:
@@ -43,50 +54,55 @@ def _strip_comment(line: str) -> str:
 
 
 def _split_statements(text: str):
-    """Group physical lines into statements with their 1-based line numbers."""
+    """Group physical lines into statements with their 1-based line numbers.
+
+    Value text stays as whole lines until the statement is applied, so a
+    large file never holds all of its number tokens at once.
+    """
     stmts = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        m = re.match(r"^([A-Za-z]+)\s*(:?)\s*(.*)$", line)
+        m = _HEAD.match(line)
         word = m.group(1) if m else None
         if word in _KEYWORDS:
             rest = m.group(3)
             mode = None
             if word == "start":
-                m2 = re.match(r"^(include|exclude)\s*:?\s*(.*)$", rest)
+                m2 = _START_MODE.match(rest)
                 if m2:
                     mode, rest = m2.group(1), m2.group(2)
             if word in ("T", "O", "R"):
                 if not m.group(2):
                     raise ParseError(f"expected ':' after {word}", lineno)
-                parts = rest.split(":")
-                slots, tokens = [], []
-                for k, part in enumerate(parts):
+                *parts, last = rest.split(":")
+                slots = []
+                for part in parts:
                     fields = part.split()
-                    last = k == len(parts) - 1
                     if not fields:
                         raise ParseError(f"empty field in {word} entry", lineno)
-                    if not last and len(fields) != 1:
+                    if len(fields) != 1:
                         raise ParseError(
                             f"unexpected token '{fields[1]}' in {word} entry", lineno
                         )
                     slots.append(fields[0])
-                    if last:
-                        tokens.extend(fields[1:])
-                stmts.append(_Stmt(word, None, slots, tokens, lineno))
+                fields = last.split(None, 1)
+                if not fields:
+                    raise ParseError(f"empty field in {word} entry", lineno)
+                slots.append(fields[0])
+                stmts.append(_Stmt(word, None, slots, fields[1:], lineno))
             else:
-                stmts.append(_Stmt(word, mode, [], rest.split(), lineno))
+                stmts.append(_Stmt(word, mode, [], [rest], lineno))
         else:
             if not stmts:
                 raise ParseError(f"unrecognized directive '{line.split()[0]}'", lineno)
-            stmts[-1].tokens.extend(line.split())
+            stmts[-1].body.append(line)
     return stmts
 
 
 class _NameSpace:
-    """Resolve a state/action/observation token to an index (None = '*')."""
+    """Resolve a state/action/observation token to an index (a slice for '*')."""
 
     def __init__(self, kind, names):
         self.kind = kind
@@ -95,23 +111,20 @@ class _NameSpace:
 
     def resolve(self, token, line):
         if token == "*":
-            return None
+            return _ALL
         if token in self.index:
             return self.index[token]
-        if re.fullmatch(r"\d+", token):
+        if _INDEX.fullmatch(token):
             i = int(token)
             if 0 <= i < len(self.names):
                 return i
         raise ParseError(f"unknown {self.kind} '{token}'", line)
 
-    def expand(self, idx):
-        return range(len(self.names)) if idx is None else (idx,)
-
 
 def _names_from_tokens(tokens, prefix, line):
     if not tokens:
         raise ParseError(f"empty {prefix} declaration", line)
-    if len(tokens) == 1 and re.fullmatch(r"\d+", tokens[0]):
+    if len(tokens) == 1 and _INDEX.fullmatch(tokens[0]):
         count = int(tokens[0])
         if count < 1:
             raise ParseError(f"{prefix} count must be positive", line)
@@ -122,41 +135,51 @@ def _names_from_tokens(tokens, prefix, line):
 
 
 def _floats(tokens, expected, line, what):
+    """``expected`` finite numbers read with Python's ``float``, as an array."""
     if len(tokens) != expected:
         raise ParseError(
             f"{what}: expected {expected} numbers, found {len(tokens)}", line
         )
     try:
-        return [float(tok) for tok in tokens]
+        vals = np.fromiter(map(float, tokens), dtype=np.float64, count=expected)
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}", line) from None
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise ParseError(
+            f"{what}: non-finite number '{tokens[int(finite.argmin())]}'", line
+        )
+    return vals
 
 
-def parse_pomdp(text: str, reward_cap: int = DEFAULT_REWARD_CAP) -> PomdpModel:
-    """Parse file contents into a validated PomdpModel."""
-    stmts = _split_statements(text)
+def _declarations(stmts):
+    """Split statements into the preamble's values and the entries.
 
+    Returns ``(discount, states, actions, observations, start, entries)``:
+    the ``start`` statement or None, and the T/O/R statements in file order.
+    """
     discount = None
     states = actions = observations = None
     start_stmt = None
     kernel_stmts = []
     for st in stmts:
         if st.keyword == "discount":
-            discount = _floats(st.tokens, 1, st.line, "discount")[0]
+            discount = float(_floats(st.tokens(), 1, st.line, "discount")[0])
         elif st.keyword == "values":
-            if st.tokens == ["cost"]:
+            tokens = st.tokens()
+            if tokens == ["cost"]:
                 raise UnsupportedConstructError(
                     "'values: cost' is not supported; express the model with rewards",
                     st.line,
                 )
-            if st.tokens != ["reward"]:
-                raise ParseError(f"bad values declaration {st.tokens}", st.line)
+            if tokens != ["reward"]:
+                raise ParseError(f"bad values declaration {tokens}", st.line)
         elif st.keyword == "states":
-            states = _names_from_tokens(st.tokens, "s", st.line)
+            states = _names_from_tokens(st.tokens(), "s", st.line)
         elif st.keyword == "actions":
-            actions = _names_from_tokens(st.tokens, "a", st.line)
+            actions = _names_from_tokens(st.tokens(), "a", st.line)
         elif st.keyword == "observations":
-            observations = _names_from_tokens(st.tokens, "o", st.line)
+            observations = _names_from_tokens(st.tokens(), "o", st.line)
         else:
             if states is None or actions is None or observations is None:
                 raise ParseError(
@@ -173,25 +196,18 @@ def parse_pomdp(text: str, reward_cap: int = DEFAULT_REWARD_CAP) -> PomdpModel:
         raise ParseError("missing discount declaration")
     if states is None or actions is None or observations is None:
         raise ParseError("missing states/actions/observations declaration")
+    return discount, states, actions, observations, start_stmt, kernel_stmts
 
-    sn = _NameSpace("state", states)
-    an = _NameSpace("action", actions)
-    on = _NameSpace("observation", observations)
-    n, na, no = len(states), len(actions), len(observations)
 
-    transition = np.zeros((n, na, n))
-    obs_kernel = np.zeros((n, na, no))  # [arriving state, action, observation]
-    reward_raw = np.zeros((na, n, n, no))  # [action, s, s', o]
-
-    for st in kernel_stmts:
-        if st.keyword == "T":
-            _apply_transition(st, transition, sn, an)
-        elif st.keyword == "O":
-            _apply_observation(st, obs_kernel, sn, an, on)
-        else:
-            _apply_reward(st, reward_raw, sn, an, on)
-
-    initial_belief = _parse_start(start_stmt, sn, n)
+def parse_pomdp(text: str, reward_cap: int = DEFAULT_REWARD_CAP) -> PomdpModel:
+    """Parse file contents into a validated PomdpModel."""
+    discount, states, actions, observations, start_stmt, kernel_stmts = (
+        _declarations(_split_statements(text))
+    )
+    transition, obs_kernel, reward_raw = _fill_tables(
+        kernel_stmts, states, actions, observations
+    )
+    initial_belief = _parse_start(start_stmt, _NameSpace("state", states), len(states))
 
     _check_rows(
         transition.sum(axis=2), "transition", states, actions
@@ -206,22 +222,13 @@ def parse_pomdp(text: str, reward_cap: int = DEFAULT_REWARD_CAP) -> PomdpModel:
         transition, obs_kernel, reward_raw, states, actions, observations, reward_cap
     )
 
-    nr = len(reward_values)
-    signal_kernel = np.zeros((n, na, no * nr))
-    for a in range(na):
-        for s2 in range(n):
-            for o in range(no):
-                signal_kernel[s2, a, o * nr + reward_index[a, s2, o]] = obs_kernel[
-                    s2, a, o
-                ]
-
     model = PomdpModel(
         states=states,
         actions=actions,
         observations=observations,
         reward_values=reward_values,
         transition=transition,
-        signal_kernel=signal_kernel,
+        signal_kernel=_signal_kernel(obs_kernel, reward_index, len(reward_values)),
         discount=discount,
         initial_belief=initial_belief,
         reward_scale=scale,
@@ -251,96 +258,95 @@ def _keyword_matrix(word, rows, cols, line):
 
 def _matrix_tokens(st, rows, cols, what):
     """Body of a 1-slot T/O entry: keyword matrix or rows*cols numbers."""
-    if len(st.tokens) == 1 and st.tokens[0] in _MATRIX_WORDS:
-        return _keyword_matrix(st.tokens[0], rows, cols, st.line)
-    vals = _floats(st.tokens, rows * cols, st.line, what)
-    return np.array(vals).reshape(rows, cols)
+    tokens = st.tokens()
+    if len(tokens) == 1 and tokens[0] in _MATRIX_WORDS:
+        return _keyword_matrix(tokens[0], rows, cols, st.line)
+    return _floats(tokens, rows * cols, st.line, what).reshape(rows, cols)
 
 
 def _row_tokens(st, cols, what):
-    if len(st.tokens) == 1 and st.tokens[0] == "uniform":
+    tokens = st.tokens()
+    if len(tokens) == 1 and tokens[0] == "uniform":
         return np.full(cols, 1.0 / cols)
-    return np.array(_floats(st.tokens, cols, st.line, what))
+    return _floats(tokens, cols, st.line, what)
+
+
+def _fill_tables(kernel_stmts, states, actions, observations):
+    """Raw T, O and R tables, entries applied in file order.
+
+    Every slot is an index or a full slice, so each entry is one basic-index
+    assignment and a later entry overwrites what an earlier one set.
+    Returns ``transition[s, a, s']``, ``obs_kernel[s', a, o]`` and
+    ``reward_raw[a, s, s', o]``.
+    """
+    sn = _NameSpace("state", states)
+    an = _NameSpace("action", actions)
+    on = _NameSpace("observation", observations)
+    n, na, no = len(states), len(actions), len(observations)
+    transition = np.zeros((n, na, n))
+    obs_kernel = np.zeros((n, na, no))
+    reward_raw = np.zeros((na, n, n, no))
+    for st in kernel_stmts:
+        if st.keyword == "T":
+            _apply_transition(st, transition, sn, an)
+        elif st.keyword == "O":
+            _apply_observation(st, obs_kernel, sn, an, on)
+        else:
+            _apply_reward(st, reward_raw, sn, an, on)
+    return transition, obs_kernel, reward_raw
 
 
 def _apply_transition(st, transition, sn, an):
     n = len(sn.names)
-    a_idx = an.resolve(st.slots[0], st.line)
+    a = an.resolve(st.slots[0], st.line)
     if len(st.slots) == 1:
+        # an action-major view, so a '*' action broadcasts the matrix
         mat = _matrix_tokens(st, n, n, "transition matrix")
-        for a in an.expand(a_idx):
-            transition[:, a, :] = mat
+        transition.transpose(1, 0, 2)[a] = mat
     elif len(st.slots) == 2:
-        s_idx = sn.resolve(st.slots[1], st.line)
-        row = _row_tokens(st, n, "transition row")
-        for a in an.expand(a_idx):
-            for s in sn.expand(s_idx):
-                transition[s, a, :] = row
+        s = sn.resolve(st.slots[1], st.line)
+        transition[s, a] = _row_tokens(st, n, "transition row")
     elif len(st.slots) == 3:
-        s_idx = sn.resolve(st.slots[1], st.line)
-        s2_idx = sn.resolve(st.slots[2], st.line)
-        val = _floats(st.tokens, 1, st.line, "transition entry")[0]
-        for a in an.expand(a_idx):
-            for s in sn.expand(s_idx):
-                for s2 in sn.expand(s2_idx):
-                    transition[s, a, s2] = val
+        s = sn.resolve(st.slots[1], st.line)
+        s2 = sn.resolve(st.slots[2], st.line)
+        transition[s, a, s2] = _floats(st.tokens(), 1, st.line, "transition entry")[0]
     else:
         raise ParseError("T entry takes 1-3 ':' fields", st.line)
 
 
 def _apply_observation(st, obs_kernel, sn, an, on):
     n, no = len(sn.names), len(on.names)
-    a_idx = an.resolve(st.slots[0], st.line)
+    a = an.resolve(st.slots[0], st.line)
     if len(st.slots) == 1:
         mat = _matrix_tokens(st, n, no, "observation matrix")
-        for a in an.expand(a_idx):
-            obs_kernel[:, a, :] = mat
+        obs_kernel.transpose(1, 0, 2)[a] = mat
     elif len(st.slots) == 2:
-        s2_idx = sn.resolve(st.slots[1], st.line)
-        row = _row_tokens(st, no, "observation row")
-        for a in an.expand(a_idx):
-            for s2 in sn.expand(s2_idx):
-                obs_kernel[s2, a, :] = row
+        s2 = sn.resolve(st.slots[1], st.line)
+        obs_kernel[s2, a] = _row_tokens(st, no, "observation row")
     elif len(st.slots) == 3:
-        s2_idx = sn.resolve(st.slots[1], st.line)
-        o_idx = on.resolve(st.slots[2], st.line)
-        val = _floats(st.tokens, 1, st.line, "observation entry")[0]
-        for a in an.expand(a_idx):
-            for s2 in sn.expand(s2_idx):
-                for o in on.expand(o_idx):
-                    obs_kernel[s2, a, o] = val
+        s2 = sn.resolve(st.slots[1], st.line)
+        o = on.resolve(st.slots[2], st.line)
+        obs_kernel[s2, a, o] = _floats(st.tokens(), 1, st.line, "observation entry")[0]
     else:
         raise ParseError("O entry takes 1-3 ':' fields", st.line)
 
 
 def _apply_reward(st, reward_raw, sn, an, on):
     n, no = len(sn.names), len(on.names)
-    a_idx = an.resolve(st.slots[0], st.line)
+    a = an.resolve(st.slots[0], st.line)
     if len(st.slots) == 4:
-        s_idx = sn.resolve(st.slots[1], st.line)
-        s2_idx = sn.resolve(st.slots[2], st.line)
-        o_idx = on.resolve(st.slots[3], st.line)
-        val = _floats(st.tokens, 1, st.line, "reward entry")[0]
-        for a in an.expand(a_idx):
-            for s in sn.expand(s_idx):
-                for s2 in sn.expand(s2_idx):
-                    for o in on.expand(o_idx):
-                        reward_raw[a, s, s2, o] = val
+        s = sn.resolve(st.slots[1], st.line)
+        s2 = sn.resolve(st.slots[2], st.line)
+        o = on.resolve(st.slots[3], st.line)
+        reward_raw[a, s, s2, o] = _floats(st.tokens(), 1, st.line, "reward entry")[0]
     elif len(st.slots) == 3:
-        s_idx = sn.resolve(st.slots[1], st.line)
-        s2_idx = sn.resolve(st.slots[2], st.line)
-        row = np.array(_floats(st.tokens, no, st.line, "reward row"))
-        for a in an.expand(a_idx):
-            for s in sn.expand(s_idx):
-                for s2 in sn.expand(s2_idx):
-                    reward_raw[a, s, s2, :] = row
+        s = sn.resolve(st.slots[1], st.line)
+        s2 = sn.resolve(st.slots[2], st.line)
+        reward_raw[a, s, s2] = _floats(st.tokens(), no, st.line, "reward row")
     elif len(st.slots) == 2:
-        s_idx = sn.resolve(st.slots[1], st.line)
-        vals = _floats(st.tokens, n * no, st.line, "reward matrix")
-        mat = np.array(vals).reshape(n, no)
-        for a in an.expand(a_idx):
-            for s in sn.expand(s_idx):
-                reward_raw[a, s, :, :] = mat
+        s = sn.resolve(st.slots[1], st.line)
+        vals = _floats(st.tokens(), n * no, st.line, "reward matrix")
+        reward_raw[a, s] = vals.reshape(n, no)
     else:
         raise ParseError("R entry takes 2-4 ':' fields", st.line)
 
@@ -348,24 +354,25 @@ def _apply_reward(st, reward_raw, sn, an, on):
 def _parse_start(st, sn, n):
     if st is None:
         return np.full(n, 1.0 / n)
+    tokens = st.tokens()
     if st.mode is not None:
         chosen = np.zeros(n, dtype=bool)
-        for tok in st.tokens:
+        for tok in tokens:
             chosen[sn.resolve(tok, st.line)] = True
         if st.mode == "exclude":
             chosen = ~chosen
         if not chosen.any():
             raise ParseError("start set is empty", st.line)
         return chosen / chosen.sum()
-    if len(st.tokens) == 1:
-        tok = st.tokens[0]
+    if len(tokens) == 1:
+        tok = tokens[0]
         if tok == "uniform":
             return np.full(n, 1.0 / n)
-        if tok in sn.index or (re.fullmatch(r"\d+", tok) and n > 1):
+        if tok in sn.index or (_INDEX.fullmatch(tok) and n > 1):
             belief = np.zeros(n)
             belief[sn.resolve(tok, st.line)] = 1.0
             return belief
-    vals = np.array(_floats(st.tokens, n, st.line, "start belief"))
+    vals = _floats(tokens, n, st.line, "start belief")
     if np.any(vals < 0) or abs(vals.sum() - 1.0) > 1e-9:
         raise ParseError("start belief is not a probability vector", st.line)
     return vals / vals.sum()
@@ -389,30 +396,25 @@ def _collect_rewards(
 
     Emission is tied to (action, arriving state, observation); a reward that
     differs across departing states on reachable triples cannot be expressed
-    that way and is rejected.
+    that way and is rejected.  The value of a reachable (a, s', o) is taken
+    from its first departing state.
     """
-    n, na, no = len(states), len(actions), len(observations)
-    # value per (a, s', o), taken from any reachable departing state
-    value = np.zeros((na, n, no))
-    defined = np.zeros((na, n, no), dtype=bool)
-    for a in range(na):
-        for s2 in range(n):
-            support_s = np.nonzero(transition[:, a, s2] > 0)[0]
-            if support_s.size == 0:
-                continue
-            for o in range(no):
-                if obs_kernel[s2, a, o] <= 0:
-                    continue
-                vals = reward_raw[a, support_s, s2, o]
-                if np.ptp(vals) > 1e-12:
-                    raise ValidationError(
-                        f"reward for (action={actions[a]}, arriving state="
-                        f"{states[s2]}, observation={observations[o]}) varies "
-                        "with the departing state; signals condition on the "
-                        "arriving state only, so this model is not expressible"
-                    )
-                value[a, s2, o] = vals[0]
-                defined[a, s2, o] = True
+    support = transition.transpose(1, 0, 2) > 0  # [a, s, s']: s reaches s'
+    defined = support.any(axis=1)[:, :, None] & (obs_kernel.transpose(1, 0, 2) > 0)
+    departing = support[:, :, :, None]
+    spread = np.max(reward_raw, axis=1, where=departing, initial=-np.inf)
+    spread -= np.min(reward_raw, axis=1, where=departing, initial=np.inf)
+    bad = np.argwhere(defined & (spread > 1e-12))  # [a, s', o], C order
+    if bad.size:
+        a, s2, o = bad[0]
+        raise ValidationError(
+            f"reward for (action={actions[a]}, arriving state="
+            f"{states[s2]}, observation={observations[o]}) varies "
+            "with the departing state; signals condition on the "
+            "arriving state only, so this model is not expressible"
+        )
+    first = support.argmax(axis=1)[:, None, :, None]
+    value = np.take_along_axis(reward_raw, first, axis=1)[:, 0]  # [a, s', o]
 
     reachable_vals = value[defined]
     if reachable_vals.size == 0:
@@ -432,11 +434,15 @@ def _collect_rewards(
         offset = lo
     reward_values = (distinct - offset) / scale
 
-    lookup = {v: i for i, v in enumerate(distinct)}
-    reward_index = np.zeros((na, n, no), dtype=np.int64)
-    for a in range(na):
-        for s2 in range(n):
-            for o in range(no):
-                if defined[a, s2, o]:
-                    reward_index[a, s2, o] = lookup[value[a, s2, o]]
+    # exact: every reachable value is an element of distinct
+    reward_index = np.where(defined, np.searchsorted(distinct, value), 0)
     return reward_values, reward_index, float(scale), float(offset)
+
+
+def _signal_kernel(obs_kernel, reward_index, nr):
+    """Signal kernel [s', a, z]: observation o with reward r is z = o * nr + r."""
+    n, na, no = obs_kernel.shape
+    signal_kernel = np.zeros((n, na, no * nr))
+    z = np.arange(no) * nr + reward_index.transpose(1, 0, 2)
+    np.put_along_axis(signal_kernel, z, obs_kernel, axis=2)
+    return signal_kernel

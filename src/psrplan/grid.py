@@ -228,6 +228,10 @@ def solve(grid: GridMdp, vi_tol: float = 1e-4) -> PlanResult:
         q = (grid.rewards + gamma * future).reshape(-1, grid.n_actions)
         new_values = q.max(axis=1)
         residual = float(np.max(np.abs(new_values - values))) if values.size else 0.0
+        if not np.isfinite(residual):
+            raise ConvergenceError(
+                f"value iteration residual is {residual} at sweep {iteration}"
+            )
         values = new_values
         if residual <= threshold:
             break

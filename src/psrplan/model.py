@@ -92,6 +92,12 @@ class PomdpModel:
             raise ValidationError(
                 f"signal kernel shape {self.signal_kernel.shape} != {(n, na, nz)}"
             )
+        # NaN passes every tolerance comparison below, so test finiteness first
+        for name in ("transition", "signal_kernel", "reward_values", "initial_belief"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"non-finite entry in {name}")
+        if not (np.isfinite(self.reward_scale) and np.isfinite(self.reward_offset)):
+            raise ValidationError("reward scale and offset must be finite")
         t_sums = self.transition.sum(axis=2)
         bad = np.argwhere(np.abs(t_sums - 1.0) > tol)
         if bad.size:

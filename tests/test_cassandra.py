@@ -164,3 +164,61 @@ def test_rewards_already_normalized_keep_identity_map():
 def test_missing_discount_rejected():
     with pytest.raises(ParseError, match="discount"):
         parse_pomdp("values: reward\nstates: 1\nactions: 1\nobservations: 1\nT: * uniform\nO: * uniform\n")
+
+
+NON_FINITE_BASE = (
+    "discount: 0.9\nvalues: reward\nstates: 2\nactions: 1\nobservations: 1\n"
+    "start: uniform\nT: * uniform\nO: * uniform\nR: * : * : * : * 1.0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("discount: 0.9", "discount: nan", 1),
+        ("start: uniform", "start: nan 1.0", 6),
+        ("start: uniform", "start: 0.5 inf", 6),
+        ("T: * uniform", "T: * : * : s0 nan", 7),
+        ("T: * uniform", "T: * : *\n0.5 -inf", 7),
+        ("O: * uniform", "O: * : * : * 1e999", 8),
+        ("R: * : * : * : * 1.0", "R: * : * : * : * nan", 9),
+        ("R: * : * : * : * 1.0", "R: * : * : * : * inf", 9),
+        ("R: * : * : * : * 1.0", "R: * : *\n1.0\nNaN", 9),
+    ],
+)
+def test_non_finite_numbers_rejected_with_line(old, new, line):
+    text = NON_FINITE_BASE.replace(old, new)
+    with pytest.raises(ParseError, match="non-finite number") as err:
+        parse_pomdp(text)
+    assert err.value.line == line
+
+
+def test_number_parse_error_names_the_token():
+    text = NON_FINITE_BASE.replace("R: * : * : * : * 1.0", "R: * : * : * : * 1.0x")
+    with pytest.raises(ParseError) as err:
+        parse_pomdp(text)
+    assert str(err.value) == (
+        "line 9: reward entry: could not convert string to float: '1.0x'"
+    )
+
+
+def test_later_entries_override_earlier_ones_in_file_order():
+    text = (
+        "discount: 0.9\nvalues: reward\nstates: 3\nactions: 2\nobservations: 2\n"
+        "T: * : * : * 0.0\nT: * : * : s1 1.0\nT: a1 : s2 : * 0.0\nT: a1 : s2 : s0 1.0\n"
+        "O: a0 : s1 : o0 1.0\nO: * uniform\nO: a1 : * : * 0.0\nO: a1 : * : o1 1.0\n"
+        "R: * : * : * : * 2.0\nR: a1 : * : s0 : o1 -1.0\n"
+    )
+    m = parse_pomdp(text)
+    want_t = np.zeros((3, 2, 3))
+    want_t[:, :, 1] = 1.0
+    want_t[2, 1] = [1.0, 0.0, 0.0]
+    np.testing.assert_array_equal(m.transition, want_t)
+    # raw rewards {-1, 2} map to {0, 1}; z = observation * 2 + reward.  Under
+    # a0 only s1 is reachable; unreachable arriving states take reward 0.
+    np.testing.assert_array_equal(m.reward_values, [0.0, 1.0])
+    np.testing.assert_array_equal(
+        m.signal_kernel[:, 0], [[0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5], [0.5, 0, 0.5, 0]]
+    )
+    np.testing.assert_array_equal(m.signal_kernel[0, 1], [0, 0, 1, 0])
+    np.testing.assert_array_equal(m.signal_kernel[1, 1], [0, 0, 0, 1])

@@ -1,0 +1,515 @@
+"""The vectorized Cassandra loader against the loop-based one it replaced.
+
+``_apply_transition``, ``_apply_observation``, ``_apply_reward``,
+``_collect_rewards`` and ``_signal_kernel`` below are the table-filling
+half of the loader as it was when every ``*`` expanded into a Python loop
+of scalar assignments.  ``reference_parse`` runs them on the statements
+and declarations of the current loader, so the two loaders differ only in
+how they fill the tables and bin the rewards: the model arrays must agree
+byte for byte, and a rejected text must fail with the same error type and
+message.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from psrplan import cassandra
+from psrplan.cassandra import _MATRIX_WORDS, DEFAULT_REWARD_CAP, parse_pomdp
+from psrplan.errors import ParseError, PsrPlanError, ValidationError
+from psrplan.model import PomdpModel
+
+from conftest import DATA
+
+
+class _LoopStmt:
+    """A statement with its value tokens split up front, as the loops read it."""
+
+    def __init__(self, st):
+        self.keyword = st.keyword
+        self.slots = st.slots
+        self.line = st.line
+        self.tokens = st.tokens()
+
+
+class _NameSpace:
+    """Resolve a state/action/observation token to an index (None = '*')."""
+
+    def __init__(self, kind, names):
+        self.kind = kind
+        self.names = names
+        self.index = {name: i for i, name in enumerate(names)}
+
+    def resolve(self, token, line):
+        if token == "*":
+            return None
+        if token in self.index:
+            return self.index[token]
+        if re.fullmatch(r"\d+", token):
+            i = int(token)
+            if 0 <= i < len(self.names):
+                return i
+        raise ParseError(f"unknown {self.kind} '{token}'", line)
+
+    def expand(self, idx):
+        return range(len(self.names)) if idx is None else (idx,)
+
+
+def _floats(tokens, expected, line, what):
+    if len(tokens) != expected:
+        raise ParseError(
+            f"{what}: expected {expected} numbers, found {len(tokens)}", line
+        )
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}", line) from None
+
+
+def _keyword_matrix(word, rows, cols, line):
+    if word == "identity":
+        if rows != cols:
+            raise ParseError(
+                f"identity matrix needs square shape, have {rows}x{cols}", line
+            )
+        return np.eye(rows)
+    if word == "uniform":
+        return np.full((rows, cols), 1.0 / cols)
+    raise ParseError(f"unknown matrix keyword '{word}'", line)
+
+
+def _matrix_tokens(st, rows, cols, what):
+    """Body of a 1-slot T/O entry: keyword matrix or rows*cols numbers."""
+    if len(st.tokens) == 1 and st.tokens[0] in _MATRIX_WORDS:
+        return _keyword_matrix(st.tokens[0], rows, cols, st.line)
+    vals = _floats(st.tokens, rows * cols, st.line, what)
+    return np.array(vals).reshape(rows, cols)
+
+
+def _row_tokens(st, cols, what):
+    if len(st.tokens) == 1 and st.tokens[0] == "uniform":
+        return np.full(cols, 1.0 / cols)
+    return np.array(_floats(st.tokens, cols, st.line, what))
+
+
+def _apply_transition(st, transition, sn, an):
+    n = len(sn.names)
+    a_idx = an.resolve(st.slots[0], st.line)
+    if len(st.slots) == 1:
+        mat = _matrix_tokens(st, n, n, "transition matrix")
+        for a in an.expand(a_idx):
+            transition[:, a, :] = mat
+    elif len(st.slots) == 2:
+        s_idx = sn.resolve(st.slots[1], st.line)
+        row = _row_tokens(st, n, "transition row")
+        for a in an.expand(a_idx):
+            for s in sn.expand(s_idx):
+                transition[s, a, :] = row
+    elif len(st.slots) == 3:
+        s_idx = sn.resolve(st.slots[1], st.line)
+        s2_idx = sn.resolve(st.slots[2], st.line)
+        val = _floats(st.tokens, 1, st.line, "transition entry")[0]
+        for a in an.expand(a_idx):
+            for s in sn.expand(s_idx):
+                for s2 in sn.expand(s2_idx):
+                    transition[s, a, s2] = val
+    else:
+        raise ParseError("T entry takes 1-3 ':' fields", st.line)
+
+
+def _apply_observation(st, obs_kernel, sn, an, on):
+    n, no = len(sn.names), len(on.names)
+    a_idx = an.resolve(st.slots[0], st.line)
+    if len(st.slots) == 1:
+        mat = _matrix_tokens(st, n, no, "observation matrix")
+        for a in an.expand(a_idx):
+            obs_kernel[:, a, :] = mat
+    elif len(st.slots) == 2:
+        s2_idx = sn.resolve(st.slots[1], st.line)
+        row = _row_tokens(st, no, "observation row")
+        for a in an.expand(a_idx):
+            for s2 in sn.expand(s2_idx):
+                obs_kernel[s2, a, :] = row
+    elif len(st.slots) == 3:
+        s2_idx = sn.resolve(st.slots[1], st.line)
+        o_idx = on.resolve(st.slots[2], st.line)
+        val = _floats(st.tokens, 1, st.line, "observation entry")[0]
+        for a in an.expand(a_idx):
+            for s2 in sn.expand(s2_idx):
+                for o in on.expand(o_idx):
+                    obs_kernel[s2, a, o] = val
+    else:
+        raise ParseError("O entry takes 1-3 ':' fields", st.line)
+
+
+def _apply_reward(st, reward_raw, sn, an, on):
+    n, no = len(sn.names), len(on.names)
+    a_idx = an.resolve(st.slots[0], st.line)
+    if len(st.slots) == 4:
+        s_idx = sn.resolve(st.slots[1], st.line)
+        s2_idx = sn.resolve(st.slots[2], st.line)
+        o_idx = on.resolve(st.slots[3], st.line)
+        val = _floats(st.tokens, 1, st.line, "reward entry")[0]
+        for a in an.expand(a_idx):
+            for s in sn.expand(s_idx):
+                for s2 in sn.expand(s2_idx):
+                    for o in on.expand(o_idx):
+                        reward_raw[a, s, s2, o] = val
+    elif len(st.slots) == 3:
+        s_idx = sn.resolve(st.slots[1], st.line)
+        s2_idx = sn.resolve(st.slots[2], st.line)
+        row = np.array(_floats(st.tokens, no, st.line, "reward row"))
+        for a in an.expand(a_idx):
+            for s in sn.expand(s_idx):
+                for s2 in sn.expand(s2_idx):
+                    reward_raw[a, s, s2, :] = row
+    elif len(st.slots) == 2:
+        s_idx = sn.resolve(st.slots[1], st.line)
+        vals = _floats(st.tokens, n * no, st.line, "reward matrix")
+        mat = np.array(vals).reshape(n, no)
+        for a in an.expand(a_idx):
+            for s in sn.expand(s_idx):
+                reward_raw[a, s, :, :] = mat
+    else:
+        raise ParseError("R entry takes 2-4 ':' fields", st.line)
+
+
+def _collect_rewards(
+    transition, obs_kernel, reward_raw, states, actions, observations, reward_cap
+):
+    """Bin rewards on reachable (s,a,s',o) triples and normalize into [0,1].
+
+    Emission is tied to (action, arriving state, observation); a reward that
+    differs across departing states on reachable triples cannot be expressed
+    that way and is rejected.
+    """
+    n, na, no = len(states), len(actions), len(observations)
+    # value per (a, s', o), taken from any reachable departing state
+    value = np.zeros((na, n, no))
+    defined = np.zeros((na, n, no), dtype=bool)
+    for a in range(na):
+        for s2 in range(n):
+            support_s = np.nonzero(transition[:, a, s2] > 0)[0]
+            if support_s.size == 0:
+                continue
+            for o in range(no):
+                if obs_kernel[s2, a, o] <= 0:
+                    continue
+                vals = reward_raw[a, support_s, s2, o]
+                if np.ptp(vals) > 1e-12:
+                    raise ValidationError(
+                        f"reward for (action={actions[a]}, arriving state="
+                        f"{states[s2]}, observation={observations[o]}) varies "
+                        "with the departing state; signals condition on the "
+                        "arriving state only, so this model is not expressible"
+                    )
+                value[a, s2, o] = vals[0]
+                defined[a, s2, o] = True
+
+    reachable_vals = value[defined]
+    if reachable_vals.size == 0:
+        reachable_vals = np.array([0.0])
+    distinct = np.unique(reachable_vals)
+    if distinct.size > reward_cap:
+        raise ValidationError(
+            f"model uses {distinct.size} distinct reward values, above the "
+            f"cap of {reward_cap}; outside the finite-reward-set assumption"
+        )
+
+    lo, hi = distinct[0], distinct[-1]
+    if lo >= 0.0 and hi <= 1.0:
+        scale, offset = 1.0, 0.0
+    else:
+        scale = (hi - lo) if hi > lo else 1.0
+        offset = lo
+    reward_values = (distinct - offset) / scale
+
+    lookup = {v: i for i, v in enumerate(distinct)}
+    reward_index = np.zeros((na, n, no), dtype=np.int64)
+    for a in range(na):
+        for s2 in range(n):
+            for o in range(no):
+                if defined[a, s2, o]:
+                    reward_index[a, s2, o] = lookup[value[a, s2, o]]
+    return reward_values, reward_index, float(scale), float(offset)
+
+
+def _signal_kernel(obs_kernel, reward_index, nr):
+    n, na, no = obs_kernel.shape
+    signal_kernel = np.zeros((n, na, no * nr))
+    for a in range(na):
+        for s2 in range(n):
+            for o in range(no):
+                signal_kernel[s2, a, o * nr + reward_index[a, s2, o]] = obs_kernel[
+                    s2, a, o
+                ]
+    return signal_kernel
+
+
+def _loop_tables(kernel_stmts, states, actions, observations):
+    sn = _NameSpace("state", states)
+    an = _NameSpace("action", actions)
+    on = _NameSpace("observation", observations)
+    n, na, no = len(states), len(actions), len(observations)
+    transition = np.zeros((n, na, n))
+    obs_kernel = np.zeros((n, na, no))
+    reward_raw = np.zeros((na, n, n, no))
+    for st in map(_LoopStmt, kernel_stmts):
+        if st.keyword == "T":
+            _apply_transition(st, transition, sn, an)
+        elif st.keyword == "O":
+            _apply_observation(st, obs_kernel, sn, an, on)
+        else:
+            _apply_reward(st, reward_raw, sn, an, on)
+    return transition, obs_kernel, reward_raw
+
+
+def reference_parse(text, reward_cap=DEFAULT_REWARD_CAP):
+    discount, states, actions, observations, start_stmt, kernel_stmts = (
+        cassandra._declarations(cassandra._split_statements(text))
+    )
+    transition, obs_kernel, reward_raw = _loop_tables(
+        kernel_stmts, states, actions, observations
+    )
+    n = len(states)
+    initial_belief = cassandra._parse_start(
+        start_stmt, cassandra._NameSpace("state", states), n
+    )
+    cassandra._check_rows(transition.sum(axis=2), "transition", states, actions)
+    transition /= transition.sum(axis=2, keepdims=True)
+    cassandra._check_rows(
+        obs_kernel.sum(axis=2), "observation", states, actions, arriving=True
+    )
+    obs_kernel /= obs_kernel.sum(axis=2, keepdims=True)
+    reward_values, reward_index, scale, offset = _collect_rewards(
+        transition, obs_kernel, reward_raw, states, actions, observations, reward_cap
+    )
+    model = PomdpModel(
+        states=states,
+        actions=actions,
+        observations=observations,
+        reward_values=reward_values,
+        transition=transition,
+        signal_kernel=_signal_kernel(obs_kernel, reward_index, len(reward_values)),
+        discount=discount,
+        initial_belief=initial_belief,
+        reward_scale=scale,
+        reward_offset=offset,
+    )
+    model.validate()
+    return model
+
+
+def assert_bytes_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_outcome(text, reward_cap=DEFAULT_REWARD_CAP):
+    """Both loaders build the same model, or fail alike; True on a model."""
+    try:
+        want = reference_parse(text, reward_cap)
+    except PsrPlanError as exc:
+        with pytest.raises(PsrPlanError) as err:
+            parse_pomdp(text, reward_cap)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+        return False
+    got = parse_pomdp(text, reward_cap)
+    assert (got.states, got.actions, got.observations) == (
+        want.states, want.actions, want.observations
+    )
+    assert got.discount == want.discount
+    for name in ("transition", "signal_kernel", "initial_belief", "reward_values"):
+        assert_bytes_equal(getattr(got, name), getattr(want, name))
+    assert type(got.reward_scale) is float and got.reward_scale == want.reward_scale
+    assert type(got.reward_offset) is float and got.reward_offset == want.reward_offset
+    return True
+
+
+@pytest.mark.parametrize("name", ["tiger", "fair_coin", "clones"])
+def test_data_models_match_reference(name):
+    assert assert_same_outcome((DATA / f"{name}.POMDP").read_text())
+
+
+PREAMBLE = (
+    "discount: 0.75\nvalues: reward\nstates: {n}\nactions: {na}\n"
+    "observations: {no}\nstart: uniform\n"
+)
+
+
+def test_keyword_forms_match_reference():
+    base = PREAMBLE.format(n=3, na=2, no=3)
+    texts = [
+        base + "T: * identity\nO: * uniform\nR: * : * : * : * 1.5\n",
+        base + "T: * uniform\nT: a1 identity\nO: a0 identity\nO: a1 uniform\n"
+        "R: a1 : * : s2 : o1 -4\n",
+        base + "T: * : * uniform\nT: a0 : s1 : * 0.0\nT: a0 : s1 : s2 1.0\n"
+        "O: * : s0 uniform\nO: * : s1 uniform\nO: * : s2 uniform\n"
+        "R: * : *\n1 2 3\n4 5 6\n7 8 9\n",
+    ]
+    for text in texts:
+        assert assert_same_outcome(text)
+
+
+# Each entry form: keyword, the kind of each ':' slot (action, state,
+# observation), and the rows and columns of its numbers.
+def _forms(n, no):
+    return [
+        ("T", "a", n, n), ("T", "as", 1, n), ("T", "ass", 1, 1),
+        ("O", "a", n, no), ("O", "as", 1, no), ("O", "aso", 1, 1),
+        ("R", "as", n, no), ("R", "ass", 1, no), ("R", "asso", 1, 1),
+    ]
+
+
+def _wildcard_masks(count):
+    """Every choice of '*' or a name for ``count`` slots."""
+    return [[bool(m >> k & 1) for k in range(count)] for m in range(1 << count)]
+
+
+def _slots(rng, kinds, sizes, mask):
+    """A name, an index or '*' for each slot."""
+    out = []
+    for kind, wildcard in zip(kinds, mask):
+        i = int(rng.integers(sizes[kind]))
+        out.append("*" if wildcard else f"{kind}{i}" if rng.random() < 0.7 else str(i))
+    return " : ".join(out)
+
+
+def _matrix(draw, rows):
+    """``rows`` lines of numbers; a single row stays on the entry's line."""
+    sep = " " if rows == 1 else "\n"
+    return sep + "\n".join(" ".join(repr(float(v)) for v in draw()) for _ in range(rows))
+
+
+def _sizes(rng):
+    """Numbers of states (2-4), actions (1-3) and observations (1-3)."""
+    return int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+
+
+def _shuffled(rng, entries):
+    return [entries[i] for i in rng.permutation(len(entries))]
+
+
+def _kernel_entries(rng, n, na, no):
+    """T (1-3 slots), O (1-3) and R (2-4) entries, '*' in every slot
+    position, in a shuffled order, so specific entries override wildcards
+    and wildcards override specific entries."""
+    sizes = {"a": na, "s": n, "o": no}
+    entries = []
+    for key, kinds, rows, cols in _forms(n, no):
+        for mask in _wildcard_masks(len(kinds)):
+            body = _matrix(lambda: rng.uniform(-3.0, 3.0, size=cols), rows)
+            if key != "R" and cols > 1 and rng.random() < 0.3:
+                body = " uniform"
+            elif key == "T" and rows > 1 and rng.random() < 0.3:
+                body = " identity"
+            entries.append(f"{key}: {_slots(rng, kinds, sizes, mask)}{body}")
+    return _shuffled(rng, entries)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fill_tables_match_reference(seed):
+    """Raw tables, before any row check: every entry form, in any order."""
+    rng = np.random.default_rng(seed)
+    n, na, no = _sizes(rng)
+    entries = _kernel_entries(rng, n, na, no) + _kernel_entries(rng, n, na, no)
+    text = PREAMBLE.format(n=n, na=na, no=no) + "\n".join(entries) + "\n"
+    _, states, actions, observations, _, kernel_stmts = cassandra._declarations(
+        cassandra._split_statements(text)
+    )
+    got = cassandra._fill_tables(kernel_stmts, states, actions, observations)
+    want = _loop_tables(kernel_stmts, states, actions, observations)
+    for table, ref in zip(got, want):
+        assert_bytes_equal(table, ref)
+
+
+def _stochastic_entries(rng, key, n, na, no):
+    """T or O entries of every form that keep each row stochastic: point
+    masses set as a '*' row of zeros and then one entry of 1."""
+    sizes = {"a": na, "s": n, "o": no}
+    entries = []
+    for form_key, kinds, rows, cols in _forms(n, no):
+        if form_key != key:
+            continue
+        for mask in _wildcard_masks(len(kinds)):
+            head = f"{key}: {_slots(rng, kinds[:2], sizes, mask)}"
+            if len(kinds) < 3:
+                body = _matrix(lambda: rng.dirichlet(np.ones(cols)), rows)
+                entries.append(head + (body if rng.random() < 0.7 else " uniform"))
+            elif mask[2]:
+                width = sizes[kinds[2]]
+                entries.append(f"{head} : * {1.0 / width!r}")
+            else:
+                last = _slots(rng, kinds[2], sizes, [False])
+                entries.append(f"{head} : * 0.0\n{head} : {last} 1.0")
+    return [f"{key}: * uniform"] + _shuffled(rng, entries)
+
+
+def _reward_entries(rng, n, na, no, departing_wildcard):
+    """R entries of every form over four values; with
+    ``departing_wildcard`` the departing state is always '*'."""
+    sizes = {"a": na, "s": n, "o": no}
+    values = [-2.0, 0.5, 3.0, 7.25]
+    entries = []
+    for key, kinds, rows, cols in _forms(n, no):
+        if key != "R":
+            continue
+        for mask in _wildcard_masks(len(kinds)):
+            mask[1] = mask[1] or departing_wildcard
+            body = _matrix(lambda: rng.choice(values, size=cols), rows)
+            entries.append(f"R: {_slots(rng, kinds, sizes, mask)}{body}")
+    return _shuffled(rng, entries)
+
+
+def test_generated_models_match_reference():
+    built = 0
+    for seed in range(40):
+        rng = np.random.default_rng(100 + seed)
+        n, na, no = _sizes(rng)
+        entries = (
+            _stochastic_entries(rng, "T", n, na, no)
+            + _stochastic_entries(rng, "O", n, na, no)
+            + _reward_entries(rng, n, na, no, departing_wildcard=seed % 2 == 0)
+        )
+        text = PREAMBLE.format(n=n, na=na, no=no) + "\n".join(entries) + "\n"
+        built += assert_same_outcome(text)
+    # half the texts give the departing state a wildcard in every reward
+    assert built >= 20
+
+
+ERROR_CORPUS = {
+    "departing_reward": (
+        PREAMBLE.format(n="s0 s1", na="go", no="o0")
+        + "T: go uniform\nO: go uniform\nR: go : s0 : * : * 1.0\nR: go : s1 : * : * 5.0\n",
+        DEFAULT_REWARD_CAP,
+        ValidationError,
+    ),
+    "reward_cap": (
+        PREAMBLE.format(n=2, na=1, no=2)
+        + "T: * uniform\nO: * uniform\nR: * : * : s0 : o0 1.0\n"
+        "R: * : * : s0 : o1 2.0\nR: * : * : s1 : o0 3.0\nR: * : * : s1 : o1 4.0\n",
+        3,
+        ValidationError,
+    ),
+    "substochastic_row": (
+        PREAMBLE.format(n="s0 s1", na="go", no="o0")
+        + "T: go : s0 : s1 0.9\nT: go : s1 : s1 1.0\nO: go uniform\n",
+        DEFAULT_REWARD_CAP,
+        ValidationError,
+    ),
+    "bad_number": (
+        PREAMBLE.format(n=2, na=1, no=1) + "T: * : * 0.5 x\n",
+        DEFAULT_REWARD_CAP,
+        ParseError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CORPUS))
+def test_error_corpus_matches_reference(case):
+    text, cap, kind = ERROR_CORPUS[case]
+    with pytest.raises(kind):
+        reference_parse(text, cap)
+    assert not assert_same_outcome(text, cap)

@@ -93,6 +93,25 @@ def test_malformed_model_exits_2_with_stderr(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "entry", ["R: * : * : * : * nan", "T: * : * : s0 nan", "R: * : * : * : * inf"]
+)
+def test_non_finite_number_exits_2(tmp_path, capsys, entry):
+    bad = tmp_path / "bad.POMDP"
+    bad.write_text(
+        "discount: 0.9\nvalues: reward\nstates: 2\nactions: 1\nobservations: 1\n"
+        f"T: * uniform\nO: * uniform\n{entry}\n"
+    )
+    report = tmp_path / "report.json"
+    code, _, err = run_cli(
+        ["plan", bad, "--json-out", report, "--policy-out", tmp_path / "p.json"],
+        capsys,
+    )
+    assert code == 2
+    assert "line 8" in err and "non-finite" in err
+    assert not report.exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["plan", tmp_path / "nope.POMDP"], capsys)
     assert code == 2

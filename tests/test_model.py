@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,24 @@ def test_validate_rejects_bad_rows():
     )
     with pytest.raises(ValidationError, match="transition row"):
         broken.validate()
+
+
+@pytest.mark.parametrize(
+    "field", ["transition", "signal_kernel", "reward_values", "initial_belief"]
+)
+def test_validate_rejects_nan(field):
+    m = fully_observable_chain()
+    values = getattr(m, field).copy()
+    values.flat[0] = np.nan
+    with pytest.raises(ValidationError, match=f"non-finite entry in {field}"):
+        dataclasses.replace(m, **{field: values}).validate()
+
+
+def test_validate_rejects_non_finite_reward_map():
+    m = fully_observable_chain()
+    m.reward_offset = np.inf
+    with pytest.raises(ValidationError, match="finite"):
+        m.validate()
 
 
 def test_validate_rejects_bad_discount():

@@ -4,7 +4,7 @@ import pytest
 from psrplan import grid as gridmod
 from psrplan.baseline import build_delta_grid
 from psrplan.decomposition import discover_basis, improve_to_spanner, solve_coefficients
-from psrplan.errors import StateCapExceededError, ValidationError
+from psrplan.errors import ConvergenceError, StateCapExceededError, ValidationError
 from psrplan.model import Signal, belief_update, sequence_probability
 from psrplan.planner import (
     act,
@@ -257,6 +257,12 @@ def test_value_iteration_two_state_alternation():
     g = 0.5
     assert res.values[0] == pytest.approx(1.0 / (1 - g * g), abs=1e-5)
     assert res.values[1] == pytest.approx(g / (1 - g * g), abs=1e-5)
+
+
+def test_value_iteration_stops_at_first_non_finite_residual():
+    grid = one_action_grid([1, 0], [1.0, np.nan], discount=0.9)
+    with pytest.raises(ConvergenceError, match="residual is nan at sweep 1"):
+        gridmod.solve(grid)
 
 
 def test_plan_fair_coin_value(fair_coin):
