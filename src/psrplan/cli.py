@@ -34,10 +34,22 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 
+def _epsilon_list(text):
+    """--sweep value: one or more comma-separated floats, empty tokens skipped."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
+    return values
+
+
 def _add_common_flags(p):
     p.add_argument("model", help="path to a Cassandra-format .POMDP file")
     p.add_argument("--vi-tol", type=float, default=1e-4,
-                   help="value-iteration optimality tolerance (default 1e-4)")
+                   help="value-iteration optimality tolerance, finite and > 0 "
+                   "(default 1e-4)")
     p.add_argument("--oracle", action="store_true",
                    help="also run the exact oracle and report the gap")
     p.add_argument("--oracle-slack", type=float, default=1e-2,
@@ -66,7 +78,7 @@ def build_parser():
                         help="coefficient-grid accuracy target (default 0.1)")
     p_plan.add_argument("--grid-mode", choices=("reachable", "full"),
                         default="reachable", help="grid construction mode")
-    p_plan.add_argument("--sweep", metavar="EPS1,EPS2,...",
+    p_plan.add_argument("--sweep", metavar="EPS1,EPS2,...", type=_epsilon_list,
                         help="also plan at these epsilon values")
     p_plan.add_argument("--sweep-csv", metavar="PATH",
                         help="write the value-vs-mesh sweep as CSV")
@@ -248,7 +260,7 @@ def cmd_plan(args):
 
     if args.sweep:
         rows = []
-        for eps in [float(tok) for tok in args.sweep.split(",") if tok]:
+        for eps in args.sweep:
             _, sweep_block = _planner_block(model, args, eps)
             rows.append(
                 {

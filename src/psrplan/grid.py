@@ -10,11 +10,12 @@ flat row ``s * n_actions + a``, and the expected reward of each row.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, StateCapExceededError
+from .errors import ConvergenceError, StateCapExceededError, ValidationError
 
 logger = logging.getLogger("psrplan")
 
@@ -212,23 +213,53 @@ def solve(grid: GridMdp, vi_tol: float = 1e-4) -> PlanResult:
     """Value-iterate until the greedy policy is vi_tol-optimal in the grid MDP.
 
     Stops when the sweep residual drops below vi_tol * (1 - gamma) / (2 gamma),
-    the standard greedy-loss threshold.  Each Jacobi sweep sums the CSR
-    entries per flat row with one bincount; the policy is greedy against
-    the values fed to the last sweep.
+    the standard greedy-loss threshold; vi_tol must be finite and > 0.
+
+    The sweep runs in an action-major layout built once per call: row
+    ``a * N + s`` holds flat row ``s * n_actions + a``, so Q is an
+    (n_actions, N) array and the max over actions is elementwise.  The CSR
+    is split into columns, column j holding the j-th entry of every row
+    with more than j entries.  Each Jacobi sweep gathers and weighs every
+    entry at once, then adds the columns in order onto a zeroed Q: each row
+    sums its entries in CSR order, starting from 0.0.  The policy is the
+    first greedy action against the values fed to the last sweep.
     """
+    if not (math.isfinite(vi_tol) and vi_tol > 0):
+        raise ValidationError(f"vi_tol must be finite and > 0, got {vi_tol}")
     gamma = grid.discount
     threshold = vi_tol * (1.0 - gamma) / (2.0 * gamma)
-    entry_row = np.repeat(np.arange(grid.indptr.size - 1), np.diff(grid.indptr))
-    values = np.zeros(grid.n_states)
+    n, n_actions = grid.n_states, grid.n_actions
+    widths = np.diff(grid.indptr).reshape(n, n_actions).T.reshape(-1)
+    starts = grid.indptr[:-1].reshape(n, n_actions).T.reshape(-1)
+    rewards = grid.rewards.reshape(n, n_actions).T.copy()
+    columns, entries, lo = [], [np.empty(0, dtype=np.int64)], 0
+    for j in range(int(widths.max(initial=0))):
+        rows = np.flatnonzero(widths > j)
+        entries.append(starts[rows] + j)
+        full = rows.size == widths.size
+        columns.append((slice(None) if full else rows, slice(lo, lo + rows.size)))
+        lo += rows.size
+    entries = np.concatenate(entries)
+    succ, prob = grid.succ[entries], grid.prob[entries]
+
+    terms = np.empty(entries.size)
+    q = np.empty((n_actions, n))
+    q_rows = q.reshape(-1)
+    values = np.zeros(n)
     residual = np.inf
     for iteration in range(1, MAX_VI_ITERATIONS + 1):
-        future = np.bincount(
-            entry_row, weights=grid.prob * values[grid.succ], minlength=grid.rewards.size
-        )
-        q = (grid.rewards + gamma * future).reshape(-1, grid.n_actions)
-        new_values = q.max(axis=1)
+        # succ is in range, so "clip" clips nothing; unlike "raise", it
+        # writes into out without a temporary copy
+        np.take(values, succ, out=terms, mode="clip")
+        terms *= prob
+        q.fill(0.0)
+        for rows, column in columns:
+            q_rows[rows] += terms[column]
+        q *= gamma  # with the next line, q = rewards + gamma * q bit for bit
+        q += rewards
+        new_values = q.max(axis=0)
         residual = float(np.max(np.abs(new_values - values))) if values.size else 0.0
-        if not np.isfinite(residual):
+        if not math.isfinite(residual):
             raise ConvergenceError(
                 f"value iteration residual is {residual} at sweep {iteration}"
             )
@@ -242,7 +273,7 @@ def solve(grid: GridMdp, vi_tol: float = 1e-4) -> PlanResult:
         )
     return PlanResult(
         values=values,
-        policy=q.argmax(axis=1).astype(np.int32),
+        policy=q.argmax(axis=0).astype(np.int32),
         residual=residual,
         iterations=iteration,
         metadata={

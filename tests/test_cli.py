@@ -277,3 +277,29 @@ def test_act_fallbacks_reach_the_report(tmp_path, capsys):
     )
     assert code == 0
     assert read_json(report)["baseline"]["grid"]["diagnostics"]["actFallbacks"] == 4
+
+
+@pytest.mark.parametrize("command", ["plan", "baseline", "compare"])
+@pytest.mark.parametrize("vi_tol", ["0", "-1e-3", "inf", "-inf", "nan"])
+def test_bad_vi_tol_exits_2(tmp_path, capsys, command, vi_tol):
+    argv = [command, DATA / "tiger.POMDP", f"--vi-tol={vi_tol}",
+            "--json-out", tmp_path / "r.json"]
+    if command != "compare":
+        argv += ["--policy-out", tmp_path / "p.json"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "vi_tol must be finite and > 0" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("sweep", ["0.1,abc", "abc", ",", ""])
+def test_bad_sweep_exits_2_before_planning(tmp_path, capsys, monkeypatch, sweep):
+    calls = []
+    monkeypatch.setattr(cli.plannermod, "plan", lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["plan", str(DATA / "tiger.POMDP"), "--sweep", sweep,
+                  "--json-out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "argument --sweep" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "r.json").exists()

@@ -1,0 +1,181 @@
+"""The column-layout Bellman sweep against the bincount sweep it replaced.
+
+``reference_solve`` below is ``grid.solve`` as it was when each Jacobi
+sweep summed the CSR entries per flat row with one ``np.bincount``.  The
+column sweep adds the same products onto 0.0 in the same CSR order, so
+values must agree byte for byte, and the policy, the last residual and
+the sweep count must be equal.
+"""
+
+import numpy as np
+import pytest
+
+from psrplan import baseline as baselinemod
+from psrplan import grid as gridmod
+from psrplan import planner as plannermod
+from psrplan.cassandra import load_pomdp
+from psrplan.errors import ConvergenceError, ValidationError
+from psrplan.grid import MAX_VI_ITERATIONS, GridMdp, PlanResult
+from psrplan.zoo import random_pomdp
+
+from conftest import DATA
+
+
+def reference_solve(grid: GridMdp, vi_tol: float = 1e-4) -> PlanResult:
+    """Value-iterate until the greedy policy is vi_tol-optimal in the grid MDP.
+
+    Stops when the sweep residual drops below vi_tol * (1 - gamma) / (2 gamma),
+    the standard greedy-loss threshold.  Each Jacobi sweep sums the CSR
+    entries per flat row with one bincount; the policy is greedy against
+    the values fed to the last sweep.
+    """
+    gamma = grid.discount
+    threshold = vi_tol * (1.0 - gamma) / (2.0 * gamma)
+    entry_row = np.repeat(np.arange(grid.indptr.size - 1), np.diff(grid.indptr))
+    values = np.zeros(grid.n_states)
+    residual = np.inf
+    for iteration in range(1, MAX_VI_ITERATIONS + 1):
+        future = np.bincount(
+            entry_row, weights=grid.prob * values[grid.succ], minlength=grid.rewards.size
+        )
+        q = (grid.rewards + gamma * future).reshape(-1, grid.n_actions)
+        new_values = q.max(axis=1)
+        residual = float(np.max(np.abs(new_values - values))) if values.size else 0.0
+        if not np.isfinite(residual):
+            raise ConvergenceError(
+                f"value iteration residual is {residual} at sweep {iteration}"
+            )
+        values = new_values
+        if residual <= threshold:
+            break
+    else:
+        raise ConvergenceError(
+            f"value iteration still above residual {threshold:.3e} after "
+            f"{MAX_VI_ITERATIONS} sweeps"
+        )
+    return PlanResult(
+        values=values,
+        policy=q.argmax(axis=1).astype(np.int32),
+        residual=residual,
+        iterations=iteration,
+        metadata={
+            "gridStates": grid.n_states,
+            "mesh": grid.mesh,
+            "viThreshold": threshold,
+        },
+    )
+
+
+def check(grid, vi_tol=1e-4):
+    ref = reference_solve(grid, vi_tol)
+    new = gridmod.solve(grid, vi_tol)
+    assert new.values.dtype == ref.values.dtype
+    assert new.values.tobytes() == ref.values.tobytes()
+    assert new.policy.dtype == ref.policy.dtype
+    assert np.array_equal(new.policy, ref.policy)
+    assert new.residual == ref.residual
+    assert new.iterations == ref.iterations
+    assert new.metadata == ref.metadata
+    return new
+
+
+def ragged_grid(seed, n, n_actions, discount, width_range=(1, 6), dead_frac=0.1):
+    """Random grid with row widths in width_range and some self-looped dead rows."""
+    rng = np.random.default_rng(seed)
+    n_rows = n * n_actions
+    lo, hi = width_range
+    widths = rng.integers(lo, hi + 1, size=n_rows)
+    dead = rng.random(n_rows) < dead_frac
+    widths[dead] = 1
+    succ, prob = [], []
+    for row, width in enumerate(widths):
+        if dead[row]:
+            succ.append([row // n_actions])
+            prob.append([1.0])
+            continue
+        succ.append(np.sort(rng.choice(n, size=min(width, n), replace=False)))
+        prob.append(rng.dirichlet(np.ones(len(succ[-1]))))
+    widths = np.array([len(s) for s in succ])
+    return GridMdp(
+        mesh=0.5,
+        coords=np.arange(n, dtype=np.int64)[:, None],
+        n_actions=n_actions,
+        rewards=rng.uniform(-1.0, 1.0, size=n_rows),
+        indptr=np.concatenate([[0], np.cumsum(widths)]).astype(np.int64),
+        succ=np.concatenate(succ).astype(np.int64),
+        prob=np.concatenate(prob),
+        discount=discount,
+        initial_state=0,
+    )
+
+
+@pytest.mark.parametrize("name", ["tiger", "fair_coin", "clones"])
+@pytest.mark.parametrize("vi_tol", [1e-4, 1e-7])
+def test_data_planner_grids_match_reference(name, vi_tol):
+    model = load_pomdp(DATA / f"{name}.POMDP")
+    for eps in (0.5, 0.1):
+        check(plannermod.plan(model, epsilon=eps).grid, vi_tol)
+
+
+@pytest.mark.parametrize("name, eps", [("fair_coin", 0.4), ("tiger", 0.5)])
+def test_a8_full_lattice_grids_match_reference(name, eps):
+    model = load_pomdp(DATA / f"{name}.POMDP")
+    for mode in ("full", "reachable"):
+        check(plannermod.plan(model, epsilon=eps, mode=mode).grid)
+
+
+@pytest.mark.parametrize("name", ["tiger", "fair_coin", "clones"])
+def test_data_baseline_grids_match_reference(name):
+    model = load_pomdp(DATA / f"{name}.POMDP")
+    for delta in (0.25, 0.05):
+        check(baselinemod.build_delta_grid(model, delta))
+
+
+@pytest.mark.parametrize("gamma", [0.4, 0.9, 0.99])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_models_match_reference(gamma, seed):
+    model = random_pomdp(3, 2, 2, 2, seed=seed, discount=gamma)
+    check(plannermod.plan(model, epsilon=0.1).grid)
+    check(baselinemod.build_delta_grid(model, 0.1))
+
+
+@pytest.mark.parametrize("n_actions", [1, 2, 3])
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_ragged_grids_match_reference(n_actions, seed):
+    for gamma in (0.5, 0.95):
+        grid = ragged_grid(seed, 40, n_actions, gamma)
+        widths = np.diff(grid.indptr)
+        assert widths.min() == 1 and widths.max() == 6
+        check(grid)
+
+
+def test_uniform_rows_match_reference():
+    # every column full: rows of one entry each, and rows of three
+    for width in (1, 3):
+        check(ragged_grid(5, 30, 2, 0.9, width_range=(width, width), dead_frac=0.0))
+
+
+def test_all_dead_rows_match_reference():
+    grid = ragged_grid(7, 12, 3, 0.9, dead_frac=1.0)
+    assert np.array_equal(grid.succ, np.repeat(np.arange(12), 3))
+    check(grid)
+
+
+def test_nan_residual_raises_like_reference():
+    grid = ragged_grid(3, 10, 2, 0.9)
+    grid.rewards[5] = np.nan
+    for solver in (reference_solve, gridmod.solve):
+        with pytest.raises(ConvergenceError, match=r"residual is nan at sweep 1$"):
+            solver(grid)
+
+
+def test_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(gridmod, "MAX_VI_ITERATIONS", 3)
+    with pytest.raises(ConvergenceError, match="after 3 sweeps"):
+        gridmod.solve(ragged_grid(4, 10, 2, 0.99))
+
+
+@pytest.mark.parametrize("vi_tol", [0.0, -1e-3, np.inf, -np.inf, np.nan])
+def test_vi_tol_must_be_finite_and_positive(vi_tol):
+    with pytest.raises(ValidationError, match="vi_tol must be finite and > 0"):
+        gridmod.solve(ragged_grid(4, 10, 2, 0.9), vi_tol)
