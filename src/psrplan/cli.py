@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -45,17 +45,38 @@ def _epsilon_list(text):
     return values
 
 
+def _state_cap(text):
+    """--state-cap value: an integer of at least 1."""
+    cap = int(text)  # argparse reports a ValueError as an invalid value
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
+def _value_iteration(result):
+    """Report block: sweeps, last span and MacQueen bounds at the initial state."""
+    return {
+        "iterations": result.iterations,
+        "residual": result.residual,
+        "lowerBound": result.metadata["lowerBound"],
+        "upperBound": result.metadata["upperBound"],
+    }
+
+
 def _add_common_flags(p):
     p.add_argument("model", help="path to a Cassandra-format .POMDP file")
     p.add_argument("--vi-tol", type=float, default=1e-4,
-                   help="value-iteration optimality tolerance, finite and > 0 "
-                   "(default 1e-4)")
+                   help="value-iteration tolerance, finite and > 0: the greedy "
+                   "policy loses at most this much in the grid MDP and the "
+                   "values are within discount * vi-tol / 2 of its optimum; "
+                   "sweeps stop when their change spans at most "
+                   "vi-tol * (1 - discount) (default 1e-4)")
     p.add_argument("--oracle", action="store_true",
                    help="also run the exact oracle and report the gap")
     p.add_argument("--oracle-slack", type=float, default=1e-2,
                    help="truncation slack for the oracle horizon (default 1e-2)")
-    p.add_argument("--state-cap", type=int, default=plannermod.DEFAULT_STATE_CAP,
-                   help="abort if a grid exceeds this many states")
+    p.add_argument("--state-cap", type=_state_cap, default=plannermod.DEFAULT_STATE_CAP,
+                   help="abort if a grid exceeds this many states, at least 1")
     p.add_argument("--no-timings", action="store_true",
                    help="strip wall-clock fields for byte-stable output")
     p.add_argument("--json-out", metavar="PATH",
@@ -184,10 +205,7 @@ def _planner_block(model, args, epsilon):
             "mode": result.metadata["gridMode"],
             "diagnostics": result.grid.diagnostics,
         },
-        "valueIteration": {
-            "iterations": result.iterations,
-            "residual": result.residual,
-        },
+        "valueIteration": _value_iteration(result),
         "valueAtInitialBelief": float(result.values[result.grid.initial_state]),
         "stageSeconds": dict(result.metadata["stageSeconds"], total=wall),
     }
@@ -207,10 +225,7 @@ def _baseline_block(model, args, delta):
             "mesh": result.grid.mesh,
             "diagnostics": result.grid.diagnostics,
         },
-        "valueIteration": {
-            "iterations": result.iterations,
-            "residual": result.residual,
-        },
+        "valueIteration": _value_iteration(result),
         "valueAtInitialBelief": float(result.values[result.grid.initial_state]),
         "stageSeconds": dict(result.metadata["stageSeconds"], total=wall),
     }

@@ -43,14 +43,6 @@ class SpannerBasis:
     det_log_ledger: list  # log|det M| after start and after each swap
     swap_count: int
 
-    @property
-    def det_ledger(self):
-        return [math.exp(v) for v in self.det_log_ledger]
-
-    @property
-    def final_det(self):
-        return math.exp(self.det_log_ledger[-1])
-
 
 def discover_basis(
     model: PomdpModel, tau_dep: float = DEP_TOL, tau_rank: float = RANK_TOL

@@ -32,14 +32,14 @@ def test_plan_fair_coin_rank_one_report(tmp_path, capsys):
     assert code == 0
     assert err == ""
     rep = read_json(report)
-    assert rep["schemaVersion"] == 2
+    assert rep["schemaVersion"] == 3
     assert rep["command"] == "plan"
     assert rep["planner"]["rank"] == 1
     assert rep["planner"]["grid"]["states"] == 1
     # one state, reward 0.5 forever at discount 0.9 -> value 5
     assert rep["planner"]["valueAtInitialBelief"] == pytest.approx(5.0, abs=1e-3)
     pol = read_json(policy)
-    assert pol["schemaVersion"] == 2
+    assert pol["schemaVersion"] == 3
     assert len(pol["values"]) == rep["planner"]["grid"]["states"]
     assert len(pol["policy"]) == len(pol["states"])
 
@@ -151,6 +151,19 @@ def test_state_cap_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "state cap" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_state_cap_below_one_exits_2_before_planning(tmp_path, capsys, monkeypatch, cap):
+    calls = []
+    monkeypatch.setattr(cli.plannermod, "plan", lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["plan", str(DATA / "tiger.POMDP"), f"--state-cap={cap}",
+                  "--json-out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "argument --state-cap" in capsys.readouterr().err
+    assert calls == []
     assert not (tmp_path / "r.json").exists()
 
 

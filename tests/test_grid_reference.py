@@ -1,10 +1,13 @@
 """The column-layout Bellman sweep against the bincount sweep it replaced.
 
-``reference_solve`` below is ``grid.solve`` as it was when each Jacobi
-sweep summed the CSR entries per flat row with one ``np.bincount``.  The
-column sweep adds the same products onto 0.0 in the same CSR order, so
-values must agree byte for byte, and the policy, the last residual and
-the sweep count must be equal.
+``reference_solve`` below runs a fixed number of Jacobi sweeps, each
+summing the CSR entries per flat row with one ``np.bincount``, and
+applies ``grid.solve``'s documented midpoint shift to its last iterate.
+The column sweep adds the same products onto 0.0 in the same CSR order,
+so run for ``solve``'s sweep count the two must agree byte for byte in
+values, and equal in the policy, the last span, the bounds and the
+metadata; and ``solve`` must have stopped at the first sweep whose span
+is within its threshold.
 """
 
 import numpy as np
@@ -15,60 +18,57 @@ from psrplan import grid as gridmod
 from psrplan import planner as plannermod
 from psrplan.cassandra import load_pomdp
 from psrplan.errors import ConvergenceError, ValidationError
-from psrplan.grid import MAX_VI_ITERATIONS, GridMdp, PlanResult
+from psrplan.grid import GridMdp, PlanResult
 from psrplan.zoo import random_pomdp
 
 from conftest import DATA
 
 
-def reference_solve(grid: GridMdp, vi_tol: float = 1e-4) -> PlanResult:
-    """Value-iterate until the greedy policy is vi_tol-optimal in the grid MDP.
+def reference_solve(grid: GridMdp, sweeps: int, vi_tol: float = 1e-4) -> PlanResult:
+    """Exactly ``sweeps`` Jacobi sweeps, then the MacQueen midpoint shift.
 
-    Stops when the sweep residual drops below vi_tol * (1 - gamma) / (2 gamma),
-    the standard greedy-loss threshold.  Each Jacobi sweep sums the CSR
-    entries per flat row with one bincount; the policy is greedy against
-    the values fed to the last sweep.
+    Each sweep sums the CSR entries per flat row with one bincount; the
+    policy is greedy against the values fed to the last sweep.  With
+    Delta the last sweep's change, the values are shifted by
+    gamma / (1 - gamma) * (min Delta + max Delta) / 2 and the residual is
+    the span max Delta - min Delta.  A non-finite span raises.
     """
     gamma = grid.discount
-    threshold = vi_tol * (1.0 - gamma) / (2.0 * gamma)
     entry_row = np.repeat(np.arange(grid.indptr.size - 1), np.diff(grid.indptr))
     values = np.zeros(grid.n_states)
-    residual = np.inf
-    for iteration in range(1, MAX_VI_ITERATIONS + 1):
+    for sweep in range(1, sweeps + 1):
         future = np.bincount(
             entry_row, weights=grid.prob * values[grid.succ], minlength=grid.rewards.size
         )
         q = (grid.rewards + gamma * future).reshape(-1, grid.n_actions)
         new_values = q.max(axis=1)
-        residual = float(np.max(np.abs(new_values - values))) if values.size else 0.0
-        if not np.isfinite(residual):
+        low = float(np.min(new_values - values))
+        high = float(np.max(new_values - values))
+        if not np.isfinite(high - low):
             raise ConvergenceError(
-                f"value iteration residual is {residual} at sweep {iteration}"
+                f"value iteration residual is {high - low} at sweep {sweep}"
             )
         values = new_values
-        if residual <= threshold:
-            break
-    else:
-        raise ConvergenceError(
-            f"value iteration still above residual {threshold:.3e} after "
-            f"{MAX_VI_ITERATIONS} sweeps"
-        )
+    scale = gamma / (1.0 - gamma)
+    v0 = float(values[grid.initial_state])
     return PlanResult(
-        values=values,
+        values=values + scale * (0.5 * (low + high)),
         policy=q.argmax(axis=1).astype(np.int32),
-        residual=residual,
-        iterations=iteration,
+        residual=high - low,
+        iterations=sweeps,
         metadata={
             "gridStates": grid.n_states,
             "mesh": grid.mesh,
-            "viThreshold": threshold,
+            "viThreshold": vi_tol * (1.0 - gamma),
+            "lowerBound": v0 + scale * low,
+            "upperBound": v0 + scale * high,
         },
     )
 
 
 def check(grid, vi_tol=1e-4):
-    ref = reference_solve(grid, vi_tol)
     new = gridmod.solve(grid, vi_tol)
+    ref = reference_solve(grid, new.iterations, vi_tol)
     assert new.values.dtype == ref.values.dtype
     assert new.values.tobytes() == ref.values.tobytes()
     assert new.policy.dtype == ref.policy.dtype
@@ -76,6 +76,10 @@ def check(grid, vi_tol=1e-4):
     assert new.residual == ref.residual
     assert new.iterations == ref.iterations
     assert new.metadata == ref.metadata
+    assert new.residual <= new.metadata["viThreshold"]
+    if new.iterations > 1:
+        earlier = reference_solve(grid, new.iterations - 1, vi_tol)
+        assert earlier.residual > new.metadata["viThreshold"]
     return new
 
 
@@ -164,7 +168,7 @@ def test_all_dead_rows_match_reference():
 def test_nan_residual_raises_like_reference():
     grid = ragged_grid(3, 10, 2, 0.9)
     grid.rewards[5] = np.nan
-    for solver in (reference_solve, gridmod.solve):
+    for solver in (lambda g: reference_solve(g, 1), gridmod.solve):
         with pytest.raises(ConvergenceError, match=r"residual is nan at sweep 1$"):
             solver(grid)
 
