@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

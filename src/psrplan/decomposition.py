@@ -3,12 +3,14 @@
 ``discover_basis`` grows a set B of hidden states and a set T of tests
 (one-step extensions of earlier tests) until the matrix M(i,j) = P(t_j |
 b_i) spans every state's test-probability row; its size equals the
-numerical Hankel rank r.  ``improve_to_spanner`` then swaps basis rows
-until no single replacement more than doubles |det M|, which bounds every
-state's expansion coefficients by 2.
+numerical Hankel rank r.  Each step pivots on the largest gap, so a
+nearly dependent row never enters while a well-separated one is left.
+``improve_to_spanner`` then swaps basis rows at the largest coefficient
+|C[x, i]| of C = U M⁻¹, which by Cramer's rule multiplies |det M| by
+|C[x, i]|, and stops at max |C| <= 2 (A4's bound): the basis is then a
+2-barycentric spanner of the state rows (Awerbuch & Kleinberg 2004).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ from .model import PomdpModel, Signal
 
 DEP_TOL = 1e-7
 SPANNER_BOUND = 2.0
+MAX_SWAPS = 10_000
 
 
 @dataclass
@@ -28,7 +31,6 @@ class CoreDecomposition:
     M: np.ndarray  # [basis state, test] success probabilities
     state_test_matrix: np.ndarray  # all n states against the core tests
     rank: int
-    tau_rank: float = RANK_TOL
     condition_ratio: float = 0.0
 
     def __post_init__(self):
@@ -42,15 +44,20 @@ class SpannerBasis:
     spanner_bound: float
     det_log_ledger: list  # log|det M| after start and after each swap
     swap_count: int
+    max_coefficient: float = np.nan  # final max |C|, set by improve_to_spanner
 
 
-def discover_basis(
-    model: PomdpModel, tau_dep: float = DEP_TOL, tau_rank: float = RANK_TOL
-) -> CoreDecomposition:
+def discover_basis(model: PomdpModel) -> CoreDecomposition:
     """Grow (B, T) until every state's test row is spanned by the basis rows.
 
-    Scan order is fixed (state, action, signal, test index) so the result
-    is deterministic.  Terminates after at most n-1 additions.
+    Each step admits the (state s, symbol σ, test t_j) with the largest gap
+    |P(σ∘t_j | s) − α_s · P(σ∘t_j | B)| between the extension and its
+    prediction from the basis rows; ties go to the first in (state, symbol,
+    test) order.  Growth stops when that gap is at most DEP_TOL times the
+    largest extension probability.  DEP_TOL is relative, as RANK_TOL is to
+    σ_max, because extension probabilities shrink with the number of
+    symbols: an absolute threshold would be looser on some models than on
+    others.  Terminates after at most n-1 additions.
     """
     ma = from_pomdp(model)
     mats = [ma.mu[sym] for sym in ma.alphabet]
@@ -61,49 +68,35 @@ def discover_basis(
     U = np.ones((n, 1))  # U[s, j] = P(tests[j] | s)
 
     while True:
-        M = U[basis, :]
         try:
             # alphas[s] solves M^T alpha = U[s]
-            alphas = np.linalg.solve(M.T, U.T).T
+            alphas = np.linalg.solve(U[basis].T, U.T).T
         except np.linalg.LinAlgError as exc:
             raise DegenerateBasisError(
                 f"basis matrix became singular at rank {len(basis)}: {exc}"
             ) from exc
-        extensions = [mat @ U for mat in mats]  # per symbol: P(sym∘t_j | s)
-        grown = False
-        for b in range(n):
-            if b in basis:
-                continue
-            for k, ext in enumerate(extensions):
-                predicted = alphas[b] @ ext[basis, :]
-                gaps = np.abs(ext[b, :] - predicted)
-                hits = np.nonzero(gaps > tau_dep)[0]
-                if hits.size:
-                    j = int(hits[0])
-                    a, o, r = ma.alphabet[k]
-                    tests.append(((a, Signal(o, r)),) + tests[j])
-                    U = np.hstack([U, ext[:, j : j + 1]])
-                    basis.append(b)
-                    grown = True
-                    break
-            if grown:
-                break
-        if not grown:
+        ext = np.stack([mat @ U for mat in mats], axis=1)  # [s, σ, j]: P(σ∘t_j | s)
+        gaps = np.abs(ext - np.tensordot(alphas, ext[basis], axes=1))
+        gaps[basis] = 0.0
+        s, k, j = np.unravel_index(np.argmax(gaps), gaps.shape)
+        if gaps[s, k, j] <= DEP_TOL * ext.max():
             break
+        a, o, r = ma.alphabet[k]
+        tests.append(((a, Signal(o, r)),) + tests[j])
+        U = np.hstack([U, ext[:, k, j : j + 1]])
+        basis.append(int(s))
 
-    M = U[basis, :]
     decomp = CoreDecomposition(
         basis_states=basis,
         core_tests=tests,
-        M=M,
+        M=U[basis],
         state_test_matrix=U,
         rank=len(basis),
-        tau_rank=tau_rank,
     )
-    if numerical_rank(M, tau_rank) != decomp.rank:
+    if numerical_rank(decomp.M) != decomp.rank:
         raise DegenerateBasisError(
             f"discovered {decomp.rank} basis rows but M has numerical rank "
-            f"{numerical_rank(M, tau_rank)}"
+            f"{numerical_rank(decomp.M)}"
         )
     return decomp
 
@@ -114,10 +107,10 @@ def solve_coefficients(decomp: CoreDecomposition, target: np.ndarray):
     ``target`` is one length-r row or any stack of them (shape (..., r));
     alpha has the same shape and the residual covers every row.
     """
-    if decomp.condition_ratio > 1.0 / decomp.tau_rank:
+    if decomp.condition_ratio > 1.0 / RANK_TOL:
         raise DegenerateBasisError(
             f"basis matrix condition {decomp.condition_ratio:.3e} exceeds "
-            f"{1.0 / decomp.tau_rank:.3e}"
+            f"{1.0 / RANK_TOL:.3e}"
         )
     target = np.asarray(target, dtype=np.float64)
     rows = target.reshape(-1, decomp.rank)
@@ -126,62 +119,44 @@ def solve_coefficients(decomp: CoreDecomposition, target: np.ndarray):
     return alpha, residual
 
 
-def improve_to_spanner(
-    model: PomdpModel, decomp: CoreDecomposition, max_swaps: int = 10_000
-) -> SpannerBasis:
-    """Swap basis rows while any replacement more than doubles |det M|.
+def improve_to_spanner(model: PomdpModel, decomp: CoreDecomposition) -> SpannerBasis:
+    """Swap basis rows until every state's coefficients C are at most 2.
 
-    Determinants are handled in log-magnitude form; the recorded ledger is
-    strictly increasing with at least a factor 2 per step.  On exit no
-    single-row replacement by any state passes the doubling test, which is
-    exactly the 2-barycentric-spanner condition over the state rows.
+    C = U M⁻¹ comes from ``solve_coefficients`` and its condition guard.
+    While max |C| > SPANNER_BOUND, state x replaces basis row i at the
+    largest |C[x, i]|, which by Cramer's rule multiplies |det M| by more
+    than 2, and C is solved again.  The ledger takes log|det M| from
+    ``slogdet`` of each swapped M, not from log|C|, so its growth of at
+    least log 2 per swap stays an independent check.
     """
     U = decomp.state_test_matrix
-    n = U.shape[0]
-    r = decomp.rank
     basis = list(decomp.basis_states)
-    M = U[basis, :].copy()
-    _, logdet = np.linalg.slogdet(M)
-    ledger = [logdet]
-    log2 = math.log(2.0)
-    swaps = 0
-
-    improved = True
-    while improved:
-        improved = False
-        for x in range(n):
-            for i in range(r):
-                candidate = M.copy()
-                candidate[i] = U[x]
-                sign, cand_logdet = np.linalg.slogdet(candidate)
-                if sign != 0 and cand_logdet > logdet + log2:
-                    M = candidate
-                    basis[i] = x
-                    logdet = cand_logdet
-                    ledger.append(logdet)
-                    swaps += 1
-                    improved = True
-                    break
-            if improved:
-                break
-        if swaps > max_swaps:
+    dec = decomp
+    ledger = [np.linalg.slogdet(dec.M)[1]]
+    while True:
+        C = np.abs(solve_coefficients(dec, U)[0])
+        x, i = np.unravel_index(np.argmax(C), C.shape)
+        if C[x, i] <= SPANNER_BOUND:
+            break
+        if len(ledger) > MAX_SWAPS:
             raise DegenerateBasisError(
-                f"spanner improvement did not settle within {max_swaps} swaps"
+                f"spanner improvement did not settle within {MAX_SWAPS} swaps"
             )
-
-    out = CoreDecomposition(
-        basis_states=basis,
-        core_tests=list(decomp.core_tests),
-        M=M,
-        state_test_matrix=U,
-        rank=r,
-        tau_rank=decomp.tau_rank,
-    )
+        basis[i] = int(x)
+        dec = CoreDecomposition(
+            basis_states=list(basis),
+            core_tests=list(decomp.core_tests),
+            M=U[basis],
+            state_test_matrix=U,
+            rank=decomp.rank,
+        )
+        ledger.append(np.linalg.slogdet(dec.M)[1])
     return SpannerBasis(
-        decomposition=out,
+        decomposition=dec,
         spanner_bound=SPANNER_BOUND,
         det_log_ledger=ledger,
-        swap_count=swaps,
+        swap_count=len(ledger) - 1,
+        max_coefficient=float(C[x, i]),
     )
 
 
@@ -200,6 +175,7 @@ def to_json_dict(obj) -> dict:
     if isinstance(obj, SpannerBasis):
         body = to_json_dict(obj.decomposition)
         body["spannerBound"] = obj.spanner_bound
+        body["maxCoefficient"] = obj.max_coefficient
         body["detLogLedger"] = list(obj.det_log_ledger)
         body["swapCount"] = obj.swap_count
         return body
@@ -208,4 +184,5 @@ def to_json_dict(obj) -> dict:
         "coreTests": [_test_to_json(t) for t in obj.core_tests],
         "matrix": obj.M.tolist(),
         "rank": obj.rank,
+        "conditionRatio": obj.condition_ratio,
     }

@@ -157,6 +157,9 @@ def test_a3_basis_size_bounded_by_rank(capsys):
     rng_models = [
         (f"rand{seed}", random_pomdp(5, 2, 2, 2, seed=seed), 5)
         for seed in range(60, 72)
+    ] + [
+        (f"sparse{seed}", random_pomdp(5, 2, 2, 2, seed=seed, dirichlet=0.05), 5)
+        for seed in range(12)
     ]
     worst_line = ""
     ok = True

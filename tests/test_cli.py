@@ -32,14 +32,14 @@ def test_plan_fair_coin_rank_one_report(tmp_path, capsys):
     assert code == 0
     assert err == ""
     rep = read_json(report)
-    assert rep["schemaVersion"] == 3
+    assert rep["schemaVersion"] == 4
     assert rep["command"] == "plan"
     assert rep["planner"]["rank"] == 1
     assert rep["planner"]["grid"]["states"] == 1
     # one state, reward 0.5 forever at discount 0.9 -> value 5
     assert rep["planner"]["valueAtInitialBelief"] == pytest.approx(5.0, abs=1e-3)
     pol = read_json(policy)
-    assert pol["schemaVersion"] == 3
+    assert pol["schemaVersion"] == 4
     assert len(pol["values"]) == rep["planner"]["grid"]["states"]
     assert len(pol["policy"]) == len(pol["states"])
 

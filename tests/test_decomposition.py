@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psrplan.automaton import (
+    RANK_TOL,
     enumerate_tests,
     hankel_submatrix,
     numerical_rank,
@@ -79,7 +80,7 @@ def test_basis_matrix_invariants():
         assert dec.rank <= m.n
         np.testing.assert_allclose(dec.M[:, 0], 1.0)  # empty-test column
         sv = np.linalg.svd(dec.M, compute_uv=False)
-        assert sv[-1] > dec.tau_rank * sv[0]
+        assert sv[-1] > RANK_TOL * sv[0]
         # discovery is deterministic
         again = discover_basis(m)
         assert again.basis_states == dec.basis_states
@@ -162,9 +163,16 @@ def test_spanner_keeps_full_basis_fixed():
 
 def test_near_duplicate_basis_gets_swapped_out():
     m = near_duplicate_states(eps=1e-3)
-    dec = discover_basis(m)
-    # discovery scans states in order, so the nearly-dependent s1 lands in B
-    assert dec.basis_states == [0, 1]
+    found = discover_basis(m)
+    # a poor basis on purpose: s1 is within eps of s0
+    U = found.state_test_matrix
+    dec = CoreDecomposition(
+        basis_states=[0, 1],
+        core_tests=found.core_tests,
+        M=U[[0, 1]],
+        state_test_matrix=U,
+        rank=found.rank,
+    )
     span = improve_to_spanner(m, dec)
     assert span.swap_count >= 1
     ledger = span.det_log_ledger
@@ -173,6 +181,21 @@ def test_near_duplicate_basis_gets_swapped_out():
     # the well-separated state s2 must enter the basis
     assert 2 in span.decomposition.basis_states
     assert np.max(np.abs(state_coefficients(span))) <= 2.0 + 1e-6
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        random_pomdp(4, 2, 2, 2, seed=727220753, discount=0.5, dirichlet=0.05),
+        random_pomdp(5, 2, 2, 2, seed=239698436, discount=0.9, dirichlet=0.05),
+    ],
+    ids=["lift6", "lift7"],
+)
+def test_sparse_bases_get_their_full_rank(model):
+    # the sparse lift6 and lift7 bases of pipebench's plan-lifted workload
+    span = improve_to_spanner(model, discover_basis(model))
+    assert span.decomposition.rank == stabilized_rank(model, max_len=5)
+    assert np.max(np.abs(state_coefficients(span))) <= 2.0
 
 
 def test_spanner_coefficients_bounded_everywhere():
@@ -217,3 +240,6 @@ def test_json_dump_shape(tiger):
     assert d["coreTests"][0] == []
     assert len(d["detLogLedger"]) == span.swap_count + 1
     assert d["spannerBound"] == 2.0
+    coeffs = np.abs(state_coefficients(span))
+    assert d["maxCoefficient"] == np.max(coeffs) <= 2.0
+    assert d["conditionRatio"] == span.decomposition.condition_ratio >= 1.0
