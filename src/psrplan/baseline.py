@@ -109,7 +109,7 @@ def plan_baseline(
     return result
 
 
-def act_baseline(plan_result: gridmod.PlanResult, b) -> int:
-    """Planned action for a live belief via simplex rounding."""
+def act_baseline(plan_result: gridmod.PlanResult, beliefs) -> np.ndarray:
+    """Planned actions for a (k, n) stack of live beliefs via simplex rounding."""
     grid = plan_result.grid
-    return int(plan_result.policy[grid.locate(simplex_round(np.asarray(b), grid.mesh))])
+    return plan_result.policy[grid.locate(simplex_round(beliefs, grid.mesh))]

@@ -32,6 +32,7 @@ class CoreDecomposition:
     state_test_matrix: np.ndarray  # all n states against the core tests
     rank: int
     condition_ratio: float = 0.0
+    extensions: np.ndarray = None  # [s, σ, j]: P(σ∘t_j | s), σ in alphabet order
 
     def __post_init__(self):
         sv = np.linalg.svd(self.M, compute_uv=False)
@@ -92,6 +93,7 @@ def discover_basis(model: PomdpModel) -> CoreDecomposition:
         M=U[basis],
         state_test_matrix=U,
         rank=len(basis),
+        extensions=ext,
     )
     if numerical_rank(decomp.M) != decomp.rank:
         raise DegenerateBasisError(
@@ -149,6 +151,7 @@ def improve_to_spanner(model: PomdpModel, decomp: CoreDecomposition) -> SpannerB
             M=U[basis],
             state_test_matrix=U,
             rank=decomp.rank,
+            extensions=decomp.extensions,
         )
         ledger.append(np.linalg.slogdet(dec.M)[1])
     return SpannerBasis(

@@ -36,39 +36,29 @@ class GridMdp:
     discount: float
     initial_state: int
     diagnostics: dict = field(default_factory=dict)
+    index: "Interner" = None  # the closure's sorted keys, for locate
 
     @property
     def n_states(self):
         return self.coords.shape[0]
 
-    def state_index(self):
-        """Map lattice coordinate tuple -> state id (built once, cached)."""
-        cached = getattr(self, "_index", None)
-        if cached is None:
-            cached = {tuple(row): i for i, row in enumerate(self.coords.tolist())}
-            self._index = cached
-        return cached
-
-    def locate(self, coords) -> int:
-        """State id of a lattice point, or of the nearest state (L1) off the grid.
+    def locate(self, coords) -> np.ndarray:
+        """State ids of a (k, dim) stack of lattice points, off-grid points
+        mapped to the nearest state (L1).
 
         Off-grid points are expected when a policy meets beliefs outside the
         expanded closure: each fallback counts in diagnostics["actFallbacks"],
         the first one warns and later ones only log at debug level.
         """
-        coords = tuple(int(c) for c in coords)
-        sid = self.state_index().get(coords)
-        if sid is None:
-            sid = int(np.argmin(np.abs(self.coords - np.array(coords)).sum(axis=1)))
+        coords = np.asarray(coords, dtype=np.int64)
+        sid = self.index.find(coords)
+        for i in np.flatnonzero(sid < 0):
+            sid[i] = np.argmin(np.abs(self.coords - coords[i]).sum(axis=1))
             count = self.diagnostics.get("actFallbacks", 0)
             self.diagnostics["actFallbacks"] = count + 1
             log = logger.warning if count == 0 else logger.debug
-            log(
-                "belief rounds to unexpanded grid point %s; using nearest expanded "
-                "state %s",
-                coords,
-                tuple(int(c) for c in self.coords[sid]),
-            )
+            log("belief rounds to unexpanded grid point %s; using nearest expanded state %s",
+                tuple(coords[i].tolist()), tuple(self.coords[sid[i]].tolist()))
         return sid
 
 
@@ -89,7 +79,8 @@ class Interner:
 
     Rows are compared through a fixed-width byte view, kept sorted for
     ``searchsorted``; the byte order is arbitrary but total, which is all
-    the lookup needs.  ``coords`` holds the distinct rows in id order.
+    the lookup needs.  ``coords`` holds the distinct rows in id order;
+    ``find`` looks rows up without interning them.
     """
 
     def __init__(self, dim):
@@ -98,16 +89,27 @@ class Interner:
         self.ids = np.empty(0, dtype=np.int64)  # id of each sorted key
         self.coords = np.empty((0, dim), dtype=np.int64)  # rows in id order
 
+    def _lookup(self, keys):
+        """Sorted positions of keys, and their ids or -1 where not interned."""
+        pos = np.searchsorted(self.keys, keys)
+        seen = pos < self.keys.size
+        seen[seen] = self.keys[pos[seen]] == keys[seen]
+        ids = np.full(keys.size, -1, dtype=np.int64)
+        ids[seen] = self.ids[pos[seen]]
+        return pos, ids
+
+    def find(self, coords):
+        """Ids of the rows of a (k, dim) stack, -1 for rows never interned."""
+        coords = np.ascontiguousarray(coords, dtype=np.int64)
+        # one key per row: an unstacked point of dim > 1 fails here, not later
+        return self._lookup(coords.view(self.key_type).reshape(len(coords)))[1]
+
     def __call__(self, coords):
         coords = np.ascontiguousarray(coords, dtype=np.int64)
         keys = coords.view(self.key_type).reshape(-1)
         uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        pos = np.searchsorted(self.keys, uniq)
-        seen = pos < self.keys.size
-        seen[seen] = self.keys[pos[seen]] == uniq[seen]
-        uid = np.empty(uniq.size, dtype=np.int64)
-        uid[seen] = self.ids[pos[seen]]
-        unseen = ~seen
+        pos, uid = self._lookup(uniq)
+        unseen = uid < 0
         fresh = np.flatnonzero(unseen)
         fresh = fresh[np.argsort(first[fresh], kind="stable")]
         uid[fresh] = self.coords.shape[0] + np.arange(fresh.size)
@@ -205,6 +207,7 @@ def closure(
         prob=np.concatenate(prob_parts),
         discount=float(discount),
         initial_state=initial_state,
+        index=intern,
     )
     return grid, dead_rows
 

@@ -186,11 +186,13 @@ def evaluate_policy(
 ):
     """Truncated discounted value of following the belief -> action map.
 
-    ``policy`` is called once per distinct node, the root included.
+    ``policy`` maps a (k, n) stack of beliefs to k actions, one call per
+    level of distinct nodes (per block on the last level), the root's included;
+    a result whose size is not k fails.
     """
 
     def choose(beliefs):
-        return np.array([int(policy(x)) for x in beliefs], dtype=np.int64)[:, None]
+        return np.asarray(policy(beliefs), dtype=np.int64).reshape(len(beliefs), 1)
 
     search = _Search(model, _config(model, horizon, config), choose)
     return float(search.root_q(b, horizon)[0])

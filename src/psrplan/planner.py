@@ -17,7 +17,6 @@ from . import grid as gridmod
 from .decomposition import SpannerBasis, discover_basis, improve_to_spanner, solve_coefficients
 from .errors import ValidationError
 from .model import PomdpModel, Signal
-from .automaton import from_pomdp
 
 P_MIN = gridmod.P_MIN
 COEFF_BOUND = 2.0
@@ -35,26 +34,18 @@ class SignalDynamics:
 
 
 def precompute_dynamics(model: PomdpModel, spanner: SpannerBasis) -> SignalDynamics:
-    """One-step signal probabilities, test extensions and rewards per basis state."""
+    """One-step signal probabilities, test extensions and rewards per basis state.
+
+    Read from discovery's extensions, symbol a * Z + z for signal z.  W and v
+    are contiguous: ``step_block``'s einsums round differently on strided views."""
     dec = spanner.decomposition
-    r = dec.rank
-    basis = dec.basis_states
-    U = dec.state_test_matrix
-    ma = from_pomdp(model)
     na, nz = model.n_actions, model.n_signals
-    v = np.zeros((na, nz, r))
-    W = np.zeros((na, nz, r, r))
-    nr = model.n_rewards
-    for a in range(na):
-        for o in range(model.n_observations):
-            for rr in range(nr):
-                z = o * nr + rr
-                ext = ma.mu[(a, o, rr)] @ U  # (n, r): P((a,z)∘t_j | s)
-                W[a, z] = ext[basis, :]
-                v[a, z] = ext[basis, 0]  # extension of the empty test
+    ext = dec.extensions.reshape(model.n, na, nz, dec.rank)
+    W = np.ascontiguousarray(ext[dec.basis_states].transpose(1, 2, 0, 3))
+    v = np.ascontiguousarray(W[..., 0])  # extension of the empty test
     signal_rewards = np.tile(model.reward_values, model.n_observations)
     rho = np.einsum("azi,z->ai", v, signal_rewards)
-    return SignalDynamics(v=v, W=W, rho=rho, n_rewards=nr)
+    return SignalDynamics(v=v, W=W, rho=rho, n_rewards=model.n_rewards)
 
 
 def step_block(dyn: SignalDynamics, spanner: SpannerBasis, alpha):
@@ -211,8 +202,9 @@ def plan(
     return result
 
 
-def act(spanner: SpannerBasis, plan_result: gridmod.PlanResult, b) -> int:
-    """Map a live belief to the planned action via its rounded coefficients."""
+def act(spanner: SpannerBasis, plan_result: gridmod.PlanResult, beliefs) -> np.ndarray:
+    """Planned actions for a (k, n) stack of live beliefs, one per row, via
+    their rounded coefficients; ``act(..., b[None])[0]`` acts on one belief."""
     grid = plan_result.grid
-    alpha = belief_coefficients(spanner, b)
-    return int(plan_result.policy[grid.locate(round_to_grid(alpha, grid.mesh))])
+    alpha = belief_coefficients(spanner, beliefs)
+    return plan_result.policy[grid.locate(round_to_grid(alpha, grid.mesh))]

@@ -8,6 +8,7 @@ from psrplan.baseline import (
     simplex_round,
     solve_baseline,
 )
+from psrplan.cassandra import load_pomdp
 from psrplan.errors import StateCapExceededError, ValidationError
 from psrplan.model import expected_reward_matrix
 from psrplan.oracle import (
@@ -18,6 +19,8 @@ from psrplan.oracle import (
     truncation_slack,
 )
 from psrplan.zoo import fully_observable_chain, random_pomdp
+
+from conftest import DATA
 
 
 def test_simplex_round_keeps_lattice_points_fixed():
@@ -95,12 +98,10 @@ def test_matches_exact_mdp_when_fully_observable():
     for _ in range(200):
         v = (r_sa + m.discount * np.einsum("saj,j->sa", m.transition, v)).max(axis=1)
     bound = 1e-6 + 2 * 0.05 / (1 - m.discount) ** 3
-    idx = res.grid.state_index()
     k = 20  # resolution for delta=0.05
-    for s in range(m.n):
-        corner = tuple(k if i == s else 0 for i in range(m.n))
-        if corner in idx:
-            assert abs(res.values[idx[corner]] - v[s]) <= bound
+    sid = res.grid.index.find(k * np.eye(m.n, dtype=np.int64))
+    for s in np.flatnonzero(sid >= 0):
+        assert abs(res.values[sid[s]] - v[s]) <= bound
 
 
 def test_tiger_baseline_inside_accuracy_bound(tiger):
@@ -145,16 +146,15 @@ def test_grid_value_close_to_true_value_at_grid_beliefs():
     res = plan_baseline(m, delta=delta, vi_tol=1e-6)
     H = horizon_for_slack(m.discount, 1e-3)
     slack = truncation_slack(m.discount, H)
-    idx = res.grid.state_index()
     rng = np.random.default_rng(4)
     checked = 0
     for _ in range(100):
         b = rng.dirichlet([1.0] * m.n)
-        cell = tuple(int(c) for c in simplex_round(b, delta))
-        if cell not in idx:
+        sid = res.grid.index.find(simplex_round(b, delta)[None])[0]
+        if sid < 0:
             continue
         v_true, _ = exact_value(m, b, H)
-        v_grid = res.values[idx[cell]]
+        v_grid = res.values[sid]
         assert abs(v_true - v_grid) <= delta / (1 - m.discount) ** 2 + slack + 1e-6
         checked += 1
     assert checked > 10
@@ -174,10 +174,14 @@ def test_halving_delta_never_hurts_much(tiger):
         assert fine >= coarse - 2 * slack - 1e-3
 
 
-def test_act_fallback_counts(tiger):
-    res = plan_baseline(tiger, delta=0.25)
-    # an unreachable lattice belief: grids from uniform start stay symmetric
-    probe = np.array([0.15, 0.85])
-    if tuple(simplex_round(probe, 0.25)) not in res.grid.state_index():
-        act_baseline(res, probe)
-        assert res.grid.diagnostics.get("actFallbacks", 0) >= 1
+def test_act_fallback_counts():
+    model = load_pomdp(DATA / "clones.POMDP")
+    res = plan_baseline(model, delta=0.25)
+    # a lattice belief off the closure, one the oracle meets from b0
+    cell = np.array([0, 0, 0, 1, 2, 1])
+    assert res.grid.index.find(cell[None])[0] == -1
+    nearest = np.argmin(np.abs(res.grid.coords - cell).sum(axis=1))
+    before = res.grid.diagnostics.get("actFallbacks", 0)
+    actions = act_baseline(res, np.stack([cell, cell]) * 0.25)
+    assert res.grid.diagnostics["actFallbacks"] == before + 2
+    np.testing.assert_array_equal(actions, res.policy[[nearest, nearest]])

@@ -59,7 +59,7 @@ def test_tiger_golden_value(tiger):
 
 def test_greedy_policy_recovers_optimal_value(tiger):
     H = 8
-    pol = lambda b: exact_value(tiger, b, H)[1]
+    pol = lambda beliefs: [exact_value(tiger, b, H)[1] for b in beliefs]
     v_pol = evaluate_policy(tiger, pol, tiger.initial_belief, H)
     v_opt, _ = exact_value(tiger, tiger.initial_belief, H)
     assert v_pol == pytest.approx(v_opt, abs=1e-9)
@@ -67,8 +67,15 @@ def test_greedy_policy_recovers_optimal_value(tiger):
 
 def test_single_action_policy_value_is_exact(fair_coin):
     g = fair_coin.discount
-    v = evaluate_policy(fair_coin, lambda b: 0, np.array([1.0]), 7)
+    always_0 = lambda beliefs: np.zeros(len(beliefs))
+    v = evaluate_policy(fair_coin, always_0, np.array([1.0]), 7)
     assert v == pytest.approx(0.5 * (1 - g**8) / (1 - g), abs=1e-12)
+
+
+def test_policy_must_return_one_action_per_row(tiger):
+    # the root is one row, so a constant passes there; the next level fails
+    with pytest.raises(ValueError):
+        evaluate_policy(tiger, lambda beliefs: 0, tiger.initial_belief, 3)
 
 
 def test_value_is_max_of_q(tiger):

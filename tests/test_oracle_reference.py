@@ -4,7 +4,8 @@
 its search went level by level.  Both merge beliefs that round to the same
 multiple of the memo precision, and both keep the first belief met for
 each (depth, key): the level order meets them in the same order as the
-depth-first one, so values, node counts and policy calls must agree.
+depth-first one, so values, node counts and the belief rows the policy
+is asked about must agree.
 """
 
 import math
@@ -104,15 +105,15 @@ class _Expectimax:
 
 
 class _Recorder:
-    """A belief -> action map that keeps every belief it was asked about."""
+    """A stack -> actions map that keeps every belief row it was asked about."""
 
     def __init__(self, policy):
         self.policy = policy
         self.seen = []
 
-    def __call__(self, b):
-        self.seen.append(np.array(b, dtype=np.float64))
-        return self.policy(b)
+    def __call__(self, beliefs):
+        self.seen.extend(np.array(beliefs, dtype=np.float64))
+        return self.policy(beliefs)
 
     def beliefs(self):
         return sorted(b.tobytes() for b in self.seen)
@@ -163,10 +164,10 @@ def check_policy(model, policy, b, horizon, use_memo=True):
     cfg = OracleConfig(horizon=horizon, use_memo=use_memo)
     ref = _Expectimax(model, cfg)
     ref_policy, new_policy = _Recorder(policy), _Recorder(policy)
-    v_ref = ref.policy_value(b, horizon, ref_policy)
+    v_ref = ref.policy_value(b, horizon, lambda x: ref_policy(x[None])[0])
     v = evaluate_policy(model, new_policy, b, horizon, cfg)
     assert abs(v - v_ref) <= VALUE_TOL
-    # the same beliefs, bit for bit: one call per distinct (depth, key) node
+    # the same beliefs, bit for bit: one row per distinct (depth, key) node
     assert len(new_policy.seen) == ref.nodes
     assert new_policy.beliefs() == ref_policy.beliefs()
     _budget_is_exact(
@@ -180,7 +181,7 @@ def check_policy(model, policy, b, horizon, use_memo=True):
 
 def belief_policy(model):
     """A cheap policy that changes with the belief (most likely state)."""
-    return lambda b: int(np.argmax(b)) % model.n_actions
+    return lambda beliefs: np.argmax(beliefs, axis=1) % model.n_actions
 
 
 def a5_corpus():

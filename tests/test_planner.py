@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from psrplan import grid as gridmod
-from psrplan.baseline import build_delta_grid
+from psrplan.automaton import from_pomdp
+from psrplan.baseline import act_baseline, build_delta_grid, plan_baseline
+from psrplan.cassandra import load_pomdp
 from psrplan.decomposition import discover_basis, improve_to_spanner, solve_coefficients
 from psrplan.errors import ConvergenceError, StateCapExceededError, ValidationError
 from psrplan.model import Signal, belief_update, sequence_probability
 from psrplan.planner import (
+    SignalDynamics,
     act,
     belief_coefficients,
     build_grid,
@@ -14,10 +17,13 @@ from psrplan.planner import (
     plan,
     precompute_dynamics,
     round_to_grid,
+    step_block,
     step_coefficients,
 )
 from psrplan.oracle import exact_value
 from psrplan.zoo import fully_observable_chain, random_pomdp
+
+from conftest import DATA
 
 
 def make_spanner(model):
@@ -30,6 +36,35 @@ def test_fair_coin_dynamics(fair_coin):
     np.testing.assert_allclose(dyn.v, 0.5)
     np.testing.assert_allclose(dyn.W[:, :, 0, 0], 0.5)
     np.testing.assert_allclose(dyn.rho, 0.5)
+
+
+def reference_dynamics(model, span):
+    """The per-symbol ``mu[σ] @ U`` loop precompute_dynamics replaced."""
+    dec = span.decomposition
+    ma, nr = from_pomdp(model), model.n_rewards
+    W = np.zeros((model.n_actions, model.n_signals, dec.rank, dec.rank))
+    for a in range(model.n_actions):
+        for o in range(model.n_observations):
+            for rr in range(nr):
+                ext = ma.mu[(a, o, rr)] @ dec.state_test_matrix
+                W[a, o * nr + rr] = ext[dec.basis_states]
+    v = W[..., 0].copy()
+    rho = np.einsum("azi,z->ai", v, np.tile(model.reward_values, model.n_observations))
+    return SignalDynamics(v=v, W=W, rho=rho, n_rewards=nr)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dynamics_match_the_symbol_loop_bit_for_bit(seed):
+    # step_block's einsums round differently on strided W and v, so the
+    # steps are compared as well as the arrays
+    m = random_pomdp(5, 2, 2, 2, seed=seed)
+    span = make_spanner(m)
+    dyn, ref = precompute_dynamics(m, span), reference_dynamics(m, span)
+    for name in ("v", "W", "rho"):
+        np.testing.assert_array_equal(getattr(dyn, name), getattr(ref, name), err_msg=name)
+    alpha = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(200, span.decomposition.rank))
+    for got, want in zip(step_block(dyn, span, alpha), step_block(ref, span, alpha)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_signal_probabilities_sum_to_one():
@@ -275,7 +310,7 @@ def test_plan_fair_coin_value(fair_coin):
 def test_plan_tiger_listens_at_uniform(tiger):
     res = plan(tiger, epsilon=0.1, vi_tol=1e-4)
     _, best = exact_value(tiger, np.array([0.5, 0.5]), 12)
-    chosen = act(res.spanner, res, np.array([0.5, 0.5]))
+    chosen = act(res.spanner, res, np.array([[0.5, 0.5]]))[0]
     assert chosen == best == tiger.actions.index("listen")
 
 
@@ -291,29 +326,61 @@ def test_plan_matches_exact_mdp_on_fully_observable_model():
         v = (r_sa + m.discount * np.einsum("saj,j->sa", m.transition, v)).max(axis=1)
     span = res.spanner
     tol = 1e-6 + 0.1 / (1 - m.discount) ** 2
-    for s in range(m.n):
-        alpha = belief_coefficients(span, np.eye(m.n)[s])
-        coords = tuple(round_to_grid(alpha, res.grid.mesh))
-        sid = res.grid.state_index()[coords]
-        assert abs(res.values[sid] - v[s]) <= tol
+    alpha = belief_coefficients(span, np.eye(m.n))
+    sid = res.grid.index.find(round_to_grid(alpha, res.grid.mesh))
+    assert np.all(sid >= 0)
+    assert np.all(np.abs(res.values[sid] - v) <= tol)
 
 
 def test_act_identity_on_expanded_corner(tiger):
     res = plan(tiger, epsilon=0.1)
     g0 = res.grid.initial_state
     b0 = tiger.initial_belief
-    assert act(res.spanner, res, b0) == int(res.policy[g0])
+    assert act(res.spanner, res, b0[None])[0] == res.policy[g0]
+
+
+def test_act_rejects_an_unstacked_belief(tiger):
+    res = plan(tiger, epsilon=0.1)
+    with pytest.raises(ValueError):
+        act(res.spanner, res, tiger.initial_belief)
 
 
 def test_same_rounding_same_action(tiger):
     res = plan(tiger, epsilon=0.1)
     b1 = np.array([0.5, 0.5])
     b2 = np.array([0.501, 0.499])
-    a1 = act(res.spanner, res, b1)
+    a1 = act(res.spanner, res, b1[None])[0]
     c1 = round_to_grid(belief_coefficients(res.spanner, b1), res.grid.mesh)
     c2 = round_to_grid(belief_coefficients(res.spanner, b2), res.grid.mesh)
     if np.array_equal(c1, c2):
-        assert act(res.spanner, res, b2) == a1
+        assert act(res.spanner, res, b2[None])[0] == a1
+
+
+@pytest.mark.parametrize(
+    "model, epsilon",
+    [
+        (random_pomdp(5, 2, 2, 2, seed=1207, discount=0.4), 0.5),
+        # at epsilon 0.5 every sampled belief rounds onto clones' 5-state grid
+        (load_pomdp(DATA / "clones.POMDP"), 0.3),
+    ],
+    ids=["random-n5", "clones"],
+)
+def test_stack_actions_match_one_row_calls(model, epsilon):
+    beliefs = np.random.default_rng(11).dirichlet(np.ones(model.n), size=300)
+    planned = plan(model, epsilon=epsilon)
+    base = plan_baseline(model, delta=0.25)
+    policies = {
+        "planner": (planned.grid, lambda bs: act(planned.spanner, planned, bs)),
+        "baseline": (base.grid, lambda bs: act_baseline(base, bs)),
+    }
+    for name, (grid, policy) in policies.items():
+        rows = [int(policy(b[None])[0]) for b in beliefs]
+        fallbacks = grid.diagnostics.get("actFallbacks", 0)
+        assert fallbacks > 0, name  # the stack must exercise the nearest-state path
+        stacked = policy(beliefs)
+        assert stacked.shape == (len(beliefs),), name
+        np.testing.assert_array_equal(stacked, rows, err_msg=name)
+        assert grid.diagnostics["actFallbacks"] == 2 * fallbacks, name
 
 
 def test_same_grid_cell_implies_close_coefficients():
