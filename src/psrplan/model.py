@@ -162,20 +162,27 @@ def belief_update(model: PomdpModel, b: np.ndarray, a: int, sig):
     return p, post
 
 
-def belief_update_batch(model: PomdpModel, beliefs: np.ndarray):
-    """belief_update for every action and signal from each row of ``beliefs``.
+def belief_update_batch(model: PomdpModel, beliefs: np.ndarray, actions=None):
+    """belief_update for every signal of each searched action from each row
+    of ``beliefs``.
 
-    Returns ``(p, post)`` with shapes (k, A, Z) and (k, A, Z, n).  Where
-    ``p <= 0`` the posterior is all zeros (belief_update returns None).
-    Every other entry equals belief_update's bit for bit: the push-forward
-    is one matrix-vector product per belief, as there, since a matrix
-    product over the stack would sum in another order and move the ties
-    that simplex rounding breaks.
+    ``actions`` is a (k, m) stack of the actions searched from each row, by
+    default all A of them.  Returns ``(p, post)`` with shapes (k, m, Z) and
+    (k, m, Z, n).  Where ``p <= 0`` the posterior is all zeros
+    (belief_update returns None).  Every other entry equals belief_update's
+    bit for bit: the push-forward is one matrix-vector product per belief
+    and action, as there, since a matrix product over the stack would sum
+    in another order and move the ties that simplex rounding breaks.
     """
     beliefs = np.asarray(beliefs, dtype=np.float64)
-    pushed = np.matvec(model.transition.transpose(1, 2, 0)[None], beliefs[:, None, :])
+    # None broadcasts one copy of every action over the rows; a stack
+    # gathers each row's actions.  Either way a row's [s', s] matrix keeps
+    # belief_update's strides (s' contiguous).
+    searched = np.newaxis if actions is None else np.asarray(actions, dtype=np.int64)
+    transition = model.transition[:, searched].transpose(1, 2, 3, 0)
+    pushed = np.matvec(transition, beliefs[:, None, :])
     # C order along the state axis, so each row's sum is the same pairwise sum
-    emit = np.ascontiguousarray(model.signal_kernel.transpose(1, 2, 0))
+    emit = np.ascontiguousarray(model.signal_kernel.transpose(1, 2, 0))[searched]
     joint = pushed[:, :, None, :] * emit
     joint = _clean_probabilities(joint)
     p = joint.sum(axis=-1)
@@ -216,7 +223,7 @@ def expected_reward_matrix(model: PomdpModel) -> np.ndarray:
 def sample_trajectory(
     model: PomdpModel,
     b: np.ndarray,
-    policy: Callable[[np.ndarray], int],
+    policy: Callable[[np.ndarray], np.ndarray],
     horizon: int,
     rng_seed: int,
 ):
@@ -224,13 +231,15 @@ def sample_trajectory(
 
     Returns a list of (action, Signal, reward) with rewards in normalized
     units; the belief fed to the policy is the exact Bayes filter state.
+    ``policy`` maps a (k, n) stack of beliefs to k actions, as ``act`` does;
+    it is asked about one belief at a time.
     """
     rng = np.random.default_rng(rng_seed)
     belief = check_belief(b, model.n)
     state = int(rng.choice(model.n, p=belief))
     out = []
     for _ in range(horizon):
-        a = int(policy(belief))
+        a = int(policy(belief[None])[0])
         state = int(rng.choice(model.n, p=model.transition[state, a]))
         z = int(rng.choice(model.n_signals, p=model.signal_kernel[state, a]))
         sig = model.signal_from_index(z)

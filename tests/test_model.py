@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import psrplan
 from psrplan.errors import ValidationError
 from psrplan.model import (
     PomdpModel,
@@ -135,14 +136,19 @@ def test_chain_rule_through_filtered_belief():
         assert joint == pytest.approx(chained, abs=1e-10)
 
 
+def always(action):
+    """A policy that takes the same action at every belief of a stack."""
+    return lambda beliefs: np.full(len(beliefs), action)
+
+
 def test_horizon_zero_trajectory_is_empty(fair_coin):
-    out = sample_trajectory(fair_coin, np.array([1.0]), lambda b: 0, 0, rng_seed=3)
+    out = sample_trajectory(fair_coin, np.array([1.0]), always(0), 0, rng_seed=3)
     assert out == []
 
 
 def test_fair_coin_head_frequency(fair_coin):
     out = sample_trajectory(
-        fair_coin, np.array([1.0]), lambda b: 0, 10_000, rng_seed=12345
+        fair_coin, np.array([1.0]), always(0), 10_000, rng_seed=12345
     )
     heads = sum(1 for _, sig, _ in out if sig.observation == 0)
     assert 0.48 <= heads / 10_000 <= 0.52
@@ -151,10 +157,28 @@ def test_fair_coin_head_frequency(fair_coin):
 def test_trajectories_reproducible_with_seed():
     m = fully_observable_chain()
     runs = [
-        sample_trajectory(m, m.initial_belief, lambda b: int(b[1] < 0.5), 50, rng_seed=9)
+        sample_trajectory(
+            m, m.initial_belief, lambda bs: (bs[:, 1] < 0.5).astype(int), 50, rng_seed=9
+        )
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+def test_trajectory_follows_a_planned_policy(tiger):
+    result = psrplan.plan(tiger, epsilon=0.1)
+    seen = []
+
+    def policy(beliefs):
+        seen.append(beliefs.copy())
+        return psrplan.act(result.spanner, result, beliefs)
+
+    out = sample_trajectory(tiger, tiger.initial_belief, policy, 20, rng_seed=5)
+    assert len(out) == 20
+    # asked one belief at a time, and the action taken is the planner's
+    assert all(b.shape == (1, tiger.n) for b in seen)
+    for b, (a, _, _) in zip(seen, out):
+        assert a == psrplan.act(result.spanner, result, b)[0]
 
 
 def test_expected_reward_matrix_matches_enumeration():
@@ -238,20 +262,23 @@ def test_validate_rejects_bad_discount():
         m2.validate()
 
 
-def assert_batch_matches_filter(model, beliefs):
-    """belief_update_batch equals belief_update bit for bit, row by row."""
-    p, post = belief_update_batch(model, beliefs)
-    assert p.shape == (len(beliefs), model.n_actions, model.n_signals)
+def assert_batch_matches_filter(model, beliefs, actions=None):
+    """belief_update_batch equals belief_update bit for bit, row by row, for
+    every action or for each row's searched actions."""
+    p, post = belief_update_batch(model, beliefs, actions)
+    if actions is None:
+        actions = np.tile(np.arange(model.n_actions), (len(beliefs), 1))
+    assert p.shape == actions.shape + (model.n_signals,)
     assert post.shape == p.shape + (model.n,)
     for k, b in enumerate(beliefs):
-        for a in range(model.n_actions):
+        for j, a in enumerate(actions[k]):
             for z in range(model.n_signals):
                 p_ref, post_ref = belief_update(model, b, a, z)
-                assert p[k, a, z] == p_ref
+                assert p[k, j, z] == p_ref
                 if post_ref is None:
-                    assert not post[k, a, z].any()
+                    assert not post[k, j, z].any()
                 else:
-                    np.testing.assert_array_equal(post[k, a, z], post_ref)
+                    np.testing.assert_array_equal(post[k, j, z], post_ref)
 
 
 def random_beliefs(n, count, rng):
@@ -265,10 +292,17 @@ def test_batched_filter_matches_belief_update():
     shapes = ((3, 2, 2, 2), (6, 3, 2, 1), (9, 2, 3, 2))
     for seed, (n, na, no, nr) in enumerate(shapes):
         m = random_pomdp(n, na, no, nr, seed=seed, dirichlet=0.3)
-        assert_batch_matches_filter(m, random_beliefs(n, 40, rng))
+        beliefs = random_beliefs(n, 40, rng)
+        assert_batch_matches_filter(m, beliefs)
+        # searched actions: one per row, and two per row with repeats
+        for m_searched in (1, 2):
+            actions = rng.integers(na, size=(40, m_searched))
+            assert_batch_matches_filter(m, beliefs, actions)
     # impossible signals: zero probability and an all-zero posterior
     m = fully_observable_chain()
-    assert_batch_matches_filter(m, np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]]))
+    beliefs = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]])
+    assert_batch_matches_filter(m, beliefs)
+    assert_batch_matches_filter(m, beliefs, np.array([[1], [0], [1]]))
 
 
 def test_batched_filter_keeps_drift_renormalization(monkeypatch):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from psrplan.errors import OracleBudgetError, ValidationError
+from psrplan.grid import Interner
 from psrplan.model import PomdpModel, expected_reward_matrix
 from psrplan.oracle import (
     OracleConfig,
+    dedupe,
     evaluate_policy,
     exact_q,
     exact_value,
     horizon_for_slack,
+    row_hash,
     truncation_slack,
 )
 from psrplan.zoo import random_pomdp
@@ -140,14 +143,14 @@ def test_memoization_does_not_change_values():
     m = random_pomdp(3, 2, 2, 1, seed=55, discount=0.4)
     b = m.initial_belief
     H = 4
-    with_memo = exact_value(m, b, H, OracleConfig(horizon=H, use_memo=True))
-    without = exact_value(m, b, H, OracleConfig(horizon=H, use_memo=False))
+    with_memo = exact_value(m, b, H, OracleConfig(use_memo=True))
+    without = exact_value(m, b, H, OracleConfig(use_memo=False))
     assert with_memo[0] == pytest.approx(without[0], abs=1e-9)
     assert with_memo[1] == without[1]
 
 
 def test_node_budget_enforced(tiger):
-    cfg = OracleConfig(horizon=10, node_budget=5)
+    cfg = OracleConfig(node_budget=5)
     with pytest.raises(OracleBudgetError, match="nodes"):
         exact_value(tiger, tiger.initial_belief, 10, cfg)
 
@@ -172,3 +175,36 @@ def test_immediate_reward_uses_expected_matrix(tiger):
     b = np.array([0.25, 0.75])
     v, a = exact_value(tiger, b, 0)
     assert v == pytest.approx((b @ r_sa).max(), abs=1e-12)
+
+
+def planted_keys(seed, rows=3000, dim=4):
+    """Random int64 rows, a third of them overwritten by copies of others,
+    and a block of rows from {0, 1, 2}^dim that repeat among themselves."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(-(2**40), 2**40, size=(rows, dim))
+    copies = rng.choice(rows, size=rows // 3, replace=False)
+    keys[copies] = keys[rng.integers(rows, size=copies.size)]
+    keys[rows // 2 : rows // 2 + 500] = rng.integers(3, size=(500, dim))
+    return keys
+
+
+# hash functions that dedupe must give the same answer under: the real one,
+# one where many different rows collide, and one where all rows do
+HASHES = {
+    "row_hash": row_hash,
+    "low_bits": lambda keys: (keys[:, 0] & 3).astype(np.uint64),
+    "constant": lambda keys: np.zeros(len(keys), dtype=np.uint64),
+}
+
+
+@pytest.mark.parametrize("hash_name", sorted(HASHES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dedupe_numbers_rows_as_one_interner_call(seed, hash_name, lexsort_calls):
+    keys = planted_keys(seed)
+    ids, first = dedupe(keys, HASHES[hash_name](keys), lambda rows: rows)
+    expected = Interner(keys.shape[1])(keys)
+    np.testing.assert_array_equal(ids, expected)
+    np.testing.assert_array_equal(first, np.unique(expected, return_index=True)[1])
+    # the real hash has no collision here; the others force the key sort
+    assert bool(lexsort_calls) == (hash_name != "row_hash")
+

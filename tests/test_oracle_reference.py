@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from psrplan import baseline as baselinemod
+from psrplan import oracle as oraclemod
 from psrplan import planner as plannermod
 from psrplan.cassandra import load_pomdp
 from psrplan.errors import OracleBudgetError
@@ -127,7 +128,7 @@ def _budget_is_exact(run, nodes):
 
 
 def check_value(model, b, horizon, use_memo=True):
-    cfg = OracleConfig(horizon=horizon, use_memo=use_memo)
+    cfg = OracleConfig(use_memo=use_memo)
     ref = _Expectimax(model, cfg)
     v_ref, a_ref = ref.value(b, horizon)
     v, a = exact_value(model, b, horizon, cfg)
@@ -138,14 +139,14 @@ def check_value(model, b, horizon, use_memo=True):
     _budget_is_exact(
         lambda budget: exact_value(
             model, b, horizon,
-            OracleConfig(horizon, node_budget=budget, use_memo=use_memo),
+            OracleConfig(node_budget=budget, use_memo=use_memo),
         ),
         ref.nodes,
     )
 
 
 def check_q(model, b, horizon, use_memo=True):
-    cfg = OracleConfig(horizon=horizon, use_memo=use_memo)
+    cfg = OracleConfig(use_memo=use_memo)
     for a in range(model.n_actions):
         ref = _Expectimax(model, cfg)
         q_ref = ref.q_value(b, a, horizon)
@@ -154,14 +155,14 @@ def check_q(model, b, horizon, use_memo=True):
             _budget_is_exact(
                 lambda budget: exact_q(
                     model, b, a, horizon,
-                    OracleConfig(horizon, node_budget=budget, use_memo=use_memo),
+                    OracleConfig(node_budget=budget, use_memo=use_memo),
                 ),
                 ref.nodes,
             )
 
 
 def check_policy(model, policy, b, horizon, use_memo=True):
-    cfg = OracleConfig(horizon=horizon, use_memo=use_memo)
+    cfg = OracleConfig(use_memo=use_memo)
     ref = _Expectimax(model, cfg)
     ref_policy, new_policy = _Recorder(policy), _Recorder(policy)
     v_ref = ref.policy_value(b, horizon, lambda x: ref_policy(x[None])[0])
@@ -173,7 +174,7 @@ def check_policy(model, policy, b, horizon, use_memo=True):
     _budget_is_exact(
         lambda budget: evaluate_policy(
             model, policy, b, horizon,
-            OracleConfig(horizon, node_budget=budget, use_memo=use_memo),
+            OracleConfig(node_budget=budget, use_memo=use_memo),
         ),
         ref.nodes,
     )
@@ -241,3 +242,32 @@ def test_horizon_zero_matches_reference(tiger):
     check_value(tiger, b, 0)
     check_q(tiger, b, 0)
     check_policy(tiger, belief_policy(tiger), b, 0)
+
+
+@pytest.mark.parametrize("name", ["tiger", "random-n4"])
+def test_hash_collisions_fall_back_to_a_key_sort(name, monkeypatch, lexsort_calls):
+    """With every belief hashed alike, each level is grouped by a lexsort of
+    its keys: the same nodes, values and policy rows, bit for bit."""
+    if name == "tiger":
+        model, horizon = load_pomdp(DATA / "tiger.POMDP"), 8
+    else:
+        model, horizon = random_pomdp(4, 2, 2, 2, seed=1207, discount=0.4), 4
+    b = model.initial_belief
+    policy = belief_policy(model)
+    hashed = (
+        exact_value(model, b, horizon),
+        exact_q(model, b, 1, horizon),
+        evaluate_policy(model, policy, b, horizon),
+    )
+    assert not lexsort_calls
+    monkeypatch.setattr(oraclemod, "HASH_MULTIPLIER", np.uint64(0))  # every hash 0
+    sorted_by_key = (
+        exact_value(model, b, horizon),
+        exact_q(model, b, 1, horizon),
+        evaluate_policy(model, policy, b, horizon),
+    )
+    assert lexsort_calls
+    assert sorted_by_key == hashed
+    check_value(model, b, horizon)
+    check_q(model, b, horizon)
+    check_policy(model, policy, b, horizon)
