@@ -72,6 +72,7 @@ def build_delta_grid(
         discount=model.discount,
         state_cap=state_cap,
         cap_hint="raise --state-cap or use a larger delta",
+        radius=k,
         name="simplex grid",
     )
     grid.diagnostics = {"mode": "simplex", "resolution": k}

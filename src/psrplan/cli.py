@@ -7,6 +7,7 @@ fields so reports from identical runs are byte-identical.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -116,6 +117,11 @@ def build_parser():
     p_cmp.add_argument("--grid-mode", choices=("reachable", "full"),
                        default="reachable")
     return parser
+
+
+# main parses with one parser per process: building one takes about a
+# millisecond, a visible share of a small model's run
+_parser = functools.cache(build_parser)
 
 
 def _atomic_write(path, text):
@@ -378,8 +384,7 @@ def cmd_compare(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"plan": cmd_plan, "baseline": cmd_baseline, "compare": cmd_compare}
     try:
         return handlers[args.command](args)

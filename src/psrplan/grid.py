@@ -75,19 +75,47 @@ class PlanResult:
 
 
 class Interner:
-    """Integer rows -> ids, new rows numbered in order of first occurrence.
+    """Integer rows in the cube [-radius, radius]^dim -> ids, new rows
+    numbered in order of first occurrence.
 
-    Rows are compared through a fixed-width byte view, kept sorted for
-    ``searchsorted``; the byte order is arbitrary but total, which is all
-    the lookup needs.  ``coords`` holds the distinct rows in id order;
-    ``find`` looks rows up without interning them.
+    Each row is one key, and the keys are kept sorted for ``searchsorted``.
+    Where (2 radius + 1)^dim fits in int64 the key is the row's mixed-radix
+    number (row + radius) @ (2 radius + 1)^arange(dim), distinct for every
+    point of the cube.  Wider lattices, such as rank 12 at any epsilon or 12
+    hidden states at delta 0.05, are keyed by a fixed-width byte view of the
+    row, whose order is arbitrary but total, which is all the lookup needs.
+    Ids do not depend on the key kind.  ``coords`` holds the distinct rows
+    in id order; ``find`` looks rows up without interning them.  A row
+    outside the cube raises when interned and is never found.
     """
 
-    def __init__(self, dim):
-        self.key_type = np.dtype((np.void, 8 * dim))
-        self.keys = np.empty(0, dtype=self.key_type)  # sorted
+    def __init__(self, dim, radius):
+        self.dim, self.radius = dim, int(radius)
+        side = 2 * self.radius + 1
+        if side**dim <= np.iinfo(np.int64).max:  # Python ints, exact
+            self.radix = side ** np.arange(dim, dtype=np.int64)
+            key_type = np.dtype(np.int64)
+        else:
+            self.radix = None
+            key_type = np.dtype((np.void, 8 * dim))
+        self.keys = np.empty(0, dtype=key_type)  # sorted
         self.ids = np.empty(0, dtype=np.int64)  # id of each sorted key
         self.coords = np.empty((0, dim), dtype=np.int64)  # rows in id order
+
+    def _rows(self, coords):
+        coords = np.ascontiguousarray(coords, dtype=np.int64)
+        # one key per row: an unstacked point fails here, not later
+        if coords.ndim != 2 or coords.shape[1] != self.dim:
+            raise ValueError(
+                f"expected a (k, {self.dim}) stack of lattice points, got shape {coords.shape}"
+            )
+        return coords
+
+    def _keys(self, coords):
+        """One key per row of a (k, dim) stack inside the cube."""
+        if self.radix is None:
+            return coords.view(self.keys.dtype).reshape(len(coords))
+        return (coords + self.radius) @ self.radix
 
     def _lookup(self, keys):
         """Sorted positions of keys, and their ids or -1 where not interned."""
@@ -100,14 +128,19 @@ class Interner:
 
     def find(self, coords):
         """Ids of the rows of a (k, dim) stack, -1 for rows never interned."""
-        coords = np.ascontiguousarray(coords, dtype=np.int64)
-        # one key per row: an unstacked point of dim > 1 fails here, not later
-        return self._lookup(coords.view(self.key_type).reshape(len(coords)))[1]
+        coords = self._rows(coords)
+        inside = ((coords >= -self.radius) & (coords <= self.radius)).all(axis=1)
+        ids = np.full(len(coords), -1, dtype=np.int64)
+        ids[inside] = self._lookup(self._keys(coords[inside]))[1]
+        return ids
 
     def __call__(self, coords):
-        coords = np.ascontiguousarray(coords, dtype=np.int64)
-        keys = coords.view(self.key_type).reshape(-1)
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        coords = self._rows(coords)
+        if coords.size and (coords.min() < -self.radius or coords.max() > self.radius):
+            raise ValueError(f"lattice point outside [-{self.radius}, {self.radius}]^{self.dim}")
+        uniq, first, inverse = np.unique(
+            self._keys(coords), return_index=True, return_inverse=True
+        )
         pos, uid = self._lookup(uniq)
         unseen = uid < 0
         fresh = np.flatnonzero(unseen)
@@ -128,14 +161,17 @@ def closure(
     discount,
     state_cap,
     cap_hint,
+    radius,
     name="grid",
-    box=None,
+    full=False,
 ):
     """Closure of the lattice point ``start`` under ``expand``, as a GridMdp.
 
-    With ``box`` given, every point of the cube [-box, box]^dim gets an id
-    first, in C order, then ``start``.  States are expanded in id order, up
-    to BLOCK_STATES at a time: ``expand(coords)`` maps a (k, dim) block to
+    Every lattice point lies in the cube [-radius, radius]^dim, whose size
+    sets the closure's key kind (see ``Interner``).  With ``full``, every
+    point of the cube gets an id first, in C order, then ``start``.  States
+    are expanded in id order, up to BLOCK_STATES at a time:
+    ``expand(coords)`` maps a (k, dim) block to
     ``(row, succ, weight, rewards)``, where entry i leads from the flat
     block row ``row[i]`` (state offset * n_actions + action) to lattice
     point ``succ[i]`` with weight ``weight[i]``, and ``rewards`` is
@@ -150,7 +186,7 @@ def closure(
     """
     start = np.asarray(start, dtype=np.int64).reshape(1, -1)
     dim = start.shape[1]
-    intern = Interner(dim)
+    intern = Interner(dim, radius)
 
     def capped(coords):
         ids = intern(coords)
@@ -160,14 +196,14 @@ def closure(
             )
         return ids
 
-    if box is not None:
-        side = 2 * box + 1
+    if full:
+        side = 2 * radius + 1
         if side**dim > state_cap:
             raise StateCapExceededError(
                 f"full lattice has {side}^{dim} states, above the cap of "
                 f"{state_cap}; {cap_hint}"
             )
-        intern(np.indices((side,) * dim).reshape(dim, -1).T - box)
+        intern(np.indices((side,) * dim).reshape(dim, -1).T - radius)
     initial_state = int(capped(start)[0])
 
     counts, succ_parts, prob_parts, reward_parts = [], [], [], []

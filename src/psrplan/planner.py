@@ -30,40 +30,50 @@ class SignalDynamics:
     v: np.ndarray  # (A, Z, r): P(z | basis state i, a)
     W: np.ndarray  # (A, Z, r, r): P((a,z) followed by core test j | basis state i)
     rho: np.ndarray  # (A, r): expected one-step reward from basis state i
+    # (r, A * Z * r): column (a * Z + z) * r + j of row i is G[a, z][i, j],
+    # the step operator G[a, z] = W[a, z] M⁻¹ laid out for one matrix product
+    G: np.ndarray
     n_rewards: int = 1  # reward values per observation, for Signal -> z index
 
 
 def precompute_dynamics(model: PomdpModel, spanner: SpannerBasis) -> SignalDynamics:
-    """One-step signal probabilities, test extensions and rewards per basis state.
+    """One-step signal probabilities, test extensions, rewards and step
+    operators per basis state.
 
-    Read from discovery's extensions, symbol a * Z + z for signal z.  W and v
-    are contiguous: ``step_block``'s einsums round differently on strided views."""
+    Read from discovery's extensions, symbol a * Z + z for signal z.  v is
+    contiguous: ``step_block``'s einsum rounds differently on a strided
+    view.  G comes from ``solve_coefficients``, so it passes the one
+    conditioning guard; in coefficient space an (a, z) step is then the
+    fixed linear map alpha -> alpha G[a, z], rescaled by p."""
     dec = spanner.decomposition
-    na, nz = model.n_actions, model.n_signals
-    ext = dec.extensions.reshape(model.n, na, nz, dec.rank)
+    na, nz, r = model.n_actions, model.n_signals, dec.rank
+    ext = dec.extensions.reshape(model.n, na, nz, r)
     W = np.ascontiguousarray(ext[dec.basis_states].transpose(1, 2, 0, 3))
     v = np.ascontiguousarray(W[..., 0])  # extension of the empty test
     signal_rewards = np.tile(model.reward_values, model.n_observations)
     rho = np.einsum("azi,z->ai", v, signal_rewards)
-    return SignalDynamics(v=v, W=W, rho=rho, n_rewards=model.n_rewards)
+    G = np.ascontiguousarray(solve_coefficients(dec, W)[0].transpose(2, 0, 1, 3).reshape(r, -1))
+    return SignalDynamics(v=v, W=W, rho=rho, G=G, n_rewards=model.n_rewards)
 
 
-def step_block(dyn: SignalDynamics, spanner: SpannerBasis, alpha):
+def step_block(dyn: SignalDynamics, alpha):
     """Every (action, signal) step from each row of a (k, r) coefficient block.
 
     Returns (p, beta): p (k, A, Z) holds the signal probabilities under the
     linear belief extension, clipped to [0, 1]; beta (k, A, Z, r) holds the
-    successor coefficients before clamping, meaningful where p > P_MIN.
+    successor coefficients alpha G[a, z] / p before clamping, meaningful
+    where p > P_MIN.  beta is one matrix product; p keeps its own einsum,
+    whose sums round as the grid's stored probabilities always have.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
+    na, nz, r = dyn.v.shape
     p = np.clip(np.einsum("ki,azi->kaz", alpha, dyn.v), 0.0, 1.0)
-    q = np.einsum("ki,azij->kazj", alpha, dyn.W)
-    q /= np.where(p > P_MIN, p, 1.0)[..., None]
-    beta, _ = solve_coefficients(spanner.decomposition, q)
+    beta = (alpha @ dyn.G).reshape(-1, na, nz, r)
+    beta /= np.where(p > P_MIN, p, 1.0)[..., None]
     return p, beta
 
 
-def step_coefficients(dyn: SignalDynamics, spanner: SpannerBasis, alpha, a, sig):
+def step_coefficients(dyn: SignalDynamics, alpha, a, sig):
     """One (action, signal) step on a coefficient vector: one row of step_block.
 
     Returns (p, beta): the signal probability under the linear belief
@@ -71,7 +81,7 @@ def step_coefficients(dyn: SignalDynamics, spanner: SpannerBasis, alpha, a, sig)
     or (p, None) when the branch carries no usable probability.
     """
     z = sig.observation * dyn.n_rewards + sig.reward if isinstance(sig, Signal) else int(sig)
-    p, beta = step_block(dyn, spanner, np.asarray(alpha, dtype=np.float64)[None])
+    p, beta = step_block(dyn, np.asarray(alpha, dtype=np.float64)[None])
     p = float(p[0, a, z])
     if p <= P_MIN:
         return p, None
@@ -126,18 +136,22 @@ def build_grid(
         "maxClampDrift": 0.0,
         "rewardClamps": 0,
     }
-    na = model.n_actions
+    na, nz = model.n_actions, model.n_signals
 
     def expand(coords):
         alpha = coords * mesh
-        p, beta = step_block(dyn, spanner, alpha)
-        keep = p > P_MIN
-        states, actions, _ = np.nonzero(keep)  # (state, action, signal) order
-        row = states * na + actions
-        beta = beta[keep]
-        drift = np.abs(beta).max(axis=1) - COEFF_BOUND
-        clamped = drift > 1e-12
-        if clamped.any():
+        p, beta = step_block(dyn, alpha)
+        # kept branches in (state, action, signal) order; flat index
+        # (state * A + action) * Z + signal
+        kept = np.flatnonzero(p > P_MIN)
+        row = kept // nz
+        beta = beta.reshape(-1, beta.shape[-1])[kept]
+        size = np.abs(beta)
+        # one reduction over the block finds whether any row drifts; the
+        # per-row maxima, a slow reduction over r, only run when one does
+        if size.max(initial=0.0) - COEFF_BOUND > 1e-12:
+            drift = size.max(axis=1) - COEFF_BOUND
+            clamped = drift > 1e-12
             diagnostics["clampEvents"] += int(np.unique(row[clamped]).size)
             diagnostics["maxClampDrift"] = max(
                 diagnostics["maxClampDrift"], float(drift[clamped].max())
@@ -145,7 +159,7 @@ def build_grid(
         succ = round_to_grid(np.clip(beta, -COEFF_BOUND, COEFF_BOUND), mesh)
         rewards = alpha @ dyn.rho.T
         diagnostics["rewardClamps"] += int(np.count_nonzero((rewards < 0.0) | (rewards > 1.0)))
-        return row, succ, p[keep], np.clip(rewards, 0.0, 1.0)
+        return row, succ, p.reshape(-1)[kept], np.clip(rewards, 0.0, 1.0)
 
     grid, dead_rows = gridmod.closure(
         g0,
@@ -155,7 +169,8 @@ def build_grid(
         discount=model.discount,
         state_cap=state_cap,
         cap_hint="raise --state-cap or use a larger epsilon",
-        box=m_max if mode == "full" else None,
+        radius=m_max,
+        full=mode == "full",
     )
     grid.diagnostics = dict(diagnostics, deadEnds=dead_rows)
     return grid

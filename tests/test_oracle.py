@@ -202,7 +202,7 @@ HASHES = {
 def test_dedupe_numbers_rows_as_one_interner_call(seed, hash_name, lexsort_calls):
     keys = planted_keys(seed)
     ids, first = dedupe(keys, HASHES[hash_name](keys), lambda rows: rows)
-    expected = Interner(keys.shape[1])(keys)
+    expected = Interner(keys.shape[1], 2**40)(keys)
     np.testing.assert_array_equal(ids, expected)
     np.testing.assert_array_equal(first, np.unique(expected, return_index=True)[1])
     # the real hash has no collision here; the others force the key sort

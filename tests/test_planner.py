@@ -9,6 +9,7 @@ from psrplan.decomposition import discover_basis, improve_to_spanner, solve_coef
 from psrplan.errors import ConvergenceError, StateCapExceededError, ValidationError
 from psrplan.model import Signal, belief_update, sequence_probability
 from psrplan.planner import (
+    P_MIN,
     SignalDynamics,
     act,
     belief_coefficients,
@@ -39,7 +40,8 @@ def test_fair_coin_dynamics(fair_coin):
 
 
 def reference_dynamics(model, span):
-    """The per-symbol ``mu[σ] @ U`` loop precompute_dynamics replaced."""
+    """The per-symbol ``mu[σ] @ U`` loop precompute_dynamics replaced, with
+    the step operators derived from its own W."""
     dec = span.decomposition
     ma, nr = from_pomdp(model), model.n_rewards
     W = np.zeros((model.n_actions, model.n_signals, dec.rank, dec.rank))
@@ -50,21 +52,29 @@ def reference_dynamics(model, span):
                 W[a, o * nr + rr] = ext[dec.basis_states]
     v = W[..., 0].copy()
     rho = np.einsum("azi,z->ai", v, np.tile(model.reward_values, model.n_observations))
-    return SignalDynamics(v=v, W=W, rho=rho, n_rewards=nr)
+    G = np.ascontiguousarray(solve_coefficients(dec, W)[0].transpose(2, 0, 1, 3).reshape(dec.rank, -1))
+    return SignalDynamics(v=v, W=W, rho=rho, G=G, n_rewards=nr)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dynamics_match_the_symbol_loop_bit_for_bit(seed):
-    # step_block's einsums round differently on strided W and v, so the
-    # steps are compared as well as the arrays
+    # step_block's einsum rounds differently on a strided v, so the steps
+    # are compared as well as the arrays
     m = random_pomdp(5, 2, 2, 2, seed=seed)
     span = make_spanner(m)
+    dec = span.decomposition
     dyn, ref = precompute_dynamics(m, span), reference_dynamics(m, span)
-    for name in ("v", "W", "rho"):
+    for name in ("v", "W", "rho", "G"):
         np.testing.assert_array_equal(getattr(dyn, name), getattr(ref, name), err_msg=name)
-    alpha = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(200, span.decomposition.rank))
-    for got, want in zip(step_block(dyn, span, alpha), step_block(ref, span, alpha)):
+    alpha = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(200, dec.rank))
+    p, beta = step_block(dyn, alpha)
+    for got, want in zip((p, beta), step_block(ref, alpha)):
         np.testing.assert_array_equal(got, want)
+    # the per-block solve against M that the step operators replaced
+    q = np.einsum("ki,azij->kazj", alpha, dyn.W)
+    q /= np.where(p > P_MIN, p, 1.0)[..., None]
+    np.testing.assert_array_equal(p, np.clip(np.einsum("ki,azi->kaz", alpha, dyn.v), 0.0, 1.0))
+    np.testing.assert_allclose(beta, solve_coefficients(dec, q)[0], rtol=0.0, atol=1e-12)
 
 
 def test_signal_probabilities_sum_to_one():
@@ -120,7 +130,7 @@ def test_step_from_basis_corner_matches_filter():
         e = np.eye(m.n)[s]
         for a in range(m.n_actions):
             for z in range(m.n_signals):
-                p, beta = step_coefficients(dyn, span, alpha, a, z)
+                p, beta = step_coefficients(dyn, alpha, a, z)
                 p_ref, post = belief_update(m, e, a, z)
                 assert p == pytest.approx(p_ref, abs=1e-10)
                 if beta is None:
@@ -134,7 +144,7 @@ def test_step_from_basis_corner_matches_filter():
 def test_step_accepts_signal_tuples(fair_coin):
     span = make_spanner(fair_coin)
     dyn = precompute_dynamics(fair_coin, span)
-    p, beta = step_coefficients(dyn, span, np.array([1.0]), 0, Signal(0, 0))
+    p, beta = step_coefficients(dyn, np.array([1.0]), 0, Signal(0, 0))
     assert p == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(beta, [1.0], atol=1e-12)
 
@@ -149,7 +159,7 @@ def test_step_total_probability_for_genuine_beliefs():
         alpha = belief_coefficients(span, b)
         for a in range(m.n_actions):
             total = sum(
-                step_coefficients(dyn, span, alpha, a, z)[0]
+                step_coefficients(dyn, alpha, a, z)[0]
                 for z in range(m.n_signals)
             )
             assert total == pytest.approx(1.0, abs=1e-9)
