@@ -1,17 +1,22 @@
 """Command-line front end: plan, baseline, and compare on .POMDP files.
 
-Exit codes: 0 success, 2 validation/parse failures, 3 resource budgets
-(grid state cap, oracle node budget).  All JSON outputs are written
-atomically and carry a schemaVersion; --no-timings strips wall-clock
-fields so reports from identical runs are byte-identical.
+Exit codes: 0 success, 2 validation/parse failures and unreadable or
+unwritable files, 3 resource budgets (grid state cap, oracle node
+budget).  All JSON outputs are written atomically, exactly as
+``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, and
+carry a schemaVersion; --no-timings strips wall-clock fields so reports
+from identical runs are byte-identical.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
 import time
+
+import numpy as np
 
 from . import baseline as baselinemod
 from . import decomposition as decompmod
@@ -125,14 +130,53 @@ _parser = functools.cache(build_parser)
 
 
 def _atomic_write(path, text):
+    """Write text to path through path.tmp, which a failed write removes."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+# with indent set, json.dumps runs the pure-Python encoder; without it the
+# C encoder writes a numeric list, and the indentation is spliced in after
+_COMPACT = json.JSONEncoder(separators=(", ", ": "))
+
+
+def _dumps(obj, pad=""):
+    """``json.dumps(obj, sort_keys=True, indent=2)``, nested at indent ``pad``.
+
+    Numeric 1-D and 2-D ndarrays, and dicts that hold one, are encoded by
+    the C encoder.  No int or float repr contains ", " or "], [", so
+    replacing those separators gives the indented layout byte for byte.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and any(isinstance(v, np.ndarray) for v in obj.values()):
+        items = ",\n".join(
+            f"{inner}{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)
+        )
+        return f"{{\n{items}\n{pad}}}"
+    if isinstance(obj, np.ndarray):
+        if obj.size and obj.ndim in (1, 2) and obj.dtype.kind in "biuf":
+            text = _COMPACT.encode(obj.tolist())
+            if obj.ndim == 1:
+                return f"[\n{inner}" + text[1:-1].replace(", ", ",\n" + inner) + f"\n{pad}]"
+            deeper = inner + "  "
+            body = text[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deeper}")
+            body = body.replace(", ", ",\n" + deeper)
+            return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
+        obj = obj.tolist()
+    text = json.dumps(obj, sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + pad) if pad else text
 
 
 def _write_json(path, payload):
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, _dumps(payload) + "\n")
 
 
 def _strip_timings(obj):
@@ -394,7 +438,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, PsrPlanError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing model, or an output that cannot be written
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

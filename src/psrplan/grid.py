@@ -21,7 +21,7 @@ logger = logging.getLogger("psrplan")
 
 MAX_VI_ITERATIONS = 1_000_000
 P_MIN = 1e-9  # branches and rows at or below this probability are dropped
-BLOCK_STATES = 256  # states expanded per batch; state ids do not depend on it
+BLOCK_STATES = 256  # states expanded per batch; see closure for what depends on it
 
 
 @dataclass
@@ -177,7 +177,10 @@ def closure(
     point ``succ[i]`` with weight ``weight[i]``, and ``rewards`` is
     (k, n_actions).  Entries must come in (state, action, ...) order; new
     points are then numbered as a one-state-at-a-time FIFO expansion would
-    number them, whatever the block size.
+    number them, whatever the block size.  So ids, ``succ`` and ``prob``
+    do not depend on BLOCK_STATES; ``rewards`` are what ``expand`` returns,
+    and where it computes them by one BLAS product per block (as the
+    planner does) their rounding may follow the block's shape by ulps.
 
     Duplicate (row, successor) entries merge by summing their weights, rows
     are renormalized, and a row of total weight at most P_MIN becomes a
@@ -341,12 +344,16 @@ def solve(grid: GridMdp, vi_tol: float = 1e-4) -> PlanResult:
 
 
 def plan_to_json_dict(grid: GridMdp, plan: PlanResult) -> dict:
-    """Policy/value dump with integer lattice coordinates."""
+    """Policy/value dump with integer lattice coordinates.
+
+    ``states``, ``values`` and ``policy`` stay ndarrays, which the CLI's
+    JSON writer encodes in one C-encoder call each.
+    """
     return {
         "mesh": grid.mesh,
-        "states": grid.coords.tolist(),
-        "values": plan.values.tolist(),
-        "policy": plan.policy.tolist(),
+        "states": grid.coords,
+        "values": plan.values,
+        "policy": plan.policy,
         "initialState": grid.initial_state,
         "residual": plan.residual,
         "iterations": plan.iterations,

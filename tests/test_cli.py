@@ -118,6 +118,22 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert err != ""
 
 
+@pytest.mark.parametrize("which", ["--json-out", "--policy-out"])
+def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, capsys, which):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    other = "--policy-out" if which == "--json-out" else "--json-out"
+    code, _, err = run_cli(
+        ["plan", DATA / "tiger.POMDP", which, taken, other, tmp_path / "other.json"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error (plan): ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "taken.tmp").exists()
+    assert taken.is_dir() and not any(taken.iterdir())
+
+
 def test_baseline_delta_one_keeps_only_corners(tmp_path, capsys):
     report = tmp_path / "report.json"
     policy = tmp_path / "policy.json"

@@ -1,0 +1,112 @@
+"""The CLI's JSON writer matches json.dumps(sort_keys=True, indent=2) byte for byte."""
+
+import json
+
+import numpy as np
+import pytest
+
+from psrplan import cli
+
+
+def reference(obj):
+    """What the writer must produce: the stdlib encoder on plain lists."""
+
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [plain(v) for v in x]
+        if isinstance(x, np.ndarray):
+            return x.tolist()
+        return x
+
+    return json.dumps(plain(obj), sort_keys=True, indent=2)
+
+
+ARRAYS = {
+    "empty vector": np.zeros(0),
+    "empty rows": np.zeros((0, 3), dtype=np.int64),
+    "empty columns": np.zeros((4, 0), dtype=np.int64),
+    "rank-1 coordinates": np.array([[-3], [0], [7]], dtype=np.int64),
+    "one row": np.array([[1, -2, 3]], dtype=np.int64),
+    "one element": np.array([0.25]),
+    "one-by-one": np.array([[5]], dtype=np.int64),
+    "int32 policy": np.array([0, 2, 1, 1], dtype=np.int32),
+    "float edge values": np.array(
+        [np.nan, -0.0, 0.0, 1e-300, 5e-324, 1e16, -1e16, np.inf, -np.inf, 0.1 + 0.2]
+    ),
+    "ints near 2**63": np.array([2**63 - 1, -(2**63), -(2**63) + 1], dtype=np.int64),
+    "uint64 near 2**64": np.array([2**64 - 1, 0], dtype=np.uint64),
+    "float rows": np.array([[1.5, -0.0], [np.nan, 1e-300], [5e-324, 1e16]]),
+    "bools": np.array([True, False]),
+    "strings holding separators": np.array(["x, y", "], [", "z"]),
+    "rank 3": np.arange(8, dtype=np.int64).reshape(2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_array_alone_and_in_a_payload(name):
+    arr = ARRAYS[name]
+    assert cli._dumps(arr) == reference(arr)
+    payload = {"states": arr, "mesh": 0.05, "initialState": 0}
+    assert cli._dumps(payload) == reference(payload)
+
+
+def test_policy_payload_mixing_arrays_and_scalars():
+    payload = {
+        "mesh": 1 / 30,
+        "states": np.array([[0, 30, -30], [1, 29, -30], [2, 28, -30]], dtype=np.int64),
+        "values": np.array([10.000000000000002, -3.5, float("nan")]),
+        "policy": np.array([1, 0, 2], dtype=np.int32),
+        "initialState": 0,
+        "residual": 7.1e-05,
+        "iterations": 93,
+        "metadata": {"gridMode": "reachable", "stageSeconds": {"solve": 0.01}},
+        "schemaVersion": 4,
+        "nested": {"inner": np.array([1.0, 2.0]), "label": "a, b], [c\n"},
+    }
+    assert cli._dumps(payload) == reference(payload)
+
+
+REPORTS = {
+    "sweep rows": {
+        "sweep": [
+            {"epsilon": 0.1, "mesh": 0.0333, "gridStates": 120, "value": 1.25},
+            {"epsilon": 0.05, "mesh": 0.0166, "gridStates": 400, "value": 1.5},
+        ]
+    },
+    "core tests and NaN maxCoefficient": {
+        "basis": {
+            "coreTests": [[], [["listen", "hear-left"]], [["a", "o1"], ["b", "o2"]]],
+            "maxCoefficient": float("nan"),
+            "M": [[1.0, 0.5], [0.0, -0.0]],
+            "detLogLedger": [],
+        },
+        "empty": {},
+    },
+    "scalars and strings": {"command": "plan", "pass": True, "gap": None, "x": "é\t\"q\""},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_reports_without_arrays(name):
+    report = REPORTS[name]
+    assert cli._dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_write_json_ends_with_a_newline(tmp_path):
+    payload = {"values": np.array([1.0, 2.0]), "mesh": 0.5}
+    cli._write_json(tmp_path / "p.json", payload)
+    assert (tmp_path / "p.json").read_text(encoding="utf-8") == reference(payload) + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
+
+
+def test_strip_timings_passes_arrays_through():
+    states = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    values = np.array([0.5, 1.5])
+    stripped = cli._strip_timings(
+        {"states": states, "values": values, "metadata": {"stageSeconds": {"a": 1.0}}}
+    )
+    assert stripped["states"] is states
+    assert stripped["values"] is values
+    assert stripped["metadata"] == {}

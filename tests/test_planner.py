@@ -264,6 +264,25 @@ def test_block_size_does_not_change_the_grid(monkeypatch, tiger, builder):
     assert batched.diagnostics == fifo.diagnostics
 
 
+@pytest.mark.parametrize("block", [1, 512])
+def test_block_size_moves_rewards_by_ulps_only(monkeypatch, block):
+    # ids, successors and probabilities are exact at any block size; the
+    # rewards are one BLAS product per block, whose rounding may follow the
+    # block's shape
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    span = make_spanner(m)
+    assert span.decomposition.rank == 3
+    dyn = precompute_dynamics(m, span)
+    reference = build_grid(m, span, dyn, epsilon=0.1)
+    monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
+    other = build_grid(m, span, dyn, epsilon=0.1)
+    assert reference.n_states > 512
+    for key in ("coords", "indptr", "succ", "prob"):
+        np.testing.assert_array_equal(getattr(reference, key), getattr(other, key))
+    ulp = np.spacing(np.abs(reference.rewards).max())
+    np.testing.assert_allclose(other.rewards, reference.rewards, rtol=0, atol=4 * ulp)
+
+
 def test_epsilon_validated(tiger):
     span = make_spanner(tiger)
     dyn = precompute_dynamics(tiger, span)
