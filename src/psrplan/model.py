@@ -137,7 +137,7 @@ def check_belief(b: np.ndarray, n: int, tol: float = 1e-10) -> np.ndarray:
 
 def _clean_probabilities(v: np.ndarray) -> np.ndarray:
     """Clamp tiny negatives to 0; genuinely negative entries are an error."""
-    if np.any(v < -DRIFT_TOL):
+    if v.min(initial=0.0) < -DRIFT_TOL:
         raise ValidationError(f"probability went negative: {v.min():.3e}")
     return np.maximum(v, 0.0)
 
@@ -162,36 +162,105 @@ def belief_update(model: PomdpModel, b: np.ndarray, a: int, sig):
     return p, post
 
 
+def state_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, bit for bit as numpy's ``sum`` adds a
+    contiguous row: one elementwise add per row of x.
+
+    numpy sums a row of fewer than 8 numbers in order and a row of up to
+    128 in eight interleaved accumulators, combined pairwise, plus the rest
+    in order; a longer row is the sum of its two halves, split at a
+    multiple of 8.  It starts from +0.0, so a row of -0.0 sums to +0.0;
+    adding +0.0 to the first rows does the same and changes nothing else.
+    """
+    n = x.shape[0]
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return state_sum(x[:half]) + state_sum(x[half:])
+    if n < 8:
+        total = x[0] + 0.0
+        for row in x[1:]:
+            total += row
+        return total
+    acc = x[:8] + 0.0
+    for lo in range(8, n - n % 8, 8):
+        acc += x[lo : lo + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in x[n - n % 8 :]:
+        total += row
+    return total
+
+
+def check_actions(actions, k: int, n_actions: int) -> np.ndarray:
+    """``actions`` as a (k, m) int64 stack, checked to hold actions in
+    [0, n_actions); ValidationError otherwise."""
+    actions = np.asarray(actions, dtype=np.int64)
+    if actions.ndim != 2 or actions.shape[0] != k:
+        raise ValidationError(
+            f"actions must be a ({k}, m) stack for {k} beliefs, got shape {actions.shape}"
+        )
+    # as uint64 a negative action is above 2**63, so one maximum checks both ends
+    if actions.view(np.uint64).max(initial=0) >= n_actions:
+        bad = actions[(actions < 0) | (actions >= n_actions)][0]
+        raise ValidationError(f"action {bad} outside [0, {n_actions})")
+    return actions
+
+
+def belief_update_state_major(model: PomdpModel, beliefs: np.ndarray, actions=None):
+    """belief_update_batch with the hidden state leading and the stack of
+    beliefs innermost: ``(p, post)`` shaped (m, Z, k) and (n, m, Z, k).
+
+    The push-forward is belief_update's, one matrix-vector product per
+    belief and action: a matrix product over the stack would sum in another
+    order and move the ties that simplex rounding breaks.  Everything after
+    it (the emission product, the clamp, the two sums over states and the
+    divisions) is one elementwise pass over the k beliefs per hidden state,
+    and ``state_sum`` adds the states in the order numpy sums a row, so
+    every entry is belief_update's bit for bit.
+    """
+    beliefs = np.asarray(beliefs, dtype=np.float64)
+    k = beliefs.shape[0]
+    if actions is None:
+        # one copy of every action, broadcast over the rows
+        transition = model.transition[:, np.newaxis]
+        emit = model.signal_kernel[..., np.newaxis]  # (n, A, Z, 1)
+    else:
+        actions = check_actions(actions, k, model.n_actions)
+        transition = model.transition[:, actions]
+        # (n, Z, m, k): gathered with the stack innermost
+        emit = model.signal_kernel.transpose(0, 2, 1).take(actions.T, axis=2)
+        emit = emit.transpose(0, 2, 1, 3)
+    # each row's [s', s] matrix keeps belief_update's strides (s' contiguous)
+    pushed = np.matvec(transition.transpose(1, 2, 3, 0), beliefs[:, None, :])
+    joint = np.empty((model.n, pushed.shape[1], model.n_signals, k))
+    np.multiply(pushed.transpose(2, 1, 0)[:, :, np.newaxis], emit, out=joint)
+    joint = _clean_probabilities(joint)
+    p = state_sum(joint)
+    possible = p > 0.0
+    # where p = 0 every entry of joint is +0.0 (the clamp maps -0.0 to
+    # +0.0), so dividing by 1 there leaves the all-zero posterior
+    post = np.divide(joint, np.where(possible, p, 1.0), out=joint)
+    total = state_sum(post)
+    drifted = possible & (np.abs(total - 1.0) > DRIFT_TOL)
+    if drifted.any():
+        np.divide(post, np.where(drifted, total, 1.0), out=post)
+    return p, post
+
+
 def belief_update_batch(model: PomdpModel, beliefs: np.ndarray, actions=None):
     """belief_update for every signal of each searched action from each row
     of ``beliefs``.
 
     ``actions`` is a (k, m) stack of the actions searched from each row, by
-    default all A of them.  Returns ``(p, post)`` with shapes (k, m, Z) and
-    (k, m, Z, n).  Where ``p <= 0`` the posterior is all zeros
-    (belief_update returns None).  Every other entry equals belief_update's
-    bit for bit: the push-forward is one matrix-vector product per belief
-    and action, as there, since a matrix product over the stack would sum
-    in another order and move the ties that simplex rounding breaks.
+    default all A of them; a stack of another shape, or holding an action
+    outside [0, A), raises ValidationError.  Returns ``(p, post)`` with
+    shapes (k, m, Z) and (k, m, Z, n), as views of
+    ``belief_update_state_major``'s arrays.  Where ``p <= 0`` the posterior
+    is all +0.0 (belief_update returns None).  Every other entry equals
+    belief_update's bit for bit.
     """
-    beliefs = np.asarray(beliefs, dtype=np.float64)
-    # None broadcasts one copy of every action over the rows; a stack
-    # gathers each row's actions.  Either way a row's [s', s] matrix keeps
-    # belief_update's strides (s' contiguous).
-    searched = np.newaxis if actions is None else np.asarray(actions, dtype=np.int64)
-    transition = model.transition[:, searched].transpose(1, 2, 3, 0)
-    pushed = np.matvec(transition, beliefs[:, None, :])
-    # C order along the state axis, so each row's sum is the same pairwise sum
-    emit = np.ascontiguousarray(model.signal_kernel.transpose(1, 2, 0))[searched]
-    joint = pushed[:, :, None, :] * emit
-    joint = _clean_probabilities(joint)
-    p = joint.sum(axis=-1)
-    possible = p[..., None] > 0.0
-    post = np.divide(joint, p[..., None], out=np.zeros_like(joint), where=possible)
-    total = post.sum(axis=-1, keepdims=True)
-    drifted = possible & (np.abs(total - 1.0) > DRIFT_TOL)
-    np.divide(post, total, out=post, where=drifted)
-    return p, post
+    p, post = belief_update_state_major(model, beliefs, actions)
+    return p.transpose(2, 0, 1), post.transpose(3, 1, 2, 0)
 
 
 def sequence_probability(model: PomdpModel, b: np.ndarray, test: Test) -> float:

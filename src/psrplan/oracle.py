@@ -7,14 +7,18 @@ truncation slack gamma^(H+1) / (1 - gamma), which callers must account
 for when comparing against infinite-horizon quantities.
 
 The search is level-synchronous and memoized.  A forward pass filters one
-depth level at a time with ``belief_update_batch``, for the searched
-actions only, and merges successors whose beliefs round to the same
-multiple of ``memo_precision``: the first one met stands for all, and ids
-follow first occurrence in (node, action, signal) order, which is the order
-a depth-first search with the same memo would meet them in.  Each level is
-merged once, by one sort of a hash of the rounded beliefs (``dedupe``).  A
-backward pass then sums each level's Q values from the level below, signal
-by signal in the filter's order.
+depth level at a time, for the searched actions only, with
+``belief_update_state_major``: hidden states lead and each block of
+beliefs is innermost, so every step after the push-forward is one
+elementwise pass per hidden state, and posteriors are bit for bit
+``belief_update``'s.  The kept branches' posteriors are gathered by one
+``take`` of columns per block.  The search merges successors whose beliefs
+round to the same multiple of ``memo_precision``: the first one met stands
+for all, and ids follow first occurrence in (node, action, signal) order,
+which is the order a depth-first search with the same memo would meet them
+in.  Each level is merged once, by one sort of a hash of the rounded
+beliefs (``dedupe``).  A backward pass then sums each level's Q values from
+the level below, signal by signal in the filter's order.
 """
 
 import math
@@ -28,7 +32,12 @@ from .grid import BLOCK_STATES
 # Not called here: pipebench/tracer.py wraps psrplan.oracle.belief_update and
 # reports a missing target, so the name stays importable from this module.
 from .model import belief_update  # noqa: F401
-from .model import PomdpModel, belief_update_batch, expected_reward_matrix
+from .model import (
+    PomdpModel,
+    belief_update_state_major,
+    check_actions,
+    expected_reward_matrix,
+)
 
 MEMO_PRECISION = 1e-9
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -147,13 +156,18 @@ class _Search:
         for lo in range(0, beliefs.shape[0], BLOCK_STATES):
             block = slice(lo, lo + BLOCK_STATES)
             searched = None if actions is None else actions[block]
-            p, post = belief_update_batch(self.model, beliefs[block], searched)
-            post = post[p > 0.0]  # (node, action, signal) order
+            p, post = belief_update_state_major(self.model, beliefs[block], searched)
+            # number the (m, Z, k) branches in memory order, then take the
+            # kept ones' posterior columns in (node, action, signal) order
+            cols = np.arange(p.size).reshape(p.shape).transpose(2, 0, 1)
+            p = p.transpose(2, 0, 1)
+            post = post.reshape(post.shape[0], -1).take(cols[p > 0.0], axis=1)
             p_parts.append(p)
             post_parts.append(post)
             if self.config.use_memo:
-                hash_parts.append(row_hash(self._key(post)))
-        p, post = np.concatenate(p_parts), np.concatenate(post_parts)
+                hash_parts.append(row_hash(self._key(post.T)))
+        p = np.concatenate(p_parts)
+        post = np.concatenate(post_parts, axis=1).T  # a row per kept branch
         post_parts.clear()
         if self.config.use_memo:
             hashes = np.concatenate(hash_parts)
@@ -203,7 +217,7 @@ class _Search:
 
 
 def _all_actions(beliefs):
-    return None  # every action, in belief_update_batch's terms
+    return None  # every action, in belief_update_state_major's terms
 
 
 def exact_value(model: PomdpModel, b, horizon: int, config: OracleConfig = None):
@@ -227,12 +241,14 @@ def evaluate_policy(
 
     ``policy`` maps a (k, n) stack of beliefs to k actions.  It is asked
     about each distinct node once: one call per level, the root's included,
-    and one per chunk of ``LEAF_ROWS`` nodes on the last level; a result
-    whose size is not k fails.
+    and one per chunk of ``LEAF_ROWS`` nodes on the last level.  A result
+    whose size is not k fails, and one holding an action outside [0, A)
+    raises ValidationError.
     """
 
     def choose(beliefs):
-        return np.asarray(policy(beliefs), dtype=np.int64).reshape(len(beliefs), 1)
+        actions = np.asarray(policy(beliefs), dtype=np.int64).reshape(len(beliefs), 1)
+        return check_actions(actions, len(beliefs), model.n_actions)
 
     search = _Search(model, config, choose)
     return float(search.root_q(b, horizon)[0])

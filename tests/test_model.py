@@ -14,6 +14,7 @@ from psrplan.model import (
     from_json,
     sample_trajectory,
     sequence_probability,
+    state_sum,
     to_json,
 )
 from psrplan import model as modelmod
@@ -276,9 +277,13 @@ def assert_batch_matches_filter(model, beliefs, actions=None):
                 p_ref, post_ref = belief_update(model, b, a, z)
                 assert p[k, j, z] == p_ref
                 if post_ref is None:
-                    assert not post[k, j, z].any()
-                else:
-                    np.testing.assert_array_equal(post[k, j, z], post_ref)
+                    post_ref = np.zeros(model.n)  # +0.0, not -0.0
+                assert_bits_equal(post[k, j, z], post_ref)
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def random_beliefs(n, count, rng):
@@ -289,7 +294,9 @@ def random_beliefs(n, count, rng):
 
 def test_batched_filter_matches_belief_update():
     rng = np.random.default_rng(19)
-    shapes = ((3, 2, 2, 2), (6, 3, 2, 1), (9, 2, 3, 2))
+    # below 8 states the sums over states run in order; 9 and 17 states
+    # take eight accumulators and a remainder, 130 the split above 128
+    shapes = ((3, 2, 2, 2), (6, 3, 2, 1), (9, 2, 3, 2), (17, 2, 2, 1), (130, 2, 1, 2))
     for seed, (n, na, no, nr) in enumerate(shapes):
         m = random_pomdp(n, na, no, nr, seed=seed, dirichlet=0.3)
         beliefs = random_beliefs(n, 40, rng)
@@ -298,11 +305,37 @@ def test_batched_filter_matches_belief_update():
         for m_searched in (1, 2):
             actions = rng.integers(na, size=(40, m_searched))
             assert_batch_matches_filter(m, beliefs, actions)
+        # an empty stack keeps the documented shapes
+        assert_batch_matches_filter(m, beliefs[:0])
+        assert_batch_matches_filter(m, beliefs[:0], actions[:0])
     # impossible signals: zero probability and an all-zero posterior
     m = fully_observable_chain()
     beliefs = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]])
     assert_batch_matches_filter(m, beliefs)
     assert_batch_matches_filter(m, beliefs, np.array([[1], [0], [1]]))
+    # -0.0 emission entries make -0.0 joint entries, which the clamp maps
+    # to +0.0: the posterior of an impossible signal is still all +0.0
+    m.signal_kernel = np.where(m.signal_kernel == 0.0, -0.0, m.signal_kernel)
+    _, post = belief_update_batch(m, beliefs)
+    assert np.signbit(m.signal_kernel).any() and not np.signbit(post).any()
+    assert_batch_matches_filter(m, beliefs)
+
+
+@pytest.mark.parametrize(
+    "actions, message",
+    [
+        (np.array([[0], [1]]), r"\(3, m\) stack"),  # one row short
+        (np.array([0, 1, 0]), r"\(3, m\) stack"),  # not a stack
+        (np.zeros((3, 1, 1), dtype=np.int64), r"\(3, m\) stack"),
+        (np.array([[0], [-1], [1]]), r"action -1 outside \[0, 2\)"),
+        (np.array([[0, 1], [1, 2], [0, 0]]), r"action 2 outside \[0, 2\)"),
+    ],
+)
+def test_batched_filter_rejects_bad_action_stacks(actions, message):
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    beliefs = random_beliefs(m.n, 3, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match=message):
+        belief_update_batch(m, beliefs, actions)
 
 
 def test_batched_filter_keeps_drift_renormalization(monkeypatch):
@@ -327,3 +360,19 @@ def test_batched_filter_rejects_negative_probability():
         belief_update(m, b[0], 1, 0)
     with pytest.raises(ValidationError, match="negative"):
         belief_update_batch(m, b)
+
+
+def test_state_sum_adds_as_numpy_sums_a_row():
+    rng = np.random.default_rng(23)
+    for n in range(1, 301):
+        # mixed magnitudes and signs, so that the order of the adds shows
+        x = rng.standard_normal((n, 8)) * 10.0 ** rng.integers(-20, 20, size=(n, 8))
+        x[:, 0] = -0.0  # numpy sums from +0.0: a row of -0.0 sums to +0.0
+        x[:, 1] = 0.0
+        x[::2, 2] = -0.0
+        x[:, 3] = np.abs(x[:, 3])
+        got = state_sum(x)
+        rows = np.ascontiguousarray(x.T)
+        assert_bits_equal(got, rows.sum(axis=-1))
+        assert_bits_equal(got, [row.sum() for row in rows])
+    assert not np.signbit(state_sum(np.full((3, 2), -0.0))).any()

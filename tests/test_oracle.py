@@ -81,6 +81,26 @@ def test_policy_must_return_one_action_per_row(tiger):
         evaluate_policy(tiger, lambda beliefs: 0, tiger.initial_belief, 3)
 
 
+@pytest.mark.parametrize("bad", [-1, 2])
+@pytest.mark.parametrize("horizon, where", [(3, "root"), (3, "below"), (1, "below")])
+def test_policy_action_outside_the_model_is_rejected(bad, horizon, where):
+    # -1 used to be evaluated as the last action, and A died in an
+    # IndexError; at horizon 1 the level below the root is the leaves,
+    # which are valued without filtering
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    root = m.initial_belief
+
+    def policy(beliefs):
+        at_root = len(beliefs) == 1 and np.array_equal(beliefs[0], root)
+        return np.full(len(beliefs), bad if at_root == (where == "root") else 1)
+
+    assert evaluate_policy(m, lambda beliefs: np.ones(len(beliefs)), root, 3) == (
+        pytest.approx(2.174879685258355, abs=1e-12)
+    )
+    with pytest.raises(ValidationError, match=rf"action {bad} outside \[0, 2\)"):
+        evaluate_policy(m, policy, root, horizon)
+
+
 def test_value_is_max_of_q(tiger):
     b = np.array([0.3, 0.7])
     H = 6
