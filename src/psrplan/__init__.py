@@ -23,7 +23,6 @@ from .baseline import (
     build_delta_grid,
     plan_baseline,
     simplex_round,
-    solve_baseline,
 )
 from .cassandra import load_pomdp, parse_pomdp
 from .decomposition import (
@@ -96,7 +95,6 @@ __all__ = [
     "build_delta_grid",
     "plan_baseline",
     "simplex_round",
-    "solve_baseline",
     "load_pomdp",
     "parse_pomdp",
     "CoreDecomposition",

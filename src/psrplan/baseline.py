@@ -79,13 +79,6 @@ def build_delta_grid(
     return grid
 
 
-def solve_baseline(grid: gridmod.GridMdp, vi_tol: float = 1e-4) -> gridmod.PlanResult:
-    """Value-iterate the simplex grid (shared engine and result shape)."""
-    result = gridmod.solve(grid, vi_tol)
-    result.grid = grid
-    return result
-
-
 def plan_baseline(
     model: PomdpModel,
     delta: float = 0.05,
@@ -97,7 +90,7 @@ def plan_baseline(
     grid = build_delta_grid(model, delta, state_cap=state_cap)
     timings["buildGrid"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    result = solve_baseline(grid, vi_tol)
+    result = gridmod.solve(grid, vi_tol)
     timings["solve"] = time.perf_counter() - t0
     result.metadata.update(
         {

@@ -17,6 +17,7 @@ conditions on the arriving state only, a file whose reward varies with
 the departing state (on reachable triples) is rejected.
 """
 
+import math
 import re
 
 import numpy as np
@@ -244,40 +245,34 @@ def load_pomdp(path, reward_cap: int = DEFAULT_REWARD_CAP) -> PomdpModel:
         return parse_pomdp(fh.read(), reward_cap=reward_cap)
 
 
-def _keyword_matrix(word, rows, cols, line):
+def _keyword_body(word, shape, line):
+    """The body an ``identity`` or ``uniform`` keyword stands for."""
     if word == "identity":
+        rows, cols = shape
         if rows != cols:
             raise ParseError(
                 f"identity matrix needs square shape, have {rows}x{cols}", line
             )
         return np.eye(rows)
-    if word == "uniform":
-        return np.full((rows, cols), 1.0 / cols)
-    raise ParseError(f"unknown matrix keyword '{word}'", line)
+    return np.full(shape, 1.0 / shape[-1])
 
 
-def _matrix_tokens(st, rows, cols, what):
-    """Body of a 1-slot T/O entry: keyword matrix or rows*cols numbers."""
-    tokens = st.tokens()
-    if len(tokens) == 1 and tokens[0] in _MATRIX_WORDS:
-        return _keyword_matrix(tokens[0], rows, cols, st.line)
-    return _floats(tokens, rows * cols, st.line, what).reshape(rows, cols)
-
-
-def _row_tokens(st, cols, what):
-    tokens = st.tokens()
-    if len(tokens) == 1 and tokens[0] == "uniform":
-        return np.full(cols, 1.0 / cols)
-    return _floats(tokens, cols, st.line, what)
+# Indexed by body rank (entry, row, matrix): the keywords a T or O body of
+# that rank may be, and each table's name for such a body in messages.
+_TO_WORDS = ((), ("uniform",), _MATRIX_WORDS)
+_BODY_NAMES = {
+    key: tuple(f"{table} {body}" for body in ("entry", "row", "matrix"))
+    for key, table in (("T", "transition"), ("O", "observation"), ("R", "reward"))
+}
 
 
 def _fill_tables(kernel_stmts, states, actions, observations):
     """Raw T, O and R tables, entries applied in file order.
 
-    Every slot is an index or a full slice, so each entry is one basic-index
-    assignment and a later entry overwrites what an earlier one set.
-    Returns ``transition[s, a, s']``, ``obs_kernel[s', a, o]`` and
-    ``reward_raw[a, s, s', o]``.
+    Each table is viewed with its axes in the order an entry's slots name
+    them, so every entry is one basic-index assignment and a later entry
+    overwrites what an earlier one set.  Returns ``transition[s, a, s']``,
+    ``obs_kernel[s', a, o]`` and ``reward_raw[a, s, s', o]``.
     """
     sn = _NameSpace("state", states)
     an = _NameSpace("action", actions)
@@ -286,69 +281,41 @@ def _fill_tables(kernel_stmts, states, actions, observations):
     transition = np.zeros((n, na, n))
     obs_kernel = np.zeros((n, na, no))
     reward_raw = np.zeros((na, n, n, no))
+    # keyword -> (table in slot order, slot name spaces, fewest slots,
+    #             keywords allowed by body rank)
+    kinds = {
+        "T": (transition.transpose(1, 0, 2), (an, sn, sn), 1, _TO_WORDS),
+        "O": (obs_kernel.transpose(1, 0, 2), (an, sn, on), 1, _TO_WORDS),
+        "R": (reward_raw, (an, sn, sn, on), 2, ((), (), ())),
+    }
     for st in kernel_stmts:
-        if st.keyword == "T":
-            _apply_transition(st, transition, sn, an)
-        elif st.keyword == "O":
-            _apply_observation(st, obs_kernel, sn, an, on)
-        else:
-            _apply_reward(st, reward_raw, sn, an, on)
+        _apply_entry(st, *kinds[st.keyword])
     return transition, obs_kernel, reward_raw
 
 
-def _apply_transition(st, transition, sn, an):
-    n = len(sn.names)
-    a = an.resolve(st.slots[0], st.line)
-    if len(st.slots) == 1:
-        # an action-major view, so a '*' action broadcasts the matrix
-        mat = _matrix_tokens(st, n, n, "transition matrix")
-        transition.transpose(1, 0, 2)[a] = mat
-    elif len(st.slots) == 2:
-        s = sn.resolve(st.slots[1], st.line)
-        transition[s, a] = _row_tokens(st, n, "transition row")
-    elif len(st.slots) == 3:
-        s = sn.resolve(st.slots[1], st.line)
-        s2 = sn.resolve(st.slots[2], st.line)
-        transition[s, a, s2] = _floats(st.tokens(), 1, st.line, "transition entry")[0]
+def _apply_entry(st, table, spaces, fewest, words):
+    """One T/O/R entry: slot k indexes axis k of ``table`` ('*' is a full
+    slice), and the body fills the remaining axes with that many numbers,
+    or with a keyword where ``words`` allows one at the body's rank."""
+    line, slots, k = st.line, st.slots, len(st.slots)
+    index = [spaces[0].resolve(slots[0], line)]
+    if not fewest <= k <= len(spaces):
+        raise ParseError(
+            f"{st.keyword} entry takes {fewest}-{len(spaces)} ':' fields", line
+        )
+    for i in range(1, k):
+        index.append(spaces[i].resolve(slots[i], line))
+    shape = table.shape[k:]
+    rank = len(shape)
+    tokens = st.tokens()
+    if len(tokens) == 1 and tokens[0] in words[rank]:
+        body = _keyword_body(tokens[0], shape, line)
     else:
-        raise ParseError("T entry takes 1-3 ':' fields", st.line)
-
-
-def _apply_observation(st, obs_kernel, sn, an, on):
-    n, no = len(sn.names), len(on.names)
-    a = an.resolve(st.slots[0], st.line)
-    if len(st.slots) == 1:
-        mat = _matrix_tokens(st, n, no, "observation matrix")
-        obs_kernel.transpose(1, 0, 2)[a] = mat
-    elif len(st.slots) == 2:
-        s2 = sn.resolve(st.slots[1], st.line)
-        obs_kernel[s2, a] = _row_tokens(st, no, "observation row")
-    elif len(st.slots) == 3:
-        s2 = sn.resolve(st.slots[1], st.line)
-        o = on.resolve(st.slots[2], st.line)
-        obs_kernel[s2, a, o] = _floats(st.tokens(), 1, st.line, "observation entry")[0]
-    else:
-        raise ParseError("O entry takes 1-3 ':' fields", st.line)
-
-
-def _apply_reward(st, reward_raw, sn, an, on):
-    n, no = len(sn.names), len(on.names)
-    a = an.resolve(st.slots[0], st.line)
-    if len(st.slots) == 4:
-        s = sn.resolve(st.slots[1], st.line)
-        s2 = sn.resolve(st.slots[2], st.line)
-        o = on.resolve(st.slots[3], st.line)
-        reward_raw[a, s, s2, o] = _floats(st.tokens(), 1, st.line, "reward entry")[0]
-    elif len(st.slots) == 3:
-        s = sn.resolve(st.slots[1], st.line)
-        s2 = sn.resolve(st.slots[2], st.line)
-        reward_raw[a, s, s2] = _floats(st.tokens(), no, st.line, "reward row")
-    elif len(st.slots) == 2:
-        s = sn.resolve(st.slots[1], st.line)
-        vals = _floats(st.tokens(), n * no, st.line, "reward matrix")
-        reward_raw[a, s] = vals.reshape(n, no)
-    else:
-        raise ParseError("R entry takes 2-4 ':' fields", st.line)
+        what = _BODY_NAMES[st.keyword][rank]
+        body = _floats(tokens, math.prod(shape), line, what)
+        if rank != 1:
+            body = body.reshape(shape)
+    table[tuple(index)] = body
 
 
 def _parse_start(st, sn, n):

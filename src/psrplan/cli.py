@@ -210,76 +210,74 @@ def _optimum(model, slack):
     return (horizon,) + oraclemod.exact_value(model, model.initial_belief, horizon)
 
 
-def _oracle_block(model, policy_fn, optimum):
+def _oracle_block(model, policy, bound, optimum):
+    """The policy's value, its gap to the optimum, and whether that gap is
+    within ``bound`` plus twice the horizon's truncation slack."""
     horizon, v_opt, a_opt = optimum
-    v_pol = oraclemod.evaluate_policy(
-        model, policy_fn, model.initial_belief, horizon
-    )
+    v_pol = oraclemod.evaluate_policy(model, policy, model.initial_belief, horizon)
+    slack = oraclemod.truncation_slack(model.discount, horizon)
+    gap = v_opt - v_pol
     return {
         "horizon": horizon,
-        "slack": oraclemod.truncation_slack(model.discount, horizon),
+        "slack": slack,
         "optimalValue": v_opt,
         "optimalFirstAction": model.actions[a_opt],
         "policyValue": v_pol,
-        "gap": v_opt - v_pol,
+        "gap": gap,
+        "accuracyBound": {
+            "bound": bound,
+            "slackAllowance": 2 * slack,
+            "measuredGap": gap,
+            "pass": bool(gap <= bound + 2 * slack),
+        },
     }
 
 
-def _verdict(measured_gap, bound, slack):
-    return {
-        "bound": bound,
-        "slackAllowance": 2 * slack,
-        "measuredGap": measured_gap,
-        "pass": bool(measured_gap <= bound + 2 * slack),
-    }
+def _plan_side(model, args, side, target):
+    """Plan one side, timed: "planner" at epsilon ``target`` or "baseline"
+    at delta ``target``.
 
-
-def _planner_block(model, args, epsilon):
+    Returns the result, its report block, its policy for the oracle and
+    the bound that policy's oracle gap is held to.
+    """
+    gamma = model.discount
     t0 = time.perf_counter()
-    result = plannermod.plan(
-        model,
-        epsilon=epsilon,
-        vi_tol=args.vi_tol,
-        mode=getattr(args, "grid_mode", "reachable"),
-        state_cap=args.state_cap,
-    )
+    if side == "planner":
+        result = plannermod.plan(
+            model,
+            epsilon=target,
+            vi_tol=args.vi_tol,
+            mode=args.grid_mode,
+            state_cap=args.state_cap,
+        )
+        policy = lambda b: plannermod.act(result.spanner, result, b)
+        bound = target / (1.0 - gamma) ** 4
+    else:
+        result = baselinemod.plan_baseline(
+            model, delta=target, vi_tol=args.vi_tol, state_cap=args.state_cap
+        )
+        policy = lambda b: baselinemod.act_baseline(result, b)
+        bound = 2.0 * target / (1.0 - gamma) ** 3
     wall = time.perf_counter() - t0
-    dec = result.spanner.decomposition
+    grid = result.grid
     block = {
-        "epsilon": epsilon,
-        "rank": dec.rank,
-        "basis": decompmod.to_json_dict(result.spanner),
         "grid": {
-            "states": result.grid.n_states,
-            "mesh": result.grid.mesh,
-            "mode": result.metadata["gridMode"],
-            "diagnostics": result.grid.diagnostics,
+            "states": grid.n_states,
+            "mesh": grid.mesh,
+            "diagnostics": grid.diagnostics,
         },
         "valueIteration": _value_iteration(result),
-        "valueAtInitialBelief": float(result.values[result.grid.initial_state]),
+        "valueAtInitialBelief": float(result.values[grid.initial_state]),
         "stageSeconds": dict(result.metadata["stageSeconds"], total=wall),
     }
-    return result, block
-
-
-def _baseline_block(model, args, delta):
-    t0 = time.perf_counter()
-    result = baselinemod.plan_baseline(
-        model, delta=delta, vi_tol=args.vi_tol, state_cap=args.state_cap
-    )
-    wall = time.perf_counter() - t0
-    block = {
-        "delta": delta,
-        "grid": {
-            "states": result.grid.n_states,
-            "mesh": result.grid.mesh,
-            "diagnostics": result.grid.diagnostics,
-        },
-        "valueIteration": _value_iteration(result),
-        "valueAtInitialBelief": float(result.values[result.grid.initial_state]),
-        "stageSeconds": dict(result.metadata["stageSeconds"], total=wall),
-    }
-    return result, block
+    if side == "planner":
+        block["epsilon"] = target
+        block["rank"] = result.spanner.decomposition.rank
+        block["basis"] = decompmod.to_json_dict(result.spanner)
+        block["grid"]["mode"] = result.metadata["gridMode"]
+    else:
+        block["delta"] = target
+    return result, block, policy, bound
 
 
 def _default_paths(args):
@@ -306,27 +304,30 @@ def _emit(args, report, policy_payload=None):
 
 
 def cmd_plan(args):
+    """``plan`` and ``baseline``: one side, its policy file and, with
+    --oracle, its gap to the optimum; ``plan`` also runs --sweep."""
+    planner = args.command == "plan"
+    if planner and args.sweep_csv and not args.sweep:
+        raise ValidationError("--sweep-csv writes the rows of --sweep; give --sweep too")
     model = load_pomdp(args.model)
-    result, block = _planner_block(model, args, args.epsilon)
-
+    side = "planner" if planner else "baseline"
+    target = args.epsilon if planner else args.delta
+    result, block, policy, bound = _plan_side(model, args, side, target)
     report = {
-        "command": "plan",
+        "command": args.command,
         "model": _model_summary(model, args.model),
-        "planner": block,
+        side: block,
     }
     if args.oracle:
-        policy_fn = lambda b: plannermod.act(result.spanner, result, b)
-        orc = _oracle_block(model, policy_fn, _optimum(model, args.oracle_slack))
-        gamma = model.discount
-        bound = args.epsilon / (1.0 - gamma) ** 4
-        orc["accuracyBound"] = _verdict(orc["gap"], bound, orc["slack"])
-        orc["inspectFlag"] = bool(orc["gap"] > 0.05 / (1.0 - gamma))
+        orc = _oracle_block(model, policy, bound, _optimum(model, args.oracle_slack))
+        if planner:
+            orc["inspectFlag"] = bool(orc["gap"] > 0.05 / (1.0 - model.discount))
         report["oracle"] = orc
 
-    if args.sweep:
+    if planner and args.sweep:
         rows = []
         for eps in args.sweep:
-            _, sweep_block = _planner_block(model, args, eps)
+            _, sweep_block, _, _ = _plan_side(model, args, side, eps)
             rows.append(
                 {
                     "epsilon": eps,
@@ -336,14 +337,15 @@ def cmd_plan(args):
                     "seconds": sweep_block["stageSeconds"]["total"],
                 }
             )
-        report["sweep"] = rows if not args.no_timings else _strip_timings(rows)
+        report["sweep"] = rows
         if args.sweep_csv:
             _write_sweep_csv(args.sweep_csv, rows, args.no_timings)
 
     policy_payload = gridmod.plan_to_json_dict(result.grid, result)
-    report_path, policy_path = _emit(args, report, policy_payload)
+    report_path, _ = _emit(args, report, policy_payload)
+    rank = f"rank={block['rank']} " if planner else ""
     print(
-        f"plan: rank={block['rank']} grid={block['grid']['states']} "
+        f"{args.command}: {rank}grid={block['grid']['states']} "
         f"value={block['valueAtInitialBelief']:.6f} -> {report_path}"
     )
     return EXIT_OK
@@ -359,65 +361,25 @@ def _write_sweep_csv(path, rows, no_timings):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def cmd_baseline(args):
-    model = load_pomdp(args.model)
-    result, block = _baseline_block(model, args, args.delta)
-    report = {
-        "command": "baseline",
-        "model": _model_summary(model, args.model),
-        "baseline": block,
-    }
-    if args.oracle:
-        policy_fn = lambda b: baselinemod.act_baseline(result, b)
-        orc = _oracle_block(model, policy_fn, _optimum(model, args.oracle_slack))
-        gamma = model.discount
-        bound = 2.0 * args.delta / (1.0 - gamma) ** 3
-        orc["accuracyBound"] = _verdict(orc["gap"], bound, orc["slack"])
-        report["oracle"] = orc
-    policy_payload = gridmod.plan_to_json_dict(result.grid, result)
-    report_path, _ = _emit(args, report, policy_payload)
-    print(
-        f"baseline: grid={block['grid']['states']} "
-        f"value={block['valueAtInitialBelief']:.6f} -> {report_path}"
-    )
-    return EXIT_OK
-
-
 def cmd_compare(args):
     model = load_pomdp(args.model)
-    plan_result, plan_block = _planner_block(model, args, args.epsilon)
-    base_result, base_block = _baseline_block(model, args, args.delta)
-
-    gamma = model.discount
-    optimum = _optimum(model, args.oracle_slack)  # shared by both planners
-    plan_oracle = _oracle_block(
-        model, lambda b: plannermod.act(plan_result.spanner, plan_result, b), optimum
-    )
-    plan_oracle["accuracyBound"] = _verdict(
-        plan_oracle["gap"], args.epsilon / (1.0 - gamma) ** 4, plan_oracle["slack"]
-    )
-    base_oracle = _oracle_block(
-        model, lambda b: baselinemod.act_baseline(base_result, b), optimum
-    )
-    base_oracle["accuracyBound"] = _verdict(
-        base_oracle["gap"], 2.0 * args.delta / (1.0 - gamma) ** 3, base_oracle["slack"]
-    )
-
-    report = {
-        "command": "compare",
-        "model": _model_summary(model, args.model),
-        "planner": dict(plan_block, oracle=plan_oracle),
-        "baseline": dict(base_block, oracle=base_oracle),
-        "summary": {
-            "rank": plan_block["rank"],
-            "plannerGridStates": plan_block["grid"]["states"],
-            "baselineGridStates": base_block["grid"]["states"],
-            "plannerGap": plan_oracle["gap"],
-            "baselineGap": base_oracle["gap"],
-        },
+    sides = [
+        (side, _plan_side(model, args, side, target))
+        for side, target in (("planner", args.epsilon), ("baseline", args.delta))
+    ]
+    optimum = _optimum(model, args.oracle_slack)  # shared by both sides
+    report = {"command": "compare", "model": _model_summary(model, args.model)}
+    for side, (_, block, policy, bound) in sides:
+        report[side] = dict(block, oracle=_oracle_block(model, policy, bound, optimum))
+    plan, base = report["planner"], report["baseline"]
+    report["summary"] = s = {
+        "rank": plan["rank"],
+        "plannerGridStates": plan["grid"]["states"],
+        "baselineGridStates": base["grid"]["states"],
+        "plannerGap": plan["oracle"]["gap"],
+        "baselineGap": base["oracle"]["gap"],
     }
     report_path, _ = _emit(args, report)
-    s = report["summary"]
     print(
         f"compare: rank={s['rank']} planner grid={s['plannerGridStates']} "
         f"baseline grid={s['baselineGridStates']} "
@@ -429,7 +391,7 @@ def cmd_compare(args):
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handlers = {"plan": cmd_plan, "baseline": cmd_baseline, "compare": cmd_compare}
+    handlers = {"plan": cmd_plan, "baseline": cmd_plan, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
     except (StateCapExceededError, OracleBudgetError, ConvergenceError) as exc:

@@ -69,8 +69,9 @@ class PlanResult:
     residual: float
     iterations: int
     metadata: dict = field(default_factory=dict)
-    # attached by the planning pipelines for policy execution / serialization
+    # the grid solved, for policy execution and serialization
     grid: object = None
+    # attached by the rank-r planner, whose policy maps beliefs through it
     spanner: object = None
 
 
@@ -333,6 +334,7 @@ def solve(grid: GridMdp, vi_tol: float = 1e-4) -> PlanResult:
         policy=q.argmax(axis=0).astype(np.int32),
         residual=residual,
         iterations=iteration,
+        grid=grid,
         metadata={
             "gridStates": grid.n_states,
             "mesh": grid.mesh,

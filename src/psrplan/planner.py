@@ -212,7 +212,6 @@ def plan(
             "swapCount": spanner.swap_count,
         }
     )
-    result.grid = grid
     result.spanner = spanner
     return result
 

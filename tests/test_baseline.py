@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from psrplan import grid as gridmod
 from psrplan.baseline import (
     act_baseline,
     build_delta_grid,
     plan_baseline,
     simplex_round,
-    solve_baseline,
 )
 from psrplan.cassandra import load_pomdp
 from psrplan.errors import StateCapExceededError, ValidationError
@@ -86,7 +86,8 @@ def test_state_cap_enforced(tiger):
 
 def test_geometric_series_value(fair_coin):
     grid = build_delta_grid(fair_coin, 0.5)
-    res = solve_baseline(grid, vi_tol=1e-6)
+    res = gridmod.solve(grid, vi_tol=1e-6)
+    assert res.grid is grid
     assert res.values[0] == pytest.approx(0.5 / (1 - 0.9), abs=1e-4)
 
 

@@ -506,6 +506,40 @@ ERROR_CORPUS = {
     ),
 }
 
+# Malformed T/O/R entries on 2 states, 1 action and 3 observations, each
+# after a valid T and O: a keyword where none or another is allowed, a
+# non-square identity, a slot count out of range (after an unknown action,
+# the action is reported), and a wrong number count at each rank.
+BAD_ENTRIES = {
+    "keyword_reward_matrix": "R: go : s0 uniform",
+    "keyword_reward_row": "R: go : s0 : s1 identity",
+    "keyword_reward_entry": "R: go : s0 : s1 : o0 uniform",
+    "identity_transition_row": "T: go : s0 identity",
+    "uniform_transition_entry": "T: go : s0 : s1 uniform",
+    "identity_observation_row": "O: go : s0 identity",
+    "identity_not_square": "O: go identity",
+    "reward_too_few_slots": "R: go 1.0",
+    "transition_too_many_slots": "T: go : s0 : s1 : s1 1",
+    "observation_too_many_slots": "O: go : s0 : o0 : o1 1",
+    "unknown_action_before_slot_count": "T: nope : a : b : c : d 1",
+    "count_transition_matrix": "T: go\n0.5 0.5\n1.0",
+    "count_transition_row": "T: go : s0 0.5 0.25 0.25",
+    "count_transition_entry": "T: go : s0 : s1 0.5 0.5",
+    "count_observation_matrix": "O: go\n0.5 0.5 0.0\n1.0 0.0",
+    "count_observation_row": "O: go : s1 0.5 0.5",
+    "count_observation_entry": "O: go : s1 : o2 1 0",
+    "count_reward_matrix": "R: go : s0\n1 2 3\n4 5",
+    "count_reward_row": "R: go : * : s1 1 2 3 4",
+    "count_reward_entry": "R: go : s0 : s1 : o1 1 2",
+}
+for _name, _entry in BAD_ENTRIES.items():
+    ERROR_CORPUS[f"entry_{_name}"] = (
+        PREAMBLE.format(n="s0 s1", na="go", no="o0 o1 o2")
+        + f"T: go uniform\nO: go uniform\n{_entry}\n",
+        DEFAULT_REWARD_CAP,
+        ParseError,
+    )
+
 
 @pytest.mark.parametrize("case", sorted(ERROR_CORPUS))
 def test_error_corpus_matches_reference(case):

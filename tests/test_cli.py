@@ -332,3 +332,52 @@ def test_bad_sweep_exits_2_before_planning(tmp_path, capsys, monkeypatch, sweep)
     assert "argument --sweep" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("plan", "plan: rank=2 grid=17 value=3.787490 -> {report}"),
+        ("baseline", "baseline: grid=17 value=3.787490 -> {report}"),
+        ("compare", "compare: rank=2 planner grid=17 baseline grid=17 "
+         "gaps: planner=-0.000000 baseline=-0.000000 -> {report}"),
+    ],
+)
+def test_summary_line_on_stdout(tmp_path, capsys, command, line):
+    report = tmp_path / "r.json"
+    argv = [command, DATA / "tiger.POMDP", "--json-out", report]
+    if command != "compare":
+        argv += ["--policy-out", tmp_path / "p.json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert err == ""
+    assert out == line.format(report=report) + "\n"
+
+
+@pytest.mark.parametrize("flag", [["--epsilon", "5"], ["--delta", "0.3"]])
+def test_compare_bad_mesh_exits_2_before_the_oracle(tmp_path, capsys, monkeypatch, flag):
+    calls = []
+    monkeypatch.setattr(cli.oraclemod, "exact_value", lambda *a, **k: calls.append(a))
+    code, _, err = run_cli(
+        ["compare", DATA / "tiger.POMDP", *flag, "--json-out", tmp_path / "r.json"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error (compare): ")
+    assert calls == []
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_sweep_csv_without_sweep_exits_2_before_reading_the_model(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "load_pomdp", lambda *a, **k: calls.append(a))
+    code, _, err = run_cli(
+        ["plan", DATA / "tiger.POMDP", "--sweep-csv", tmp_path / "s.csv",
+         "--json-out", tmp_path / "r.json", "--policy-out", tmp_path / "p.json"],
+        capsys,
+    )
+    assert code == 2
+    assert "--sweep-csv" in err and "--sweep" in err.replace("--sweep-csv", "")
+    assert calls == []
+    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "r.json").exists()
