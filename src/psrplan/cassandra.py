@@ -7,8 +7,13 @@ Supported grammar: ``discount``/``values``/``states``/``actions``/
 continuation lines and the ``identity``/``uniform`` keyword matrices.
 ``values: cost`` is rejected.  Entries apply in file order: a later entry
 overwrites what an earlier one set, whether either names a ``*`` or not.
-Numbers are read with Python's ``float``; a non-finite one (``nan``,
-``inf``, or an overflow such as ``1e999``) is a ParseError.
+A run of consecutive one-line T/O/R bodies under one keyword and slot
+count is read by one ``np.loadtxt`` call, every other body number by
+number with Python's ``float``.  Both convert with CPython's correctly
+rounded ``PyOS_string_to_double``; a form only ``float`` reads, such as
+``0.2_5`` or non-ASCII digits, sends its run back to ``float``.  A
+non-finite number (``nan``, ``inf``, or an overflow such as ``1e999``)
+is a ParseError.
 
 Rewards become part of the observable signal: each raw value
 R(s, a, s', o) is binned into a finite set, affinely normalized into
@@ -17,6 +22,7 @@ conditions on the arriving state only, a file whose reward varies with
 the departing state (on reachable triples) is rejected.
 """
 
+import itertools
 import math
 import re
 
@@ -61,11 +67,13 @@ def _split_statements(text: str):
     large file never holds all of its number tokens at once.
     """
     stmts = []
+    comments = "#" in text
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = (_strip_comment(raw) if comments else raw).strip()
         if not line:
             continue
-        m = _HEAD.match(line)
+        # a statement starts with a letter; number lines skip the regex
+        m = _HEAD.match(line) if line[0].isalpha() else None
         word = m.group(1) if m else None
         if word in _KEYWORDS:
             rest = m.group(3)
@@ -271,7 +279,8 @@ def _fill_tables(kernel_stmts, states, actions, observations):
 
     Each table is viewed with its axes in the order an entry's slots name
     them, so every entry is one basic-index assignment and a later entry
-    overwrites what an earlier one set.  Returns ``transition[s, a, s']``,
+    overwrites what an earlier one set.  A run of one-line entries is read
+    by one ``_run_rows`` call.  Returns ``transition[s, a, s']``,
     ``obs_kernel[s', a, o]`` and ``reward_raw[a, s, s', o]``.
     """
     sn = _NameSpace("state", states)
@@ -288,15 +297,45 @@ def _fill_tables(kernel_stmts, states, actions, observations):
         "O": (obs_kernel.transpose(1, 0, 2), (an, sn, on), 1, _TO_WORDS),
         "R": (reward_raw, (an, sn, sn, on), 2, ((), (), ())),
     }
-    for st in kernel_stmts:
-        _apply_entry(st, *kinds[st.keyword])
+    for _, run in itertools.groupby(kernel_stmts, _run_key):
+        run = list(run)
+        rows = _run_rows(run) if len(run) > 1 else (None,)
+        kind = kinds[run[0].keyword]
+        for st, row in zip(run, rows):
+            _apply_entry(st, *kind, row)
     return transition, obs_kernel, reward_raw
 
 
-def _apply_entry(st, table, spaces, fewest, words):
+def _run_key(st):
+    """Consecutive entries with equal keys are read as one run: a one-line
+    body under the same keyword and slot count.  A longer body is a key
+    equal only to itself."""
+    return (st.keyword, len(st.slots)) if len(st.body) == 1 else st
+
+
+def _run_rows(run):
+    """The one-line bodies of a run as the rows of one ``np.loadtxt`` call,
+    or Nones when they do not read as one finite row per entry; those
+    entries then read their own tokens, which gives every error."""
+    try:
+        rows = np.loadtxt(
+            [st.body[0] for st in run], dtype=np.float64, ndmin=2, comments=None
+        )
+    except ValueError:
+        return [None] * len(run)
+    if rows.shape[0] != len(run) or not np.isfinite(rows).all():
+        return [None] * len(run)
+    return rows
+
+
+def _apply_entry(st, table, spaces, fewest, words, row=None):
     """One T/O/R entry: slot k indexes axis k of ``table`` ('*' is a full
     slice), and the body fills the remaining axes with that many numbers,
-    or with a keyword where ``words`` allows one at the body's rank."""
+    or with a keyword where ``words`` allows one at the body's rank.
+
+    ``row`` is the body already read by ``_run_rows``; it is used when it
+    holds as many numbers as the body must, and the tokens are read
+    otherwise."""
     line, slots, k = st.line, st.slots, len(st.slots)
     index = [spaces[0].resolve(slots[0], line)]
     if not fewest <= k <= len(spaces):
@@ -306,6 +345,9 @@ def _apply_entry(st, table, spaces, fewest, words):
     for i in range(1, k):
         index.append(spaces[i].resolve(slots[i], line))
     shape = table.shape[k:]
+    if row is not None and row.size == math.prod(shape):
+        table[tuple(index)] = row.reshape(shape)
+        return
     rank = len(shape)
     tokens = st.tokens()
     if len(tokens) == 1 and tokens[0] in words[rank]:

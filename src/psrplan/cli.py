@@ -151,28 +151,40 @@ _COMPACT = json.JSONEncoder(separators=(", ", ": "))
 def _dumps(obj, pad=""):
     """``json.dumps(obj, sort_keys=True, indent=2)``, nested at indent ``pad``.
 
-    Numeric 1-D and 2-D ndarrays, and dicts that hold one, are encoded by
-    the C encoder.  No int or float repr contains ", " or "], [", so
-    replacing those separators gives the indented layout byte for byte.
+    A non-empty integer 1-D or 2-D ndarray is one ``%`` format over a
+    template of its indented layout, one ``"%d"`` per element, which is how
+    ``json`` writes an int.  A non-empty float or bool 1-D or 2-D ndarray is
+    one C-encoder call: no float repr contains ", " or "], [", so replacing
+    those separators gives the indented layout byte for byte.  A dict that
+    holds an ndarray is written key by key.
     """
     inner = pad + "  "
+    deeper = inner + "  "
     if isinstance(obj, dict) and any(isinstance(v, np.ndarray) for v in obj.values()):
         items = ",\n".join(
             f"{inner}{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)
         )
         return f"{{\n{items}\n{pad}}}"
     if isinstance(obj, np.ndarray):
-        if obj.size and obj.ndim in (1, 2) and obj.dtype.kind in "biuf":
+        if obj.size and obj.ndim in (1, 2) and obj.dtype.kind in "iu":
+            item = "%d" if obj.ndim == 1 else _layout("%d", obj.shape[1], deeper, inner)
+            return _layout(item, obj.shape[0], inner, pad) % tuple(obj.ravel().tolist())
+        if obj.size and obj.ndim in (1, 2) and obj.dtype.kind in "bf":
             text = _COMPACT.encode(obj.tolist())
             if obj.ndim == 1:
                 return f"[\n{inner}" + text[1:-1].replace(", ", ",\n" + inner) + f"\n{pad}]"
-            deeper = inner + "  "
             body = text[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deeper}")
             body = body.replace(", ", ",\n" + deeper)
             return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
         obj = obj.tolist()
     text = json.dumps(obj, sort_keys=True, indent=2)
     return text.replace("\n", "\n" + pad) if pad else text
+
+
+def _layout(item, count, inner, pad):
+    """A list of ``count`` copies of ``item`` as ``json.dumps(indent=2)``
+    lays it out at indent ``pad``, its items at ``inner``."""
+    return f"[\n{inner}" + f",\n{inner}".join([item] * count) + f"\n{pad}]"
 
 
 def _write_json(path, payload):
@@ -233,9 +245,9 @@ def _oracle_block(model, policy, bound, optimum):
     }
 
 
-def _plan_side(model, args, side, target):
-    """Plan one side, timed: "planner" at epsilon ``target`` or "baseline"
-    at delta ``target``.
+def _plan_side(model, args, side, target, spanner=None):
+    """Plan one side, timed: "planner" at epsilon ``target``, on ``spanner``
+    when given one, or "baseline" at delta ``target``.
 
     Returns the result, its report block, its policy for the oracle and
     the bound that policy's oracle gap is held to.
@@ -249,6 +261,7 @@ def _plan_side(model, args, side, target):
             vi_tol=args.vi_tol,
             mode=args.grid_mode,
             state_cap=args.state_cap,
+            spanner=spanner,
         )
         policy = lambda b: plannermod.act(result.spanner, result, b)
         bound = target / (1.0 - gamma) ** 4
@@ -326,8 +339,8 @@ def cmd_plan(args):
 
     if planner and args.sweep:
         rows = []
-        for eps in args.sweep:
-            _, sweep_block, _, _ = _plan_side(model, args, side, eps)
+        for eps in args.sweep:  # on the main plan's basis: it does not depend on epsilon
+            _, sweep_block, _, _ = _plan_side(model, args, side, eps, result.spanner)
             rows.append(
                 {
                     "epsilon": eps,

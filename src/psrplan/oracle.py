@@ -21,6 +21,7 @@ beliefs (``dedupe``).  A backward pass then sums each level's Q values from
 the level below, signal by signal in the filter's order.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,8 +78,16 @@ def row_hash(keys):
     """One uint64 per row of a (k, d) int64 stack: its dot product with the
     odd multipliers HASH_MULTIPLIER**(j + 1), wrapping mod 2**64.  Equal rows
     hash alike; different rows rarely do, and ``dedupe`` checks."""
-    multipliers = np.cumprod(np.full(keys.shape[1], HASH_MULTIPLIER))
-    return keys.view(np.uint64) @ multipliers
+    return keys.view(np.uint64) @ _hash_multipliers(keys.shape[1], HASH_MULTIPLIER)
+
+
+@functools.lru_cache(maxsize=64)
+def _hash_multipliers(width, multiplier):
+    """multiplier**(j + 1) for j < width, built once per width and
+    multiplier and read-only, since every caller shares it."""
+    multipliers = np.cumprod(np.full(width, multiplier))
+    multipliers.flags.writeable = False
+    return multipliers
 
 
 def dedupe(rows, hashes, key):

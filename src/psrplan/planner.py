@@ -182,15 +182,21 @@ def plan(
     vi_tol: float = 1e-4,
     mode: str = "reachable",
     state_cap: int = DEFAULT_STATE_CAP,
+    spanner: SpannerBasis | None = None,
 ) -> gridmod.PlanResult:
-    """Full pipeline: basis discovery, spanner, dynamics, grid, value iteration."""
+    """Full pipeline: basis discovery, spanner, dynamics, grid, value iteration.
+
+    Given the ``spanner`` of an earlier plan of the same model, which no
+    epsilon or grid setting changes, discovery and the spanner are skipped
+    and their stages are left out of ``stageSeconds``."""
     timings = {}
-    t0 = time.perf_counter()
-    dec = discover_basis(model)
-    timings["discoverBasis"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    spanner = improve_to_spanner(model, dec)
-    timings["improveToSpanner"] = time.perf_counter() - t0
+    if spanner is None:
+        t0 = time.perf_counter()
+        dec = discover_basis(model)
+        timings["discoverBasis"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        spanner = improve_to_spanner(model, dec)
+        timings["improveToSpanner"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     dyn = precompute_dynamics(model, spanner)
     timings["precomputeDynamics"] = time.perf_counter() - t0

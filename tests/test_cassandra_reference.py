@@ -409,13 +409,8 @@ def _kernel_entries(rng, n, na, no):
     return _shuffled(rng, entries)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_fill_tables_match_reference(seed):
-    """Raw tables, before any row check: every entry form, in any order."""
-    rng = np.random.default_rng(seed)
-    n, na, no = _sizes(rng)
-    entries = _kernel_entries(rng, n, na, no) + _kernel_entries(rng, n, na, no)
-    text = PREAMBLE.format(n=n, na=na, no=no) + "\n".join(entries) + "\n"
+def assert_same_tables(text):
+    """Both loaders fill the same raw tables, before any row check."""
     _, states, actions, observations, _, kernel_stmts = cassandra._declarations(
         cassandra._split_statements(text)
     )
@@ -423,6 +418,15 @@ def test_fill_tables_match_reference(seed):
     want = _loop_tables(kernel_stmts, states, actions, observations)
     for table, ref in zip(got, want):
         assert_bytes_equal(table, ref)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fill_tables_match_reference(seed):
+    """Raw tables, before any row check: every entry form, in any order."""
+    rng = np.random.default_rng(seed)
+    n, na, no = _sizes(rng)
+    entries = _kernel_entries(rng, n, na, no) + _kernel_entries(rng, n, na, no)
+    assert_same_tables(PREAMBLE.format(n=n, na=na, no=no) + "\n".join(entries) + "\n")
 
 
 def _stochastic_entries(rng, key, n, na, no):
@@ -539,6 +543,64 @@ for _name, _entry in BAD_ENTRIES.items():
         DEFAULT_REWARD_CAP,
         ParseError,
     )
+
+# Bad rows inside a run of one-line T rows on 2 states, each after valid
+# rows of the same run, and the error each must report; an unknown slot is
+# reported ahead of a later bad number in the same run.  The loop reference
+# reads 'nan' as a number, so only the others join ERROR_CORPUS.
+RUN_ERRORS = {
+    "bad_token": (
+        "T: go : s1 0.5 x", "line 9: transition row: could not convert string to float: 'x'"
+    ),
+    "short_row": ("T: go : s1 1.0", "line 9: transition row: expected 2 numbers, found 1"),
+    "non_finite": ("T: go : s1 0.5 nan", "line 9: transition row: non-finite number 'nan'"),
+    "unknown_slot_first": (
+        "T: go : s9 0.5 0.5\nT: go : s1 0.5 x", "line 9: unknown state 's9'"
+    ),
+}
+
+
+def _run_error_text(name):
+    return PREAMBLE.format(n="s0 s1", na="go", no="o0") + (
+        f"O: go uniform\nT: go : s0 0.5 0.5\n{RUN_ERRORS[name][0]}\nT: go : s0 0.25 0.75\n"
+    )
+
+
+for _name in RUN_ERRORS.keys() - {"non_finite"}:
+    ERROR_CORPUS[f"run_{_name}"] = (_run_error_text(_name), DEFAULT_REWARD_CAP, ParseError)
+
+
+@pytest.mark.parametrize("name", sorted(RUN_ERRORS))
+def test_errors_inside_a_run(name):
+    text = _run_error_text(name)
+    with pytest.raises(ParseError) as err:
+        parse_pomdp(text)
+    assert str(err.value) == RUN_ERRORS[name][1]
+    assert err.value.line == 9
+
+
+# Valid runs of one-line entries on 2 states, 1 action and 2 observations:
+# rows only ``float`` reads or a keyword row among numeric rows, separators
+# other than a space, '*' slots, and one-column reward entries.
+RUN_TEXTS = {
+    "uniform_row_in_a_run": "T: go : s0 0.5 0.5\nT: go : s1 uniform\nT: go : s0 0.25 0.75\n"
+    "O: go : s0 0.5 0.5\nO: go : s1 0.125 0.875\n",
+    "underscores_and_arabic_indic_digits": "T: go : s0 0.5 0.5\nT: go : s1 0.2_5 0.75\n"
+    "T: go : s0 \u0660.\u0662\u0665 0.75\nO: go : * 0.5 0.5\nO: go : s1 \u0661 0\n",
+    "non_breaking_spaces": "T: go : s0 0.5\u00a00.5\nT: go : s1 0.25\u00a0 0.75\n"
+    "O: go : s0\u00a00.5 0.5\nO: go : s1 0.125\u00a00.875\n",
+    "wildcard_slots": "T: * : * 0.5 0.5\nT: go : * 0.25 0.75\nT: * : s1 0.125 0.875\n"
+    "O: * : * 0.5 0.5\nO: go : s0 1 0\n",
+    "one_column_rewards": "T: go uniform\nO: go uniform\nR: go : * : s0 : o0 1.5\n"
+    "R: go : * : s1 : o0 2.5\nR: * : * : s0 : o1 -1\nR: go : * : s1 : o1 0.25\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_TEXTS))
+def test_runs_match_reference(name):
+    text = PREAMBLE.format(n="s0 s1", na="go", no="o0 o1") + RUN_TEXTS[name]
+    assert assert_same_outcome(text)
+    assert_same_tables(text)
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CORPUS))

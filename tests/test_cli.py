@@ -295,6 +295,23 @@ def test_sweep_csv_output(tmp_path, capsys):
     assert meshes == [0.25, 0.1]
 
 
+def test_sweep_reuses_the_main_plans_basis(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("discover_basis", "improve_to_spanner"):
+        real = getattr(cli.plannermod, name)
+        monkeypatch.setattr(
+            cli.plannermod, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a)
+        )
+    code, _, _ = run_cli(
+        ["plan", DATA / "tiger.POMDP", "--sweep", "0.5,0.2,0.1",
+         "--json-out", tmp_path / "r.json", "--policy-out", tmp_path / "p.json"],
+        capsys,
+    )
+    assert code == 0
+    assert calls == ["discover_basis", "improve_to_spanner"]
+    assert len(read_json(tmp_path / "r.json")["sweep"]) == 3
+
+
 def test_act_fallbacks_reach_the_report(tmp_path, capsys):
     # the oracle meets beliefs that round off the coarse simplex closure;
     # act_baseline counts each nearest-state fallback after the grid is built

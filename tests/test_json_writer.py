@@ -39,6 +39,18 @@ ARRAYS = {
     "uint64 near 2**64": np.array([2**64 - 1, 0], dtype=np.uint64),
     "float rows": np.array([[1.5, -0.0], [np.nan, 1e-300], [5e-324, 1e16]]),
     "bools": np.array([True, False]),
+    "bool rows": np.array([[True, False], [False, False]]),
+    "int8 extremes": np.array([-128, -1, 0, 127], dtype=np.int8),
+    "int8 rows": np.array([[-128, 127, 0], [5, -5, 1]], dtype=np.int8),
+    "int32 extremes": np.array([[-(2**31), 2**31 - 1], [-7, 0]], dtype=np.int32),
+    "int64 rows at the extremes": np.array(
+        [[2**63 - 1, -(2**63)], [-1, 1]], dtype=np.int64
+    ),
+    "uint8 extremes": np.array([[0, 255], [128, 1]], dtype=np.uint8),
+    "one int": np.array([-4], dtype=np.int64),
+    "one uint8": np.array([[255]], dtype=np.uint8),
+    "empty int rows": np.zeros((0, 2), dtype=np.int32),
+    "empty uint8 columns": np.zeros((3, 0), dtype=np.uint8),
     "strings holding separators": np.array(["x, y", "], [", "z"]),
     "rank 3": np.arange(8, dtype=np.int64).reshape(2, 2, 2),
 }
@@ -66,6 +78,25 @@ def test_policy_payload_mixing_arrays_and_scalars():
         "nested": {"inner": np.array([1.0, 2.0]), "label": "a, b], [c\n"},
     }
     assert cli._dumps(payload) == reference(payload)
+
+
+def test_arrays_nested_at_depth():
+    payload = {
+        "states": np.array([[1, -1], [0, 2]], dtype=np.int64),
+        "down": {
+            "policy": np.array([3, 0], dtype=np.uint8),
+            "label": "a, b",
+            "down": {
+                "codes": np.array([[-128, 127]], dtype=np.int8),
+                "flags": np.array([True, False]),
+                "values": np.array([0.5, -0.0]),
+                "list": [1, 2],
+                "empty": np.zeros((2, 0), dtype=np.int32),
+            },
+        },
+    }
+    assert cli._dumps(payload) == reference(payload)
+    assert cli._dumps(payload, "    ") == reference(payload).replace("\n", "\n    ")
 
 
 REPORTS = {

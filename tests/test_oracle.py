@@ -12,6 +12,7 @@ from psrplan.oracle import (
     evaluate_policy,
     exact_q,
     exact_value,
+    HASH_MULTIPLIER,
     horizon_for_slack,
     row_hash,
     truncation_slack,
@@ -227,4 +228,18 @@ def test_dedupe_numbers_rows_as_one_interner_call(seed, hash_name, lexsort_calls
     np.testing.assert_array_equal(first, np.unique(expected, return_index=True)[1])
     # the real hash has no collision here; the others force the key sort
     assert bool(lexsort_calls) == (hash_name != "row_hash")
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_hash_is_the_wrapping_dot_with_multiplier_powers(width):
+    rng = np.random.default_rng(width)
+    keys = rng.integers(-(2**63), 2**63 - 1, size=(50, width), endpoint=True)
+    keys[0] = np.iinfo(np.int64).min
+    keys[1] = np.iinfo(np.int64).max
+    multipliers = np.cumprod(np.full(width, HASH_MULTIPLIER))
+    expected = keys.view(np.uint64) @ multipliers
+    for _ in range(2):  # the first call at a width, and a later one
+        got = row_hash(keys)
+        assert got.dtype == np.uint64
+        assert got.tobytes() == expected.tobytes()
 
