@@ -48,7 +48,6 @@ from .model import (
     PomdpModel,
     Signal,
     belief_update,
-    belief_update_batch,
     expected_reward_matrix,
     from_json,
     sample_trajectory,
@@ -117,7 +116,6 @@ __all__ = [
     "PomdpModel",
     "Signal",
     "belief_update",
-    "belief_update_batch",
     "expected_reward_matrix",
     "from_json",
     "sample_trajectory",

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import ValidationError
-from .model import PomdpModel, belief_update_batch, expected_reward_matrix
+from .model import PomdpModel, belief_update_state_major, expected_reward_matrix
 
 # Unused here, but the benchmark's tracer (pipebench/tracer.py) wraps this
 # name and would report it missing.
@@ -59,7 +59,10 @@ def build_delta_grid(
 
     def expand(coords):
         beliefs = coords * delta
-        p, post = belief_update_batch(model, beliefs)
+        p, post = belief_update_state_major(model, beliefs)
+        # (k, A, Z) and (k, A, Z, n) views: kept branches in (state, action,
+        # signal) order
+        p, post = p.transpose(2, 0, 1), post.transpose(3, 1, 2, 0)
         keep = p > gridmod.P_MIN
         states, actions, _ = np.nonzero(keep)
         return states * na + actions, simplex_round(post[keep], delta), p[keep], beliefs @ r_sa

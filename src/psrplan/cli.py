@@ -155,16 +155,19 @@ def _dumps(obj, pad=""):
     template of its indented layout, one ``"%d"`` per element, which is how
     ``json`` writes an int.  A non-empty float or bool 1-D or 2-D ndarray is
     one C-encoder call: no float repr contains ", " or "], [", so replacing
-    those separators gives the indented layout byte for byte.  A dict that
-    holds an ndarray is written key by key.
+    those separators gives the indented layout byte for byte.  A dict or
+    list with an ndarray anywhere under it is written item by item.
     """
     inner = pad + "  "
     deeper = inner + "  "
-    if isinstance(obj, dict) and any(isinstance(v, np.ndarray) for v in obj.values()):
+    if isinstance(obj, dict) and _holds_array(obj):
         items = ",\n".join(
             f"{inner}{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)
         )
         return f"{{\n{items}\n{pad}}}"
+    if isinstance(obj, (list, tuple)) and _holds_array(obj):
+        items = ",\n".join(inner + _dumps(v, inner) for v in obj)
+        return f"[\n{items}\n{pad}]"
     if isinstance(obj, np.ndarray):
         if obj.size and obj.ndim in (1, 2) and obj.dtype.kind in "iu":
             item = "%d" if obj.ndim == 1 else _layout("%d", obj.shape[1], deeper, inner)
@@ -179,6 +182,15 @@ def _dumps(obj, pad=""):
         obj = obj.tolist()
     text = json.dumps(obj, sort_keys=True, indent=2)
     return text.replace("\n", "\n" + pad) if pad else text
+
+
+def _holds_array(obj):
+    """Whether an ndarray sits in obj, at any depth of dicts and lists."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return any(_holds_array(v) for v in obj)
+    return isinstance(obj, np.ndarray)
 
 
 def _layout(item, count, inner, pad):
@@ -216,38 +228,40 @@ def _model_summary(model, path):
     }
 
 
-def _optimum(model, slack):
-    """(horizon, optimal value, optimal first action) at the initial belief."""
-    horizon = oraclemod.horizon_for_slack(model.discount, slack)
-    return (horizon,) + oraclemod.exact_value(model, model.initial_belief, horizon)
-
-
-def _oracle_block(model, policy, bound, optimum):
-    """The policy's value, its gap to the optimum, and whether that gap is
-    within ``bound`` plus twice the horizon's truncation slack."""
-    horizon, v_opt, a_opt = optimum
-    v_pol = oraclemod.evaluate_policy(model, policy, model.initial_belief, horizon)
+def _oracle_blocks(model, oracle_slack, sides):
+    """One exact search at the initial belief, at the horizon of ``oracle_slack``:
+    per (policy, bound) of ``sides``, a block of the policy's value, its gap
+    to the optimum, and whether that gap is within ``bound`` plus twice the
+    horizon's truncation slack."""
+    horizon = oraclemod.horizon_for_slack(model.discount, oracle_slack)
+    v_opt, a_opt, values = oraclemod.search(
+        model, model.initial_belief, horizon, [policy for policy, _ in sides]
+    )
     slack = oraclemod.truncation_slack(model.discount, horizon)
-    gap = v_opt - v_pol
-    return {
-        "horizon": horizon,
-        "slack": slack,
-        "optimalValue": v_opt,
-        "optimalFirstAction": model.actions[a_opt],
-        "policyValue": v_pol,
-        "gap": gap,
-        "accuracyBound": {
-            "bound": bound,
-            "slackAllowance": 2 * slack,
-            "measuredGap": gap,
-            "pass": bool(gap <= bound + 2 * slack),
-        },
-    }
+    blocks = []
+    for (_, bound), v_pol in zip(sides, values):
+        gap = v_opt - v_pol
+        blocks.append({
+            "horizon": horizon,
+            "slack": slack,
+            "optimalValue": v_opt,
+            "optimalFirstAction": model.actions[a_opt],
+            "policyValue": v_pol,
+            "gap": gap,
+            "accuracyBound": {
+                "bound": bound,
+                "slackAllowance": 2 * slack,
+                "measuredGap": gap,
+                "pass": bool(gap <= bound + 2 * slack),
+            },
+        })
+    return blocks
 
 
-def _plan_side(model, args, side, target, spanner=None):
-    """Plan one side, timed: "planner" at epsilon ``target``, on ``spanner``
-    when given one, or "baseline" at delta ``target``.
+def _plan_side(model, args, side, target, main=None):
+    """Plan one side, timed: "planner" at epsilon ``target``, on the basis
+    and step operators of the planner result ``main`` when given one, or
+    "baseline" at delta ``target``.
 
     Returns the result, its report block, its policy for the oracle and
     the bound that policy's oracle gap is held to.
@@ -261,7 +275,8 @@ def _plan_side(model, args, side, target, spanner=None):
             vi_tol=args.vi_tol,
             mode=args.grid_mode,
             state_cap=args.state_cap,
-            spanner=spanner,
+            spanner=None if main is None else main.spanner,
+            dynamics=None if main is None else main.dynamics,
         )
         policy = lambda b: plannermod.act(result.spanner, result, b)
         bound = target / (1.0 - gamma) ** 4
@@ -332,15 +347,16 @@ def cmd_plan(args):
         side: block,
     }
     if args.oracle:
-        orc = _oracle_block(model, policy, bound, _optimum(model, args.oracle_slack))
+        (orc,) = _oracle_blocks(model, args.oracle_slack, [(policy, bound)])
         if planner:
             orc["inspectFlag"] = bool(orc["gap"] > 0.05 / (1.0 - model.discount))
         report["oracle"] = orc
 
     if planner and args.sweep:
         rows = []
-        for eps in args.sweep:  # on the main plan's basis: it does not depend on epsilon
-            _, sweep_block, _, _ = _plan_side(model, args, side, eps, result.spanner)
+        # on the main plan's basis and step operators: neither depends on epsilon
+        for eps in args.sweep:
+            _, sweep_block, _, _ = _plan_side(model, args, side, eps, result)
             rows.append(
                 {
                     "epsilon": eps,
@@ -380,10 +396,12 @@ def cmd_compare(args):
         (side, _plan_side(model, args, side, target))
         for side, target in (("planner", args.epsilon), ("baseline", args.delta))
     ]
-    optimum = _optimum(model, args.oracle_slack)  # shared by both sides
+    blocks = _oracle_blocks(
+        model, args.oracle_slack, [(policy, bound) for _, (_, _, policy, bound) in sides]
+    )
     report = {"command": "compare", "model": _model_summary(model, args.model)}
-    for side, (_, block, policy, bound) in sides:
-        report[side] = dict(block, oracle=_oracle_block(model, policy, bound, optimum))
+    for (side, (_, block, _, _)), orc in zip(sides, blocks):
+        report[side] = dict(block, oracle=orc)
     plan, base = report["planner"], report["baseline"]
     report["summary"] = s = {
         "rank": plan["rank"],

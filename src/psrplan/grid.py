@@ -73,6 +73,8 @@ class PlanResult:
     grid: object = None
     # attached by the rank-r planner, whose policy maps beliefs through it
     spanner: object = None
+    # the rank-r planner's step operators, which a plan at another epsilon reuses
+    dynamics: object = None
 
 
 class Interner:

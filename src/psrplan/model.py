@@ -191,48 +191,25 @@ def state_sum(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def check_actions(actions, k: int, n_actions: int) -> np.ndarray:
-    """``actions`` as a (k, m) int64 stack, checked to hold actions in
-    [0, n_actions); ValidationError otherwise."""
-    actions = np.asarray(actions, dtype=np.int64)
-    if actions.ndim != 2 or actions.shape[0] != k:
-        raise ValidationError(
-            f"actions must be a ({k}, m) stack for {k} beliefs, got shape {actions.shape}"
-        )
-    # as uint64 a negative action is above 2**63, so one maximum checks both ends
-    if actions.view(np.uint64).max(initial=0) >= n_actions:
-        bad = actions[(actions < 0) | (actions >= n_actions)][0]
-        raise ValidationError(f"action {bad} outside [0, {n_actions})")
-    return actions
+def belief_update_state_major(model: PomdpModel, beliefs: np.ndarray):
+    """belief_update for every action and signal from each row of a (k, n)
+    stack of beliefs, with the hidden state leading and the stack
+    innermost: ``(p, post)`` shaped (A, Z, k) and (n, A, Z, k).
 
-
-def belief_update_state_major(model: PomdpModel, beliefs: np.ndarray, actions=None):
-    """belief_update_batch with the hidden state leading and the stack of
-    beliefs innermost: ``(p, post)`` shaped (m, Z, k) and (n, m, Z, k).
-
-    The push-forward is belief_update's, one matrix-vector product per
-    belief and action: a matrix product over the stack would sum in another
-    order and move the ties that simplex rounding breaks.  Everything after
-    it (the emission product, the clamp, the two sums over states and the
-    divisions) is one elementwise pass over the k beliefs per hidden state,
-    and ``state_sum`` adds the states in the order numpy sums a row, so
-    every entry is belief_update's bit for bit.
+    Where ``p <= 0`` the posterior is all +0.0 (belief_update returns
+    None).  The push-forward is belief_update's, one matrix-vector product
+    per belief and action: a matrix product over the stack would sum in
+    another order and move the ties that simplex rounding breaks.
+    Everything after it (the emission product, the clamp, the two sums over
+    states and the divisions) is one elementwise pass over the k beliefs
+    per hidden state, and ``state_sum`` adds the states in the order numpy
+    sums a row, so every other entry is belief_update's bit for bit.
     """
     beliefs = np.asarray(beliefs, dtype=np.float64)
-    k = beliefs.shape[0]
-    if actions is None:
-        # one copy of every action, broadcast over the rows
-        transition = model.transition[:, np.newaxis]
-        emit = model.signal_kernel[..., np.newaxis]  # (n, A, Z, 1)
-    else:
-        actions = check_actions(actions, k, model.n_actions)
-        transition = model.transition[:, actions]
-        # (n, Z, m, k): gathered with the stack innermost
-        emit = model.signal_kernel.transpose(0, 2, 1).take(actions.T, axis=2)
-        emit = emit.transpose(0, 2, 1, 3)
-    # each row's [s', s] matrix keeps belief_update's strides (s' contiguous)
-    pushed = np.matvec(transition.transpose(1, 2, 3, 0), beliefs[:, None, :])
-    joint = np.empty((model.n, pushed.shape[1], model.n_signals, k))
+    # each action's [s', s] matrix keeps belief_update's strides (s' contiguous)
+    pushed = np.matvec(model.transition.transpose(1, 2, 0), beliefs[:, None, :])
+    joint = np.empty((model.n, model.n_actions, model.n_signals, beliefs.shape[0]))
+    emit = model.signal_kernel[..., np.newaxis]  # (n, A, Z, 1)
     np.multiply(pushed.transpose(2, 1, 0)[:, :, np.newaxis], emit, out=joint)
     joint = _clean_probabilities(joint)
     p = state_sum(joint)
@@ -245,22 +222,6 @@ def belief_update_state_major(model: PomdpModel, beliefs: np.ndarray, actions=No
     if drifted.any():
         np.divide(post, np.where(drifted, total, 1.0), out=post)
     return p, post
-
-
-def belief_update_batch(model: PomdpModel, beliefs: np.ndarray, actions=None):
-    """belief_update for every signal of each searched action from each row
-    of ``beliefs``.
-
-    ``actions`` is a (k, m) stack of the actions searched from each row, by
-    default all A of them; a stack of another shape, or holding an action
-    outside [0, A), raises ValidationError.  Returns ``(p, post)`` with
-    shapes (k, m, Z) and (k, m, Z, n), as views of
-    ``belief_update_state_major``'s arrays.  Where ``p <= 0`` the posterior
-    is all +0.0 (belief_update returns None).  Every other entry equals
-    belief_update's bit for bit.
-    """
-    p, post = belief_update_state_major(model, beliefs, actions)
-    return p.transpose(2, 0, 1), post.transpose(3, 1, 2, 0)
 
 
 def sequence_probability(model: PomdpModel, b: np.ndarray, test: Test) -> float:

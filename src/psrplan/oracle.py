@@ -6,19 +6,24 @@ with V_0*(b) the best immediate reward.  Values are exact up to the
 truncation slack gamma^(H+1) / (1 - gamma), which callers must account
 for when comparing against infinite-horizon quantities.
 
-The search is level-synchronous and memoized.  A forward pass filters one
-depth level at a time, for the searched actions only, with
-``belief_update_state_major``: hidden states lead and each block of
-beliefs is innermost, so every step after the push-forward is one
-elementwise pass per hidden state, and posteriors are bit for bit
-``belief_update``'s.  The kept branches' posteriors are gathered by one
-``take`` of columns per block.  The search merges successors whose beliefs
+``search`` builds one level-synchronous, memoized tree over every action
+and values the optimum and any number of policies on it.  A forward pass
+filters one depth level at a time with ``belief_update_state_major``, bit
+for bit ``belief_update``, and gathers the kept branches' posteriors by
+one ``take`` of columns per block.  It merges successors whose beliefs
 round to the same multiple of ``memo_precision``: the first one met stands
 for all, and ids follow first occurrence in (node, action, signal) order,
 which is the order a depth-first search with the same memo would meet them
 in.  Each level is merged once, by one sort of a hash of the rounded
-beliefs (``dedupe``).  A backward pass then sums each level's Q values from
-the level below, signal by signal in the filter's order.
+beliefs (``dedupe``).  The node budget counts the tree's distinct nodes.
+Each policy is asked once per level about the nodes its actions reach,
+with the representative beliefs the tree holds for them.
+
+A backward pass then sums each level's Q values from the level below,
+signal by signal in the filter's order: over every action for the max,
+and over each reached node's chosen action for a policy.  Both add the
+same products in the same order, so the optimum is at least every
+policy's value exactly, not only up to rounding.
 """
 
 import functools
@@ -33,12 +38,7 @@ from .grid import BLOCK_STATES
 # Not called here: pipebench/tracer.py wraps psrplan.oracle.belief_update and
 # reports a missing target, so the name stays importable from this module.
 from .model import belief_update  # noqa: F401
-from .model import (
-    PomdpModel,
-    belief_update_state_major,
-    check_actions,
-    expected_reward_matrix,
-)
+from .model import PomdpModel, belief_update_state_major, expected_reward_matrix
 
 MEMO_PRECISION = 1e-9
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -126,14 +126,12 @@ def dedupe(rows, hashes, key):
     return ids, np.flatnonzero(is_first)
 
 
-class _Search:
-    """One expectimax tree: ``choose`` maps a (k, n) stack of beliefs to the
-    (k, m) actions searched at each, the policy's one, or to None for all."""
+class _Tree:
+    """The memoized expectimax tree from one root belief, over every action."""
 
-    def __init__(self, model: PomdpModel, config: OracleConfig, choose):
+    def __init__(self, model: PomdpModel, config: OracleConfig):
         self.model = model
         self.config = config or OracleConfig()
-        self.choose = choose
         self.r_sa = expected_reward_matrix(model)
         self.nodes = 0
 
@@ -145,28 +143,32 @@ class _Search:
                 "shrink the horizon or the model"
             )
 
-    def _rewards(self, beliefs, actions):
+    def _rewards(self, beliefs):
         # one strided dot per (belief, action), as b @ r_sa[:, a]; a matrix
         # product would round differently
-        r = np.vecdot(beliefs[:, None, :], self.r_sa.T[None])
-        return r if actions is None else np.take_along_axis(r, actions, axis=1)
-
-    def _leaf_values(self, beliefs):
-        return _best(self._rewards(beliefs, self.choose(beliefs)))[0]
+        return np.vecdot(beliefs[:, None, :], self.r_sa.T[None])
 
     def _key(self, post):
         return np.round(post / self.config.memo_precision).astype(np.int64)
 
-    def _expand(self, beliefs, actions, leaf):
-        """Successors of one level: (p, succ, next) with p and succ shaped
-        like (k, m, Z), succ = -1 where p <= 0, and next the distinct
-        successors' beliefs, or their values when they are leaves."""
+    def _ask(self, policy, beliefs):
+        """The policy's k actions at a (k, n) stack of beliefs, checked."""
+        actions = np.asarray(policy(beliefs), dtype=np.int64).reshape(len(beliefs))
+        na = self.model.n_actions
+        # as uint64 a negative action is above 2**63, so one maximum checks both ends
+        if actions.view(np.uint64).max(initial=0) >= na:
+            bad = actions[(actions < 0) | (actions >= na)][0]
+            raise ValidationError(f"action {bad} outside [0, {na})")
+        return actions
+
+    def _expand(self, beliefs):
+        """Successors of one level: (p, succ, post, first) with p and succ
+        shaped (k, A, Z), succ = -1 where p <= 0, ``post`` a row per kept
+        branch and ``post[first]`` the distinct successors in id order."""
         p_parts, post_parts, hash_parts = [], [], []
         for lo in range(0, beliefs.shape[0], BLOCK_STATES):
-            block = slice(lo, lo + BLOCK_STATES)
-            searched = None if actions is None else actions[block]
-            p, post = belief_update_state_major(self.model, beliefs[block], searched)
-            # number the (m, Z, k) branches in memory order, then take the
+            p, post = belief_update_state_major(self.model, beliefs[lo : lo + BLOCK_STATES])
+            # number the (A, Z, k) branches in memory order, then take the
             # kept ones' posterior columns in (node, action, signal) order
             cols = np.arange(p.size).reshape(p.shape).transpose(2, 0, 1)
             p = p.transpose(2, 0, 1)
@@ -187,77 +189,87 @@ class _Search:
         self._count(first.size)
         succ = np.full(p.shape, -1, dtype=np.int64)
         succ[p > 0.0] = ids
-        if not leaf:
-            return p, succ, post[first]
-        values = [
-            self._leaf_values(post[first[lo : lo + LEAF_ROWS]])
-            for lo in range(0, first.size, LEAF_ROWS)
-        ]
-        return p, succ, np.concatenate(values)
+        return p, succ, post, first
 
-    def root_q(self, b, horizon, root_action=None):
-        """Q at the root over its searched actions; the root is a node of
-        the tree unless its action is fixed."""
-        beliefs = np.asarray(b, dtype=np.float64)[None]
-        if root_action is None:
-            self._count(1)
-            actions = self.choose(beliefs)
-        else:
-            actions = np.array([[root_action]])
+    def run(self, b, horizon, policies):
+        """Q at the root over every action, and each policy's value there.
+
+        A level's distinct beliefs are the rows ``first`` of a stack
+        ``post``; the root's stack is b alone."""
+        post = np.asarray(b, dtype=np.float64)[None]
+        first = np.zeros(1, dtype=np.int64)
+        self._count(1)
+        reached = [first] * len(policies)  # each policy's nodes on the level
         levels = []
-        for depth in range(horizon, 0, -1):
-            rewards = self._rewards(beliefs, actions)
-            p, succ, below = self._expand(beliefs, actions, leaf=depth == 1)
-            levels.append((rewards, p, succ))
-            if depth > 1:
-                beliefs, actions = below, self.choose(below)
-        if not levels:
-            return self._rewards(beliefs, actions)[0]
+        for _ in range(horizon):
+            beliefs, post = post[first], None  # free the rows before filtering
+            chosen = [self._ask(f, beliefs[ids]) for f, ids in zip(policies, reached)]
+            p, succ, post, first = self._expand(beliefs)
+            levels.append((self._rewards(beliefs), p, succ, reached, chosen))
+            # the next level's nodes each policy reaches, in id order
+            live = [succ[ids, a] for ids, a in zip(reached, chosen)]
+            reached = [np.flatnonzero(np.bincount(s[s >= 0], minlength=first.size)) for s in live]
+
+        # the leaves' Q values, per chunk of LEAF_ROWS rows
+        q = np.concatenate([
+            self._rewards(post[first[lo : lo + LEAF_ROWS]])
+            for lo in range(0, first.size, LEAF_ROWS)
+        ])
+        values = _best(q)[0]
+        policy_values = []
+        for f, ids in zip(policies, reached):
+            v = np.zeros(first.size)
+            v[ids] = q[ids, self._ask(f, post[first[ids]])]
+            policy_values.append(v)
+        del post
 
         gamma = self.model.discount
-        values = below  # the leaves' values
-        for q, p, succ in reversed(levels):
+        for rewards, p, succ, reached, chosen in reversed(levels):
             weight = gamma * p
-            for z in range(p.shape[2]):
-                # a dead branch (p = 0, succ = -1) adds exactly +0.0 to q >= 0
-                q += weight[:, :, z] * values[succ[:, :, z]]
+            for i, (ids, a) in enumerate(zip(reached, chosen)):
+                v = np.zeros(rewards.shape[0])
+                v[ids] = _backup(rewards[ids, a], weight[ids, a], succ[ids, a], policy_values[i])
+                policy_values[i] = v
+            q = _backup(rewards, weight, succ, values)
             values = _best(q)[0]
-        return q[0]
+        return q[0], [float(v[0]) for v in policy_values]
 
 
-def _all_actions(beliefs):
-    return None  # every action, in belief_update_state_major's terms
+def _backup(q, weight, succ, values):
+    """Add weight[..., z] * values[succ[..., z]] into q for each signal z in
+    order: the one sum of the optimum's and every policy's Q values.  A
+    dead branch (weight 0, succ -1) adds exactly +0.0 to q >= 0."""
+    for z in range(weight.shape[-1]):
+        q += weight[..., z] * values[succ[..., z]]
+    return q
+
+
+def search(model: PomdpModel, b, horizon: int, policies=(), config: OracleConfig = None):
+    """(V_H*(b), optimal first action, [each policy's value]) on one tree.
+
+    Each of ``policies`` maps a (k, n) stack of beliefs to k actions; one
+    outside [0, A) raises ValidationError.  A policy is asked once per level
+    about the distinct nodes its actions reach, the root included, with the
+    beliefs the tree holds for them.
+    """
+    q, values = _Tree(model, config).run(b, horizon, policies)
+    best = int(np.argmax(q))
+    return float(q[best]), best, values
 
 
 def exact_value(model: PomdpModel, b, horizon: int, config: OracleConfig = None):
     """(V_H*(b), optimal first action); exact up to truncation slack."""
-    search = _Search(model, config, _all_actions)
-    q = search.root_q(b, horizon)
-    best = int(np.argmax(q))
-    return float(q[best]), best
+    return search(model, b, horizon, config=config)[:2]
 
 
 def exact_q(model: PomdpModel, b, a: int, horizon: int, config: OracleConfig = None):
-    """Q_H*(b, a): fix the first action, then act optimally."""
-    search = _Search(model, config, _all_actions)
-    return float(search.root_q(b, horizon, root_action=a)[0])
+    """Q_H*(b, a), read off the full tree: the first action fixed, then optimal play."""
+    if not 0 <= a < model.n_actions:
+        raise ValidationError(f"action {a} outside [0, {model.n_actions})")
+    return float(_Tree(model, config).run(b, horizon, ())[0][a])
 
 
-def evaluate_policy(
-    model: PomdpModel, policy, b, horizon: int, config: OracleConfig = None
-):
-    """Truncated discounted value of following the belief -> action map.
-
-    ``policy`` maps a (k, n) stack of beliefs to k actions.  It is asked
-    about each distinct node once: one call per level, the root's included,
-    and one per chunk of ``LEAF_ROWS`` nodes on the last level.  A result
-    whose size is not k fails, and one holding an action outside [0, A)
-    raises ValidationError.
-    """
-
-    def choose(beliefs):
-        actions = np.asarray(policy(beliefs), dtype=np.int64).reshape(len(beliefs), 1)
-        return check_actions(actions, len(beliefs), model.n_actions)
-
-    search = _Search(model, config, choose)
-    return float(search.root_q(b, horizon)[0])
+def evaluate_policy(model: PomdpModel, policy, b, horizon: int, config: OracleConfig = None):
+    """Truncated discounted value of following the belief -> action map,
+    on the tree ``search`` builds."""
+    return search(model, b, horizon, [policy], config)[2][0]

@@ -183,12 +183,14 @@ def plan(
     mode: str = "reachable",
     state_cap: int = DEFAULT_STATE_CAP,
     spanner: SpannerBasis | None = None,
+    dynamics: SignalDynamics | None = None,
 ) -> gridmod.PlanResult:
     """Full pipeline: basis discovery, spanner, dynamics, grid, value iteration.
 
     Given the ``spanner`` of an earlier plan of the same model, which no
-    epsilon or grid setting changes, discovery and the spanner are skipped
-    and their stages are left out of ``stageSeconds``."""
+    epsilon or grid setting changes, discovery and the spanner are skipped,
+    and given its ``dynamics`` as well, so are the step operators; skipped
+    stages are left out of ``stageSeconds``."""
     timings = {}
     if spanner is None:
         t0 = time.perf_counter()
@@ -197,11 +199,12 @@ def plan(
         t0 = time.perf_counter()
         spanner = improve_to_spanner(model, dec)
         timings["improveToSpanner"] = time.perf_counter() - t0
+    if dynamics is None:
+        t0 = time.perf_counter()
+        dynamics = precompute_dynamics(model, spanner)
+        timings["precomputeDynamics"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    dyn = precompute_dynamics(model, spanner)
-    timings["precomputeDynamics"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    grid = build_grid(model, spanner, dyn, epsilon, mode=mode, state_cap=state_cap)
+    grid = build_grid(model, spanner, dynamics, epsilon, mode=mode, state_cap=state_cap)
     timings["buildGrid"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     result = gridmod.solve(grid, vi_tol)
@@ -219,6 +222,7 @@ def plan(
         }
     )
     result.spanner = spanner
+    result.dynamics = dynamics
     return result
 
 

@@ -10,6 +10,7 @@ byte for byte, and a rejected text must fail with the same error type and
 message.
 """
 
+import math
 import re
 
 import numpy as np
@@ -62,9 +63,13 @@ def _floats(tokens, expected, line, what):
             f"{what}: expected {expected} numbers, found {len(tokens)}", line
         )
     try:
-        return [float(tok) for tok in tokens]
+        vals = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}", line) from None
+    for tok, val in zip(tokens, vals):
+        if not math.isfinite(val):
+            raise ParseError(f"{what}: non-finite number '{tok}'", line)
+    return vals
 
 
 def _keyword_matrix(word, rows, cols, line):
@@ -508,6 +513,16 @@ ERROR_CORPUS = {
         DEFAULT_REWARD_CAP,
         ParseError,
     ),
+    "inf_entry": (
+        PREAMBLE.format(n=2, na=1, no=1) + "T: * uniform\nO: * uniform\nR: * : * : * : * -inf\n",
+        DEFAULT_REWARD_CAP,
+        ParseError,
+    ),
+    "overflow_in_a_matrix": (
+        PREAMBLE.format(n=2, na=1, no=1) + "T: a0\n0.5 0.5\n1e999 0\n",
+        DEFAULT_REWARD_CAP,
+        ParseError,
+    ),
 }
 
 # Malformed T/O/R entries on 2 states, 1 action and 3 observations, each
@@ -546,8 +561,7 @@ for _name, _entry in BAD_ENTRIES.items():
 
 # Bad rows inside a run of one-line T rows on 2 states, each after valid
 # rows of the same run, and the error each must report; an unknown slot is
-# reported ahead of a later bad number in the same run.  The loop reference
-# reads 'nan' as a number, so only the others join ERROR_CORPUS.
+# reported ahead of a later bad number in the same run.
 RUN_ERRORS = {
     "bad_token": (
         "T: go : s1 0.5 x", "line 9: transition row: could not convert string to float: 'x'"
@@ -566,7 +580,7 @@ def _run_error_text(name):
     )
 
 
-for _name in RUN_ERRORS.keys() - {"non_finite"}:
+for _name in RUN_ERRORS:
     ERROR_CORPUS[f"run_{_name}"] = (_run_error_text(_name), DEFAULT_REWARD_CAP, ParseError)
 
 

@@ -263,20 +263,40 @@ def test_compare_rank_grid_smaller_on_duplicated_states(tmp_path, capsys):
     assert rep["baseline"]["oracle"]["accuracyBound"]["pass"] is True
 
 
-def test_compare_searches_the_optimum_once(tmp_path, capsys, monkeypatch):
+def count_searches(monkeypatch):
+    """Record the arguments of every oracle search the CLI runs."""
     calls = []
-    exact_value = cli.oraclemod.exact_value
+    search = cli.oraclemod.search
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return exact_value(*args, **kwargs)
+        return search(*args, **kwargs)
 
-    monkeypatch.setattr(cli.oraclemod, "exact_value", counted)
+    monkeypatch.setattr(cli.oraclemod, "search", counted)
+    return calls
+
+
+def test_compare_searches_the_optimum_once(tmp_path, capsys, monkeypatch):
+    calls = count_searches(monkeypatch)
     code, _, _ = run_cli(
         ["compare", DATA / "tiger.POMDP", "--json-out", tmp_path / "r.json"], capsys
     )
     assert code == 0
     assert len(calls) == 1
+    assert len(calls[0][3]) == 2  # both sides' policies, on the one tree
+
+
+@pytest.mark.parametrize("command", ["plan", "baseline"])
+def test_one_side_with_oracle_searches_once(tmp_path, capsys, monkeypatch, command):
+    calls = count_searches(monkeypatch)
+    code, _, _ = run_cli(
+        [command, DATA / "tiger.POMDP", "--oracle", "--json-out", tmp_path / "r.json",
+         "--policy-out", tmp_path / "p.json"],
+        capsys,
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert len(calls[0][3]) == 1
 
 
 def test_sweep_csv_output(tmp_path, capsys):
@@ -309,6 +329,22 @@ def test_sweep_reuses_the_main_plans_basis(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert calls == ["discover_basis", "improve_to_spanner"]
+    assert len(read_json(tmp_path / "r.json")["sweep"]) == 3
+
+
+def test_sweep_reuses_the_main_plans_step_operators(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli.plannermod.precompute_dynamics
+    monkeypatch.setattr(
+        cli.plannermod, "precompute_dynamics", lambda *a: calls.append(a) or real(*a)
+    )
+    code, _, _ = run_cli(
+        ["plan", DATA / "tiger.POMDP", "--sweep", "0.5,0.2,0.1",
+         "--json-out", tmp_path / "r.json", "--policy-out", tmp_path / "p.json"],
+        capsys,
+    )
+    assert code == 0
+    assert len(calls) == 1
     assert len(read_json(tmp_path / "r.json")["sweep"]) == 3
 
 
@@ -357,7 +393,7 @@ def test_bad_sweep_exits_2_before_planning(tmp_path, capsys, monkeypatch, sweep)
         ("plan", "plan: rank=2 grid=17 value=3.787490 -> {report}"),
         ("baseline", "baseline: grid=17 value=3.787490 -> {report}"),
         ("compare", "compare: rank=2 planner grid=17 baseline grid=17 "
-         "gaps: planner=-0.000000 baseline=-0.000000 -> {report}"),
+         "gaps: planner=0.000000 baseline=0.000000 -> {report}"),
     ],
 )
 def test_summary_line_on_stdout(tmp_path, capsys, command, line):
@@ -374,7 +410,7 @@ def test_summary_line_on_stdout(tmp_path, capsys, command, line):
 @pytest.mark.parametrize("flag", [["--epsilon", "5"], ["--delta", "0.3"]])
 def test_compare_bad_mesh_exits_2_before_the_oracle(tmp_path, capsys, monkeypatch, flag):
     calls = []
-    monkeypatch.setattr(cli.oraclemod, "exact_value", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli.oraclemod, "search", lambda *a, **k: calls.append(a))
     code, _, err = run_cli(
         ["compare", DATA / "tiger.POMDP", *flag, "--json-out", tmp_path / "r.json"],
         capsys,

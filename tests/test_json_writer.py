@@ -99,6 +99,33 @@ def test_arrays_nested_at_depth():
     assert cli._dumps(payload, "    ") == reference(payload).replace("\n", "\n    ")
 
 
+DEEP = {
+    "only under a dict": {"a": {"b": np.array([1])}},
+    "only under a list": {"rows": [np.array([0.5, -0.0]), {"c": np.zeros((2, 0))}]},
+    "deep in lists and dicts": {
+        "x": [[{"y": [np.array([[1, 2]], dtype=np.int8), [], {}]}], 3.5, "a, b"],
+        "z": {"w": [{"v": {"u": np.array([True])}}, None]},
+    },
+    "a list of arrays alone": [np.array([1.0]), [np.array([2], dtype=np.uint8)]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_arrays_deep_under_dicts_and_lists(name):
+    """An ndarray under any number of dicts and lists is written as its list."""
+
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [plain(v) for v in x]
+        return x.tolist() if isinstance(x, np.ndarray) else x
+
+    want = json.dumps(plain(DEEP[name]), sort_keys=True, indent=2)
+    assert cli._dumps(DEEP[name]) == want
+    assert cli._dumps(DEEP[name], "  ") == want.replace("\n", "\n  ")
+
+
 REPORTS = {
     "sweep rows": {
         "sweep": [

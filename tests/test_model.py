@@ -9,7 +9,7 @@ from psrplan.model import (
     PomdpModel,
     Signal,
     belief_update,
-    belief_update_batch,
+    belief_update_state_major,
     expected_reward_matrix,
     from_json,
     sample_trajectory,
@@ -263,22 +263,20 @@ def test_validate_rejects_bad_discount():
         m2.validate()
 
 
-def assert_batch_matches_filter(model, beliefs, actions=None):
-    """belief_update_batch equals belief_update bit for bit, row by row, for
-    every action or for each row's searched actions."""
-    p, post = belief_update_batch(model, beliefs, actions)
-    if actions is None:
-        actions = np.tile(np.arange(model.n_actions), (len(beliefs), 1))
-    assert p.shape == actions.shape + (model.n_signals,)
-    assert post.shape == p.shape + (model.n,)
+def assert_batch_matches_filter(model, beliefs):
+    """belief_update_state_major equals belief_update bit for bit, for
+    every row, action and signal."""
+    p, post = belief_update_state_major(model, beliefs)
+    assert p.shape == (model.n_actions, model.n_signals, len(beliefs))
+    assert post.shape == (model.n,) + p.shape
     for k, b in enumerate(beliefs):
-        for j, a in enumerate(actions[k]):
+        for a in range(model.n_actions):
             for z in range(model.n_signals):
                 p_ref, post_ref = belief_update(model, b, a, z)
-                assert p[k, j, z] == p_ref
+                assert p[a, z, k] == p_ref
                 if post_ref is None:
                     post_ref = np.zeros(model.n)  # +0.0, not -0.0
-                assert_bits_equal(post[k, j, z], post_ref)
+                assert_bits_equal(post[:, a, z, k], post_ref)
 
 
 def assert_bits_equal(got, want):
@@ -301,52 +299,29 @@ def test_batched_filter_matches_belief_update():
         m = random_pomdp(n, na, no, nr, seed=seed, dirichlet=0.3)
         beliefs = random_beliefs(n, 40, rng)
         assert_batch_matches_filter(m, beliefs)
-        # searched actions: one per row, and two per row with repeats
-        for m_searched in (1, 2):
-            actions = rng.integers(na, size=(40, m_searched))
-            assert_batch_matches_filter(m, beliefs, actions)
         # an empty stack keeps the documented shapes
         assert_batch_matches_filter(m, beliefs[:0])
-        assert_batch_matches_filter(m, beliefs[:0], actions[:0])
     # impossible signals: zero probability and an all-zero posterior
     m = fully_observable_chain()
     beliefs = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]])
     assert_batch_matches_filter(m, beliefs)
-    assert_batch_matches_filter(m, beliefs, np.array([[1], [0], [1]]))
     # -0.0 emission entries make -0.0 joint entries, which the clamp maps
     # to +0.0: the posterior of an impossible signal is still all +0.0
     m.signal_kernel = np.where(m.signal_kernel == 0.0, -0.0, m.signal_kernel)
-    _, post = belief_update_batch(m, beliefs)
+    _, post = belief_update_state_major(m, beliefs)
     assert np.signbit(m.signal_kernel).any() and not np.signbit(post).any()
     assert_batch_matches_filter(m, beliefs)
-
-
-@pytest.mark.parametrize(
-    "actions, message",
-    [
-        (np.array([[0], [1]]), r"\(3, m\) stack"),  # one row short
-        (np.array([0, 1, 0]), r"\(3, m\) stack"),  # not a stack
-        (np.zeros((3, 1, 1), dtype=np.int64), r"\(3, m\) stack"),
-        (np.array([[0], [-1], [1]]), r"action -1 outside \[0, 2\)"),
-        (np.array([[0, 1], [1, 2], [0, 0]]), r"action 2 outside \[0, 2\)"),
-    ],
-)
-def test_batched_filter_rejects_bad_action_stacks(actions, message):
-    m = random_pomdp(3, 2, 2, 2, seed=0)
-    beliefs = random_beliefs(m.n, 3, np.random.default_rng(0))
-    with pytest.raises(ValidationError, match=message):
-        belief_update_batch(m, beliefs, actions)
 
 
 def test_batched_filter_keeps_drift_renormalization(monkeypatch):
     m = random_pomdp(7, 2, 2, 2, seed=4)
     beliefs = random_beliefs(m.n, 40, np.random.default_rng(2))
     monkeypatch.setattr(modelmod, "DRIFT_TOL", 1.0)  # never renormalize
-    _, raw = belief_update_batch(m, beliefs)
+    _, raw = belief_update_state_major(m, beliefs)
     # renormalize every posterior whose sum is not exactly 1, in
     # belief_update and in the batch alike
     monkeypatch.setattr(modelmod, "DRIFT_TOL", 0.0)
-    _, post = belief_update_batch(m, beliefs)
+    _, post = belief_update_state_major(m, beliefs)
     assert not np.array_equal(raw, post)
     assert_batch_matches_filter(m, beliefs)
 
@@ -359,7 +334,7 @@ def test_batched_filter_rejects_negative_probability():
     with pytest.raises(ValidationError, match="negative"):
         belief_update(m, b[0], 1, 0)
     with pytest.raises(ValidationError, match="negative"):
-        belief_update_batch(m, b)
+        belief_update_state_major(m, b)
 
 
 def test_state_sum_adds_as_numpy_sums_a_row():

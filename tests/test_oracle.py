@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from psrplan import baseline as baselinemod
+from psrplan import planner as plannermod
+from psrplan.cassandra import load_pomdp
 from psrplan.errors import OracleBudgetError, ValidationError
 from psrplan.grid import Interner
 from psrplan.model import PomdpModel, expected_reward_matrix
@@ -15,9 +18,12 @@ from psrplan.oracle import (
     HASH_MULTIPLIER,
     horizon_for_slack,
     row_hash,
+    search,
     truncation_slack,
 )
 from psrplan.zoo import random_pomdp
+
+from conftest import DATA
 
 TIGER_GOLDEN_H20 = 3.777986364180994  # pinned output of this oracle
 
@@ -109,6 +115,36 @@ def test_value_is_max_of_q(tiger):
     qs = [exact_q(tiger, b, a_, H) for a_ in range(tiger.n_actions)]
     assert v == pytest.approx(max(qs), abs=1e-12)
     assert a == int(np.argmax(qs))
+
+
+def optimum_bound_models():
+    models = [load_pomdp(DATA / f"{name}.POMDP") for name in ("tiger", "clones", "fair_coin")]
+    models += [
+        random_pomdp(3 + i % 4, 2, 2, 2, seed=700 + i, discount=0.4) for i in range(10)
+    ]
+    return models
+
+
+def test_optimum_bounds_every_policy_exactly():
+    """v_opt >= v_pol with no tolerance: the optimum and a policy are summed
+    over the same nodes with the same products, and the max over actions
+    at each node is at least the policy's action there."""
+    for model in optimum_bound_models():
+        horizon = horizon_for_slack(model.discount, 1e-2)
+        b = model.initial_belief
+        planned = plannermod.plan(model, epsilon=0.1)
+        base = baselinemod.plan_baseline(model, delta=0.05)
+        policies = [
+            lambda x: plannermod.act(planned.spanner, planned, x),
+            lambda x: baselinemod.act_baseline(base, x),
+            lambda x: np.argmax(x, axis=1) % model.n_actions,
+        ]
+        v_opt, a_opt, values = search(model, b, horizon, policies)
+        assert (v_opt, a_opt) == exact_value(model, b, horizon)
+        for policy, v_pol in zip(policies, values):
+            assert v_opt >= v_pol
+            # one tree whichever policies share it
+            assert evaluate_policy(model, policy, b, horizon) == v_pol
 
 
 def test_q_symmetric_under_identical_actions():
