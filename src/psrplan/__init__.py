@@ -70,7 +70,6 @@ from .planner import (
     plan,
     precompute_dynamics,
     round_to_grid,
-    step_coefficients,
 )
 from .zoo import (
     cloned_states,
@@ -134,7 +133,6 @@ __all__ = [
     "plan",
     "precompute_dynamics",
     "round_to_grid",
-    "step_coefficients",
     "cloned_states",
     "fully_observable_chain",
     "near_duplicate_states",

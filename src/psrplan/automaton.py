@@ -7,7 +7,7 @@ values are exactly the test success probabilities of the Bayes filter;
 that equivalence is the backbone oracle for everything downstream.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,15 +117,15 @@ def hankel_submatrix(model: PomdpModel, rows, cols) -> HankelSubmatrix:
     return HankelSubmatrix(row_labels=list(rows), col_labels=list(cols), values=values)
 
 
-def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Count singular values above tol * largest."""
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Count singular values above RANK_TOL * largest."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if matrix.size == 0:
         return 0
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0 or sv[0] <= 0:
         return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
 def enumerate_tests(model: PomdpModel, max_len: int):
@@ -160,34 +160,24 @@ def state_test_values(model: PomdpModel, max_len: int):
     return np.hstack(levels)
 
 
-def hankel_rank_profile(model: PomdpModel, max_len: int = 4, tol: float = RANK_TOL):
+def hankel_rank_profile(model: PomdpModel, max_len: int = 4):
     """Numerical rank of the all-states Hankel block at each test-length cap."""
     ma = from_pomdp(model)
     mats = [ma.mu[sym] for sym in ma.alphabet]
     block = np.ones((model.n, 1))
     frontier = block
-    ranks = [numerical_rank(block, tol)]
+    ranks = [numerical_rank(block)]
     for _ in range(max_len):
         frontier = np.hstack([m @ frontier for m in mats])
         block = np.hstack([block, frontier])
-        ranks.append(numerical_rank(block, tol))
+        ranks.append(numerical_rank(block))
     return ranks
 
 
-def stabilized_rank(model: PomdpModel, max_len: int = 4, tol: float = RANK_TOL) -> int:
+def stabilized_rank(model: PomdpModel, max_len: int = 4) -> int:
     """First rank value repeated for two consecutive length caps."""
-    ranks = hankel_rank_profile(model, max_len, tol)
+    ranks = hankel_rank_profile(model, max_len)
     for k in range(1, len(ranks)):
         if ranks[k] == ranks[k - 1]:
             return ranks[k]
     return ranks[-1]
-
-
-def to_json_dict(ma: MultiplicityAutomaton) -> dict:
-    return {
-        "size": ma.size,
-        "alphabet": [list(s) if isinstance(s, tuple) else s for s in ma.alphabet],
-        "matrices": [ma.mu[s].tolist() for s in ma.alphabet],
-        "terminal": ma.terminal.tolist(),
-        "initial": ma.initial.tolist(),
-    }

@@ -19,8 +19,6 @@ from .model import PomdpModel, belief_update_state_major, expected_reward_matrix
 # name and would report it missing.
 from .model import belief_update  # noqa: F401
 
-DEFAULT_STATE_CAP = 2_000_000
-
 
 def resolution(delta: float) -> int:
     """1/delta as an exact integer; rejects meshes that do not divide 1."""
@@ -50,7 +48,7 @@ def simplex_round(b: np.ndarray, delta: float) -> np.ndarray:
 
 
 def build_delta_grid(
-    model: PomdpModel, delta: float, state_cap: int = DEFAULT_STATE_CAP
+    model: PomdpModel, delta: float, state_cap: int = gridmod.DEFAULT_STATE_CAP
 ) -> gridmod.GridMdp:
     """Reachable closure of the rounded belief walk from the initial belief."""
     k = resolution(delta)
@@ -86,7 +84,7 @@ def plan_baseline(
     model: PomdpModel,
     delta: float = 0.05,
     vi_tol: float = 1e-4,
-    state_cap: int = DEFAULT_STATE_CAP,
+    state_cap: int = gridmod.DEFAULT_STATE_CAP,
 ) -> gridmod.PlanResult:
     timings = {}
     t0 = time.perf_counter()

@@ -208,7 +208,7 @@ def _declarations(stmts):
     return discount, states, actions, observations, start_stmt, kernel_stmts
 
 
-def parse_pomdp(text: str, reward_cap: int = DEFAULT_REWARD_CAP) -> PomdpModel:
+def parse_pomdp(text: str) -> PomdpModel:
     """Parse file contents into a validated PomdpModel."""
     discount, states, actions, observations, start_stmt, kernel_stmts = (
         _declarations(_split_statements(text))
@@ -228,7 +228,7 @@ def parse_pomdp(text: str, reward_cap: int = DEFAULT_REWARD_CAP) -> PomdpModel:
     obs_kernel /= obs_kernel.sum(axis=2, keepdims=True)
 
     reward_values, reward_index, scale, offset = _collect_rewards(
-        transition, obs_kernel, reward_raw, states, actions, observations, reward_cap
+        transition, obs_kernel, reward_raw, states, actions, observations
     )
 
     model = PomdpModel(
@@ -247,10 +247,10 @@ def parse_pomdp(text: str, reward_cap: int = DEFAULT_REWARD_CAP) -> PomdpModel:
     return model
 
 
-def load_pomdp(path, reward_cap: int = DEFAULT_REWARD_CAP) -> PomdpModel:
+def load_pomdp(path) -> PomdpModel:
     """Load and validate a ``.POMDP`` file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_pomdp(fh.read(), reward_cap=reward_cap)
+        return parse_pomdp(fh.read())
 
 
 def _keyword_body(word, shape, line):
@@ -398,9 +398,7 @@ def _check_rows(sums, kind, states, actions, arriving=False):
         )
 
 
-def _collect_rewards(
-    transition, obs_kernel, reward_raw, states, actions, observations, reward_cap
-):
+def _collect_rewards(transition, obs_kernel, reward_raw, states, actions, observations):
     """Bin rewards on reachable (s,a,s',o) triples and normalize into [0,1].
 
     Emission is tied to (action, arriving state, observation); a reward that
@@ -429,10 +427,10 @@ def _collect_rewards(
     if reachable_vals.size == 0:
         reachable_vals = np.array([0.0])
     distinct = np.unique(reachable_vals)
-    if distinct.size > reward_cap:
+    if distinct.size > DEFAULT_REWARD_CAP:
         raise ValidationError(
             f"model uses {distinct.size} distinct reward values, above the "
-            f"cap of {reward_cap}; outside the finite-reward-set assumption"
+            f"cap of {DEFAULT_REWARD_CAP}; outside the finite-reward-set assumption"
         )
 
     lo, hi = distinct[0], distinct[-1]

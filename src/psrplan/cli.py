@@ -77,16 +77,22 @@ def _add_common_flags(p):
                    "values are within discount * vi-tol / 2 of its optimum; "
                    "sweeps stop when their change spans at most "
                    "vi-tol * (1 - discount) (default 1e-4)")
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the exact oracle and report the gap")
     p.add_argument("--oracle-slack", type=float, default=1e-2,
                    help="truncation slack for the oracle horizon (default 1e-2)")
-    p.add_argument("--state-cap", type=_state_cap, default=plannermod.DEFAULT_STATE_CAP,
+    p.add_argument("--state-cap", type=_state_cap, default=gridmod.DEFAULT_STATE_CAP,
                    help="abort if a grid exceeds this many states, at least 1")
     p.add_argument("--no-timings", action="store_true",
                    help="strip wall-clock fields for byte-stable output")
     p.add_argument("--json-out", metavar="PATH",
                    help="report JSON path (default: <model>.report.json)")
+
+
+def _add_one_side_flags(p):
+    """Flags of ``plan`` and ``baseline``, which ``compare`` does not take:
+    it always runs the oracle and writes no policy."""
+    _add_common_flags(p)
+    p.add_argument("--oracle", action="store_true",
+                   help="also run the exact oracle and report the gap")
     p.add_argument("--policy-out", metavar="PATH",
                    help="policy JSON path (default: <model>.policy.json)")
 
@@ -100,7 +106,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_plan = sub.add_parser("plan", help="rank-r coefficient-grid planner")
-    _add_common_flags(p_plan)
+    _add_one_side_flags(p_plan)
     p_plan.add_argument("--epsilon", type=float, default=0.1,
                         help="coefficient-grid accuracy target (default 0.1)")
     p_plan.add_argument("--grid-mode", choices=("reachable", "full"),
@@ -111,11 +117,13 @@ def build_parser():
                         help="write the value-vs-mesh sweep as CSV")
 
     p_base = sub.add_parser("baseline", help="delta belief-simplex planner")
-    _add_common_flags(p_base)
+    _add_one_side_flags(p_base)
     p_base.add_argument("--delta", type=float, default=0.05,
                         help="simplex lattice mesh, 1/delta integral (default 0.05)")
 
-    p_cmp = sub.add_parser("compare", help="run both planners plus the oracle")
+    # without abbreviations, so that --oracle is not read as --oracle-slack
+    p_cmp = sub.add_parser("compare", help="run both planners plus the oracle",
+                           allow_abbrev=False)
     _add_common_flags(p_cmp)
     p_cmp.add_argument("--epsilon", type=float, default=0.1)
     p_cmp.add_argument("--delta", type=float, default=0.05)
@@ -308,27 +316,24 @@ def _plan_side(model, args, side, target, main=None):
     return result, block, policy, bound
 
 
-def _default_paths(args):
-    stem, _ = os.path.splitext(args.model)
-    report = args.json_out or f"{stem}.report.json"
-    policy = args.policy_out or f"{stem}.policy.json"
-    return report, policy
+def _output_path(path, model, suffix):
+    """``path``, or by default the model's path with ``suffix`` for its extension."""
+    return path or os.path.splitext(model)[0] + suffix
 
 
 def _emit(args, report, policy_payload=None):
-    # blocks hold their grid's live diagnostics, so counts the oracle adds
-    # through act() (actFallbacks) are copied only now
-    report = gridmod._json_safe(dict(report, schemaVersion=SCHEMA_VERSION))
+    """Write the report and, when given, the policy; returns the report's path."""
+    report = dict(report, schemaVersion=SCHEMA_VERSION)
     if args.no_timings:
         report = _strip_timings(report)
-    report_path, policy_path = _default_paths(args)
+    report_path = _output_path(args.json_out, args.model, ".report.json")
     _write_json(report_path, report)
     if policy_payload is not None:
         policy_payload["schemaVersion"] = SCHEMA_VERSION
         if args.no_timings:
             policy_payload = _strip_timings(policy_payload)
-        _write_json(policy_path, policy_payload)
-    return report_path, policy_path
+        _write_json(_output_path(args.policy_out, args.model, ".policy.json"), policy_payload)
+    return report_path
 
 
 def cmd_plan(args):
@@ -371,7 +376,7 @@ def cmd_plan(args):
             _write_sweep_csv(args.sweep_csv, rows, args.no_timings)
 
     policy_payload = gridmod.plan_to_json_dict(result.grid, result)
-    report_path, _ = _emit(args, report, policy_payload)
+    report_path = _emit(args, report, policy_payload)
     rank = f"rank={block['rank']} " if planner else ""
     print(
         f"{args.command}: {rank}grid={block['grid']['states']} "
@@ -410,7 +415,7 @@ def cmd_compare(args):
         "plannerGap": plan["oracle"]["gap"],
         "baselineGap": base["oracle"]["gap"],
     }
-    report_path, _ = _emit(args, report)
+    report_path = _emit(args, report)
     print(
         f"compare: rank={s['rank']} planner grid={s['plannerGridStates']} "
         f"baseline grid={s['baselineGridStates']} "

@@ -42,10 +42,12 @@ class CoreDecomposition:
 @dataclass
 class SpannerBasis:
     decomposition: CoreDecomposition
-    spanner_bound: float
     det_log_ledger: list  # log|det M| after start and after each swap
-    swap_count: int
     max_coefficient: float = np.nan  # final max |C|, set by improve_to_spanner
+
+    @property
+    def swap_count(self):
+        return len(self.det_log_ledger) - 1
 
 
 def discover_basis(model: PomdpModel) -> CoreDecomposition:
@@ -59,6 +61,14 @@ def discover_basis(model: PomdpModel) -> CoreDecomposition:
     σ_max, because extension probabilities shrink with the number of
     symbols: an absolute threshold would be looser on some models than on
     others.  Terminates after at most n-1 additions.
+
+    Each step's α comes from a bare ``np.linalg.solve``, outside the
+    condition guard of ``solve_coefficients``.  Growth keeps M nonsingular
+    by construction: an admitted row's gap is the Schur complement of the
+    grown M, so each admission multiplies |det M| by a gap above DEP_TOL
+    times the largest extension.  The final M is held to the guard's own
+    threshold: ``numerical_rank`` counts the singular values above RANK_TOL
+    times σ_max, and a rank short of r raises.
     """
     ma = from_pomdp(model)
     mats = [ma.mu[sym] for sym in ma.alphabet]
@@ -103,11 +113,11 @@ def discover_basis(model: PomdpModel) -> CoreDecomposition:
     return decomp
 
 
-def solve_coefficients(decomp: CoreDecomposition, target: np.ndarray):
-    """Unique alpha with M^T alpha = target, plus the max-norm residual.
+def solve_coefficients(decomp: CoreDecomposition, target: np.ndarray) -> np.ndarray:
+    """Unique alpha with M^T alpha = target.
 
     ``target`` is one length-r row or any stack of them (shape (..., r));
-    alpha has the same shape and the residual covers every row.
+    alpha has the same shape.
     """
     if decomp.condition_ratio > 1.0 / RANK_TOL:
         raise DegenerateBasisError(
@@ -116,9 +126,7 @@ def solve_coefficients(decomp: CoreDecomposition, target: np.ndarray):
         )
     target = np.asarray(target, dtype=np.float64)
     rows = target.reshape(-1, decomp.rank)
-    alpha = np.linalg.solve(decomp.M.T, rows.T).T.reshape(target.shape)
-    residual = float(np.max(np.abs(alpha @ decomp.M - target), initial=0.0))
-    return alpha, residual
+    return np.linalg.solve(decomp.M.T, rows.T).T.reshape(target.shape)
 
 
 def improve_to_spanner(model: PomdpModel, decomp: CoreDecomposition) -> SpannerBasis:
@@ -136,7 +144,7 @@ def improve_to_spanner(model: PomdpModel, decomp: CoreDecomposition) -> SpannerB
     dec = decomp
     ledger = [np.linalg.slogdet(dec.M)[1]]
     while True:
-        C = np.abs(solve_coefficients(dec, U)[0])
+        C = np.abs(solve_coefficients(dec, U))
         x, i = np.unravel_index(np.argmax(C), C.shape)
         if C[x, i] <= SPANNER_BOUND:
             break
@@ -154,19 +162,13 @@ def improve_to_spanner(model: PomdpModel, decomp: CoreDecomposition) -> SpannerB
             extensions=decomp.extensions,
         )
         ledger.append(np.linalg.slogdet(dec.M)[1])
-    return SpannerBasis(
-        decomposition=dec,
-        spanner_bound=SPANNER_BOUND,
-        det_log_ledger=ledger,
-        swap_count=len(ledger) - 1,
-        max_coefficient=float(C[x, i]),
-    )
+    return SpannerBasis(decomposition=dec, det_log_ledger=ledger, max_coefficient=float(C[x, i]))
 
 
 def state_coefficients(spanner: SpannerBasis) -> np.ndarray:
     """Expansion coefficients of every hidden state in the spanner basis."""
     dec = spanner.decomposition
-    return solve_coefficients(dec, dec.state_test_matrix)[0]
+    return solve_coefficients(dec, dec.state_test_matrix)
 
 
 def _test_to_json(test):
@@ -177,7 +179,7 @@ def to_json_dict(obj) -> dict:
     """JSON form of a CoreDecomposition or SpannerBasis for diagnostics."""
     if isinstance(obj, SpannerBasis):
         body = to_json_dict(obj.decomposition)
-        body["spannerBound"] = obj.spanner_bound
+        body["spannerBound"] = SPANNER_BOUND
         body["maxCoefficient"] = obj.max_coefficient
         body["detLogLedger"] = list(obj.det_log_ledger)
         body["swapCount"] = obj.swap_count

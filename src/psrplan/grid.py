@@ -22,6 +22,7 @@ logger = logging.getLogger("psrplan")
 MAX_VI_ITERATIONS = 1_000_000
 P_MIN = 1e-9  # branches and rows at or below this probability are dropped
 BLOCK_STATES = 256  # states expanded per batch; see closure for what depends on it
+DEFAULT_STATE_CAP = 2_000_000  # both planners' default for closure's state_cap
 
 
 @dataclass
@@ -361,19 +362,5 @@ def plan_to_json_dict(grid: GridMdp, plan: PlanResult) -> dict:
         "initialState": grid.initial_state,
         "residual": plan.residual,
         "iterations": plan.iterations,
-        "metadata": _json_safe(plan.metadata),
+        "metadata": plan.metadata,
     }
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj

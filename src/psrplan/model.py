@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ValidationError
 
 STOCHASTIC_TOL = 1e-9
+BELIEF_TOL = 1e-10  # check_belief's slack on signs and on the sum
 DRIFT_TOL = 1e-12
 
 
@@ -81,8 +82,9 @@ class PomdpModel:
     def signal_from_index(self, z: int) -> Signal:
         return Signal(z // self.n_rewards, z % self.n_rewards)
 
-    def validate(self, tol: float = STOCHASTIC_TOL) -> None:
+    def validate(self) -> None:
         """Raise ValidationError on any violated structural invariant."""
+        tol = STOCHASTIC_TOL
         n, na, nz = self.n, self.n_actions, self.n_signals
         if self.transition.shape != (n, na, n):
             raise ValidationError(
@@ -126,11 +128,11 @@ class PomdpModel:
             raise ValidationError("initial belief is not a probability vector")
 
 
-def check_belief(b: np.ndarray, n: int, tol: float = 1e-10) -> np.ndarray:
+def check_belief(b: np.ndarray, n: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n,):
         raise ValidationError(f"belief has length {b.shape}, expected ({n},)")
-    if np.any(b < -tol) or abs(b.sum() - 1.0) > tol:
+    if np.any(b < -BELIEF_TOL) or abs(b.sum() - 1.0) > BELIEF_TOL:
         raise ValidationError("belief is not a probability vector")
     return b
 

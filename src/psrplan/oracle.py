@@ -11,7 +11,7 @@ and values the optimum and any number of policies on it.  A forward pass
 filters one depth level at a time with ``belief_update_state_major``, bit
 for bit ``belief_update``, and gathers the kept branches' posteriors by
 one ``take`` of columns per block.  It merges successors whose beliefs
-round to the same multiple of ``memo_precision``: the first one met stands
+round to the same multiple of ``MEMO_PRECISION``: the first one met stands
 for all, and ids follow first occurrence in (node, action, signal) order,
 which is the order a depth-first search with the same memo would meet them
 in.  Each level is merged once, by one sort of a hash of the rounded
@@ -48,7 +48,6 @@ LEAF_ROWS = 16 * BLOCK_STATES  # distinct leaves valued per call
 
 @dataclass
 class OracleConfig:
-    memo_precision: float = MEMO_PRECISION
     node_budget: int = DEFAULT_NODE_BUDGET
     use_memo: bool = True
 
@@ -149,7 +148,7 @@ class _Tree:
         return np.vecdot(beliefs[:, None, :], self.r_sa.T[None])
 
     def _key(self, post):
-        return np.round(post / self.config.memo_precision).astype(np.int64)
+        return np.round(post / MEMO_PRECISION).astype(np.int64)
 
     def _ask(self, policy, beliefs):
         """The policy's k actions at a (k, n) stack of beliefs, checked."""

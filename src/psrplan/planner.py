@@ -16,11 +16,11 @@ import numpy as np
 from . import grid as gridmod
 from .decomposition import SpannerBasis, discover_basis, improve_to_spanner, solve_coefficients
 from .errors import ValidationError
-from .model import PomdpModel, Signal
+from .model import PomdpModel
 
 P_MIN = gridmod.P_MIN
+DEFAULT_STATE_CAP = gridmod.DEFAULT_STATE_CAP
 COEFF_BOUND = 2.0
-DEFAULT_STATE_CAP = 2_000_000
 # absorbs float noise around exact half-cells so ties still go toward -inf
 TIE_NUDGE = 1e-9
 
@@ -33,7 +33,6 @@ class SignalDynamics:
     # (r, A * Z * r): column (a * Z + z) * r + j of row i is G[a, z][i, j],
     # the step operator G[a, z] = W[a, z] M⁻¹ laid out for one matrix product
     G: np.ndarray
-    n_rewards: int = 1  # reward values per observation, for Signal -> z index
 
 
 def precompute_dynamics(model: PomdpModel, spanner: SpannerBasis) -> SignalDynamics:
@@ -52,8 +51,8 @@ def precompute_dynamics(model: PomdpModel, spanner: SpannerBasis) -> SignalDynam
     v = np.ascontiguousarray(W[..., 0])  # extension of the empty test
     signal_rewards = np.tile(model.reward_values, model.n_observations)
     rho = np.einsum("azi,z->ai", v, signal_rewards)
-    G = np.ascontiguousarray(solve_coefficients(dec, W)[0].transpose(2, 0, 1, 3).reshape(r, -1))
-    return SignalDynamics(v=v, W=W, rho=rho, G=G, n_rewards=model.n_rewards)
+    G = np.ascontiguousarray(solve_coefficients(dec, W).transpose(2, 0, 1, 3).reshape(r, -1))
+    return SignalDynamics(v=v, W=W, rho=rho, G=G)
 
 
 def step_block(dyn: SignalDynamics, alpha):
@@ -73,21 +72,6 @@ def step_block(dyn: SignalDynamics, alpha):
     return p, beta
 
 
-def step_coefficients(dyn: SignalDynamics, alpha, a, sig):
-    """One (action, signal) step on a coefficient vector: one row of step_block.
-
-    Returns (p, beta): the signal probability under the linear belief
-    extension (clipped to [0,1]) and the clamped successor coefficients,
-    or (p, None) when the branch carries no usable probability.
-    """
-    z = sig.observation * dyn.n_rewards + sig.reward if isinstance(sig, Signal) else int(sig)
-    p, beta = step_block(dyn, np.asarray(alpha, dtype=np.float64)[None])
-    p = float(p[0, a, z])
-    if p <= P_MIN:
-        return p, None
-    return p, np.clip(beta[0, a, z], -COEFF_BOUND, COEFF_BOUND)
-
-
 def round_to_grid(alpha, mesh: float) -> np.ndarray:
     """Nearest lattice multiple of mesh, ties toward -inf, clamped to [-2, 2]."""
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -105,8 +89,7 @@ def belief_coefficients(spanner: SpannerBasis, b: np.ndarray) -> np.ndarray:
     """Coefficients of an arbitrary belief in the spanner basis (clamped)."""
     dec = spanner.decomposition
     target = np.asarray(b, dtype=np.float64) @ dec.state_test_matrix
-    alpha, _ = solve_coefficients(dec, target)
-    return np.clip(alpha, -COEFF_BOUND, COEFF_BOUND)
+    return np.clip(solve_coefficients(dec, target), -COEFF_BOUND, COEFF_BOUND)
 
 
 def build_grid(

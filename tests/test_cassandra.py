@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psrplan.cassandra import parse_pomdp
+from psrplan.cassandra import DEFAULT_REWARD_CAP, parse_pomdp
 from psrplan.errors import ParseError, UnsupportedConstructError, ValidationError
 from psrplan.model import from_json, to_json
 
@@ -139,15 +139,21 @@ def test_departing_state_rewards_rejected():
         parse_pomdp(DEPARTURE_REWARD)
 
 
-def test_reward_cap_enforced(tiger):
-    text = (
-        "discount: 0.9\nvalues: reward\nstates: 2\nactions: 1\nobservations: 2\n"
-        "T: * uniform\nO: * uniform\n"
-        "R: * : * : s0 : o0 1.0\nR: * : * : s0 : o1 2.0\n"
-        "R: * : * : s1 : o0 3.0\nR: * : * : s1 : o1 4.0\n"
-    )
-    with pytest.raises(ValidationError, match="cap"):
-        parse_pomdp(text, reward_cap=3)
+def test_reward_cap_enforced():
+    def text(n, no):
+        # n * no distinct rewards: one per (arriving state, observation)
+        rows = "".join(
+            f"R: * : * : s{s} {' '.join(str(no * s + o) for o in range(no))}\n"
+            for s in range(n)
+        )
+        return (
+            f"discount: 0.9\nvalues: reward\nstates: {n}\nactions: 1\nobservations: {no}\n"
+            f"T: * uniform\nO: * uniform\n{rows}"
+        )
+
+    assert parse_pomdp(text(8, 8)).n_rewards == DEFAULT_REWARD_CAP == 64
+    with pytest.raises(ValidationError, match="65 distinct reward values, above the cap of 64"):
+        parse_pomdp(text(5, 13))
 
 
 def test_rewards_already_normalized_keep_identity_map():

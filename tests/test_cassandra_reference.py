@@ -180,9 +180,7 @@ def _apply_reward(st, reward_raw, sn, an, on):
         raise ParseError("R entry takes 2-4 ':' fields", st.line)
 
 
-def _collect_rewards(
-    transition, obs_kernel, reward_raw, states, actions, observations, reward_cap
-):
+def _collect_rewards(transition, obs_kernel, reward_raw, states, actions, observations):
     """Bin rewards on reachable (s,a,s',o) triples and normalize into [0,1].
 
     Emission is tied to (action, arriving state, observation); a reward that
@@ -216,10 +214,10 @@ def _collect_rewards(
     if reachable_vals.size == 0:
         reachable_vals = np.array([0.0])
     distinct = np.unique(reachable_vals)
-    if distinct.size > reward_cap:
+    if distinct.size > DEFAULT_REWARD_CAP:
         raise ValidationError(
             f"model uses {distinct.size} distinct reward values, above the "
-            f"cap of {reward_cap}; outside the finite-reward-set assumption"
+            f"cap of {DEFAULT_REWARD_CAP}; outside the finite-reward-set assumption"
         )
 
     lo, hi = distinct[0], distinct[-1]
@@ -270,7 +268,7 @@ def _loop_tables(kernel_stmts, states, actions, observations):
     return transition, obs_kernel, reward_raw
 
 
-def reference_parse(text, reward_cap=DEFAULT_REWARD_CAP):
+def reference_parse(text):
     discount, states, actions, observations, start_stmt, kernel_stmts = (
         cassandra._declarations(cassandra._split_statements(text))
     )
@@ -288,7 +286,7 @@ def reference_parse(text, reward_cap=DEFAULT_REWARD_CAP):
     )
     obs_kernel /= obs_kernel.sum(axis=2, keepdims=True)
     reward_values, reward_index, scale, offset = _collect_rewards(
-        transition, obs_kernel, reward_raw, states, actions, observations, reward_cap
+        transition, obs_kernel, reward_raw, states, actions, observations
     )
     model = PomdpModel(
         states=states,
@@ -311,17 +309,17 @@ def assert_bytes_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_same_outcome(text, reward_cap=DEFAULT_REWARD_CAP):
+def assert_same_outcome(text):
     """Both loaders build the same model, or fail alike; True on a model."""
     try:
-        want = reference_parse(text, reward_cap)
+        want = reference_parse(text)
     except PsrPlanError as exc:
         with pytest.raises(PsrPlanError) as err:
-            parse_pomdp(text, reward_cap)
+            parse_pomdp(text)
         assert type(err.value) is type(exc)
         assert str(err.value) == str(exc)
         return False
-    got = parse_pomdp(text, reward_cap)
+    got = parse_pomdp(text)
     assert (got.states, got.actions, got.observations) == (
         want.states, want.actions, want.observations
     )
@@ -492,35 +490,31 @@ ERROR_CORPUS = {
     "departing_reward": (
         PREAMBLE.format(n="s0 s1", na="go", no="o0")
         + "T: go uniform\nO: go uniform\nR: go : s0 : * : * 1.0\nR: go : s1 : * : * 5.0\n",
-        DEFAULT_REWARD_CAP,
         ValidationError,
     ),
     "reward_cap": (
-        PREAMBLE.format(n=2, na=1, no=2)
-        + "T: * uniform\nO: * uniform\nR: * : * : s0 : o0 1.0\n"
-        "R: * : * : s0 : o1 2.0\nR: * : * : s1 : o0 3.0\nR: * : * : s1 : o1 4.0\n",
-        3,
+        # one more distinct reward than the cap: 13 per arriving state
+        PREAMBLE.format(n=5, na=1, no=13)
+        + "T: * uniform\nO: * uniform\n"
+        + "".join(f"R: * : * : s{s} {' '.join(str(13 * s + o) for o in range(13))}\n"
+                  for s in range(5)),
         ValidationError,
     ),
     "substochastic_row": (
         PREAMBLE.format(n="s0 s1", na="go", no="o0")
         + "T: go : s0 : s1 0.9\nT: go : s1 : s1 1.0\nO: go uniform\n",
-        DEFAULT_REWARD_CAP,
         ValidationError,
     ),
     "bad_number": (
         PREAMBLE.format(n=2, na=1, no=1) + "T: * : * 0.5 x\n",
-        DEFAULT_REWARD_CAP,
         ParseError,
     ),
     "inf_entry": (
         PREAMBLE.format(n=2, na=1, no=1) + "T: * uniform\nO: * uniform\nR: * : * : * : * -inf\n",
-        DEFAULT_REWARD_CAP,
         ParseError,
     ),
     "overflow_in_a_matrix": (
         PREAMBLE.format(n=2, na=1, no=1) + "T: a0\n0.5 0.5\n1e999 0\n",
-        DEFAULT_REWARD_CAP,
         ParseError,
     ),
 }
@@ -555,7 +549,6 @@ for _name, _entry in BAD_ENTRIES.items():
     ERROR_CORPUS[f"entry_{_name}"] = (
         PREAMBLE.format(n="s0 s1", na="go", no="o0 o1 o2")
         + f"T: go uniform\nO: go uniform\n{_entry}\n",
-        DEFAULT_REWARD_CAP,
         ParseError,
     )
 
@@ -581,7 +574,7 @@ def _run_error_text(name):
 
 
 for _name in RUN_ERRORS:
-    ERROR_CORPUS[f"run_{_name}"] = (_run_error_text(_name), DEFAULT_REWARD_CAP, ParseError)
+    ERROR_CORPUS[f"run_{_name}"] = (_run_error_text(_name), ParseError)
 
 
 @pytest.mark.parametrize("name", sorted(RUN_ERRORS))
@@ -619,7 +612,7 @@ def test_runs_match_reference(name):
 
 @pytest.mark.parametrize("case", sorted(ERROR_CORPUS))
 def test_error_corpus_matches_reference(case):
-    text, cap, kind = ERROR_CORPUS[case]
+    text, kind = ERROR_CORPUS[case]
     with pytest.raises(kind):
-        reference_parse(text, cap)
-    assert not assert_same_outcome(text, cap)
+        reference_parse(text)
+    assert not assert_same_outcome(text)

@@ -421,6 +421,21 @@ def test_compare_bad_mesh_exits_2_before_the_oracle(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("flag", [["--oracle"], ["--oracle", "0.5"], ["--policy-out", "p.json"]])
+def test_compare_rejects_one_side_flags(tmp_path, capsys, monkeypatch, flag):
+    # compare always runs the oracle and writes no policy; "--oracle 0.5"
+    # is no abbreviation of --oracle-slack
+    calls = []
+    monkeypatch.setattr(cli, "load_pomdp", lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", str(DATA / "tiger.POMDP"), *flag,
+                  "--json-out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_sweep_csv_without_sweep_exits_2_before_reading_the_model(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "load_pomdp", lambda *a, **k: calls.append(a))

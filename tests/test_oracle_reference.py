@@ -22,6 +22,7 @@ from psrplan.cassandra import load_pomdp
 from psrplan.errors import OracleBudgetError
 from psrplan.model import PomdpModel, belief_update, expected_reward_matrix
 from psrplan.oracle import (
+    MEMO_PRECISION,
     OracleConfig,
     evaluate_policy,
     exact_q,
@@ -46,7 +47,7 @@ class _Expectimax:
         self.nodes = 0
 
     def _key(self, b, depth):
-        q = np.round(b / self.config.memo_precision).astype(np.int64)
+        q = np.round(b / MEMO_PRECISION).astype(np.int64)
         return (depth, q.tobytes())
 
     def _tick(self):

@@ -19,7 +19,6 @@ from psrplan.planner import (
     precompute_dynamics,
     round_to_grid,
     step_block,
-    step_coefficients,
 )
 from psrplan.oracle import exact_value
 from psrplan.zoo import fully_observable_chain, random_pomdp
@@ -52,8 +51,8 @@ def reference_dynamics(model, span):
                 W[a, o * nr + rr] = ext[dec.basis_states]
     v = W[..., 0].copy()
     rho = np.einsum("azi,z->ai", v, np.tile(model.reward_values, model.n_observations))
-    G = np.ascontiguousarray(solve_coefficients(dec, W)[0].transpose(2, 0, 1, 3).reshape(dec.rank, -1))
-    return SignalDynamics(v=v, W=W, rho=rho, G=G, n_rewards=nr)
+    G = np.ascontiguousarray(solve_coefficients(dec, W).transpose(2, 0, 1, 3).reshape(dec.rank, -1))
+    return SignalDynamics(v=v, W=W, rho=rho, G=G)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -74,7 +73,7 @@ def test_dynamics_match_the_symbol_loop_bit_for_bit(seed):
     q = np.einsum("ki,azij->kazj", alpha, dyn.W)
     q /= np.where(p > P_MIN, p, 1.0)[..., None]
     np.testing.assert_array_equal(p, np.clip(np.einsum("ki,azi->kaz", alpha, dyn.v), 0.0, 1.0))
-    np.testing.assert_allclose(beta, solve_coefficients(dec, q)[0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(beta, solve_coefficients(dec, q), rtol=0.0, atol=1e-12)
 
 
 def test_signal_probabilities_sum_to_one():
@@ -125,28 +124,28 @@ def test_step_from_basis_corner_matches_filter():
     span = make_spanner(m)
     dec = span.decomposition
     dyn = precompute_dynamics(m, span)
+    # row i of the block is basis corner i
+    p, beta = step_block(dyn, np.eye(dec.rank))
     for i, s in enumerate(dec.basis_states):
-        alpha = np.eye(dec.rank)[i]
         e = np.eye(m.n)[s]
         for a in range(m.n_actions):
             for z in range(m.n_signals):
-                p, beta = step_coefficients(dyn, alpha, a, z)
                 p_ref, post = belief_update(m, e, a, z)
-                assert p == pytest.approx(p_ref, abs=1e-10)
-                if beta is None:
+                assert p[i, a, z] == pytest.approx(p_ref, abs=1e-10)
+                if p[i, a, z] <= P_MIN:
                     assert p_ref <= 1e-9
                     continue
-                target = post @ dec.state_test_matrix
-                beta_ref, _ = solve_coefficients(dec, target)
-                np.testing.assert_allclose(beta, beta_ref, atol=1e-8)
+                beta_ref = solve_coefficients(dec, post @ dec.state_test_matrix)
+                np.testing.assert_allclose(beta[i, a, z], beta_ref, atol=1e-8)
 
 
-def test_step_accepts_signal_tuples(fair_coin):
+def test_fair_coin_step_keeps_its_coefficient(fair_coin):
     span = make_spanner(fair_coin)
     dyn = precompute_dynamics(fair_coin, span)
-    p, beta = step_coefficients(dyn, np.array([1.0]), 0, Signal(0, 0))
-    assert p == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_allclose(beta, [1.0], atol=1e-12)
+    p, beta = step_block(dyn, np.array([[1.0]]))
+    z = fair_coin.signal_index(Signal(0, 0))
+    assert p[0, 0, z] == pytest.approx(0.5, abs=1e-12)
+    np.testing.assert_allclose(beta[0, 0, z], [1.0], atol=1e-12)
 
 
 def test_step_total_probability_for_genuine_beliefs():
@@ -154,15 +153,9 @@ def test_step_total_probability_for_genuine_beliefs():
     span = make_spanner(m)
     dyn = precompute_dynamics(m, span)
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        b = rng.dirichlet([1.0] * m.n)
-        alpha = belief_coefficients(span, b)
-        for a in range(m.n_actions):
-            total = sum(
-                step_coefficients(dyn, alpha, a, z)[0]
-                for z in range(m.n_signals)
-            )
-            assert total == pytest.approx(1.0, abs=1e-9)
+    beliefs = np.stack([rng.dirichlet([1.0] * m.n) for _ in range(10)])
+    p, _ = step_block(dyn, belief_coefficients(span, beliefs))
+    np.testing.assert_allclose(p.sum(axis=2), 1.0, rtol=0.0, atol=1e-9)
 
 
 def test_round_to_grid_identity_and_ties():
