@@ -1,11 +1,11 @@
 """POMDP planning via multiplicity-automaton basis discovery.
 
 Pipeline: load a ``.POMDP`` model, view it as a multiplicity automaton over
-(action, observation, reward) symbols, discover a minimal spanning basis of
-states and tests, improve it to a barycentric spanner, then discretize the
-resulting low-dimensional coefficient dynamics and solve by value iteration.
-A classical belief-simplex grid planner and an exact finite-horizon oracle
-are included for comparison.
+(action, Signal(observation, reward)) test steps, discover a minimal
+spanning basis of states and tests, improve it to a barycentric spanner,
+then discretize the resulting low-dimensional coefficient dynamics and
+solve by value iteration.  A classical belief-simplex grid planner and an
+exact finite-horizon oracle are included for comparison.
 """
 
 from .automaton import (
@@ -49,10 +49,8 @@ from .model import (
     Signal,
     belief_update,
     expected_reward_matrix,
-    from_json,
     sample_trajectory,
     sequence_probability,
-    to_json,
 )
 from .oracle import (
     OracleConfig,
@@ -116,10 +114,8 @@ __all__ = [
     "Signal",
     "belief_update",
     "expected_reward_matrix",
-    "from_json",
     "sample_trajectory",
     "sequence_probability",
-    "to_json",
     "OracleConfig",
     "evaluate_policy",
     "exact_q",

@@ -2,9 +2,10 @@
 
 A multiplicity automaton of size r assigns every word w = σ1…σk the value
 ``initial^T · μ_σ1 ··· μ_σk · terminal``.  A POMDP embeds into one whose
-symbols are (action, observation, reward-index) triples and whose word
-values are exactly the test success probabilities of the Bayes filter;
-that equivalence is the backbone oracle for everything downstream.
+symbols are the test steps (action, Signal(observation, reward-index)), so
+its words are tests, and whose word values are exactly the test success
+probabilities of the Bayes filter; that equivalence is the backbone oracle
+for everything downstream.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import PomdpModel, Signal, sequence_probability
+from .model import PomdpModel, sequence_probability
 
 RANK_TOL = 1e-8
 
@@ -34,18 +35,6 @@ class MultiplicityAutomaton:
             raise ValidationError("terminal/initial weight vectors must have length r")
 
 
-def _as_word(w):
-    """Accept either raw symbol labels or (action, Signal) test steps."""
-    word = []
-    for sym in w:
-        if isinstance(sym, tuple) and len(sym) == 2 and isinstance(sym[1], Signal):
-            a, sig = sym
-            word.append((a, sig.observation, sig.reward))
-        else:
-            word.append(sym)
-    return word
-
-
 def evaluate(ma: MultiplicityAutomaton, w) -> float:
     """Value of the word under the automaton (empty word: initial·terminal)."""
     return test_probability(ma, ma.initial, w)
@@ -62,7 +51,7 @@ def test_probability(ma: MultiplicityAutomaton, b: np.ndarray, w) -> float:
     if b.shape != (ma.size,):
         raise ValidationError(f"weight vector has shape {b.shape}, expected ({ma.size},)")
     v = b
-    for sym in _as_word(w):
+    for sym in w:
         mat = ma.mu.get(sym)
         if mat is None:
             raise ValidationError(f"unknown symbol {sym!r}")
@@ -74,21 +63,19 @@ test_probability.__test__ = False  # keep pytest from collecting the library fn
 
 
 def from_pomdp(model: PomdpModel) -> MultiplicityAutomaton:
-    """Embed the POMDP: one matrix per (action, observation, reward) symbol.
+    """Embed the POMDP: one matrix per test step (a, Signal(o, r)).
 
-    mu[(a,o,r)][i,j] = P(i, a, j) * OB((o,r) | j, a); the word value from an
+    mu[(a, sig)][i, j] = P(i, a, j) * OB(sig | j, a); the word value from an
     initial belief equals the Bayes-filter probability of the same test.
+    The alphabet is action-major, then in signal index order, so symbol
+    a * Z + z is signal z after action a.
     """
     n = model.n
-    alphabet = []
+    alphabet = [(a, sig) for a in range(model.n_actions) for sig in model.signals()]
     mu = {}
-    for a in range(model.n_actions):
-        t_a = model.transition[:, a, :]
-        for o in range(model.n_observations):
-            for r in range(model.n_rewards):
-                z = o * model.n_rewards + r
-                alphabet.append((a, o, r))
-                mu[(a, o, r)] = t_a * model.signal_kernel[:, a, z][None, :]
+    for a, sig in alphabet:
+        z = model.signal_index(sig)
+        mu[(a, sig)] = model.transition[:, a, :] * model.signal_kernel[:, a, z][None, :]
     return MultiplicityAutomaton(
         size=n,
         alphabet=alphabet,
@@ -98,23 +85,13 @@ def from_pomdp(model: PomdpModel) -> MultiplicityAutomaton:
     )
 
 
-@dataclass
-class HankelSubmatrix:
-    row_labels: list  # belief vectors
-    col_labels: list  # Tests
-    values: np.ndarray
-
-
-def hankel_submatrix(model: PomdpModel, rows, cols) -> HankelSubmatrix:
+def hankel_submatrix(model: PomdpModel, rows, cols) -> np.ndarray:
     """Entry (i,j) = probability of test cols[j] from belief rows[i].
 
     Computed through the Bayes filter route on purpose, so it stays an
     independent cross-check of the automaton matrices.
     """
-    values = np.array(
-        [[sequence_probability(model, b, t) for t in cols] for b in rows]
-    )
-    return HankelSubmatrix(row_labels=list(rows), col_labels=list(cols), values=values)
+    return np.array([[sequence_probability(model, b, t) for t in cols] for b in rows])
 
 
 def numerical_rank(matrix: np.ndarray) -> int:
@@ -129,13 +106,8 @@ def numerical_rank(matrix: np.ndarray) -> int:
 
 
 def enumerate_tests(model: PomdpModel, max_len: int):
-    """All tests of length <= max_len in (action, observation, reward) order."""
-    symbols = [
-        (a, Signal(o, r))
-        for a in range(model.n_actions)
-        for o in range(model.n_observations)
-        for r in range(model.n_rewards)
-    ]
+    """All tests of length <= max_len, by length, then in test-step order."""
+    symbols = from_pomdp(model).alphabet
     tests = [()]
     frontier = [()]
     for _ in range(max_len):
@@ -161,17 +133,12 @@ def state_test_values(model: PomdpModel, max_len: int):
 
 
 def hankel_rank_profile(model: PomdpModel, max_len: int = 4):
-    """Numerical rank of the all-states Hankel block at each test-length cap."""
-    ma = from_pomdp(model)
-    mats = [ma.mu[sym] for sym in ma.alphabet]
-    block = np.ones((model.n, 1))
-    frontier = block
-    ranks = [numerical_rank(block)]
-    for _ in range(max_len):
-        frontier = np.hstack([m @ frontier for m in mats])
-        block = np.hstack([block, frontier])
-        ranks.append(numerical_rank(block))
-    return ranks
+    """Numerical rank of the all-states Hankel block at each test-length cap:
+    the column prefixes of ``state_test_values`` that end at each length."""
+    block = state_test_values(model, max_len)
+    n_symbols = model.n_actions * model.n_signals
+    widths = np.cumsum([n_symbols**k for k in range(max_len + 1)])
+    return [numerical_rank(block[:, :w]) for w in widths]
 
 
 def stabilized_rank(model: PomdpModel, max_len: int = 4) -> int:

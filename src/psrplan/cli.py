@@ -27,7 +27,6 @@ from .cassandra import load_pomdp
 from .errors import (
     ConvergenceError,
     OracleBudgetError,
-    ParseError,
     PsrPlanError,
     StateCapExceededError,
     ValidationError,
@@ -41,13 +40,17 @@ EXIT_BUDGET = 3
 
 
 def _epsilon_list(text):
-    """--sweep value: one or more comma-separated floats, empty tokens skipped."""
+    """--sweep value: one or more comma-separated floats in (0, 1], empty
+    tokens skipped."""
     try:
         values = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         values = []
     if not values:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
+    for eps in values:
+        if not 0.0 < eps <= 1.0:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"epsilon {eps} outside (0, 1]")
     return values
 
 
@@ -266,10 +269,9 @@ def _oracle_blocks(model, oracle_slack, sides):
     return blocks
 
 
-def _plan_side(model, args, side, target, main=None):
-    """Plan one side, timed: "planner" at epsilon ``target``, on the basis
-    and step operators of the planner result ``main`` when given one, or
-    "baseline" at delta ``target``.
+def _plan_side(model, args, side, target):
+    """Plan one side, timed: "planner" at epsilon ``target`` or "baseline"
+    at delta ``target``.
 
     Returns the result, its report block, its policy for the oracle and
     the bound that policy's oracle gap is held to.
@@ -283,10 +285,8 @@ def _plan_side(model, args, side, target, main=None):
             vi_tol=args.vi_tol,
             mode=args.grid_mode,
             state_cap=args.state_cap,
-            spanner=None if main is None else main.spanner,
-            dynamics=None if main is None else main.dynamics,
         )
-        policy = lambda b: plannermod.act(result.spanner, result, b)
+        policy = lambda b: plannermod.act(result, b)
         bound = target / (1.0 - gamma) ** 4
     else:
         result = baselinemod.plan_baseline(
@@ -361,21 +361,26 @@ def cmd_plan(args):
         rows = []
         # on the main plan's basis and step operators: neither depends on epsilon
         for eps in args.sweep:
-            _, sweep_block, _, _ = _plan_side(model, args, side, eps, result)
+            t0 = time.perf_counter()
+            grid = plannermod.build_grid(
+                model, result.spanner, result.dynamics, eps,
+                mode=args.grid_mode, state_cap=args.state_cap,
+            )
+            solved = gridmod.solve(grid, args.vi_tol)
             rows.append(
                 {
                     "epsilon": eps,
-                    "mesh": sweep_block["grid"]["mesh"],
-                    "gridStates": sweep_block["grid"]["states"],
-                    "value": sweep_block["valueAtInitialBelief"],
-                    "seconds": sweep_block["stageSeconds"]["total"],
+                    "mesh": grid.mesh,
+                    "gridStates": grid.n_states,
+                    "value": float(solved.values[grid.initial_state]),
+                    "seconds": time.perf_counter() - t0,
                 }
             )
         report["sweep"] = rows
         if args.sweep_csv:
             _write_sweep_csv(args.sweep_csv, rows, args.no_timings)
 
-    policy_payload = gridmod.plan_to_json_dict(result.grid, result)
+    policy_payload = gridmod.plan_to_json_dict(result)
     report_path = _emit(args, report, policy_payload)
     rank = f"rank={block['rank']} " if planner else ""
     print(
@@ -433,7 +438,7 @@ def main(argv=None) -> int:
     except (StateCapExceededError, OracleBudgetError, ConvergenceError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, ValidationError, PsrPlanError) as exc:
+    except PsrPlanError as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:  # a missing model, or an output that cannot be written

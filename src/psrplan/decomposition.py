@@ -17,7 +17,7 @@ import numpy as np
 
 from .automaton import RANK_TOL, from_pomdp, numerical_rank
 from .errors import DegenerateBasisError
-from .model import PomdpModel, Signal
+from .model import PomdpModel
 
 DEP_TOL = 1e-7
 SPANNER_BOUND = 2.0
@@ -92,8 +92,7 @@ def discover_basis(model: PomdpModel) -> CoreDecomposition:
         s, k, j = np.unravel_index(np.argmax(gaps), gaps.shape)
         if gaps[s, k, j] <= DEP_TOL * ext.max():
             break
-        a, o, r = ma.alphabet[k]
-        tests.append(((a, Signal(o, r)),) + tests[j])
+        tests.append((ma.alphabet[k],) + tests[j])
         U = np.hstack([U, ext[:, k, j : j + 1]])
         basis.append(int(s))
 
@@ -175,19 +174,17 @@ def _test_to_json(test):
     return [[a, sig.observation, sig.reward] for a, sig in test]
 
 
-def to_json_dict(obj) -> dict:
-    """JSON form of a CoreDecomposition or SpannerBasis for diagnostics."""
-    if isinstance(obj, SpannerBasis):
-        body = to_json_dict(obj.decomposition)
-        body["spannerBound"] = SPANNER_BOUND
-        body["maxCoefficient"] = obj.max_coefficient
-        body["detLogLedger"] = list(obj.det_log_ledger)
-        body["swapCount"] = obj.swap_count
-        return body
+def to_json_dict(spanner: SpannerBasis) -> dict:
+    """JSON form of a SpannerBasis for diagnostics."""
+    dec = spanner.decomposition
     return {
-        "basisStates": list(obj.basis_states),
-        "coreTests": [_test_to_json(t) for t in obj.core_tests],
-        "matrix": obj.M.tolist(),
-        "rank": obj.rank,
-        "conditionRatio": obj.condition_ratio,
+        "basisStates": list(dec.basis_states),
+        "coreTests": [_test_to_json(t) for t in dec.core_tests],
+        "matrix": dec.M.tolist(),
+        "rank": dec.rank,
+        "conditionRatio": dec.condition_ratio,
+        "spannerBound": SPANNER_BOUND,
+        "maxCoefficient": spanner.max_coefficient,
+        "detLogLedger": list(spanner.det_log_ledger),
+        "swapCount": spanner.swap_count,
     }

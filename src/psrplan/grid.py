@@ -72,9 +72,10 @@ class PlanResult:
     metadata: dict = field(default_factory=dict)
     # the grid solved, for policy execution and serialization
     grid: object = None
-    # attached by the rank-r planner, whose policy maps beliefs through it
+    # attached by the rank-r planner, whose policy maps beliefs through it;
+    # --sweep builds its other grids on it
     spanner: object = None
-    # the rank-r planner's step operators, which a plan at another epsilon reuses
+    # the rank-r planner's step operators; --sweep builds its other grids on them
     dynamics: object = None
 
 
@@ -348,12 +349,13 @@ def solve(grid: GridMdp, vi_tol: float = 1e-4) -> PlanResult:
     )
 
 
-def plan_to_json_dict(grid: GridMdp, plan: PlanResult) -> dict:
-    """Policy/value dump with integer lattice coordinates.
+def plan_to_json_dict(plan: PlanResult) -> dict:
+    """Policy/value dump of the plan's grid, with integer lattice coordinates.
 
     ``states``, ``values`` and ``policy`` stay ndarrays, which the CLI's
     JSON writer encodes in one C-encoder call each.
     """
+    grid = plan.grid
     return {
         "mesh": grid.mesh,
         "states": grid.coords,

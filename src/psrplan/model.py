@@ -11,9 +11,8 @@ Conventions fixed here and relied on everywhere else:
   ``reward_offset`` map them back (``raw = value * scale + offset``).
 """
 
-import json
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -281,45 +280,3 @@ def sample_trajectory(
             raise ValidationError("simulated signal has zero filter probability")
     return out
 
-
-# ---------------------------------------------------------------------------
-# Canonical JSON serialization (field names are a wire contract).
-
-def to_json_dict(model: PomdpModel) -> dict:
-    return {
-        "states": list(model.states),
-        "actions": list(model.actions),
-        "observations": list(model.observations),
-        "rewardValues": [float(v) for v in model.reward_values],
-        "transition": model.transition.tolist(),
-        "signalKernel": model.signal_kernel.tolist(),
-        "discount": float(model.discount),
-        "initialBelief": model.initial_belief.tolist(),
-        "rewardScale": float(model.reward_scale),
-        "rewardOffset": float(model.reward_offset),
-    }
-
-
-def to_json(model: PomdpModel) -> str:
-    return json.dumps(to_json_dict(model), sort_keys=True, indent=2)
-
-
-def from_json_dict(d: dict) -> PomdpModel:
-    model = PomdpModel(
-        states=list(d["states"]),
-        actions=list(d["actions"]),
-        observations=list(d["observations"]),
-        reward_values=np.asarray(d["rewardValues"], dtype=np.float64),
-        transition=np.asarray(d["transition"], dtype=np.float64),
-        signal_kernel=np.asarray(d["signalKernel"], dtype=np.float64),
-        discount=float(d["discount"]),
-        initial_belief=np.asarray(d["initialBelief"], dtype=np.float64),
-        reward_scale=float(d["rewardScale"]),
-        reward_offset=float(d["rewardOffset"]),
-    )
-    model.validate()
-    return model
-
-
-def from_json(text: str) -> PomdpModel:
-    return from_json_dict(json.loads(text))

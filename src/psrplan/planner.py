@@ -165,27 +165,18 @@ def plan(
     vi_tol: float = 1e-4,
     mode: str = "reachable",
     state_cap: int = DEFAULT_STATE_CAP,
-    spanner: SpannerBasis | None = None,
-    dynamics: SignalDynamics | None = None,
 ) -> gridmod.PlanResult:
-    """Full pipeline: basis discovery, spanner, dynamics, grid, value iteration.
-
-    Given the ``spanner`` of an earlier plan of the same model, which no
-    epsilon or grid setting changes, discovery and the spanner are skipped,
-    and given its ``dynamics`` as well, so are the step operators; skipped
-    stages are left out of ``stageSeconds``."""
+    """Full pipeline: basis discovery, spanner, dynamics, grid, value iteration."""
     timings = {}
-    if spanner is None:
-        t0 = time.perf_counter()
-        dec = discover_basis(model)
-        timings["discoverBasis"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        spanner = improve_to_spanner(model, dec)
-        timings["improveToSpanner"] = time.perf_counter() - t0
-    if dynamics is None:
-        t0 = time.perf_counter()
-        dynamics = precompute_dynamics(model, spanner)
-        timings["precomputeDynamics"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    dec = discover_basis(model)
+    timings["discoverBasis"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    spanner = improve_to_spanner(model, dec)
+    timings["improveToSpanner"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    dynamics = precompute_dynamics(model, spanner)
+    timings["precomputeDynamics"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     grid = build_grid(model, spanner, dynamics, epsilon, mode=mode, state_cap=state_cap)
     timings["buildGrid"] = time.perf_counter() - t0
@@ -209,9 +200,10 @@ def plan(
     return result
 
 
-def act(spanner: SpannerBasis, plan_result: gridmod.PlanResult, beliefs) -> np.ndarray:
+def act(plan_result: gridmod.PlanResult, beliefs) -> np.ndarray:
     """Planned actions for a (k, n) stack of live beliefs, one per row, via
-    their rounded coefficients; ``act(..., b[None])[0]`` acts on one belief."""
+    their rounded coefficients in the plan's spanner basis;
+    ``act(result, b[None])[0]`` acts on one belief."""
     grid = plan_result.grid
-    alpha = belief_coefficients(spanner, beliefs)
+    alpha = belief_coefficients(plan_result.spanner, beliefs)
     return plan_result.policy[grid.locate(round_to_grid(alpha, grid.mesh))]

@@ -235,7 +235,7 @@ def test_a5_planner_near_optimality(capsys):
     for name, model in a5_corpus():
         result = plannermod.plan(model, epsilon=epsilon)
         gap = policy_gap(
-            model, lambda b: plannermod.act(result.spanner, result, b), slack
+            model, lambda b: plannermod.act(result, b), slack
         )
         bound = epsilon / (1.0 - model.discount) ** 4 + 2 * slack
         inspect = gap > 0.05 / (1.0 - model.discount)

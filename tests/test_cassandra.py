@@ -3,7 +3,6 @@ import pytest
 
 from psrplan.cassandra import DEFAULT_REWARD_CAP, parse_pomdp
 from psrplan.errors import ParseError, UnsupportedConstructError, ValidationError
-from psrplan.model import from_json, to_json
 
 
 def test_fair_coin_file(fair_coin):
@@ -27,13 +26,6 @@ def test_tiger_shape_and_normalization(tiger):
     raw = m.reward_values * m.reward_scale + m.reward_offset
     np.testing.assert_allclose(np.sort(raw), [-100.0, -1.0, 10.0])
     np.testing.assert_allclose(m.initial_belief, [0.5, 0.5])
-
-
-def test_tiger_round_trip_through_json(tiger):
-    again = from_json(to_json(tiger))
-    np.testing.assert_array_equal(again.transition, tiger.transition)
-    np.testing.assert_array_equal(again.signal_kernel, tiger.signal_kernel)
-    assert to_json(again) == to_json(tiger)
 
 
 BAD_ROW = """

@@ -374,7 +374,10 @@ def test_bad_vi_tol_exits_2(tmp_path, capsys, command, vi_tol):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("sweep", ["0.1,abc", "abc", ",", ""])
+# values outside (0, 1], NaN included, are refused at parsing too
+@pytest.mark.parametrize(
+    "sweep", ["0.1,abc", "abc", ",", "", "0.5,2", "nan", "0", "-0.1", "0.2,inf"]
+)
 def test_bad_sweep_exits_2_before_planning(tmp_path, capsys, monkeypatch, sweep):
     calls = []
     monkeypatch.setattr(cli.plannermod, "plan", lambda *a, **k: calls.append(a))
@@ -385,6 +388,26 @@ def test_bad_sweep_exits_2_before_planning(tmp_path, capsys, monkeypatch, sweep)
     assert "argument --sweep" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "r.json").exists()
+
+
+def test_full_grid_mode_reaches_the_plan_and_the_sweep(tmp_path, capsys):
+    # tiger has rank 2: the full lattice at epsilon 0.5 has mesh 0.25 and
+    # (2 * 8 + 1)^2 = 289 points, at epsilon 1.0 (2 * 4 + 1)^2 = 81
+    report, csv_path = tmp_path / "r.json", tmp_path / "s.csv"
+    code, _, _ = run_cli(
+        ["plan", DATA / "tiger.POMDP", "--grid-mode", "full", "--epsilon", "0.5",
+         "--sweep", "1.0,0.5", "--sweep-csv", csv_path, "--no-timings",
+         "--json-out", report, "--policy-out", tmp_path / "p.json"],
+        capsys,
+    )
+    assert code == 0
+    rep = read_json(report)
+    assert rep["planner"]["rank"] == 2
+    assert rep["planner"]["grid"]["mode"] == "full"
+    assert rep["planner"]["grid"]["states"] == 289
+    assert [row["gridStates"] for row in rep["sweep"]] == [81, 289]
+    rows = csv_path.read_text().strip().splitlines()[1:]
+    assert [int(row.split(",")[2]) for row in rows] == [81, 289]
 
 
 @pytest.mark.parametrize(

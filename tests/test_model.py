@@ -11,11 +11,9 @@ from psrplan.model import (
     belief_update,
     belief_update_state_major,
     expected_reward_matrix,
-    from_json,
     sample_trajectory,
     sequence_probability,
     state_sum,
-    to_json,
 )
 from psrplan import model as modelmod
 from psrplan.zoo import fully_observable_chain, random_pomdp
@@ -172,14 +170,14 @@ def test_trajectory_follows_a_planned_policy(tiger):
 
     def policy(beliefs):
         seen.append(beliefs.copy())
-        return psrplan.act(result.spanner, result, beliefs)
+        return psrplan.act(result, beliefs)
 
     out = sample_trajectory(tiger, tiger.initial_belief, policy, 20, rng_seed=5)
     assert len(out) == 20
     # asked one belief at a time, and the action taken is the planner's
     assert all(b.shape == (1, tiger.n) for b in seen)
     for b, (a, _, _) in zip(seen, out):
-        assert a == psrplan.act(result.spanner, result, b)[0]
+        assert a == psrplan.act(result, b)[0]
 
 
 def test_expected_reward_matrix_matches_enumeration():
@@ -197,20 +195,6 @@ def test_expected_reward_matrix_matches_enumeration():
                         * m.reward_values[sig.reward]
                     )
     np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-def test_json_round_trip(tiger):
-    again = from_json(to_json(tiger))
-    assert again.states == tiger.states
-    assert again.actions == tiger.actions
-    assert again.observations == tiger.observations
-    np.testing.assert_array_equal(again.transition, tiger.transition)
-    np.testing.assert_array_equal(again.signal_kernel, tiger.signal_kernel)
-    np.testing.assert_array_equal(again.reward_values, tiger.reward_values)
-    np.testing.assert_array_equal(again.initial_belief, tiger.initial_belief)
-    assert again.discount == tiger.discount
-    assert again.reward_scale == tiger.reward_scale
-    assert again.reward_offset == tiger.reward_offset
 
 
 def test_validate_rejects_bad_rows():

@@ -135,7 +135,7 @@ def test_optimum_bounds_every_policy_exactly():
         planned = plannermod.plan(model, epsilon=0.1)
         base = baselinemod.plan_baseline(model, delta=0.05)
         policies = [
-            lambda x: plannermod.act(planned.spanner, planned, x),
+            lambda x: plannermod.act(planned, x),
             lambda x: baselinemod.act_baseline(base, x),
             lambda x: np.argmax(x, axis=1) % model.n_actions,
         ]

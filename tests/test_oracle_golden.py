@@ -44,7 +44,7 @@ def oracle_record(name):
     base = baselinemod.plan_baseline(model, delta=DELTA)
     value, action = exact_value(model, b, horizon)
     plan_value = evaluate_policy(
-        model, lambda x: plannermod.act(planned.spanner, planned, x), b, horizon
+        model, lambda x: plannermod.act(planned, x), b, horizon
     )
     base_value = evaluate_policy(
         model, lambda x: baselinemod.act_baseline(base, x), b, horizon

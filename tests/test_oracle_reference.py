@@ -227,7 +227,7 @@ def test_a5_a6_corpus_matches_reference():
         ref = reference_tree(model, b, horizon)
         check_value(model, b, horizon, ref=ref)
         planned = plannermod.plan(model, epsilon=0.1)
-        act = lambda x: plannermod.act(planned.spanner, planned, x)
+        act = lambda x: plannermod.act(planned, x)
         check_policy(model, act, b, horizon, ref=ref)
         base = baselinemod.plan_baseline(model, delta=0.05)
         check_policy(model, lambda x: baselinemod.act_baseline(base, x), b, horizon, ref=ref)

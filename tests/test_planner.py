@@ -47,7 +47,7 @@ def reference_dynamics(model, span):
     for a in range(model.n_actions):
         for o in range(model.n_observations):
             for rr in range(nr):
-                ext = ma.mu[(a, o, rr)] @ dec.state_test_matrix
+                ext = ma.mu[(a, Signal(o, rr))] @ dec.state_test_matrix
                 W[a, o * nr + rr] = ext[dec.basis_states]
     v = W[..., 0].copy()
     rho = np.einsum("azi,z->ai", v, np.tile(model.reward_values, model.n_observations))
@@ -332,7 +332,7 @@ def test_plan_fair_coin_value(fair_coin):
 def test_plan_tiger_listens_at_uniform(tiger):
     res = plan(tiger, epsilon=0.1, vi_tol=1e-4)
     _, best = exact_value(tiger, np.array([0.5, 0.5]), 12)
-    chosen = act(res.spanner, res, np.array([[0.5, 0.5]]))[0]
+    chosen = act(res, np.array([[0.5, 0.5]]))[0]
     assert chosen == best == tiger.actions.index("listen")
 
 
@@ -358,24 +358,24 @@ def test_act_identity_on_expanded_corner(tiger):
     res = plan(tiger, epsilon=0.1)
     g0 = res.grid.initial_state
     b0 = tiger.initial_belief
-    assert act(res.spanner, res, b0[None])[0] == res.policy[g0]
+    assert act(res, b0[None])[0] == res.policy[g0]
 
 
 def test_act_rejects_an_unstacked_belief(tiger):
     res = plan(tiger, epsilon=0.1)
     with pytest.raises(ValueError):
-        act(res.spanner, res, tiger.initial_belief)
+        act(res, tiger.initial_belief)
 
 
 def test_same_rounding_same_action(tiger):
     res = plan(tiger, epsilon=0.1)
     b1 = np.array([0.5, 0.5])
     b2 = np.array([0.501, 0.499])
-    a1 = act(res.spanner, res, b1[None])[0]
+    a1 = act(res, b1[None])[0]
     c1 = round_to_grid(belief_coefficients(res.spanner, b1), res.grid.mesh)
     c2 = round_to_grid(belief_coefficients(res.spanner, b2), res.grid.mesh)
     if np.array_equal(c1, c2):
-        assert act(res.spanner, res, b2[None])[0] == a1
+        assert act(res, b2[None])[0] == a1
 
 
 @pytest.mark.parametrize(
@@ -392,7 +392,7 @@ def test_stack_actions_match_one_row_calls(model, epsilon):
     planned = plan(model, epsilon=epsilon)
     base = plan_baseline(model, delta=0.25)
     policies = {
-        "planner": (planned.grid, lambda bs: act(planned.spanner, planned, bs)),
+        "planner": (planned.grid, lambda bs: act(planned, bs)),
         "baseline": (base.grid, lambda bs: act_baseline(base, bs)),
     }
     for name, (grid, policy) in policies.items():
