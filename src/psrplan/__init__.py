@@ -53,7 +53,6 @@ from .model import (
     sequence_probability,
 )
 from .oracle import (
-    OracleConfig,
     evaluate_policy,
     exact_q,
     exact_value,
@@ -116,7 +115,6 @@ __all__ = [
     "expected_reward_matrix",
     "sample_trajectory",
     "sequence_probability",
-    "OracleConfig",
     "evaluate_policy",
     "exact_q",
     "exact_value",

@@ -248,9 +248,12 @@ def parse_pomdp(text: str) -> PomdpModel:
 
 
 def load_pomdp(path) -> PomdpModel:
-    """Load and validate a ``.POMDP`` file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pomdp(fh.read())
+    """Load and validate a ``.POMDP`` file, which must be UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_pomdp(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
 def _keyword_body(word, shape, line):

@@ -39,6 +39,25 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 
+def _checked(rule):
+    """An argparse type: a float the library's ``rule`` accepts.  A bad
+    value exits 2 at parsing, before the model is read, with its message."""
+
+    def parse(text):
+        value = float(text)  # argparse reports a ValueError as an invalid value
+        try:
+            rule(value)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = "float"  # argparse's name for the type in "invalid float value"
+    return parse
+
+
+_epsilon = _checked(plannermod.check_epsilon)
+
+
 def _epsilon_list(text):
     """--sweep value: one or more comma-separated floats in (0, 1], empty
     tokens skipped."""
@@ -48,10 +67,7 @@ def _epsilon_list(text):
         values = []
     if not values:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
-    for eps in values:
-        if not 0.0 < eps <= 1.0:  # NaN fails too
-            raise argparse.ArgumentTypeError(f"epsilon {eps} outside (0, 1]")
-    return values
+    return [_epsilon(eps) for eps in values]
 
 
 def _state_cap(text):
@@ -62,25 +78,15 @@ def _state_cap(text):
     return cap
 
 
-def _value_iteration(result):
-    """Report block: sweeps, last span and MacQueen bounds at the initial state."""
-    return {
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "lowerBound": result.metadata["lowerBound"],
-        "upperBound": result.metadata["upperBound"],
-    }
-
-
 def _add_common_flags(p):
     p.add_argument("model", help="path to a Cassandra-format .POMDP file")
-    p.add_argument("--vi-tol", type=float, default=1e-4,
+    p.add_argument("--vi-tol", type=_checked(gridmod.check_vi_tol), default=1e-4,
                    help="value-iteration tolerance, finite and > 0: the greedy "
                    "policy loses at most this much in the grid MDP and the "
                    "values are within discount * vi-tol / 2 of its optimum; "
                    "sweeps stop when their change spans at most "
                    "vi-tol * (1 - discount) (default 1e-4)")
-    p.add_argument("--oracle-slack", type=float, default=1e-2,
+    p.add_argument("--oracle-slack", type=_checked(oraclemod.check_slack), default=1e-2,
                    help="truncation slack for the oracle horizon (default 1e-2)")
     p.add_argument("--state-cap", type=_state_cap, default=gridmod.DEFAULT_STATE_CAP,
                    help="abort if a grid exceeds this many states, at least 1")
@@ -88,6 +94,18 @@ def _add_common_flags(p):
                    help="strip wall-clock fields for byte-stable output")
     p.add_argument("--json-out", metavar="PATH",
                    help="report JSON path (default: <model>.report.json)")
+
+
+def _add_planner_flags(p):
+    p.add_argument("--epsilon", type=_epsilon, default=0.1,
+                   help="coefficient-grid accuracy target in (0, 1] (default 0.1)")
+    p.add_argument("--grid-mode", choices=("reachable", "full"),
+                   default="reachable", help="grid construction mode")
+
+
+def _add_baseline_flags(p):
+    p.add_argument("--delta", type=_checked(baselinemod.resolution), default=0.05,
+                   help="simplex lattice mesh, 1/delta integral (default 0.05)")
 
 
 def _add_one_side_flags(p):
@@ -110,10 +128,7 @@ def build_parser():
 
     p_plan = sub.add_parser("plan", help="rank-r coefficient-grid planner")
     _add_one_side_flags(p_plan)
-    p_plan.add_argument("--epsilon", type=float, default=0.1,
-                        help="coefficient-grid accuracy target (default 0.1)")
-    p_plan.add_argument("--grid-mode", choices=("reachable", "full"),
-                        default="reachable", help="grid construction mode")
+    _add_planner_flags(p_plan)
     p_plan.add_argument("--sweep", metavar="EPS1,EPS2,...", type=_epsilon_list,
                         help="also plan at these epsilon values")
     p_plan.add_argument("--sweep-csv", metavar="PATH",
@@ -121,17 +136,14 @@ def build_parser():
 
     p_base = sub.add_parser("baseline", help="delta belief-simplex planner")
     _add_one_side_flags(p_base)
-    p_base.add_argument("--delta", type=float, default=0.05,
-                        help="simplex lattice mesh, 1/delta integral (default 0.05)")
+    _add_baseline_flags(p_base)
 
     # without abbreviations, so that --oracle is not read as --oracle-slack
     p_cmp = sub.add_parser("compare", help="run both planners plus the oracle",
                            allow_abbrev=False)
     _add_common_flags(p_cmp)
-    p_cmp.add_argument("--epsilon", type=float, default=0.1)
-    p_cmp.add_argument("--delta", type=float, default=0.05)
-    p_cmp.add_argument("--grid-mode", choices=("reachable", "full"),
-                       default="reachable")
+    _add_planner_flags(p_cmp)
+    _add_baseline_flags(p_cmp)
     return parser
 
 
@@ -219,7 +231,7 @@ def _strip_timings(obj):
         return {
             k: _strip_timings(v)
             for k, v in obj.items()
-            if k not in ("stageSeconds", "seconds", "wallSeconds")
+            if k not in ("stageSeconds", "seconds")
         }
     if isinstance(obj, list):
         return [_strip_timings(v) for v in obj]
@@ -302,7 +314,13 @@ def _plan_side(model, args, side, target):
             "mesh": grid.mesh,
             "diagnostics": grid.diagnostics,
         },
-        "valueIteration": _value_iteration(result),
+        # sweeps, last span and MacQueen bounds at the initial state
+        "valueIteration": {
+            "iterations": result.iterations,
+            "residual": result.residual,
+            "lowerBound": result.metadata["lowerBound"],
+            "upperBound": result.metadata["upperBound"],
+        },
         "valueAtInitialBelief": float(result.values[grid.initial_state]),
         "stageSeconds": dict(result.metadata["stageSeconds"], total=wall),
     }

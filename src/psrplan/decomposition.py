@@ -11,7 +11,7 @@ nearly dependent row never enters while a well-separated one is left.
 2-barycentric spanner of the state rows (Awerbuch & Kleinberg 2004).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,15 +28,22 @@ MAX_SWAPS = 10_000
 class CoreDecomposition:
     basis_states: list  # r hidden-state indices
     core_tests: list  # r tests; core_tests[0] is the empty test
-    M: np.ndarray  # [basis state, test] success probabilities
     state_test_matrix: np.ndarray  # all n states against the core tests
-    rank: int
-    condition_ratio: float = 0.0
     extensions: np.ndarray = None  # [s, σ, j]: P(σ∘t_j | s), σ in alphabet order
+    condition_ratio: float = field(init=False)  # σ_max / σ_min of M
 
     def __post_init__(self):
         sv = np.linalg.svd(self.M, compute_uv=False)
         self.condition_ratio = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+
+    @property
+    def M(self) -> np.ndarray:
+        """[basis state, test] success probabilities: the basis rows."""
+        return self.state_test_matrix[self.basis_states]
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis_states)
 
 
 @dataclass
@@ -97,12 +104,7 @@ def discover_basis(model: PomdpModel) -> CoreDecomposition:
         basis.append(int(s))
 
     decomp = CoreDecomposition(
-        basis_states=basis,
-        core_tests=tests,
-        M=U[basis],
-        state_test_matrix=U,
-        rank=len(basis),
-        extensions=ext,
+        basis_states=basis, core_tests=tests, state_test_matrix=U, extensions=ext
     )
     if numerical_rank(decomp.M) != decomp.rank:
         raise DegenerateBasisError(
@@ -152,14 +154,7 @@ def improve_to_spanner(model: PomdpModel, decomp: CoreDecomposition) -> SpannerB
                 f"spanner improvement did not settle within {MAX_SWAPS} swaps"
             )
         basis[i] = int(x)
-        dec = CoreDecomposition(
-            basis_states=list(basis),
-            core_tests=list(decomp.core_tests),
-            M=U[basis],
-            state_test_matrix=U,
-            rank=decomp.rank,
-            extensions=decomp.extensions,
-        )
+        dec = replace(dec, basis_states=list(basis))
         ledger.append(np.linalg.slogdet(dec.M)[1])
     return SpannerBasis(decomposition=dec, det_log_ledger=ledger, max_coefficient=float(C[x, i]))
 
@@ -170,16 +165,12 @@ def state_coefficients(spanner: SpannerBasis) -> np.ndarray:
     return solve_coefficients(dec, dec.state_test_matrix)
 
 
-def _test_to_json(test):
-    return [[a, sig.observation, sig.reward] for a, sig in test]
-
-
 def to_json_dict(spanner: SpannerBasis) -> dict:
     """JSON form of a SpannerBasis for diagnostics."""
     dec = spanner.decomposition
     return {
         "basisStates": list(dec.basis_states),
-        "coreTests": [_test_to_json(t) for t in dec.core_tests],
+        "coreTests": [[[a, *signal] for a, signal in t] for t in dec.core_tests],
         "matrix": dec.M.tolist(),
         "rank": dec.rank,
         "conditionRatio": dec.condition_ratio,

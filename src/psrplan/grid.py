@@ -256,6 +256,12 @@ def closure(
     return grid, dead_rows
 
 
+def check_vi_tol(vi_tol: float):
+    """Refuse a value-iteration tolerance that is not finite and > 0."""
+    if not (math.isfinite(vi_tol) and vi_tol > 0):
+        raise ValidationError(f"vi_tol must be finite and > 0, got {vi_tol}")
+
+
 def solve(grid: GridMdp, vi_tol: float = 1e-4) -> PlanResult:
     """Value-iterate until the greedy policy is vi_tol-optimal in the grid MDP.
 
@@ -283,8 +289,7 @@ def solve(grid: GridMdp, vi_tol: float = 1e-4) -> PlanResult:
     with it, layout build included, takes less than half the time of one
     bincount per sweep.
     """
-    if not (math.isfinite(vi_tol) and vi_tol > 0):
-        raise ValidationError(f"vi_tol must be finite and > 0, got {vi_tol}")
+    check_vi_tol(vi_tol)
     gamma = grid.discount
     threshold = vi_tol * (1.0 - gamma)
     n, n_actions = grid.n_states, grid.n_actions

@@ -15,7 +15,7 @@ round to the same multiple of ``MEMO_PRECISION``: the first one met stands
 for all, and ids follow first occurrence in (node, action, signal) order,
 which is the order a depth-first search with the same memo would meet them
 in.  Each level is merged once, by one sort of a hash of the rounded
-beliefs (``dedupe``).  The node budget counts the tree's distinct nodes.
+beliefs (``dedupe``).  ``NODE_BUDGET`` caps the tree's distinct nodes.
 Each policy is asked once per level about the nodes its actions reach,
 with the representative beliefs the tree holds for them.
 
@@ -26,9 +26,7 @@ same products in the same order, so the optimum is at least every
 policy's value exactly, not only up to rounding.
 """
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,15 +39,9 @@ from .model import belief_update  # noqa: F401
 from .model import PomdpModel, belief_update_state_major, expected_reward_matrix
 
 MEMO_PRECISION = 1e-9
-DEFAULT_NODE_BUDGET = 10_000_000
+NODE_BUDGET = 10_000_000  # distinct nodes per tree; read at each search
 HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd, so are its powers
 LEAF_ROWS = 16 * BLOCK_STATES  # distinct leaves valued per call
-
-
-@dataclass
-class OracleConfig:
-    node_budget: int = DEFAULT_NODE_BUDGET
-    use_memo: bool = True
 
 
 def truncation_slack(gamma: float, horizon: int) -> float:
@@ -57,36 +49,27 @@ def truncation_slack(gamma: float, horizon: int) -> float:
     return gamma ** (horizon + 1) / (1.0 - gamma)
 
 
-def horizon_for_slack(gamma: float, slack: float) -> int:
-    """Smallest H with truncation slack at most the requested amount."""
+def check_slack(slack: float):
+    """Refuse a truncation slack that is not a positive finite number."""
     if not (math.isfinite(slack) and slack > 0.0):
         raise ValidationError(f"oracle slack must be a positive number, got {slack}")
+
+
+def horizon_for_slack(gamma: float, slack: float) -> int:
+    """Smallest H with truncation slack at most the requested amount."""
+    check_slack(slack)
     h = 0
     while truncation_slack(gamma, h) > slack:
         h += 1
     return h
 
 
-def _best(q):
-    """Row maxima of q and their first column, as a strict ``>`` scan picks."""
-    col = np.argmax(q, axis=1)
-    return q[np.arange(q.shape[0]), col], col
-
-
-def row_hash(keys):
-    """One uint64 per row of a (k, d) int64 stack: its dot product with the
-    odd multipliers HASH_MULTIPLIER**(j + 1), wrapping mod 2**64.  Equal rows
-    hash alike; different rows rarely do, and ``dedupe`` checks."""
-    return keys.view(np.uint64) @ _hash_multipliers(keys.shape[1], HASH_MULTIPLIER)
-
-
-@functools.lru_cache(maxsize=64)
-def _hash_multipliers(width, multiplier):
-    """multiplier**(j + 1) for j < width, built once per width and
-    multiplier and read-only, since every caller shares it."""
-    multipliers = np.cumprod(np.full(width, multiplier))
-    multipliers.flags.writeable = False
-    return multipliers
+def row_hash(keys, multipliers):
+    """One uint64 per row of a (k, d) int64 stack: its dot product with
+    ``multipliers``, the odd HASH_MULTIPLIER**(j + 1) for j < d, wrapping
+    mod 2**64.  Equal rows hash alike; different rows rarely do, and
+    ``dedupe`` checks."""
+    return keys.view(np.uint64) @ multipliers
 
 
 def dedupe(rows, hashes, key):
@@ -128,17 +111,17 @@ def dedupe(rows, hashes, key):
 class _Tree:
     """The memoized expectimax tree from one root belief, over every action."""
 
-    def __init__(self, model: PomdpModel, config: OracleConfig):
+    def __init__(self, model: PomdpModel):
         self.model = model
-        self.config = config or OracleConfig()
         self.r_sa = expected_reward_matrix(model)
+        self.multipliers = np.cumprod(np.full(model.n, HASH_MULTIPLIER))
         self.nodes = 0
 
     def _count(self, k):
         self.nodes += k
-        if self.nodes > self.config.node_budget:
+        if self.nodes > NODE_BUDGET:
             raise OracleBudgetError(
-                f"expectimax expanded more than {self.config.node_budget} nodes; "
+                f"expectimax expanded more than {NODE_BUDGET} nodes; "
                 "shrink the horizon or the model"
             )
 
@@ -174,17 +157,13 @@ class _Tree:
             post = post.reshape(post.shape[0], -1).take(cols[p > 0.0], axis=1)
             p_parts.append(p)
             post_parts.append(post)
-            if self.config.use_memo:
-                hash_parts.append(row_hash(self._key(post.T)))
+            hash_parts.append(row_hash(self._key(post.T), self.multipliers))
         p = np.concatenate(p_parts)
         post = np.concatenate(post_parts, axis=1).T  # a row per kept branch
         post_parts.clear()
-        if self.config.use_memo:
-            hashes = np.concatenate(hash_parts)
-            hash_parts.clear()
-            ids, first = dedupe(post, hashes, self._key)
-        else:
-            ids = first = np.arange(post.shape[0])
+        hashes = np.concatenate(hash_parts)
+        hash_parts.clear()
+        ids, first = dedupe(post, hashes, self._key)
         self._count(first.size)
         succ = np.full(p.shape, -1, dtype=np.int64)
         succ[p > 0.0] = ids
@@ -214,7 +193,7 @@ class _Tree:
             self._rewards(post[first[lo : lo + LEAF_ROWS]])
             for lo in range(0, first.size, LEAF_ROWS)
         ])
-        values = _best(q)[0]
+        values = q.max(axis=1)
         policy_values = []
         for f, ids in zip(policies, reached):
             v = np.zeros(first.size)
@@ -230,7 +209,7 @@ class _Tree:
                 v[ids] = _backup(rewards[ids, a], weight[ids, a], succ[ids, a], policy_values[i])
                 policy_values[i] = v
             q = _backup(rewards, weight, succ, values)
-            values = _best(q)[0]
+            values = q.max(axis=1)
         return q[0], [float(v[0]) for v in policy_values]
 
 
@@ -243,7 +222,7 @@ def _backup(q, weight, succ, values):
     return q
 
 
-def search(model: PomdpModel, b, horizon: int, policies=(), config: OracleConfig = None):
+def search(model: PomdpModel, b, horizon: int, policies=()):
     """(V_H*(b), optimal first action, [each policy's value]) on one tree.
 
     Each of ``policies`` maps a (k, n) stack of beliefs to k actions; one
@@ -251,24 +230,24 @@ def search(model: PomdpModel, b, horizon: int, policies=(), config: OracleConfig
     about the distinct nodes its actions reach, the root included, with the
     beliefs the tree holds for them.
     """
-    q, values = _Tree(model, config).run(b, horizon, policies)
+    q, values = _Tree(model).run(b, horizon, policies)
     best = int(np.argmax(q))
     return float(q[best]), best, values
 
 
-def exact_value(model: PomdpModel, b, horizon: int, config: OracleConfig = None):
+def exact_value(model: PomdpModel, b, horizon: int):
     """(V_H*(b), optimal first action); exact up to truncation slack."""
-    return search(model, b, horizon, config=config)[:2]
+    return search(model, b, horizon)[:2]
 
 
-def exact_q(model: PomdpModel, b, a: int, horizon: int, config: OracleConfig = None):
+def exact_q(model: PomdpModel, b, a: int, horizon: int):
     """Q_H*(b, a), read off the full tree: the first action fixed, then optimal play."""
     if not 0 <= a < model.n_actions:
         raise ValidationError(f"action {a} outside [0, {model.n_actions})")
-    return float(_Tree(model, config).run(b, horizon, ())[0][a])
+    return float(_Tree(model).run(b, horizon, ())[0][a])
 
 
-def evaluate_policy(model: PomdpModel, policy, b, horizon: int, config: OracleConfig = None):
+def evaluate_policy(model: PomdpModel, policy, b, horizon: int):
     """Truncated discounted value of following the belief -> action map,
     on the tree ``search`` builds."""
-    return search(model, b, horizon, [policy], config)[2][0]
+    return search(model, b, horizon, [policy])[2][0]

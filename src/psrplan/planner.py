@@ -18,7 +18,6 @@ from .decomposition import SpannerBasis, discover_basis, improve_to_spanner, sol
 from .errors import ValidationError
 from .model import PomdpModel
 
-P_MIN = gridmod.P_MIN
 DEFAULT_STATE_CAP = gridmod.DEFAULT_STATE_CAP
 COEFF_BOUND = 2.0
 # absorbs float noise around exact half-cells so ties still go toward -inf
@@ -61,14 +60,14 @@ def step_block(dyn: SignalDynamics, alpha):
     Returns (p, beta): p (k, A, Z) holds the signal probabilities under the
     linear belief extension, clipped to [0, 1]; beta (k, A, Z, r) holds the
     successor coefficients alpha G[a, z] / p before clamping, meaningful
-    where p > P_MIN.  beta is one matrix product; p keeps its own einsum,
+    where p > grid.P_MIN.  beta is one matrix product; p keeps its own einsum,
     whose sums round as the grid's stored probabilities always have.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     na, nz, r = dyn.v.shape
     p = np.clip(np.einsum("ki,azi->kaz", alpha, dyn.v), 0.0, 1.0)
     beta = (alpha @ dyn.G).reshape(-1, na, nz, r)
-    beta /= np.where(p > P_MIN, p, 1.0)[..., None]
+    beta /= np.where(p > gridmod.P_MIN, p, 1.0)[..., None]
     return p, beta
 
 
@@ -92,6 +91,12 @@ def belief_coefficients(spanner: SpannerBasis, b: np.ndarray) -> np.ndarray:
     return np.clip(solve_coefficients(dec, target), -COEFF_BOUND, COEFF_BOUND)
 
 
+def check_epsilon(epsilon: float):
+    """Refuse an accuracy target outside (0, 1], NaN included."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValidationError(f"epsilon {epsilon} outside (0, 1]")
+
+
 def build_grid(
     model: PomdpModel,
     spanner: SpannerBasis,
@@ -105,8 +110,7 @@ def build_grid(
     "reachable" grows the closure from the initial belief's grid state;
     "full" materializes every lattice point in [-2, 2]^r.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError(f"epsilon {epsilon} outside (0, 1]")
+    check_epsilon(epsilon)
     if mode not in ("reachable", "full"):
         raise ValidationError(f"unknown grid mode '{mode}'")
     mesh = epsilon / spanner.decomposition.rank
@@ -126,7 +130,7 @@ def build_grid(
         p, beta = step_block(dyn, alpha)
         # kept branches in (state, action, signal) order; flat index
         # (state * A + action) * Z + signal
-        kept = np.flatnonzero(p > P_MIN)
+        kept = np.flatnonzero(p > gridmod.P_MIN)
         row = kept // nz
         beta = beta.reshape(-1, beta.shape[-1])[kept]
         size = np.abs(beta)

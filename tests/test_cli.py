@@ -149,14 +149,26 @@ def test_baseline_delta_one_keeps_only_corners(tmp_path, capsys):
     assert read_json(report)["baseline"]["grid"]["states"] == len(coords)
 
 
-def test_baseline_non_integral_resolution_exits_2(tmp_path, capsys):
-    code, _, err = run_cli(
+def exits_2_at_parsing(argv, monkeypatch, capsys):
+    """Run the CLI on argv, which must exit 2 at argument parsing without
+    reading the model; returns stderr."""
+    calls = []
+    monkeypatch.setattr(cli, "load_pomdp", lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(a) for a in argv])
+    assert exc.value.code == 2
+    assert calls == []
+    return capsys.readouterr().err
+
+
+def test_baseline_non_integral_resolution_exits_2(tmp_path, capsys, monkeypatch):
+    err = exits_2_at_parsing(
         ["baseline", DATA / "tiger.POMDP", "--delta", "0.3",
          "--json-out", tmp_path / "r.json"],
-        capsys,
+        monkeypatch, capsys,
     )
-    assert code == 2
-    assert "1/delta" in err
+    assert "argument --delta: 1/delta must be an integer, got 1/0.3" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_state_cap_exits_3(tmp_path, capsys):
@@ -183,14 +195,13 @@ def test_state_cap_below_one_exits_2_before_planning(tmp_path, capsys, monkeypat
     assert not (tmp_path / "r.json").exists()
 
 
-def test_nonpositive_oracle_slack_exits_2(tmp_path, capsys):
-    code, _, err = run_cli(
+def test_nonpositive_oracle_slack_exits_2(tmp_path, capsys, monkeypatch):
+    err = exits_2_at_parsing(
         ["compare", DATA / "fair_coin.POMDP", "--oracle-slack", "-0.01",
          "--json-out", tmp_path / "r.json"],
-        capsys,
+        monkeypatch, capsys,
     )
-    assert code == 2
-    assert "slack" in err
+    assert "argument --oracle-slack: oracle slack must be a positive number, got -0.01" in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -363,14 +374,36 @@ def test_act_fallbacks_reach_the_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["plan", "baseline", "compare"])
 @pytest.mark.parametrize("vi_tol", ["0", "-1e-3", "inf", "-inf", "nan"])
-def test_bad_vi_tol_exits_2(tmp_path, capsys, command, vi_tol):
+def test_bad_vi_tol_exits_2(tmp_path, capsys, monkeypatch, command, vi_tol):
     argv = [command, DATA / "tiger.POMDP", f"--vi-tol={vi_tol}",
             "--json-out", tmp_path / "r.json"]
     if command != "compare":
         argv += ["--policy-out", tmp_path / "p.json"]
-    code, _, err = run_cli(argv, capsys)
+    err = exits_2_at_parsing(argv, monkeypatch, capsys)
+    assert "argument --vi-tol: vi_tol must be finite and > 0" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["5", "nan", "0", "-0.1", "inf"])
+def test_bad_epsilon_exits_2_before_planning(tmp_path, capsys, monkeypatch, epsilon):
+    err = exits_2_at_parsing(
+        ["plan", DATA / "tiger.POMDP", f"--epsilon={epsilon}",
+         "--json-out", tmp_path / "r.json"],
+        monkeypatch, capsys,
+    )
+    assert f"argument --epsilon: epsilon {float(epsilon)} outside (0, 1]" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_model_that_is_not_utf8_exits_2(tmp_path, capsys):
+    model = tmp_path / "bad.POMDP"
+    model.write_bytes(b"\xff\xfediscount: 0.9\n")
+    code, out, err = run_cli(
+        ["plan", model, "--json-out", tmp_path / "r.json"], capsys
+    )
     assert code == 2
-    assert "vi_tol must be finite and > 0" in err
+    assert out == ""
+    assert err == f"error (plan): {model} is not UTF-8 text: invalid start byte\n"
     assert not (tmp_path / "r.json").exists()
 
 
@@ -430,17 +463,19 @@ def test_summary_line_on_stdout(tmp_path, capsys, command, line):
     assert out == line.format(report=report) + "\n"
 
 
+MESH_ERRORS = {
+    "--epsilon": "argument --epsilon: epsilon 5.0 outside (0, 1]",
+    "--delta": "argument --delta: 1/delta must be an integer, got 1/0.3",
+}
+
+
 @pytest.mark.parametrize("flag", [["--epsilon", "5"], ["--delta", "0.3"]])
 def test_compare_bad_mesh_exits_2_before_the_oracle(tmp_path, capsys, monkeypatch, flag):
-    calls = []
-    monkeypatch.setattr(cli.oraclemod, "search", lambda *a, **k: calls.append(a))
-    code, _, err = run_cli(
+    err = exits_2_at_parsing(
         ["compare", DATA / "tiger.POMDP", *flag, "--json-out", tmp_path / "r.json"],
-        capsys,
+        monkeypatch, capsys,
     )
-    assert code == 2
-    assert err.startswith("error (compare): ")
-    assert calls == []
+    assert MESH_ERRORS[flag[0]] in err
     assert not (tmp_path / "r.json").exists()
 
 

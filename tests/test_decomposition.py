@@ -131,9 +131,7 @@ def test_degenerate_matrix_rejected():
     dec = CoreDecomposition(
         basis_states=[0, 1],
         core_tests=[(), ()],
-        M=M,
         state_test_matrix=M,
-        rank=2,
     )
     with pytest.raises(DegenerateBasisError, match="condition"):
         solve_coefficients(dec, np.array([1.0, 1.0]))
@@ -145,9 +143,7 @@ def test_state_coefficients_use_the_condition_guard():
     dec = CoreDecomposition(
         basis_states=[0, 1],
         core_tests=[(), ()],
-        M=M,
         state_test_matrix=np.vstack([M, [[0.5, 0.1]]]),
-        rank=2,
     )
     assert dec.condition_ratio == pytest.approx(2.5e13, rel=1e-3)
     span = SpannerBasis(decomposition=dec, det_log_ledger=[0.0])
@@ -172,9 +168,7 @@ def test_near_duplicate_basis_gets_swapped_out():
     dec = CoreDecomposition(
         basis_states=[0, 1],
         core_tests=found.core_tests,
-        M=U[[0, 1]],
         state_test_matrix=U,
-        rank=found.rank,
     )
     span = improve_to_spanner(m, dec)
     assert span.swap_count >= 1

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from psrplan import baseline as baselinemod
+from psrplan import oracle as oraclemod
 from psrplan import planner as plannermod
 from psrplan.cassandra import load_pomdp
 from psrplan.errors import OracleBudgetError, ValidationError
 from psrplan.grid import Interner
 from psrplan.model import PomdpModel, expected_reward_matrix
 from psrplan.oracle import (
-    OracleConfig,
     dedupe,
     evaluate_policy,
     exact_q,
@@ -24,6 +24,7 @@ from psrplan.oracle import (
 from psrplan.zoo import random_pomdp
 
 from conftest import DATA
+from test_oracle_reference import reference_tree
 
 TIGER_GOLDEN_H20 = 3.777986364180994  # pinned output of this oracle
 
@@ -200,16 +201,16 @@ def test_memoization_does_not_change_values():
     m = random_pomdp(3, 2, 2, 1, seed=55, discount=0.4)
     b = m.initial_belief
     H = 4
-    with_memo = exact_value(m, b, H, OracleConfig(use_memo=True))
-    without = exact_value(m, b, H, OracleConfig(use_memo=False))
+    with_memo = exact_value(m, b, H)
+    without = reference_tree(m, b, H, use_memo=False).root  # every branch its own node
     assert with_memo[0] == pytest.approx(without[0], abs=1e-9)
     assert with_memo[1] == without[1]
 
 
-def test_node_budget_enforced(tiger):
-    cfg = OracleConfig(node_budget=5)
+def test_node_budget_enforced(tiger, monkeypatch):
+    monkeypatch.setattr(oraclemod, "NODE_BUDGET", 5)
     with pytest.raises(OracleBudgetError, match="nodes"):
-        exact_value(tiger, tiger.initial_belief, 10, cfg)
+        exact_value(tiger, tiger.initial_belief, 10)
 
 
 def test_horizon_for_slack_is_minimal():
@@ -245,10 +246,16 @@ def planted_keys(seed, rows=3000, dim=4):
     return keys
 
 
+def powers(width):
+    """HASH_MULTIPLIER**(j + 1) for j < width, wrapping: what a search over
+    beliefs of ``width`` states hands ``row_hash``."""
+    return np.cumprod(np.full(width, HASH_MULTIPLIER))
+
+
 # hash functions that dedupe must give the same answer under: the real one,
 # one where many different rows collide, and one where all rows do
 HASHES = {
-    "row_hash": row_hash,
+    "row_hash": lambda keys: row_hash(keys, powers(keys.shape[1])),
     "low_bits": lambda keys: (keys[:, 0] & 3).astype(np.uint64),
     "constant": lambda keys: np.zeros(len(keys), dtype=np.uint64),
 }
@@ -272,10 +279,13 @@ def test_row_hash_is_the_wrapping_dot_with_multiplier_powers(width):
     keys = rng.integers(-(2**63), 2**63 - 1, size=(50, width), endpoint=True)
     keys[0] = np.iinfo(np.int64).min
     keys[1] = np.iinfo(np.int64).max
-    multipliers = np.cumprod(np.full(width, HASH_MULTIPLIER))
-    expected = keys.view(np.uint64) @ multipliers
-    for _ in range(2):  # the first call at a width, and a later one
-        got = row_hash(keys)
-        assert got.dtype == np.uint64
-        assert got.tobytes() == expected.tobytes()
-
+    # the search's multipliers for a model of ``width`` states
+    multipliers = oraclemod._Tree(random_pomdp(width, 2, 2, 1, seed=width)).multipliers
+    np.testing.assert_array_equal(multipliers, powers(width))
+    got = row_hash(keys, multipliers)
+    assert got.dtype == np.uint64
+    h, wrap = int(HASH_MULTIPLIER), 2**64
+    expected = [
+        sum(int(k) * pow(h, j + 1, wrap) for j, k in enumerate(row)) % wrap for row in keys
+    ]
+    assert got.tolist() == expected

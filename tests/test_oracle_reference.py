@@ -23,7 +23,6 @@ from psrplan.errors import OracleBudgetError
 from psrplan.model import PomdpModel, belief_update, expected_reward_matrix
 from psrplan.oracle import (
     MEMO_PRECISION,
-    OracleConfig,
     evaluate_policy,
     exact_q,
     exact_value,
@@ -38,9 +37,13 @@ TIE_TOL = 1e-12
 
 
 class _Expectimax:
-    def __init__(self, model: PomdpModel, config: OracleConfig):
+    """With ``use_memo`` False, every branch is its own node: the tree the
+    memo merges, for checking that merging moves values by at most the
+    memo precision."""
+
+    def __init__(self, model: PomdpModel, use_memo=True):
         self.model = model
-        self.config = config
+        self.use_memo = use_memo
         self.r_sa = expected_reward_matrix(model)
         self.memo = {}
         self.representative = {}  # (depth, key) -> the first belief met
@@ -49,14 +52,6 @@ class _Expectimax:
     def _key(self, b, depth):
         q = np.round(b / MEMO_PRECISION).astype(np.int64)
         return (depth, q.tobytes())
-
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.config.node_budget:
-            raise OracleBudgetError(
-                f"expectimax expanded more than {self.config.node_budget} nodes; "
-                "shrink the horizon or the model"
-            )
 
     def q_value(self, b, a, depth):
         m = self.model
@@ -71,12 +66,12 @@ class _Expectimax:
         return total
 
     def value(self, b, depth):
-        key = self._key(b, depth) if self.config.use_memo else None
+        key = self._key(b, depth) if self.use_memo else None
         if key is not None:
             hit = self.memo.get(key)
             if hit is not None:
                 return hit
-        self._tick()
+        self.nodes += 1
         if key is not None:
             self.representative[key] = b
         best, best_a = -math.inf, 0
@@ -93,7 +88,7 @@ class _Expectimax:
         """The policy's value on the tree ``value`` built from this root:
         each node stands for its (depth, key), as its representative.
         ``memo`` holds this policy's values by (depth, key)."""
-        key = self._key(b, depth) if self.config.use_memo else None
+        key = self._key(b, depth) if self.use_memo else None
         if key is not None:
             hit = memo.get(key)
             if hit is not None:
@@ -129,71 +124,53 @@ class _Recorder:
 
 
 def _budget_is_exact(run, nodes):
-    """``run(budget)`` fits in the reference's node count and not one fewer."""
-    run(nodes)
-    with pytest.raises(OracleBudgetError, match="expanded more than"):
-        run(nodes - 1)
+    """``run()`` fits a node budget of the reference's node count and not
+    one fewer."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oraclemod, "NODE_BUDGET", nodes)
+        run()
+        mp.setattr(oraclemod, "NODE_BUDGET", nodes - 1)
+        with pytest.raises(OracleBudgetError, match="expanded more than"):
+            run()
 
 
 def reference_tree(model, b, horizon, use_memo=True):
     """The reference's one tree from b: its root's (value, action), nodes
     and representatives."""
-    ref = _Expectimax(model, OracleConfig(use_memo=use_memo))
+    ref = _Expectimax(model, use_memo)
     ref.root = ref.value(b, horizon)
     return ref
 
 
-def check_value(model, b, horizon, use_memo=True, ref=None):
-    cfg = OracleConfig(use_memo=use_memo)
-    ref = ref or reference_tree(model, b, horizon, use_memo)
+def check_value(model, b, horizon, ref=None):
+    ref = ref or reference_tree(model, b, horizon)
     v_ref, a_ref = ref.root
-    v, a = exact_value(model, b, horizon, cfg)
+    v, a = exact_value(model, b, horizon)
     assert abs(v - v_ref) <= VALUE_TOL
     if a != a_ref:
-        qs = [_Expectimax(model, cfg).q_value(b, x, horizon) for x in (a, a_ref)]
+        qs = [_Expectimax(model).q_value(b, x, horizon) for x in (a, a_ref)]
         assert abs(qs[0] - qs[1]) <= TIE_TOL
-    _budget_is_exact(
-        lambda budget: exact_value(
-            model, b, horizon,
-            OracleConfig(node_budget=budget, use_memo=use_memo),
-        ),
-        ref.nodes,
-    )
+    _budget_is_exact(lambda: exact_value(model, b, horizon), ref.nodes)
 
 
-def check_q(model, b, horizon, use_memo=True):
-    cfg = OracleConfig(use_memo=use_memo)
-    ref = reference_tree(model, b, horizon, use_memo)  # every first action's tree
-    nodes = ref.nodes
+def check_q(model, b, horizon):
+    ref = reference_tree(model, b, horizon)  # every first action's tree
     for a in range(model.n_actions):
         q_ref = ref.q_value(b, a, horizon)
-        assert abs(exact_q(model, b, a, horizon, cfg) - q_ref) <= VALUE_TOL
-        _budget_is_exact(
-            lambda budget: exact_q(
-                model, b, a, horizon,
-                OracleConfig(node_budget=budget, use_memo=use_memo),
-            ),
-            nodes,
-        )
+        assert abs(exact_q(model, b, a, horizon) - q_ref) <= VALUE_TOL
+        _budget_is_exact(lambda: exact_q(model, b, a, horizon), ref.nodes)
 
 
-def check_policy(model, policy, b, horizon, use_memo=True, ref=None):
-    cfg = OracleConfig(use_memo=use_memo)
-    ref = ref or reference_tree(model, b, horizon, use_memo)
+def check_policy(model, policy, b, horizon, ref=None):
+    ref = ref or reference_tree(model, b, horizon)
     ref_policy, new_policy = _Recorder(policy), _Recorder(policy)
     v_ref = ref.policy_value(b, horizon, lambda x: ref_policy(x[None])[0], {})
-    v = evaluate_policy(model, new_policy, b, horizon, cfg)
+    v = evaluate_policy(model, new_policy, b, horizon)
     assert v == v_ref
     # the same beliefs, bit for bit: one row per node the policy reaches
     assert len(new_policy.seen) == len(ref_policy.seen)
     assert new_policy.beliefs() == ref_policy.beliefs()
-    _budget_is_exact(
-        lambda budget: evaluate_policy(
-            model, policy, b, horizon,
-            OracleConfig(node_budget=budget, use_memo=use_memo),
-        ),
-        ref.nodes,
-    )
+    _budget_is_exact(lambda: evaluate_policy(model, policy, b, horizon), ref.nodes)
 
 
 def belief_policy(model):
@@ -242,15 +219,27 @@ def test_a7_corpus_matches_reference():
             check_q(model, rng.dirichlet(np.ones(model.n)), horizon)
 
 
-@pytest.mark.parametrize("use_memo", [True, False])
+@pytest.mark.parametrize("reference_memo", [True, False])
 @pytest.mark.parametrize("seed", [55, 56, 57])
-def test_random_models_match_reference(seed, use_memo):
+def test_random_models_match_reference(seed, reference_memo):
     model = random_pomdp(3, 2, 2, 1, seed=seed, discount=0.4)
     b = np.random.default_rng(seed).dirichlet(np.ones(model.n))
     horizon = 4
-    check_value(model, b, horizon, use_memo)
-    check_q(model, b, horizon, use_memo)
-    check_policy(model, belief_policy(model), b, horizon, use_memo)
+    if reference_memo:
+        check_value(model, b, horizon)
+        check_q(model, b, horizon)
+        check_policy(model, belief_policy(model), b, horizon)
+        return
+    # memoization moves values by at most the memo precision: against the
+    # unmerged tree, the same value within VALUE_TOL and the same first action
+    for root in (model.initial_belief, b):
+        ref = reference_tree(model, root, horizon, use_memo=False)
+        v, a = exact_value(model, root, horizon)
+        assert abs(v - ref.root[0]) <= VALUE_TOL
+        assert a == ref.root[1]
+        for x in range(model.n_actions):
+            q_ref = ref.q_value(root, x, horizon)
+            assert abs(exact_q(model, root, x, horizon) - q_ref) <= VALUE_TOL
 
 
 def test_horizon_zero_matches_reference(tiger):

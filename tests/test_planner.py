@@ -8,8 +8,8 @@ from psrplan.cassandra import load_pomdp
 from psrplan.decomposition import discover_basis, improve_to_spanner, solve_coefficients
 from psrplan.errors import ConvergenceError, StateCapExceededError, ValidationError
 from psrplan.model import Signal, belief_update, sequence_probability
+from psrplan.grid import P_MIN
 from psrplan.planner import (
-    P_MIN,
     SignalDynamics,
     act,
     belief_coefficients,
