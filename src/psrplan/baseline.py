@@ -42,8 +42,13 @@ def simplex_round(b: np.ndarray, delta: float) -> np.ndarray:
     scaled = np.asarray(b, dtype=np.float64) * k
     floors = np.floor(scaled + 1e-12).astype(np.int64)
     leftover = k - floors.sum(axis=-1, keepdims=True)
-    order = np.argsort(-(scaled - floors), axis=-1, kind="stable")
-    place = np.argsort(order, axis=-1)  # each coordinate's position in that order
+    n = scaled.shape[-1]
+    # largest remainder first: floors - scaled is minus the remainder, exactly
+    order = np.argsort(floors - scaled, axis=-1, kind="stable")
+    # each coordinate's position in that order: one scatter inverts it
+    order += n * np.arange(leftover.size).reshape(leftover.shape)
+    place = np.empty(order.shape, dtype=np.int64)
+    place.reshape(-1)[order] = np.arange(n)
     return floors + (place < leftover)
 
 

@@ -248,9 +248,10 @@ def parse_pomdp(text: str) -> PomdpModel:
 
 
 def load_pomdp(path) -> PomdpModel:
-    """Load and validate a ``.POMDP`` file, which must be UTF-8 text."""
+    """Load and validate a ``.POMDP`` file, which must be UTF-8 text; one
+    leading byte-order mark is dropped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_pomdp(fh.read())
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc

@@ -79,19 +79,81 @@ class PlanResult:
     dynamics: object = None
 
 
+def sort_groups(keys):
+    """``(order, starts)`` for a 1-d array of keys: ``order`` sorts them by
+    one default, unstable ``argsort``, and ``starts[i]`` is True where the
+    i-th sorted key differs from the one before it, so that each run of
+    equal keys is one group."""
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    # ``!=``, not np.not_equal, which has no loop for byte-view keys
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return order, starts
+
+
+def number_groups(order, starts):
+    """Ids of grouped rows, numbered 0, 1, ... as the groups first occur.
+
+    ``order`` lists the rows group by group and ``starts[i]`` is True where
+    ``order[i]`` begins a group, as ``sort_groups`` returns them.  Returns
+    ``(ids, first)``: ``ids[i]`` is the id of row i's group, and
+    ``first[j]`` the index of the first row of group j.  The order of rows
+    within a group does not matter, so an unstable sort will do.
+    """
+    if not order.size:  # minimum.reduceat refuses empty input
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    # number the groups by their first rows, without sorting them
+    is_first = np.zeros(order.size, dtype=bool)
+    is_first[first] = True
+    group_id = np.cumsum(is_first)[first]
+    group_id -= 1
+    group = np.cumsum(starts)
+    group -= 1
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = group_id[group]
+    return ids, np.flatnonzero(is_first)
+
+
+def _search(run, run_ids, keys):
+    """Ids of keys in one sorted run, -1 where absent."""
+    if not run.size:
+        return np.full(keys.size, -1, dtype=np.int64)
+    pos = np.searchsorted(run, keys)
+    np.minimum(pos, run.size - 1, out=pos)
+    return np.where(run[pos] == keys, run_ids[pos], -1)
+
+
+def _merged(keys, ids, more_keys, more_ids):
+    """Two sorted runs of keys, with their ids, as one sorted run."""
+    keys = np.concatenate([keys, more_keys])
+    order = np.argsort(keys, kind="stable")  # timsort merges the two runs
+    return keys[order], np.concatenate([ids, more_ids])[order]
+
+
 class Interner:
     """Integer rows in the cube [-radius, radius]^dim -> ids, new rows
     numbered in order of first occurrence.
 
-    Each row is one key, and the keys are kept sorted for ``searchsorted``.
-    Where (2 radius + 1)^dim fits in int64 the key is the row's mixed-radix
-    number (row + radius) @ (2 radius + 1)^arange(dim), distinct for every
-    point of the cube.  Wider lattices, such as rank 12 at any epsilon or 12
-    hidden states at delta 0.05, are keyed by a fixed-width byte view of the
-    row, whose order is arbitrary but total, which is all the lookup needs.
-    Ids do not depend on the key kind.  ``coords`` holds the distinct rows
-    in id order; ``find`` looks rows up without interning them.  A row
-    outside the cube raises when interned and is never found.
+    Each row is one key.  Where (2 radius + 1)^dim fits in int64 the key is
+    the row's mixed-radix number (row + radius) @ (2 radius + 1)^arange(dim),
+    distinct for every point of the cube.  Wider lattices, such as rank 12
+    at any epsilon or 12 hidden states at delta 0.05, are keyed by a
+    fixed-width byte view of the row, whose order is arbitrary but total,
+    which is all the lookup needs.  Ids do not depend on the key kind.
+
+    A call numbers its rows by one unstable sort (``sort_groups`` and
+    ``number_groups``, the steps of the oracle's ``dedupe``), then looks
+    its distinct keys up.  The interned keys are kept in two sorted runs
+    for ``searchsorted``: ``keys`` and a recent run (``recent_keys``) that
+    takes each call's new keys and merges into ``keys`` once it holds more
+    than an eighth as many.  So no call copies all N keys, and a closure's
+    cost per state stays flat as it grows.  ``settle`` merges the runs for
+    good.  ``coords`` holds the distinct rows in id order, a view of a
+    buffer whose capacity doubles; ``find`` looks rows up without interning
+    them.  A row outside the cube raises when interned and is never found.
     """
 
     def __init__(self, dim, radius):
@@ -105,7 +167,9 @@ class Interner:
             key_type = np.dtype((np.void, 8 * dim))
         self.keys = np.empty(0, dtype=key_type)  # sorted
         self.ids = np.empty(0, dtype=np.int64)  # id of each sorted key
-        self.coords = np.empty((0, dim), dtype=np.int64)  # rows in id order
+        self.recent_keys, self.recent_ids = self.keys, self.ids  # the second run
+        self._buffer = np.empty((0, dim), dtype=np.int64)
+        self.coords = self._buffer  # rows in id order
 
     def _rows(self, coords):
         coords = np.ascontiguousarray(coords, dtype=np.int64)
@@ -123,38 +187,62 @@ class Interner:
         return (coords + self.radius) @ self.radix
 
     def _lookup(self, keys):
-        """Sorted positions of keys, and their ids or -1 where not interned."""
-        pos = np.searchsorted(self.keys, keys)
-        seen = pos < self.keys.size
-        seen[seen] = self.keys[pos[seen]] == keys[seen]
-        ids = np.full(keys.size, -1, dtype=np.int64)
-        ids[seen] = self.ids[pos[seen]]
-        return pos, ids
+        """Ids of keys, -1 where not interned: ``keys``, then the recent run."""
+        ids = _search(self.keys, self.ids, keys)
+        miss = np.flatnonzero(ids < 0)
+        ids[miss] = _search(self.recent_keys, self.recent_ids, keys[miss])
+        return ids
 
     def find(self, coords):
         """Ids of the rows of a (k, dim) stack, -1 for rows never interned."""
         coords = self._rows(coords)
         inside = ((coords >= -self.radius) & (coords <= self.radius)).all(axis=1)
         ids = np.full(len(coords), -1, dtype=np.int64)
-        ids[inside] = self._lookup(self._keys(coords[inside]))[1]
+        ids[inside] = self._lookup(self._keys(coords[inside]))
         return ids
 
     def __call__(self, coords):
         coords = self._rows(coords)
         if coords.size and (coords.min() < -self.radius or coords.max() > self.radius):
             raise ValueError(f"lattice point outside [-{self.radius}, {self.radius}]^{self.dim}")
-        uniq, first, inverse = np.unique(
-            self._keys(coords), return_index=True, return_inverse=True
-        )
-        pos, uid = self._lookup(uniq)
-        unseen = uid < 0
-        fresh = np.flatnonzero(unseen)
-        fresh = fresh[np.argsort(first[fresh], kind="stable")]
-        uid[fresh] = self.coords.shape[0] + np.arange(fresh.size)
-        self.coords = np.concatenate([self.coords, coords[first[fresh]]])
-        self.keys = np.insert(self.keys, pos[unseen], uniq[unseen])
-        self.ids = np.insert(self.ids, pos[unseen], uid[unseen])
-        return uid[inverse.reshape(-1)]
+        keys = self._keys(coords)
+        order, starts = sort_groups(keys)
+        local, first = number_groups(order, starts)
+        heads = order[starts]  # a row of each distinct key, in key order
+        found = self._lookup(keys[heads])
+        uid = np.empty(first.size, dtype=np.int64)  # by local id
+        uid[local[heads]] = found
+        fresh = uid < 0  # local ids follow first occurrence, as new ids must
+        uid[fresh] = self.coords.shape[0] + np.arange(np.count_nonzero(fresh))
+        self._append(coords[first[fresh]])
+        new = heads[found < 0]
+        if new.size:
+            self.recent_keys, self.recent_ids = _merged(
+                self.recent_keys, self.recent_ids, keys[new], uid[local[new]]
+            )
+            if self.recent_keys.size > self.keys.size // 8:
+                self._merge_runs()
+        return uid[local]
+
+    def _append(self, rows):
+        n = self.coords.shape[0]
+        end = n + rows.shape[0]
+        if end > self._buffer.shape[0]:
+            grown = np.empty((max(end, 2 * self._buffer.shape[0]), self.dim), dtype=np.int64)
+            grown[:n] = self.coords
+            self._buffer = grown
+        self._buffer[n:end] = rows
+        self.coords = self._buffer[:end]
+
+    def _merge_runs(self):
+        self.keys, self.ids = _merged(self.keys, self.ids, self.recent_keys, self.recent_ids)
+        self.recent_keys, self.recent_ids = self.keys[:0], self.ids[:0]
+
+    def settle(self):
+        """Merge the two runs, so a lookup searches one, and give ``coords``
+        an array of its own, not a view of the growth buffer."""
+        self._merge_runs()
+        self.coords = self._buffer = self.coords.copy()
 
 
 def closure(
@@ -187,10 +275,14 @@ def closure(
     and where it computes them by one BLAS product per block (as the
     planner does) their rounding may follow the block's shape by ulps.
 
-    Duplicate (row, successor) entries merge by summing their weights, rows
-    are renormalized, and a row of total weight at most P_MIN becomes a
-    self-loop.  More than ``state_cap`` states raise StateCapExceededError,
-    its message ending in ``cap_hint``.  Returns ``(grid, dead_rows)``.
+    Duplicate (row, successor) entries merge by summing their weights in
+    entry order, rows are renormalized, and a row of total weight at most
+    P_MIN becomes a self-loop; a block's entries are grouped by one
+    unstable sort of their (row, successor) keys.  The grid's ``index`` is
+    the closure's settled ``Interner``: one sorted run of keys, and
+    ``coords`` an array of its own.  More than ``state_cap`` states raise
+    StateCapExceededError, its message ending in ``cap_hint``.  Returns
+    ``(grid, dead_rows)``.
     """
     start = np.asarray(start, dtype=np.int64).reshape(1, -1)
     dim = start.shape[1]
@@ -223,23 +315,32 @@ def closure(
         succ = capped(succ_coords)
         n_rows = (hi - lo) * n_actions
         n = intern.coords.shape[0]
-        merged, inverse = np.unique(row * n + succ, return_inverse=True)
-        weight = np.bincount(inverse, weights=weight, minlength=merged.size)
-        row, succ = merged // n, merged % n
+        # merge duplicate (row, successor) entries, summing their weights in
+        # entry order, into entries sorted by (row, successor)
+        key = row * n + succ
+        order, starts = sort_groups(key)
+        inverse = np.empty(key.size, dtype=np.int64)
+        inverse[order] = np.cumsum(starts) - 1
+        heads = order[starts]
+        weight = np.bincount(inverse, weights=weight, minlength=heads.size)
+        row, succ = row[heads], succ[heads]
         total = np.bincount(row, weights=weight, minlength=n_rows)
-        live = total[row] > P_MIN
         dead = np.flatnonzero(total <= P_MIN)
-        rows = np.concatenate([row[live], dead])
-        order = np.argsort(rows, kind="stable")  # within a row, successors stay sorted
-        succ_parts.append(np.concatenate([succ[live], lo + dead // n_actions])[order])
-        prob_parts.append(
-            np.concatenate([weight[live] / total[row[live]], np.ones(dead.size)])[order]
-        )
-        counts.append(np.bincount(rows, minlength=n_rows))
+        if dead.size:  # a dead row keeps one entry: a self-loop of weight 1
+            live = total[row] > P_MIN
+            at = np.searchsorted(row[live], dead)
+            row = np.insert(row[live], at, dead)
+            succ = np.insert(succ[live], at, lo + dead // n_actions)
+            weight = np.insert(weight[live], at, 1.0)
+            total[dead] = 1.0
+        succ_parts.append(succ)
+        prob_parts.append(weight / total[row])
+        counts.append(np.bincount(row, minlength=n_rows))
         reward_parts.append(np.asarray(rewards, dtype=np.float64).reshape(-1))
         dead_rows += int(dead.size)
         lo = hi
 
+    intern.settle()
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))]).astype(np.int64)
     grid = GridMdp(
         mesh=float(mesh),

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import OracleBudgetError, ValidationError
-from .grid import BLOCK_STATES
+from .grid import BLOCK_STATES, number_groups, sort_groups
 
 # Not called here: pipebench/tracer.py wraps psrplan.oracle.belief_update and
 # reports a missing target, so the name stays importable from this module.
@@ -81,13 +81,10 @@ def dedupe(rows, hashes, key):
     ``first[j]`` is the index of the first row with id j.  Rows are grouped
     by an ``argsort`` of their hashes once adjacent rows with equal hashes
     are checked to have equal keys; if two do not, by a ``lexsort`` of the
-    keys instead.
+    keys instead.  The groups are then numbered as ``grid.Interner``
+    numbers a block, by ``number_groups``.
     """
-    order = np.argsort(hashes)
-    starts = np.ones(rows.shape[0], dtype=bool)  # where a group begins
-    sorted_hashes = hashes[order]
-    np.not_equal(sorted_hashes[1:], sorted_hashes[:-1], out=starts[1:])
-    del sorted_hashes
+    order, starts = sort_groups(hashes)
     tied = np.flatnonzero(~starts[1:])
     pairs = key(rows[order[np.stack((tied, tied + 1))]])
     if not (pairs[0] == pairs[1]).all():
@@ -95,17 +92,7 @@ def dedupe(rows, hashes, key):
         order = np.lexsort(keys.T)
         sorted_keys = keys[order]
         np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=starts[1:])
-    first = np.minimum.reduceat(order, np.flatnonzero(starts))
-    # number the groups by their first rows, without sorting them
-    is_first = np.zeros(rows.shape[0], dtype=bool)
-    is_first[first] = True
-    group_id = np.cumsum(is_first)[first]
-    group_id -= 1
-    group = np.cumsum(starts)
-    group -= 1
-    ids = np.empty(rows.shape[0], dtype=np.int64)
-    ids[order] = group_id[group]
-    return ids, np.flatnonzero(is_first)
+    return number_groups(order, starts)
 
 
 class _Tree:

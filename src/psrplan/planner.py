@@ -73,10 +73,14 @@ def step_block(dyn: SignalDynamics, alpha):
 
 def round_to_grid(alpha, mesh: float) -> np.ndarray:
     """Nearest lattice multiple of mesh, ties toward -inf, clamped to [-2, 2]."""
-    alpha = np.asarray(alpha, dtype=np.float64)
     m_max = lattice_radius(mesh)
-    m = np.ceil(alpha / mesh - 0.5 - TIE_NUDGE).astype(np.int64)
-    return np.clip(m, -m_max, m_max)
+    m = np.asarray(alpha, dtype=np.float64) / mesh
+    m -= 0.5
+    m -= TIE_NUDGE
+    np.ceil(m, out=m)
+    # whole numbers in floats clip as they would in ints
+    np.clip(m, -m_max, m_max, out=m)
+    return m.astype(np.int64)
 
 
 def lattice_radius(mesh: float) -> int:
@@ -132,7 +136,10 @@ def build_grid(
         # (state * A + action) * Z + signal
         kept = np.flatnonzero(p > gridmod.P_MIN)
         row = kept // nz
-        beta = beta.reshape(-1, beta.shape[-1])[kept]
+        beta = beta.reshape(-1, beta.shape[-1])
+        p = p.reshape(-1)
+        if kept.size < p.size:
+            beta, p = beta[kept], p[kept]
         size = np.abs(beta)
         # one reduction over the block finds whether any row drifts; the
         # per-row maxima, a slow reduction over r, only run when one does
@@ -143,10 +150,10 @@ def build_grid(
             diagnostics["maxClampDrift"] = max(
                 diagnostics["maxClampDrift"], float(drift[clamped].max())
             )
-        succ = round_to_grid(np.clip(beta, -COEFF_BOUND, COEFF_BOUND), mesh)
+        succ = round_to_grid(np.clip(beta, -COEFF_BOUND, COEFF_BOUND, out=beta), mesh)
         rewards = alpha @ dyn.rho.T
         diagnostics["rewardClamps"] += int(np.count_nonzero((rewards < 0.0) | (rewards > 1.0)))
-        return row, succ, p.reshape(-1)[kept], np.clip(rewards, 0.0, 1.0)
+        return row, succ, p, np.clip(rewards, 0.0, 1.0)
 
     grid, dead_rows = gridmod.closure(
         g0,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,32 @@ def test_simplex_round_stack_matches_rows():
     stacked = simplex_round(beliefs, 0.05)
     for b, row in zip(beliefs, stacked):
         np.testing.assert_array_equal(simplex_round(b, 0.05), row)
+
+
+def largest_remainder(belief, k):
+    """Plain-Python largest-remainder rounding of one belief to k units,
+    lowest index first among equal remainders."""
+    scaled = [x * k for x in belief]
+    floors = [math.floor(x + 1e-12) for x in scaled]
+    ranked = sorted(range(len(belief)), key=lambda i: (floors[i] - scaled[i], i))
+    for i in ranked[: k - sum(floors)]:
+        floors[i] += 1
+    return floors
+
+
+def test_simplex_round_stack_with_exact_ties_matches_reference():
+    # beliefs in sixteenths rounded to eighths: every remainder is exactly
+    # 0 or 1/2, so ties fall at several positions per row, and rows of even
+    # sixteenths lie on the lattice
+    rng = np.random.default_rng(7)
+    units = rng.multinomial(16, [0.2] * 5, size=400)
+    units[::4] = 2 * rng.multinomial(8, [0.2] * 5, size=100)
+    beliefs = np.concatenate([units / 16, rng.dirichlet([0.5] * 5, size=100)])
+    stacked = simplex_round(beliefs, 0.125)
+    assert stacked.shape == beliefs.shape
+    for b, row in zip(beliefs, stacked):
+        assert row.tolist() == largest_remainder(b.tolist(), 8)
+    np.testing.assert_array_equal(stacked[:400:4], units[::4] // 2)
 
 
 def test_non_integral_resolution_rejected():

@@ -407,6 +407,22 @@ def test_model_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_model_with_a_byte_order_mark_plans_as_without(tmp_path, capsys):
+    marked = tmp_path / "tiger.POMDP"
+    marked.write_bytes(b"\xef\xbb\xbf" + (DATA / "tiger.POMDP").read_bytes())
+    planners = []
+    for model in (DATA / "tiger.POMDP", marked):
+        report = tmp_path / "r.json"
+        code, _, err = run_cli(
+            ["plan", model, "--no-timings", "--json-out", report,
+             "--policy-out", tmp_path / "p.json"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        planners.append(read_json(report)["planner"])
+    assert planners[0] == planners[1]
+
+
 # values outside (0, 1], NaN included, are refused at parsing too
 @pytest.mark.parametrize(
     "sweep", ["0.1,abc", "abc", ",", "", "0.5,2", "nan", "0", "-0.1", "0.2,inf"]

@@ -10,7 +10,9 @@ kind; a row outside the cube must never be taken for another one.
 import numpy as np
 import pytest
 
-from psrplan.grid import Interner
+from psrplan.baseline import build_delta_grid
+from psrplan.grid import BLOCK_STATES, Interner
+from psrplan.zoo import random_pomdp
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -96,3 +98,34 @@ def test_find_rejects_an_unstacked_point():
     intern(np.zeros((1, 3)))
     with pytest.raises(ValueError):
         intern.find(np.zeros(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("radius", [3, widest_radius(4) + 1])
+def test_many_calls_with_fresh_rows_in_each(radius):
+    """Forty calls, each with rows seen before and rows not, so the recent
+    run of keys merges into the main one several times; ``find`` between
+    calls must see both runs."""
+    rng = np.random.default_rng(11)
+    pool = rng.integers(-3, 4, size=(4000, 4))
+    intern = Interner(4, radius)
+    known, merged, split = {}, 0, 0
+    for call in range(40):
+        block = pool[rng.integers(100 * (call + 1), size=200)]
+        want = [known.setdefault(tuple(row), len(known)) for row in block.tolist()]
+        np.testing.assert_array_equal(intern(block), want)
+        merged += intern.recent_keys.size == 0
+        split += intern.recent_keys.size > 0
+        probe = pool[rng.integers(len(pool), size=300)]
+        np.testing.assert_array_equal(
+            intern.find(probe), [known.get(tuple(row), -1) for row in probe.tolist()]
+        )
+    np.testing.assert_array_equal(intern.coords, list(known))
+    assert merged >= 3 and split >= 3
+
+
+def test_a_closure_settles_its_index():
+    grid = build_delta_grid(random_pomdp(4, 2, 2, 2, seed=1, dirichlet=0.5), 0.025)
+    assert grid.n_states > 2 * BLOCK_STATES
+    assert grid.coords.flags.owndata  # not a view of the growth buffer
+    assert grid.index.recent_keys.size == 0
+    np.testing.assert_array_equal(grid.index.find(grid.coords), np.arange(grid.n_states))

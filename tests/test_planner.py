@@ -276,6 +276,19 @@ def test_block_size_moves_rewards_by_ulps_only(monkeypatch, block):
     np.testing.assert_allclose(other.rewards, reference.rewards, rtol=0, atol=4 * ulp)
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_block_size_does_not_change_a_simplex_grid_of_many_blocks(monkeypatch, block):
+    m = random_pomdp(4, 2, 2, 2, seed=1, dirichlet=0.5)
+    reference = build_delta_grid(m, 0.025)
+    assert gridmod.BLOCK_STATES == 256 and reference.n_states > 512
+    monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
+    other = build_delta_grid(m, 0.025)
+    for key in ("coords", "indptr", "succ", "prob"):
+        np.testing.assert_array_equal(getattr(reference, key), getattr(other, key))
+    ulp = np.spacing(np.abs(reference.rewards).max())
+    np.testing.assert_allclose(other.rewards, reference.rewards, rtol=0, atol=4 * ulp)
+
+
 def test_epsilon_validated(tiger):
     span = make_spanner(tiger)
     dyn = precompute_dynamics(tiger, span)
