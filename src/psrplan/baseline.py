@@ -88,7 +88,7 @@ def build_delta_grid(
 def plan_baseline(
     model: PomdpModel,
     delta: float = 0.05,
-    vi_tol: float = 1e-4,
+    vi_tol: float = gridmod.DEFAULT_VI_TOL,
     state_cap: int = gridmod.DEFAULT_STATE_CAP,
 ) -> gridmod.PlanResult:
     timings = {}

@@ -29,7 +29,7 @@ import re
 import numpy as np
 
 from .errors import ParseError, UnsupportedConstructError, ValidationError
-from .model import PomdpModel
+from .model import STOCHASTIC_TOL, PomdpModel
 
 _KEYWORDS = {"discount", "values", "states", "actions", "observations", "start", "T", "O", "R"}
 _MATRIX_WORDS = {"identity", "uniform"}
@@ -386,13 +386,13 @@ def _parse_start(st, sn, n):
             belief[sn.resolve(tok, st.line)] = 1.0
             return belief
     vals = _floats(tokens, n, st.line, "start belief")
-    if np.any(vals < 0) or abs(vals.sum() - 1.0) > 1e-9:
+    if np.any(vals < 0) or abs(vals.sum() - 1.0) > STOCHASTIC_TOL:
         raise ParseError("start belief is not a probability vector", st.line)
     return vals / vals.sum()
 
 
 def _check_rows(sums, kind, states, actions, arriving=False):
-    bad = np.argwhere(np.abs(sums - 1.0) > 1e-9)
+    bad = np.argwhere(np.abs(sums - 1.0) > STOCHASTIC_TOL)
     if bad.size:
         s, a = bad[0]
         role = "arriving state" if arriving else "state"

@@ -80,7 +80,7 @@ def _state_cap(text):
 
 def _add_common_flags(p):
     p.add_argument("model", help="path to a Cassandra-format .POMDP file")
-    p.add_argument("--vi-tol", type=_checked(gridmod.check_vi_tol), default=1e-4,
+    p.add_argument("--vi-tol", type=_checked(gridmod.check_vi_tol), default=gridmod.DEFAULT_VI_TOL,
                    help="value-iteration tolerance, finite and > 0: the greedy "
                    "policy loses at most this much in the grid MDP and the "
                    "values are within discount * vi-tol / 2 of its optimum; "

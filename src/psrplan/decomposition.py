@@ -2,24 +2,25 @@
 
 ``discover_basis`` grows a set B of hidden states and a set T of tests
 (one-step extensions of earlier tests) until the matrix M(i,j) = P(t_j |
-b_i) spans every state's test-probability row; its size equals the
-numerical Hankel rank r.  Each step pivots on the largest gap, so a
-nearly dependent row never enters while a well-separated one is left.
-``improve_to_spanner`` then swaps basis rows at the largest coefficient
-|C[x, i]| of C = U M⁻¹, which by Cramer's rule multiplies |det M| by
-|C[x, i]|, and stops at max |C| <= 2 (A4's bound): the basis is then a
-2-barycentric spanner of the state rows (Awerbuch & Kleinberg 2004).
+b_i) spans every state's test-probability row.  Each step pivots on the
+largest gap, so a nearly dependent row never enters while a well-separated
+one is left, and one rule decides the rank r: a row is admitted only if
+the grown M keeps σ_max / σ_min <= 1 / RANK_TOL, the guard every
+coefficient solve passes.  ``improve_to_spanner`` then swaps basis rows at
+the largest coefficient |C[x, i]| of C = U M⁻¹, which by Cramer's rule
+multiplies |det M| by |C[x, i]|, and stops at max |C| <= 2 (A4's bound):
+the basis is then a 2-barycentric spanner of the state rows (Awerbuch &
+Kleinberg 2004).
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .automaton import RANK_TOL, from_pomdp, numerical_rank
+from .automaton import RANK_TOL, from_pomdp
 from .errors import DegenerateBasisError
 from .model import PomdpModel
 
-DEP_TOL = 1e-7
 SPANNER_BOUND = 2.0
 MAX_SWAPS = 10_000
 
@@ -45,6 +46,11 @@ class CoreDecomposition:
     def rank(self) -> int:
         return len(self.basis_states)
 
+    @property
+    def well_conditioned(self) -> bool:
+        """The one rank criterion: σ_max / σ_min of M at most 1 / RANK_TOL."""
+        return self.condition_ratio <= 1.0 / RANK_TOL
+
 
 @dataclass
 class SpannerBasis:
@@ -60,58 +66,37 @@ class SpannerBasis:
 def discover_basis(model: PomdpModel) -> CoreDecomposition:
     """Grow (B, T) until every state's test row is spanned by the basis rows.
 
-    Each step admits the (state s, symbol σ, test t_j) with the largest gap
+    Each step takes the (state s, symbol σ, test t_j) with the largest gap
     |P(σ∘t_j | s) − α_s · P(σ∘t_j | B)| between the extension and its
     prediction from the basis rows; ties go to the first in (state, symbol,
-    test) order.  Growth stops when that gap is at most DEP_TOL times the
-    largest extension probability.  DEP_TOL is relative, as RANK_TOL is to
-    σ_max, because extension probabilities shrink with the number of
-    symbols: an absolute threshold would be looser on some models than on
-    others.  Terminates after at most n-1 additions.
-
-    Each step's α comes from a bare ``np.linalg.solve``, outside the
-    condition guard of ``solve_coefficients``.  Growth keeps M nonsingular
-    by construction: an admitted row's gap is the Schur complement of the
-    grown M, so each admission multiplies |det M| by a gap above DEP_TOL
-    times the largest extension.  The final M is held to the guard's own
-    threshold: ``numerical_rank`` counts the singular values above RANK_TOL
-    times σ_max, and a rank short of r raises.
+    test) order.  The candidate is admitted only if the grown M is
+    ``well_conditioned``, the test ``solve_coefficients`` guards with, and
+    growth stops at the first candidate that is not: discovery never
+    returns an M the guard rejects.  Each α comes from
+    ``solve_coefficients`` on the current basis.  Terminates after at most
+    n-1 additions.
     """
     ma = from_pomdp(model)
     mats = [ma.mu[sym] for sym in ma.alphabet]
-    n = model.n
-
-    tests = [()]
-    basis = [0]
-    U = np.ones((n, 1))  # U[s, j] = P(tests[j] | s)
-
-    while True:
-        try:
-            # alphas[s] solves M^T alpha = U[s]
-            alphas = np.linalg.solve(U[basis].T, U.T).T
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateBasisError(
-                f"basis matrix became singular at rank {len(basis)}: {exc}"
-            ) from exc
-        ext = np.stack([mat @ U for mat in mats], axis=1)  # [s, σ, j]: P(σ∘t_j | s)
-        gaps = np.abs(ext - np.tensordot(alphas, ext[basis], axes=1))
-        gaps[basis] = 0.0
-        s, k, j = np.unravel_index(np.argmax(gaps), gaps.shape)
-        if gaps[s, k, j] <= DEP_TOL * ext.max():
-            break
-        tests.append((ma.alphabet[k],) + tests[j])
-        U = np.hstack([U, ext[:, k, j : j + 1]])
-        basis.append(int(s))
-
-    decomp = CoreDecomposition(
-        basis_states=basis, core_tests=tests, state_test_matrix=U, extensions=ext
+    dec = CoreDecomposition(
+        basis_states=[0], core_tests=[()], state_test_matrix=np.ones((model.n, 1))
     )
-    if numerical_rank(decomp.M) != decomp.rank:
-        raise DegenerateBasisError(
-            f"discovered {decomp.rank} basis rows but M has numerical rank "
-            f"{numerical_rank(decomp.M)}"
+    while True:
+        U = dec.state_test_matrix  # U[s, j] = P(core_tests[j] | s)
+        alphas = solve_coefficients(dec, U)  # alphas[s] solves M^T alpha = U[s]
+        ext = np.stack([mat @ U for mat in mats], axis=1)  # [s, σ, j]: P(σ∘t_j | s)
+        gaps = np.abs(ext - np.tensordot(alphas, ext[dec.basis_states], axes=1))
+        gaps[dec.basis_states] = 0.0
+        s, k, j = np.unravel_index(np.argmax(gaps), gaps.shape)
+        grown = CoreDecomposition(
+            basis_states=dec.basis_states + [int(s)],
+            core_tests=dec.core_tests + [(ma.alphabet[k],) + dec.core_tests[j]],
+            state_test_matrix=np.hstack([U, ext[:, k, j : j + 1]]),
         )
-    return decomp
+        if not grown.well_conditioned:
+            dec.extensions = ext
+            return dec
+        dec = grown
 
 
 def solve_coefficients(decomp: CoreDecomposition, target: np.ndarray) -> np.ndarray:
@@ -120,7 +105,7 @@ def solve_coefficients(decomp: CoreDecomposition, target: np.ndarray) -> np.ndar
     ``target`` is one length-r row or any stack of them (shape (..., r));
     alpha has the same shape.
     """
-    if decomp.condition_ratio > 1.0 / RANK_TOL:
+    if not decomp.well_conditioned:
         raise DegenerateBasisError(
             f"basis matrix condition {decomp.condition_ratio:.3e} exceeds "
             f"{1.0 / RANK_TOL:.3e}"

@@ -23,6 +23,7 @@ MAX_VI_ITERATIONS = 1_000_000
 P_MIN = 1e-9  # branches and rows at or below this probability are dropped
 BLOCK_STATES = 256  # states expanded per batch; see closure for what depends on it
 DEFAULT_STATE_CAP = 2_000_000  # both planners' default for closure's state_cap
+DEFAULT_VI_TOL = 1e-4  # both planners' and the CLI's default for solve's vi_tol
 
 
 @dataclass
@@ -363,7 +364,7 @@ def check_vi_tol(vi_tol: float):
         raise ValidationError(f"vi_tol must be finite and > 0, got {vi_tol}")
 
 
-def solve(grid: GridMdp, vi_tol: float = 1e-4) -> PlanResult:
+def solve(grid: GridMdp, vi_tol: float = DEFAULT_VI_TOL) -> PlanResult:
     """Value-iterate until the greedy policy is vi_tol-optimal in the grid MDP.
 
     With v fed to a sweep and v' = Tv coming out, Delta = v' - v, the loop

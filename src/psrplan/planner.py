@@ -14,14 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
-from .decomposition import SpannerBasis, discover_basis, improve_to_spanner, solve_coefficients
+from .decomposition import (
+    SPANNER_BOUND,
+    SpannerBasis,
+    discover_basis,
+    improve_to_spanner,
+    solve_coefficients,
+)
 from .errors import ValidationError
 from .model import PomdpModel
 
 DEFAULT_STATE_CAP = gridmod.DEFAULT_STATE_CAP
-COEFF_BOUND = 2.0
-# absorbs float noise around exact half-cells so ties still go toward -inf
-TIE_NUDGE = 1e-9
+# absorbs float noise in a coordinate counted in mesh cells: ties at exact
+# half-cells still go toward -inf, and a whole number of cells stays whole
+CELL_NUDGE = 1e-9
+# |coefficient| past SPANNER_BOUND by more than this float drift is a clamp
+CLAMP_SLACK = 1e-12
 
 
 @dataclass
@@ -76,7 +84,7 @@ def round_to_grid(alpha, mesh: float) -> np.ndarray:
     m_max = lattice_radius(mesh)
     m = np.asarray(alpha, dtype=np.float64) / mesh
     m -= 0.5
-    m -= TIE_NUDGE
+    m -= CELL_NUDGE
     np.ceil(m, out=m)
     # whole numbers in floats clip as they would in ints
     np.clip(m, -m_max, m_max, out=m)
@@ -84,15 +92,15 @@ def round_to_grid(alpha, mesh: float) -> np.ndarray:
 
 
 def lattice_radius(mesh: float) -> int:
-    """Largest integer m with m * mesh <= 2, robust to float division."""
-    return int(math.floor(2.0 / mesh + 1e-9))
+    """Largest integer m with m * mesh <= SPANNER_BOUND, robust to float division."""
+    return int(math.floor(SPANNER_BOUND / mesh + CELL_NUDGE))
 
 
 def belief_coefficients(spanner: SpannerBasis, b: np.ndarray) -> np.ndarray:
     """Coefficients of an arbitrary belief in the spanner basis (clamped)."""
     dec = spanner.decomposition
     target = np.asarray(b, dtype=np.float64) @ dec.state_test_matrix
-    return np.clip(solve_coefficients(dec, target), -COEFF_BOUND, COEFF_BOUND)
+    return np.clip(solve_coefficients(dec, target), -SPANNER_BOUND, SPANNER_BOUND)
 
 
 def check_epsilon(epsilon: float):
@@ -143,14 +151,14 @@ def build_grid(
         size = np.abs(beta)
         # one reduction over the block finds whether any row drifts; the
         # per-row maxima, a slow reduction over r, only run when one does
-        if size.max(initial=0.0) - COEFF_BOUND > 1e-12:
-            drift = size.max(axis=1) - COEFF_BOUND
-            clamped = drift > 1e-12
+        if size.max(initial=0.0) - SPANNER_BOUND > CLAMP_SLACK:
+            drift = size.max(axis=1) - SPANNER_BOUND
+            clamped = drift > CLAMP_SLACK
             diagnostics["clampEvents"] += int(np.unique(row[clamped]).size)
             diagnostics["maxClampDrift"] = max(
                 diagnostics["maxClampDrift"], float(drift[clamped].max())
             )
-        succ = round_to_grid(np.clip(beta, -COEFF_BOUND, COEFF_BOUND, out=beta), mesh)
+        succ = round_to_grid(np.clip(beta, -SPANNER_BOUND, SPANNER_BOUND, out=beta), mesh)
         rewards = alpha @ dyn.rho.T
         diagnostics["rewardClamps"] += int(np.count_nonzero((rewards < 0.0) | (rewards > 1.0)))
         return row, succ, p, np.clip(rewards, 0.0, 1.0)
@@ -173,7 +181,7 @@ def build_grid(
 def plan(
     model: PomdpModel,
     epsilon: float = 0.1,
-    vi_tol: float = 1e-4,
+    vi_tol: float = gridmod.DEFAULT_VI_TOL,
     mode: str = "reachable",
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> gridmod.PlanResult:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from psrplan import oracle as oraclemod
+from psrplan import planner as plannermod
 from psrplan.automaton import (
     RANK_TOL,
     enumerate_tests,
@@ -18,13 +20,42 @@ from psrplan.decomposition import (
     to_json_dict,
 )
 from psrplan.errors import DegenerateBasisError
-from psrplan.model import sequence_probability
+from psrplan.model import PomdpModel, sequence_probability
 from psrplan.zoo import (
     cloned_states,
     fully_observable_chain,
     near_duplicate_states,
     random_pomdp,
 )
+
+NEAR_LOW_RANK_ETAS = np.logspace(-3, -7, 17)
+
+
+def near_low_rank(seed, eta, discount=0.9, n=12, k=3):
+    """(1 - eta) * a rank-k model + eta * a dense random one, both on n states.
+
+    The rank-k part lifts ``random_pomdp(k, ...)``: state s behaves like
+    base state s mod k, and each base successor's mass is split evenly
+    across its clones.  The mix has rank up to n, with the extra
+    directions of order eta.
+    """
+    base = random_pomdp(k, 2, 2, 2, seed=seed, discount=discount)
+    noise = random_pomdp(n, 2, 2, 2, seed=seed, discount=discount)
+    types = np.arange(n) % k
+    share = 1.0 / np.bincount(types)[types]
+    model = PomdpModel(
+        states=[f"s{i}" for i in range(n)],
+        actions=list(base.actions),
+        observations=list(base.observations),
+        reward_values=base.reward_values.copy(),
+        transition=(1 - eta) * base.transition[types][:, :, types] * share
+        + eta * noise.transition,
+        signal_kernel=(1 - eta) * base.signal_kernel[types] + eta * noise.signal_kernel,
+        discount=discount,
+        initial_belief=base.initial_belief[types] * share,
+    )
+    model.validate()
+    return model
 
 
 def residual(dec, alpha, target):
@@ -90,6 +121,35 @@ def test_basis_matrix_invariants():
         again = discover_basis(m)
         assert again.basis_states == dec.basis_states
         assert again.core_tests == dec.core_tests
+
+
+def test_near_low_rank_models_get_a_basis_the_guard_accepts():
+    # admission and the guard must apply one rule: a gap test with a
+    # tolerance of its own admits rows the guard rejects on 8 of these 136
+    for seed in range(1, 9):
+        for eta in NEAR_LOW_RANK_ETAS:
+            m = near_low_rank(seed, eta)
+            dec = discover_basis(m)
+            assert np.linalg.cond(dec.M) <= 1.0 / RANK_TOL
+            plannermod.precompute_dynamics(m, improve_to_spanner(m, dec))
+
+
+@pytest.mark.parametrize(
+    "seed, eta",
+    [(1, NEAR_LOW_RANK_ETAS[12]), (2, NEAR_LOW_RANK_ETAS[13]), (6, NEAR_LOW_RANK_ETAS[0])],
+    ids=["seed1-eta1e-6", "seed2-eta5.6e-7", "seed6-eta1e-3"],
+)
+def test_near_low_rank_plans_meet_the_accuracy_bound(seed, eta):
+    # three of those 8 models; the bound is the one the CLI applies
+    epsilon = 0.1
+    m = near_low_rank(seed, eta, discount=0.4)
+    result = plannermod.plan(m, epsilon=epsilon)
+    horizon = oraclemod.horizon_for_slack(m.discount, 1e-2)
+    v_opt, _, (v_pol,) = oraclemod.search(
+        m, m.initial_belief, horizon, [lambda b: plannermod.act(result, b)]
+    )
+    slack = oraclemod.truncation_slack(m.discount, horizon)
+    assert v_opt - v_pol <= epsilon / (1.0 - m.discount) ** 4 + 2 * slack
 
 
 def test_solve_reproduces_basis_rows(tiger):
