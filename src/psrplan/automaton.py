@@ -95,14 +95,12 @@ def hankel_submatrix(model: PomdpModel, rows, cols) -> np.ndarray:
 
 
 def numerical_rank(matrix: np.ndarray) -> int:
-    """Count singular values above RANK_TOL * largest."""
+    """Count singular values σ_i with σ_max / σ_i <= 1 / RANK_TOL, the ratio
+    ``CoreDecomposition.well_conditioned`` bounds."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    if matrix.size == 0:
-        return 0
     sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] <= 0:
-        return 0
-    return int(np.sum(sv > RANK_TOL * sv[0]))
+    sv = sv[sv > 0]
+    return int(np.count_nonzero(sv[:1] / sv <= 1.0 / RANK_TOL))
 
 
 def enumerate_tests(model: PomdpModel, max_len: int):

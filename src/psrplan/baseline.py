@@ -57,22 +57,21 @@ def build_delta_grid(
 ) -> gridmod.GridMdp:
     """Reachable closure of the rounded belief walk from the initial belief."""
     k = resolution(delta)
-    r_sa = expected_reward_matrix(model)
     na = model.n_actions
 
     def expand(coords):
-        beliefs = coords * delta
-        p, post = belief_update_state_major(model, beliefs)
+        p, post = belief_update_state_major(model, coords * delta)
         # (k, A, Z) and (k, A, Z, n) views: kept branches in (state, action,
         # signal) order
         p, post = p.transpose(2, 0, 1), post.transpose(3, 1, 2, 0)
         keep = p > gridmod.P_MIN
         states, actions, _ = np.nonzero(keep)
-        return states * na + actions, simplex_round(post[keep], delta), p[keep], beliefs @ r_sa
+        return states * na + actions, simplex_round(post[keep], delta), p[keep]
 
     grid, _ = gridmod.closure(
         simplex_round(model.initial_belief, delta),
         expand,
+        lambda coords: (coords * delta) @ expected_reward_matrix(model),
         n_actions=na,
         mesh=delta,
         discount=model.discount,

@@ -85,9 +85,10 @@ def _add_common_flags(p):
                    "policy loses at most this much in the grid MDP and the "
                    "values are within discount * vi-tol / 2 of its optimum; "
                    "sweeps stop when their change spans at most "
-                   "vi-tol * (1 - discount) (default 1e-4)")
-    p.add_argument("--oracle-slack", type=_checked(oraclemod.check_slack), default=1e-2,
-                   help="truncation slack for the oracle horizon (default 1e-2)")
+                   "vi-tol * (1 - discount) (default %(default)g)")
+    p.add_argument("--oracle-slack", type=_checked(oraclemod.check_slack),
+                   default=oraclemod.DEFAULT_SLACK,
+                   help="truncation slack for the oracle horizon (default %(default)g)")
     p.add_argument("--state-cap", type=_state_cap, default=gridmod.DEFAULT_STATE_CAP,
                    help="abort if a grid exceeds this many states, at least 1")
     p.add_argument("--no-timings", action="store_true",
@@ -98,14 +99,14 @@ def _add_common_flags(p):
 
 def _add_planner_flags(p):
     p.add_argument("--epsilon", type=_epsilon, default=0.1,
-                   help="coefficient-grid accuracy target in (0, 1] (default 0.1)")
+                   help="coefficient-grid accuracy target in (0, 1] (default %(default)g)")
     p.add_argument("--grid-mode", choices=("reachable", "full"),
                    default="reachable", help="grid construction mode")
 
 
 def _add_baseline_flags(p):
     p.add_argument("--delta", type=_checked(baselinemod.resolution), default=0.05,
-                   help="simplex lattice mesh, 1/delta integral (default 0.05)")
+                   help="simplex lattice mesh, 1/delta integral (default %(default)g)")
 
 
 def _add_one_side_flags(p):

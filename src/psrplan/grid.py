@@ -4,9 +4,9 @@ Both planners (coefficient lattice and belief simplex) reduce to one job:
 grow the closure of a start point under a model-specific batched step,
 intern every new lattice point, and value-iterate the induced finite MDP.
 ``closure`` does everything that is not model-specific; a planner only
-supplies ``expand``.  A GridMdp holds integer lattice coordinates per
-state, per-(state, action) successor distributions in CSR form over the
-flat row ``s * n_actions + a``, and the expected reward of each row.
+supplies ``expand`` and ``reward``.  A GridMdp holds integer lattice
+coordinates per state, per-(state, action) successor distributions in CSR
+form over the flat row ``s * n_actions + a``, and each row's reward.
 """
 
 import logging
@@ -21,7 +21,7 @@ logger = logging.getLogger("psrplan")
 
 MAX_VI_ITERATIONS = 1_000_000
 P_MIN = 1e-9  # branches and rows at or below this probability are dropped
-BLOCK_STATES = 256  # states expanded per batch; see closure for what depends on it
+BLOCK_STATES = 256  # states expanded per batch; no grid depends on it
 DEFAULT_STATE_CAP = 2_000_000  # both planners' default for closure's state_cap
 DEFAULT_VI_TOL = 1e-4  # both planners' and the CLI's default for solve's vi_tol
 
@@ -249,6 +249,7 @@ class Interner:
 def closure(
     start,
     expand,
+    reward,
     *,
     n_actions,
     mesh,
@@ -265,16 +266,15 @@ def closure(
     sets the closure's key kind (see ``Interner``).  With ``full``, every
     point of the cube gets an id first, in C order, then ``start``.  States
     are expanded in id order, up to BLOCK_STATES at a time:
-    ``expand(coords)`` maps a (k, dim) block to
-    ``(row, succ, weight, rewards)``, where entry i leads from the flat
-    block row ``row[i]`` (state offset * n_actions + action) to lattice
-    point ``succ[i]`` with weight ``weight[i]``, and ``rewards`` is
-    (k, n_actions).  Entries must come in (state, action, ...) order; new
+    ``expand(coords)`` maps a (k, dim) block to ``(row, succ, weight)``,
+    where entry i leads from the flat block row ``row[i]`` (state offset *
+    n_actions + action) to lattice point ``succ[i]`` with weight
+    ``weight[i]``.  Entries must come in (state, action, ...) order; new
     points are then numbered as a one-state-at-a-time FIFO expansion would
-    number them, whatever the block size.  So ids, ``succ`` and ``prob``
-    do not depend on BLOCK_STATES; ``rewards`` are what ``expand`` returns,
-    and where it computes them by one BLAS product per block (as the
-    planner does) their rounding may follow the block's shape by ulps.
+    number them, whatever the block size.  Rewards come from the settled
+    grid: ``reward(coords)`` maps all N states' (N, dim) coordinates, in id
+    order, to their (N, n_actions) rewards in one call.  So nothing the
+    grid holds depends on BLOCK_STATES.
 
     Duplicate (row, successor) entries merge by summing their weights in
     entry order, rows are renormalized, and a row of total weight at most
@@ -307,12 +307,12 @@ def closure(
         intern(np.indices((side,) * dim).reshape(dim, -1).T - radius)
     initial_state = int(capped(start)[0])
 
-    counts, succ_parts, prob_parts, reward_parts = [], [], [], []
+    counts, succ_parts, prob_parts = [], [], []
     dead_rows = 0
     lo = 0
     while lo < intern.coords.shape[0]:
         hi = min(lo + BLOCK_STATES, intern.coords.shape[0])
-        row, succ_coords, weight, rewards = expand(intern.coords[lo:hi])
+        row, succ_coords, weight = expand(intern.coords[lo:hi])
         succ = capped(succ_coords)
         n_rows = (hi - lo) * n_actions
         n = intern.coords.shape[0]
@@ -337,7 +337,6 @@ def closure(
         succ_parts.append(succ)
         prob_parts.append(weight / total[row])
         counts.append(np.bincount(row, minlength=n_rows))
-        reward_parts.append(np.asarray(rewards, dtype=np.float64).reshape(-1))
         dead_rows += int(dead.size)
         lo = hi
 
@@ -347,7 +346,7 @@ def closure(
         mesh=float(mesh),
         coords=intern.coords,
         n_actions=n_actions,
-        rewards=np.concatenate(reward_parts),
+        rewards=reward(intern.coords).reshape(-1),
         indptr=indptr,
         succ=np.concatenate(succ_parts),
         prob=np.concatenate(prob_parts),

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import OracleBudgetError, ValidationError
-from .grid import BLOCK_STATES, number_groups, sort_groups
+from .grid import number_groups, sort_groups
 
 # Not called here: pipebench/tracer.py wraps psrplan.oracle.belief_update and
 # reports a missing target, so the name stays importable from this module.
@@ -39,9 +39,10 @@ from .model import belief_update  # noqa: F401
 from .model import PomdpModel, belief_update_state_major, expected_reward_matrix
 
 MEMO_PRECISION = 1e-9
+DEFAULT_SLACK = 1e-2  # the CLI's default truncation slack
 NODE_BUDGET = 10_000_000  # distinct nodes per tree; read at each search
 HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd, so are its powers
-LEAF_ROWS = 16 * BLOCK_STATES  # distinct leaves valued per call
+BLOCK_NODES = 256  # nodes filtered per batch; leaves are valued 16 blocks at a time
 
 
 def truncation_slack(gamma: float, horizon: int) -> float:
@@ -135,8 +136,8 @@ class _Tree:
         shaped (k, A, Z), succ = -1 where p <= 0, ``post`` a row per kept
         branch and ``post[first]`` the distinct successors in id order."""
         p_parts, post_parts, hash_parts = [], [], []
-        for lo in range(0, beliefs.shape[0], BLOCK_STATES):
-            p, post = belief_update_state_major(self.model, beliefs[lo : lo + BLOCK_STATES])
+        for lo in range(0, beliefs.shape[0], BLOCK_NODES):
+            p, post = belief_update_state_major(self.model, beliefs[lo : lo + BLOCK_NODES])
             # number the (A, Z, k) branches in memory order, then take the
             # kept ones' posterior columns in (node, action, signal) order
             cols = np.arange(p.size).reshape(p.shape).transpose(2, 0, 1)
@@ -175,11 +176,9 @@ class _Tree:
             live = [succ[ids, a] for ids, a in zip(reached, chosen)]
             reached = [np.flatnonzero(np.bincount(s[s >= 0], minlength=first.size)) for s in live]
 
-        # the leaves' Q values, per chunk of LEAF_ROWS rows
-        q = np.concatenate([
-            self._rewards(post[first[lo : lo + LEAF_ROWS]])
-            for lo in range(0, first.size, LEAF_ROWS)
-        ])
+        # the leaves' Q values, 16 blocks of nodes at a time
+        chunks = np.split(first, range(16 * BLOCK_NODES, first.size, 16 * BLOCK_NODES))
+        q = np.concatenate([self._rewards(post[ids]) for ids in chunks])
         values = q.max(axis=1)
         policy_values = []
         for f, ids in zip(policies, reached):

@@ -138,8 +138,7 @@ def build_grid(
     na, nz = model.n_actions, model.n_signals
 
     def expand(coords):
-        alpha = coords * mesh
-        p, beta = step_block(dyn, alpha)
+        p, beta = step_block(dyn, coords * mesh)
         # kept branches in (state, action, signal) order; flat index
         # (state * A + action) * Z + signal
         kept = np.flatnonzero(p > gridmod.P_MIN)
@@ -159,13 +158,17 @@ def build_grid(
                 diagnostics["maxClampDrift"], float(drift[clamped].max())
             )
         succ = round_to_grid(np.clip(beta, -SPANNER_BOUND, SPANNER_BOUND, out=beta), mesh)
-        rewards = alpha @ dyn.rho.T
-        diagnostics["rewardClamps"] += int(np.count_nonzero((rewards < 0.0) | (rewards > 1.0)))
-        return row, succ, p, np.clip(rewards, 0.0, 1.0)
+        return row, succ, p
+
+    def reward(coords):
+        rewards = (coords * mesh) @ dyn.rho.T
+        diagnostics["rewardClamps"] = int(np.count_nonzero((rewards < 0.0) | (rewards > 1.0)))
+        return np.clip(rewards, 0.0, 1.0)
 
     grid, dead_rows = gridmod.closure(
         g0,
         expand,
+        reward,
         n_actions=na,
         mesh=mesh,
         discount=model.discount,

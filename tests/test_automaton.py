@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psrplan.automaton import (
+    RANK_TOL,
     MultiplicityAutomaton,
     enumerate_tests,
     evaluate,
@@ -15,6 +16,7 @@ from psrplan.automaton import (
     state_test_values,
     test_probability,
 )
+from psrplan.decomposition import CoreDecomposition
 from psrplan.errors import ValidationError
 from psrplan.model import Signal, sequence_probability
 from psrplan.zoo import fully_observable_chain, random_pomdp
@@ -162,6 +164,16 @@ def test_hankel_fully_observable_rank_two():
     cols = [t for t in enumerate_tests(m, 1) if len(t) == 1]
     h = hankel_submatrix(m, rows, cols)
     assert numerical_rank(h) == 2
+
+
+def test_numerical_rank_is_the_rank_the_conditioning_guard_accepts():
+    # at the boundary σ_max / σ_min = 1 / RANK_TOL, the guard accepts M
+    boundary = np.diag([1.0, RANK_TOL])
+    dec = CoreDecomposition(basis_states=[0, 1], core_tests=[(), ()], state_test_matrix=boundary)
+    assert dec.well_conditioned
+    assert numerical_rank(boundary) == 2
+    assert numerical_rank(np.diag([1.0, RANK_TOL / 2])) == 1
+    assert numerical_rank(np.zeros((2, 2))) == 0
 
 
 def test_rank_profile_bounded_by_state_count():

@@ -207,6 +207,27 @@ def test_memoization_does_not_change_values():
     assert with_memo[1] == without[1]
 
 
+def test_block_size_does_not_change_values(monkeypatch):
+    """Every value is summed per node, so the batches the filter and the
+    leaves run in change no bit of Q or of a policy's value."""
+    models = [load_pomdp(DATA / f"{name}.POMDP") for name in ("tiger", "clones")]
+    horizons = [horizon_for_slack(m.discount, 1e-2) for m in models] + [5]
+    models.append(random_pomdp(4, 2, 2, 2, seed=0))
+    for model, horizon in zip(models, horizons):
+        policies = [
+            lambda x: np.argmax(x, axis=1) % model.n_actions,
+            lambda x: (x[:, 0] > 0.5).astype(np.int64),
+        ]
+        runs = []
+        for block in (oraclemod.BLOCK_NODES, 1, 7):
+            monkeypatch.setattr(oraclemod, "BLOCK_NODES", block)
+            runs.append(oraclemod._Tree(model).run(model.initial_belief, horizon, policies))
+        (q, values), *others = runs
+        for other_q, other_values in others:
+            np.testing.assert_array_equal(other_q, q)
+            assert other_values == values
+
+
 def test_node_budget_enforced(tiger, monkeypatch):
     monkeypatch.setattr(oraclemod, "NODE_BUDGET", 5)
     with pytest.raises(OracleBudgetError, match="nodes"):

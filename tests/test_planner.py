@@ -240,53 +240,30 @@ def test_state_cap_aborts_expansion(tiger):
 
 @pytest.mark.parametrize("builder", ("planner", "baseline"))
 def test_block_size_does_not_change_the_grid(monkeypatch, tiger, builder):
-    # one state per block is the plain FIFO expansion
-    def build():
-        if builder == "baseline":
-            return build_delta_grid(tiger, 0.05)
-        span = make_spanner(tiger)
-        return build_grid(tiger, span, precompute_dynamics(tiger, span), epsilon=0.1)
+    # rewards come from the settled grid and new points are numbered as a
+    # FIFO expansion numbers them, so every array is exact at any block
+    # size; one state per block is the plain FIFO expansion
+    if builder == "planner":
+        def build(m, knob):
+            span = make_spanner(m)
+            return build_grid(m, span, precompute_dynamics(m, span), epsilon=knob)
 
-    batched = build()
-    monkeypatch.setattr(gridmod, "BLOCK_STATES", 1)
-    fifo = build()
-    assert batched.n_states > 10
-    for key in ("coords", "indptr", "succ", "prob", "rewards"):
-        np.testing.assert_array_equal(getattr(batched, key), getattr(fifo, key))
-    assert batched.initial_state == fifo.initial_state
-    assert batched.diagnostics == fifo.diagnostics
-
-
-@pytest.mark.parametrize("block", [1, 512])
-def test_block_size_moves_rewards_by_ulps_only(monkeypatch, block):
-    # ids, successors and probabilities are exact at any block size; the
-    # rewards are one BLAS product per block, whose rounding may follow the
-    # block's shape
-    m = random_pomdp(3, 2, 2, 2, seed=0)
-    span = make_spanner(m)
-    assert span.decomposition.rank == 3
-    dyn = precompute_dynamics(m, span)
-    reference = build_grid(m, span, dyn, epsilon=0.1)
-    monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
-    other = build_grid(m, span, dyn, epsilon=0.1)
-    assert reference.n_states > 512
-    for key in ("coords", "indptr", "succ", "prob"):
-        np.testing.assert_array_equal(getattr(reference, key), getattr(other, key))
-    ulp = np.spacing(np.abs(reference.rewards).max())
-    np.testing.assert_allclose(other.rewards, reference.rewards, rtol=0, atol=4 * ulp)
-
-
-@pytest.mark.parametrize("block", [1, 7])
-def test_block_size_does_not_change_a_simplex_grid_of_many_blocks(monkeypatch, block):
-    m = random_pomdp(4, 2, 2, 2, seed=1, dirichlet=0.5)
-    reference = build_delta_grid(m, 0.025)
-    assert gridmod.BLOCK_STATES == 256 and reference.n_states > 512
-    monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
-    other = build_delta_grid(m, 0.025)
-    for key in ("coords", "indptr", "succ", "prob"):
-        np.testing.assert_array_equal(getattr(reference, key), getattr(other, key))
-    ulp = np.spacing(np.abs(reference.rewards).max())
-    np.testing.assert_allclose(other.rewards, reference.rewards, rtol=0, atol=4 * ulp)
+        cases = [(tiger, 0.1), (random_pomdp(3, 2, 2, 2, seed=0), 0.1)]
+    else:
+        build = build_delta_grid
+        cases = [(tiger, 0.05), (random_pomdp(4, 2, 2, 2, seed=1, dirichlet=0.5), 0.025)]
+    references = [build(m, knob) for m, knob in cases]
+    assert references[0].n_states > 10 and references[1].n_states > 512
+    for block in (1, 7, 512, 4096):
+        monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
+        for (m, knob), reference in zip(cases, references):
+            other = build(m, knob)
+            for key in ("coords", "indptr", "succ", "prob", "rewards"):
+                np.testing.assert_array_equal(
+                    getattr(other, key), getattr(reference, key), err_msg=f"{key} at block {block}"
+                )
+            assert other.initial_state == reference.initial_state
+            assert other.diagnostics == reference.diagnostics
 
 
 def test_epsilon_validated(tiger):
