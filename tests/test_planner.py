@@ -238,32 +238,56 @@ def test_state_cap_aborts_expansion(tiger):
         build_grid(tiger, span, dyn, epsilon=0.1, state_cap=5)
 
 
+def assert_same_grid(other, reference, block):
+    for key in ("coords", "indptr", "succ", "prob", "rewards"):
+        np.testing.assert_array_equal(
+            getattr(other, key), getattr(reference, key), err_msg=f"{key} at block {block}"
+        )
+    assert other.initial_state == reference.initial_state
+    assert other.diagnostics == reference.diagnostics
+
+
+def build_planner_grid(m, epsilon):
+    span = make_spanner(m)
+    return build_grid(m, span, precompute_dynamics(m, span), epsilon=epsilon)
+
+
+# rewards come from the settled grid and new points are numbered as a FIFO
+# expansion numbers them, so every array is exact at any block size; one
+# state per block is the plain FIFO expansion
+
+
 @pytest.mark.parametrize("builder", ("planner", "baseline"))
 def test_block_size_does_not_change_the_grid(monkeypatch, tiger, builder):
-    # rewards come from the settled grid and new points are numbered as a
-    # FIFO expansion numbers them, so every array is exact at any block
-    # size; one state per block is the plain FIFO expansion
     if builder == "planner":
-        def build(m, knob):
-            span = make_spanner(m)
-            return build_grid(m, span, precompute_dynamics(m, span), epsilon=knob)
-
-        cases = [(tiger, 0.1), (random_pomdp(3, 2, 2, 2, seed=0), 0.1)]
+        build, knob = build_planner_grid, 0.1
     else:
-        build = build_delta_grid
-        cases = [(tiger, 0.05), (random_pomdp(4, 2, 2, 2, seed=1, dirichlet=0.5), 0.025)]
-    references = [build(m, knob) for m, knob in cases]
-    assert references[0].n_states > 10 and references[1].n_states > 512
+        build, knob = build_delta_grid, 0.05
+    reference = build(tiger, knob)
+    assert reference.n_states > 10
     for block in (1, 7, 512, 4096):
         monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
-        for (m, knob), reference in zip(cases, references):
-            other = build(m, knob)
-            for key in ("coords", "indptr", "succ", "prob", "rewards"):
-                np.testing.assert_array_equal(
-                    getattr(other, key), getattr(reference, key), err_msg=f"{key} at block {block}"
-                )
-            assert other.initial_state == reference.initial_state
-            assert other.diagnostics == reference.diagnostics
+        assert_same_grid(build(tiger, knob), reference, block)
+
+
+@pytest.mark.parametrize("block", [1, 512])
+def test_block_size_moves_rewards_by_ulps_only(monkeypatch, block):
+    # by zero ulps: the rewards are no longer a per-block product
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    assert make_spanner(m).decomposition.rank == 3
+    reference = build_planner_grid(m, 0.1)
+    assert reference.n_states > 512
+    monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
+    assert_same_grid(build_planner_grid(m, 0.1), reference, block)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_block_size_does_not_change_a_simplex_grid_of_many_blocks(monkeypatch, block):
+    m = random_pomdp(4, 2, 2, 2, seed=1, dirichlet=0.5)
+    reference = build_delta_grid(m, 0.025)
+    assert gridmod.BLOCK_STATES == 256 and reference.n_states > 512
+    monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
+    assert_same_grid(build_delta_grid(m, 0.025), reference, block)
 
 
 def test_epsilon_validated(tiger):
