@@ -1,23 +1,13 @@
 """POMDP planning via multiplicity-automaton basis discovery.
 
-Pipeline: load a ``.POMDP`` model, view it as a multiplicity automaton over
-(action, Signal(observation, reward)) test steps, discover a minimal
-spanning basis of states and tests, improve it to a barycentric spanner,
-then discretize the resulting low-dimensional coefficient dynamics and
-solve by value iteration.  A classical belief-simplex grid planner and an
+Pipeline: load a ``.POMDP`` model, view it as a multiplicity automaton
+with one matrix per (action, Signal(observation, reward)) test step,
+discover a minimal spanning basis of states and tests, improve it to a
+barycentric spanner, then discretize the resulting low-dimensional
+coefficient dynamics and solve by value iteration.  A classical belief-simplex grid planner and an
 exact finite-horizon oracle are included for comparison.
 """
 
-from .automaton import (
-    MultiplicityAutomaton,
-    enumerate_tests,
-    evaluate,
-    from_pomdp,
-    hankel_submatrix,
-    numerical_rank,
-    stabilized_rank,
-    state_test_values,
-)
 from .baseline import (
     act_baseline,
     build_delta_grid,
@@ -31,7 +21,6 @@ from .decomposition import (
     discover_basis,
     improve_to_spanner,
     solve_coefficients,
-    state_coefficients,
 )
 from .errors import (
     ConvergenceError,
@@ -50,7 +39,6 @@ from .model import (
     belief_update,
     expected_reward_matrix,
     sample_trajectory,
-    sequence_probability,
 )
 from .oracle import (
     evaluate_policy,
@@ -68,24 +56,11 @@ from .planner import (
     precompute_dynamics,
     round_to_grid,
 )
-from .zoo import (
-    cloned_states,
-    fully_observable_chain,
-    near_duplicate_states,
-    random_pomdp,
-)
+from .zoo import random_pomdp
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MultiplicityAutomaton",
-    "enumerate_tests",
-    "evaluate",
-    "from_pomdp",
-    "hankel_submatrix",
-    "numerical_rank",
-    "stabilized_rank",
-    "state_test_values",
     "act_baseline",
     "build_delta_grid",
     "plan_baseline",
@@ -97,7 +72,6 @@ __all__ = [
     "discover_basis",
     "improve_to_spanner",
     "solve_coefficients",
-    "state_coefficients",
     "ConvergenceError",
     "DegenerateBasisError",
     "OracleBudgetError",
@@ -114,7 +88,6 @@ __all__ = [
     "belief_update",
     "expected_reward_matrix",
     "sample_trajectory",
-    "sequence_probability",
     "evaluate_policy",
     "exact_q",
     "exact_value",
@@ -127,9 +100,6 @@ __all__ = [
     "plan",
     "precompute_dynamics",
     "round_to_grid",
-    "cloned_states",
-    "fully_observable_chain",
-    "near_duplicate_states",
     "random_pomdp",
     "__version__",
 ]

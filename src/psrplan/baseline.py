@@ -21,9 +21,14 @@ from .model import belief_update  # noqa: F401
 
 
 def resolution(delta: float) -> int:
-    """1/delta as an exact integer; rejects meshes that do not divide 1."""
+    """1/delta as an exact integer; rejects meshes that do not divide 1 and
+    those finer than 1 / grid.MAX_RADIUS."""
     if not 0.0 < delta <= 1.0:
         raise ValidationError(f"delta {delta} outside (0, 1]")
+    if delta * gridmod.MAX_RADIUS < 1.0:  # exact: a power of 2
+        raise ValidationError(
+            f"delta {delta} is too fine: 1/delta exceeds {gridmod.MAX_RADIUS}"
+        )
     k = round(1.0 / delta)
     if abs(k * delta - 1.0) > 1e-9:
         raise ValidationError(f"1/delta must be an integer, got 1/{delta}")

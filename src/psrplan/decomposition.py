@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .automaton import RANK_TOL, from_pomdp
 from .errors import DegenerateBasisError
 from .model import PomdpModel
 
+RANK_TOL = 1e-8  # M is well conditioned while σ_max / σ_min <= 1 / RANK_TOL
 SPANNER_BOUND = 2.0
 MAX_SWAPS = 10_000
 
@@ -30,7 +30,7 @@ class CoreDecomposition:
     basis_states: list  # r hidden-state indices
     core_tests: list  # r tests; core_tests[0] is the empty test
     state_test_matrix: np.ndarray  # all n states against the core tests
-    extensions: np.ndarray = None  # [s, σ, j]: P(σ∘t_j | s), σ in alphabet order
+    extensions: np.ndarray = None  # [s, σ, j]: P(σ∘t_j | s), σ in symbol order
     condition_ratio: float = field(init=False)  # σ_max / σ_min of M
 
     def __post_init__(self):
@@ -76,8 +76,8 @@ def discover_basis(model: PomdpModel) -> CoreDecomposition:
     ``solve_coefficients`` on the current basis.  Terminates after at most
     n-1 additions.
     """
-    ma = from_pomdp(model)
-    mats = [ma.mu[sym] for sym in ma.alphabet]
+    mats = model.symbol_matrices()
+    nz = model.n_signals
     dec = CoreDecomposition(
         basis_states=[0], core_tests=[()], state_test_matrix=np.ones((model.n, 1))
     )
@@ -88,9 +88,10 @@ def discover_basis(model: PomdpModel) -> CoreDecomposition:
         gaps = np.abs(ext - np.tensordot(alphas, ext[dec.basis_states], axes=1))
         gaps[dec.basis_states] = 0.0
         s, k, j = np.unravel_index(np.argmax(gaps), gaps.shape)
+        step = (int(k) // nz, model.signal_from_index(int(k) % nz))
         grown = CoreDecomposition(
             basis_states=dec.basis_states + [int(s)],
-            core_tests=dec.core_tests + [(ma.alphabet[k],) + dec.core_tests[j]],
+            core_tests=dec.core_tests + [(step,) + dec.core_tests[j]],
             state_test_matrix=np.hstack([U, ext[:, k, j : j + 1]]),
         )
         if not grown.well_conditioned:
@@ -142,12 +143,6 @@ def improve_to_spanner(model: PomdpModel, decomp: CoreDecomposition) -> SpannerB
         dec = replace(dec, basis_states=list(basis))
         ledger.append(np.linalg.slogdet(dec.M)[1])
     return SpannerBasis(decomposition=dec, det_log_ledger=ledger, max_coefficient=float(C[x, i]))
-
-
-def state_coefficients(spanner: SpannerBasis) -> np.ndarray:
-    """Expansion coefficients of every hidden state in the spanner basis."""
-    dec = spanner.decomposition
-    return solve_coefficients(dec, dec.state_test_matrix)
 
 
 def to_json_dict(spanner: SpannerBasis) -> dict:

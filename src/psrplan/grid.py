@@ -24,6 +24,10 @@ P_MIN = 1e-9  # branches and rows at or below this probability are dropped
 BLOCK_STATES = 256  # states expanded per batch; no grid depends on it
 DEFAULT_STATE_CAP = 2_000_000  # both planners' default for closure's state_cap
 DEFAULT_VI_TOL = 1e-4  # both planners' and the CLI's default for solve's vi_tol
+# largest lattice radius: past 2**52 a float no longer holds every half
+# cell, which rounding to the nearest lattice point subtracts, so both
+# planners refuse finer meshes
+MAX_RADIUS = 2**52
 
 
 @dataclass

@@ -7,6 +7,8 @@ Conventions fixed here and relied on everywhere else:
 * a *signal* is an (observation, reward-value) pair, emitted conditioned
   on the **arriving** state and the action; signals are enumerated as
   ``z = observation * n_rewards + reward``;
+* a *test* is a tuple of (action, Signal) steps, () the empty test; the
+  step (a, z) is symbol ``a * n_signals + z``;
 * reward values are normalized into [0, 1]; ``reward_scale`` and
   ``reward_offset`` map them back (``raw = value * scale + offset``).
 """
@@ -28,10 +30,6 @@ class Signal(NamedTuple):
 
     observation: int
     reward: int
-
-
-# A test is a finite sequence of (action, Signal) steps; () is the empty test.
-Test = tuple
 
 
 @dataclass
@@ -80,6 +78,17 @@ class PomdpModel:
 
     def signal_from_index(self, z: int) -> Signal:
         return Signal(z // self.n_rewards, z % self.n_rewards)
+
+    def symbol_matrices(self) -> list:
+        """One (n, n) matrix per test step (a, z), in symbol order a * Z + z:
+        entry [i, j] is P(j | i, a) * P(z | j, a).  Times a table u of
+        per-state test probabilities, it gives those of the tests prefixed
+        by the step."""
+        return [
+            self.transition[:, a, :] * self.signal_kernel[:, a, z][None, :]
+            for a in range(self.n_actions)
+            for z in range(self.n_signals)
+        ]
 
     def validate(self) -> None:
         """Raise ValidationError on any violated structural invariant."""
@@ -223,21 +232,6 @@ def belief_update_state_major(model: PomdpModel, beliefs: np.ndarray):
     if drifted.any():
         np.divide(post, np.where(drifted, total, 1.0), out=post)
     return p, post
-
-
-def sequence_probability(model: PomdpModel, b: np.ndarray, test: Test) -> float:
-    """Probability that running the test's actions from b yields its signals.
-
-    The empty test succeeds with probability 1.
-    """
-    prob = 1.0
-    cur = b
-    for a, sig in test:
-        p, cur = belief_update(model, cur, a, sig)
-        prob *= p
-        if prob == 0.0:
-            return 0.0
-    return prob
 
 
 def expected_reward_matrix(model: PomdpModel) -> np.ndarray:

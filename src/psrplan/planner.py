@@ -92,7 +92,13 @@ def round_to_grid(alpha, mesh: float) -> np.ndarray:
 
 
 def lattice_radius(mesh: float) -> int:
-    """Largest integer m with m * mesh <= SPANNER_BOUND, robust to float division."""
+    """Largest integer m with m * mesh <= SPANNER_BOUND, robust to float
+    division; a mesh whose radius passes grid.MAX_RADIUS is refused."""
+    if not mesh * gridmod.MAX_RADIUS >= SPANNER_BOUND:  # exact: a power of 2
+        raise ValidationError(
+            f"mesh {mesh:g} is too fine: {SPANNER_BOUND:g} / mesh exceeds "
+            f"{gridmod.MAX_RADIUS} cells"
+        )
     return int(math.floor(SPANNER_BOUND / mesh + CELL_NUDGE))
 
 

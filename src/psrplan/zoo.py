@@ -1,4 +1,4 @@
-"""Built-in POMDP instances and random-model generators for tests/benchmarks."""
+"""Random-model generator for tests and benchmarks."""
 
 import numpy as np
 
@@ -33,96 +33,6 @@ def random_pomdp(
         signal_kernel=signal_kernel,
         discount=discount,
         initial_belief=initial_belief,
-    )
-    model.validate()
-    return model
-
-
-def fully_observable_chain(discount: float = 0.5) -> PomdpModel:
-    """Two states, two actions, observation reveals the state exactly.
-
-    Action a0 keeps the current state, a1 swaps it; reward 1 is emitted
-    exactly when the arriving state is s1.  The belief MDP collapses onto
-    the corners, which makes hand computation of values trivial.
-    """
-    transition = np.zeros((2, 2, 2))
-    transition[0, 0, 0] = 1.0
-    transition[1, 0, 1] = 1.0
-    transition[0, 1, 1] = 1.0
-    transition[1, 1, 0] = 1.0
-    # signals: z = obs * 2 + reward, observation i fires in state i
-    signal_kernel = np.zeros((2, 2, 4))
-    signal_kernel[0, :, 0] = 1.0  # state 0 -> (o0, r=0)
-    signal_kernel[1, :, 3] = 1.0  # state 1 -> (o1, r=1)
-    return PomdpModel(
-        states=["s0", "s1"],
-        actions=["stay", "swap"],
-        observations=["o0", "o1"],
-        reward_values=np.array([0.0, 1.0]),
-        transition=transition,
-        signal_kernel=signal_kernel,
-        discount=discount,
-        initial_belief=np.array([1.0, 0.0]),
-    )
-
-
-def near_duplicate_states(eps: float = 1e-3, discount: float = 0.5) -> PomdpModel:
-    """Three hidden states whose middle state is a convex blend of the others.
-
-    Row s1 of every kernel equals (1-eps) * row s0 + eps * row s2, so the
-    observable process has rank exactly 2 while naive one-step dependence
-    checks sit within eps of firing — a stress case for basis discovery.
-    """
-    rng = np.random.default_rng(7)
-    n, na = 3, 2
-    transition = rng.dirichlet([1.0] * n, size=(n, na))
-    n_sig = 2 * 2
-    signal_kernel = rng.dirichlet([1.0] * n_sig, size=(n, na))
-    transition[1] = (1 - eps) * transition[0] + eps * transition[2]
-    signal_kernel[1] = (1 - eps) * signal_kernel[0] + eps * signal_kernel[2]
-    model = PomdpModel(
-        states=["s0", "s1", "s2"],
-        actions=["a0", "a1"],
-        observations=["o0", "o1"],
-        reward_values=np.array([0.2, 0.8]),
-        transition=transition,
-        signal_kernel=signal_kernel,
-        discount=discount,
-        initial_belief=np.array([0.3, 0.4, 0.3]),
-    )
-    model.validate()
-    return model
-
-
-def cloned_states(seed: int = 11, discount: float = 0.5) -> PomdpModel:
-    """Four hidden states where s2 and s3 are exact behavioral clones of s0/s1.
-
-    Built by duplicating the rows of a random 2-state model and splitting
-    incoming probability across each clone pair; observable rank is 2.
-    """
-    rng = np.random.default_rng(seed)
-    base_t = rng.dirichlet([1.0] * 2, size=(2, 2))  # [s, a, s']
-    n_sig = 2 * 2
-    base_k = rng.dirichlet([1.0] * n_sig, size=(2, 2))
-    transition = np.zeros((4, 2, 4))
-    signal_kernel = np.zeros((4, 2, n_sig))
-    for s in range(4):
-        b = s % 2
-        # split mass into the two clones of each base successor
-        transition[s, :, 0] = base_t[b, :, 0] * 0.6
-        transition[s, :, 2] = base_t[b, :, 0] * 0.4
-        transition[s, :, 1] = base_t[b, :, 1] * 0.7
-        transition[s, :, 3] = base_t[b, :, 1] * 0.3
-        signal_kernel[s] = base_k[b]
-    model = PomdpModel(
-        states=["s0", "s1", "s0c", "s1c"],
-        actions=["a0", "a1"],
-        observations=["o0", "o1"],
-        reward_values=np.array([0.1, 0.9]),
-        transition=transition,
-        signal_kernel=signal_kernel,
-        discount=discount,
-        initial_belief=np.array([0.25, 0.25, 0.25, 0.25]),
     )
     model.validate()
     return model

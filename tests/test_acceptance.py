@@ -14,23 +14,22 @@ from psrplan import baseline as baselinemod
 from psrplan import cli
 from psrplan import oracle as oraclemod
 from psrplan import planner as plannermod
-from psrplan.automaton import (
-    MultiplicityAutomaton,
-    enumerate_tests,
-    evaluate,
-    state_test_values,
-    stabilized_rank,
-)
+from psrplan.automaton import stabilized_rank, state_test_values
 from psrplan.cassandra import load_pomdp
-from psrplan.decomposition import (
-    discover_basis,
-    improve_to_spanner,
-    state_coefficients,
-)
-from psrplan.model import Signal, belief_update, sequence_probability
-from psrplan.zoo import cloned_states, near_duplicate_states, random_pomdp
+from psrplan.decomposition import discover_basis, improve_to_spanner
+from psrplan.model import Signal, belief_update
+from psrplan.zoo import random_pomdp
 
 from conftest import DATA
+from reference import (
+    MultiplicityAutomaton,
+    cloned_states,
+    enumerate_tests,
+    evaluate,
+    near_duplicate_states,
+    sequence_probability,
+    state_coefficients,
+)
 
 
 def announce(capsys, line):
@@ -93,7 +92,7 @@ def test_a1_automaton_matches_filter_on_random_models(capsys):
         table = model.initial_belief @ state_test_values(model, max_len)
         direct = filter_route_values(model, max_len)
         worst = max(worst, float(np.max(np.abs(table - direct))))
-        # spot-check a few words against the per-word public evaluators
+        # spot-check a few words against the per-word filter reference
         tests = enumerate_tests(model, 2)
         rng = np.random.default_rng(seed)
         for idx in rng.choice(len(tests), size=min(5, len(tests)), replace=False):

@@ -4,22 +4,27 @@ import numpy as np
 import pytest
 
 from psrplan.automaton import (
-    RANK_TOL,
+    hankel_rank_profile,
+    numerical_rank,
+    stabilized_rank,
+    state_test_values,
+)
+from psrplan.cassandra import load_pomdp
+from psrplan.decomposition import RANK_TOL, CoreDecomposition
+from psrplan.errors import ValidationError
+from psrplan.model import Signal
+from psrplan.zoo import random_pomdp
+
+from conftest import DATA
+from reference import (
     MultiplicityAutomaton,
     enumerate_tests,
     evaluate,
     from_pomdp,
-    hankel_rank_profile,
+    fully_observable_chain,
     hankel_submatrix,
-    numerical_rank,
-    stabilized_rank,
-    state_test_values,
-    test_probability,
+    sequence_probability,
 )
-from psrplan.decomposition import CoreDecomposition
-from psrplan.errors import ValidationError
-from psrplan.model import Signal, sequence_probability
-from psrplan.zoo import fully_observable_chain, random_pomdp
 
 
 def substring_acceptor():
@@ -72,6 +77,25 @@ def test_fair_coin_automaton(fair_coin):
     assert evaluate(ma, word) == pytest.approx(0.5**3, abs=1e-12)
 
 
+# (states, actions, observations, reward values) of random models
+RANDOM_SHAPES = [(2, 1, 1, 1), (3, 2, 2, 2), (5, 3, 2, 1), (6, 2, 3, 2), (4, 1, 3, 3), (7, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("source", ["tiger", "fair_coin", "clones", *RANDOM_SHAPES], ids=str)
+def test_symbol_matrices_are_the_reference_automaton_bit_for_bit(source):
+    if isinstance(source, str):
+        m = load_pomdp(DATA / f"{source}.POMDP")
+    else:
+        m = random_pomdp(*source, seed=sum(source), dirichlet=0.5)
+    ma = from_pomdp(m)
+    mats = m.symbol_matrices()
+    assert isinstance(mats, list) and len(mats) == len(ma.alphabet)
+    for k, (sym, mat) in enumerate(zip(ma.alphabet, mats)):
+        assert sym == (k // m.n_signals, m.signal_from_index(k % m.n_signals))
+        assert mat.shape == ma.mu[sym].shape
+        np.testing.assert_array_equal(mat.view(np.uint64), ma.mu[sym].view(np.uint64))
+
+
 def test_per_action_mass_conservation():
     m = random_pomdp(5, 3, 2, 2, seed=3)
     ma = from_pomdp(m)
@@ -97,15 +121,15 @@ def test_point_mass_empty_test_hits_terminal(tiger):
     for i in range(tiger.n):
         e = np.zeros(tiger.n)
         e[i] = 1.0
-        assert test_probability(ma, e, ()) == 1.0
+        assert evaluate(ma, (), e) == 1.0
 
 
 def test_test_probability_is_bilinear(tiger):
     ma = from_pomdp(tiger)
     t = ((0, Signal(0, 1)), (0, Signal(1, 1)))
     e1, e2 = np.eye(2)
-    mixed = test_probability(ma, 0.3 * e1 + 0.7 * e2, t)
-    split = 0.3 * test_probability(ma, e1, t) + 0.7 * test_probability(ma, e2, t)
+    mixed = evaluate(ma, t, 0.3 * e1 + 0.7 * e2)
+    split = 0.3 * evaluate(ma, t, e1) + 0.7 * evaluate(ma, t, e2)
     assert mixed == pytest.approx(split, abs=1e-12)
 
 
@@ -116,7 +140,7 @@ def test_tiger_one_step_listen_probability(tiger):
     r_idx = int(np.argmin(np.abs(m.reward_values * m.reward_scale + m.reward_offset - -1.0)))
     sig = Signal(m.observations.index("hear-left"), r_idx)
     e_left = np.array([1.0, 0.0])
-    got = test_probability(ma, e_left, ((a, sig),))
+    got = evaluate(ma, ((a, sig),), e_left)
     # direct summation over arriving states
     z = m.signal_index(sig)
     want = sum(m.transition[0, a, j] * m.signal_kernel[j, a, z] for j in range(m.n))

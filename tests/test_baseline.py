@@ -8,6 +8,7 @@ from psrplan.baseline import (
     act_baseline,
     build_delta_grid,
     plan_baseline,
+    resolution,
     simplex_round,
 )
 from psrplan.cassandra import load_pomdp
@@ -20,9 +21,10 @@ from psrplan.oracle import (
     horizon_for_slack,
     truncation_slack,
 )
-from psrplan.zoo import fully_observable_chain, random_pomdp
+from psrplan.zoo import random_pomdp
 
 from conftest import DATA
+from reference import fully_observable_chain
 
 
 def test_simplex_round_keeps_lattice_points_fixed():
@@ -93,6 +95,13 @@ def test_simplex_round_stack_with_exact_ties_matches_reference():
 def test_non_integral_resolution_rejected():
     with pytest.raises(ValidationError, match="integer"):
         simplex_round(np.array([0.5, 0.5]), 0.3)
+
+
+def test_resolution_stops_where_floats_stop_counting_cells():
+    assert resolution(1.0 / gridmod.MAX_RADIUS) == 2**52
+    for delta in (0.5 / gridmod.MAX_RADIUS, 1e-300, 5e-324):
+        with pytest.raises(ValidationError, match="too fine"):
+            resolution(delta)
 
 
 def test_single_state_model_has_one_grid_state(fair_coin):

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from psrplan import cli
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(argv, capsys):
@@ -168,6 +171,18 @@ def test_baseline_non_integral_resolution_exits_2(tmp_path, capsys, monkeypatch)
         monkeypatch, capsys,
     )
     assert "argument --delta: 1/delta must be an integer, got 1/0.3" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("delta", ["1e-19", "1e-300", "5e-324"])
+def test_baseline_delta_finer_than_floats_count_exits_2(tmp_path, capsys, monkeypatch, delta):
+    # past grid.MAX_RADIUS cells, floats no longer round onto the lattice
+    err = exits_2_at_parsing(
+        ["baseline", DATA / "tiger.POMDP", "--delta", delta,
+         "--json-out", tmp_path / "r.json"],
+        monkeypatch, capsys,
+    )
+    assert f"argument --delta: delta {float(delta)} is too fine: 1/delta exceeds {2**52}" in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -395,6 +410,23 @@ def test_bad_epsilon_exits_2_before_planning(tmp_path, capsys, monkeypatch, epsi
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["1e-19", "1e-25", "1e-300"])
+def test_epsilon_finer_than_floats_count_exits_2(tmp_path, capsys, epsilon):
+    # tiger has rank 2, so the mesh is epsilon / 2 and the lattice radius
+    # 4 / epsilon, past grid.MAX_RADIUS once discovery has found the rank
+    code, _, err = run_cli(
+        ["plan", DATA / "tiger.POMDP", "--epsilon", epsilon,
+         "--json-out", tmp_path / "r.json", "--policy-out", tmp_path / "p.json"],
+        capsys,
+    )
+    assert code == 2
+    assert err == (
+        f"error (plan): mesh {float(epsilon) / 2:g} is too fine: 2 / mesh exceeds "
+        f"{2**52} cells\n"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_model_that_is_not_utf8_exits_2(tmp_path, capsys):
     model = tmp_path / "bad.POMDP"
     model.write_bytes(b"\xff\xfediscount: 0.9\n")
@@ -523,3 +555,13 @@ def test_sweep_csv_without_sweep_exits_2_before_reading_the_model(tmp_path, caps
     assert calls == []
     assert not (tmp_path / "s.csv").exists()
     assert not (tmp_path / "r.json").exists()
+
+
+def test_the_cli_does_not_load_the_rank_audit(tmp_path):
+    # isolated (-I): only src on the path, run from outside the checkout
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import psrplan.cli\n"
+        "assert 'psrplan.automaton' not in sys.modules\n"
+        "from psrplan.automaton import stabilized_rank\n"
+    )
+    subprocess.run([sys.executable, "-I", "-c", code], cwd=tmp_path, check=True)

@@ -3,29 +3,28 @@ import pytest
 
 from psrplan import oracle as oraclemod
 from psrplan import planner as plannermod
-from psrplan.automaton import (
-    RANK_TOL,
-    enumerate_tests,
-    hankel_submatrix,
-    numerical_rank,
-    stabilized_rank,
-)
+from psrplan.automaton import numerical_rank, stabilized_rank
 from psrplan.decomposition import (
+    RANK_TOL,
     CoreDecomposition,
     SpannerBasis,
     discover_basis,
     improve_to_spanner,
     solve_coefficients,
-    state_coefficients,
     to_json_dict,
 )
 from psrplan.errors import DegenerateBasisError
-from psrplan.model import PomdpModel, sequence_probability
-from psrplan.zoo import (
+from psrplan.model import PomdpModel
+from psrplan.zoo import random_pomdp
+
+from reference import (
     cloned_states,
+    enumerate_tests,
     fully_observable_chain,
+    hankel_submatrix,
     near_duplicate_states,
-    random_pomdp,
+    sequence_probability,
+    state_coefficients,
 )
 
 NEAR_LOW_RANK_ETAS = np.logspace(-3, -7, 17)

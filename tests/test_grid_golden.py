@@ -78,9 +78,9 @@ def split_drift(record):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_grid_matches_golden(name, golden):
     # maxClampDrift is how far the largest clamped successor left [-2, 2]
-    # before clamping.  Coefficients that equal formulas give agree only
-    # to about 1e-12 relative (this file was written when each block
-    # solved against M), so it alone is not compared bit for bit.
+    # before clamping: a raw float off the step's gemm, alpha @ G, which
+    # another BLAS build may sum in another order and so move by ulps.
+    # So it alone is compared to 1e-12 relative, not bit for bit.
     got, got_drift = split_drift(grid_record(name))
     want, want_drift = split_drift(golden[name])
     assert got == want

@@ -12,11 +12,12 @@ from psrplan.model import (
     belief_update_state_major,
     expected_reward_matrix,
     sample_trajectory,
-    sequence_probability,
     state_sum,
 )
 from psrplan import model as modelmod
-from psrplan.zoo import fully_observable_chain, random_pomdp
+from psrplan.zoo import random_pomdp
+
+from reference import fully_observable_chain, sequence_probability
 
 
 def random_test(model, length, rng):

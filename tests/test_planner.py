@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from psrplan import grid as gridmod
-from psrplan.automaton import from_pomdp
 from psrplan.baseline import act_baseline, build_delta_grid, plan_baseline
 from psrplan.cassandra import load_pomdp
 from psrplan.decomposition import discover_basis, improve_to_spanner, solve_coefficients
 from psrplan.errors import ConvergenceError, StateCapExceededError, ValidationError
-from psrplan.model import Signal, belief_update, sequence_probability
+from psrplan.model import Signal, belief_update
 from psrplan.grid import P_MIN
 from psrplan.planner import (
     SignalDynamics,
@@ -21,9 +20,10 @@ from psrplan.planner import (
     step_block,
 )
 from psrplan.oracle import exact_value
-from psrplan.zoo import fully_observable_chain, random_pomdp
+from psrplan.zoo import random_pomdp
 
 from conftest import DATA
+from reference import from_pomdp, fully_observable_chain, sequence_probability
 
 
 def make_spanner(model):
@@ -186,6 +186,18 @@ def test_lattice_radius_handles_inexact_division():
     assert lattice_radius(0.05) == 40
     assert lattice_radius(0.1 / 2) == 40
     assert lattice_radius(0.1 / 3) == 60
+
+
+def test_lattice_radius_stops_where_floats_stop_counting_cells():
+    mesh = 2.0 / gridmod.MAX_RADIUS
+    assert lattice_radius(mesh) == gridmod.MAX_RADIUS == 2**52
+    # every lattice point out to the largest radius rounds onto itself
+    m = np.array([1, 2**51 + 1, 2**52 - 3, 2**52 - 1, 2**52])
+    np.testing.assert_array_equal(round_to_grid(m * mesh, mesh), m)
+    np.testing.assert_array_equal(round_to_grid(-m * mesh, mesh), -m)
+    for mesh in (1.0 / gridmod.MAX_RADIUS, 1e-300, 0.0):
+        with pytest.raises(ValidationError, match="too fine"):
+            lattice_radius(mesh)
 
 
 def test_fair_coin_grid_is_single_self_loop(fair_coin):
