@@ -107,7 +107,8 @@ def plan_baseline(
             "delta": delta,
             "viTol": vi_tol,
             "stageSeconds": timings,
-            "diagnostics": grid.diagnostics,
+            # as planned: act() counts its off-grid fallbacks in grid.diagnostics
+            "diagnostics": dict(grid.diagnostics),
         }
     )
     return result

@@ -381,7 +381,8 @@ def _parse_start(st, sn, n):
         tok = tokens[0]
         if tok == "uniform":
             return np.full(n, 1.0 / n)
-        if tok in sn.index or (_INDEX.fullmatch(tok) and n > 1):
+        # with one state, "1" is the probability vector and "0" the state
+        if tok in sn.index or (_INDEX.fullmatch(tok) and (n > 1 or int(tok) < n)):
             belief = np.zeros(n)
             belief[sn.resolve(tok, st.line)] = 1.0
             return belief

@@ -1,8 +1,9 @@
 """Command-line front end: plan, baseline, and compare on .POMDP files.
 
-Exit codes: 0 success, 2 validation/parse failures and unreadable or
-unwritable files, 3 resource budgets (grid state cap, oracle node
-budget).  All JSON outputs are written atomically, exactly as
+Exit codes: 0 success, 2 validation/parse failures, unreadable or
+unwritable files and outputs that name the model or each other, 3
+resource budgets (grid state cap, oracle node budget).  All JSON outputs
+are written atomically, exactly as
 ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, and
 carry a schemaVersion; --no-timings strips wall-clock fields so reports
 from identical runs are byte-identical.
@@ -167,54 +168,32 @@ def _atomic_write(path, text):
         raise
 
 
-# with indent set, json.dumps runs the pure-Python encoder; without it the
-# C encoder writes a numeric list, and the indentation is spliced in after
-_COMPACT = json.JSONEncoder(separators=(", ", ": "))
-
-
 def _dumps(obj, pad=""):
-    """``json.dumps(obj, sort_keys=True, indent=2)``, nested at indent ``pad``.
+    """``json.dumps(obj, sort_keys=True, indent=2)``, nested at indent ``pad``,
+    for a payload whose dict keys are strings.
 
-    A non-empty integer 1-D or 2-D ndarray is one ``%`` format over a
-    template of its indented layout, one ``"%d"`` per element, which is how
-    ``json`` writes an int.  A non-empty float or bool 1-D or 2-D ndarray is
-    one C-encoder call: no float repr contains ", " or "], [", so replacing
-    those separators gives the indented layout byte for byte.  A dict or
-    list with an ndarray anywhere under it is written item by item.
+    A non-empty 1-D or 2-D ndarray of integers or of finite floats is one
+    ``%`` format over a template of its indented layout: ``"%d"`` per int
+    and ``"%r"`` per float, which is how ``json`` writes each.  Any other
+    ndarray is written as its ``tolist()``, a non-empty dict or list item
+    by item, and any other value by ``json.dumps``.
     """
     inner = pad + "  "
-    deeper = inner + "  "
-    if isinstance(obj, dict) and _holds_array(obj):
-        items = ",\n".join(
-            f"{inner}{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)
-        )
-        return f"{{\n{items}\n{pad}}}"
-    if isinstance(obj, (list, tuple)) and _holds_array(obj):
-        items = ",\n".join(inner + _dumps(v, inner) for v in obj)
-        return f"[\n{items}\n{pad}]"
+    if isinstance(obj, dict) and obj:
+        items = (f"{inner}{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj))
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[\n" + ",\n".join(inner + _dumps(v, inner) for v in obj) + f"\n{pad}]"
     if isinstance(obj, np.ndarray):
-        if obj.size and obj.ndim in (1, 2) and obj.dtype.kind in "iu":
-            item = "%d" if obj.ndim == 1 else _layout("%d", obj.shape[1], deeper, inner)
-            return _layout(item, obj.shape[0], inner, pad) % tuple(obj.ravel().tolist())
-        if obj.size and obj.ndim in (1, 2) and obj.dtype.kind in "bf":
-            text = _COMPACT.encode(obj.tolist())
-            if obj.ndim == 1:
-                return f"[\n{inner}" + text[1:-1].replace(", ", ",\n" + inner) + f"\n{pad}]"
-            body = text[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deeper}")
-            body = body.replace(", ", ",\n" + deeper)
-            return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
-        obj = obj.tolist()
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    return text.replace("\n", "\n" + pad) if pad else text
-
-
-def _holds_array(obj):
-    """Whether an ndarray sits in obj, at any depth of dicts and lists."""
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, (list, tuple)):
-        return any(_holds_array(v) for v in obj)
-    return isinstance(obj, np.ndarray)
+        ints = obj.dtype.kind in "iu"
+        # a float wider than float64 has no Python float for "%r" to write
+        floats = obj.dtype.kind == "f" and obj.itemsize <= 8 and np.isfinite(obj).all()
+        if obj.size and obj.ndim in (1, 2) and (ints or floats):
+            item = "%d" if ints else "%r"
+            row = _layout(item, obj.shape[1], inner + "  ", inner) if obj.ndim == 2 else item
+            return _layout(row, obj.shape[0], inner, pad) % tuple(obj.ravel().tolist())
+        return _dumps(obj.tolist(), pad)
+    return json.dumps(obj)  # a scalar, or an empty dict or list, spans one line
 
 
 def _layout(item, count, inner, pad):
@@ -335,24 +314,35 @@ def _plan_side(model, args, side, target):
     return result, block, policy, bound
 
 
-def _output_path(path, model, suffix):
-    """``path``, or by default the model's path with ``suffix`` for its extension."""
-    return path or os.path.splitext(model)[0] + suffix
+def _resolve_paths(args):
+    """Give the report and policy paths their defaults, the model's path with
+    another extension, and refuse two of the model and the outputs that name
+    one file, before anything is read or written."""
+    stem = os.path.splitext(args.model)[0]
+    args.json_out = args.json_out or stem + ".report.json"
+    named = {"the model": args.model, "the report": args.json_out}
+    if args.command != "compare":
+        args.policy_out = named["the policy"] = args.policy_out or stem + ".policy.json"
+    if args.command == "plan" and args.sweep_csv:
+        named["the sweep CSV"] = args.sweep_csv
+    seen = {}
+    for role, path in named.items():
+        other = seen.setdefault(os.path.realpath(path), role)
+        if other != role:
+            raise ValidationError(f"{other} and {role} are the same file: {path}")
 
 
 def _emit(args, report, policy_payload=None):
-    """Write the report and, when given, the policy; returns the report's path."""
+    """Write the report and, when given, the policy."""
     report = dict(report, schemaVersion=SCHEMA_VERSION)
     if args.no_timings:
         report = _strip_timings(report)
-    report_path = _output_path(args.json_out, args.model, ".report.json")
-    _write_json(report_path, report)
+    _write_json(args.json_out, report)
     if policy_payload is not None:
         policy_payload["schemaVersion"] = SCHEMA_VERSION
         if args.no_timings:
             policy_payload = _strip_timings(policy_payload)
-        _write_json(_output_path(args.policy_out, args.model, ".policy.json"), policy_payload)
-    return report_path
+        _write_json(args.policy_out, policy_payload)
 
 
 def cmd_plan(args):
@@ -397,25 +387,20 @@ def cmd_plan(args):
             )
         report["sweep"] = rows
         if args.sweep_csv:
-            _write_sweep_csv(args.sweep_csv, rows, args.no_timings)
+            _write_sweep_csv(args.sweep_csv, _strip_timings(rows) if args.no_timings else rows)
 
-    policy_payload = gridmod.plan_to_json_dict(result)
-    report_path = _emit(args, report, policy_payload)
+    _emit(args, report, gridmod.plan_to_json_dict(result))
     rank = f"rank={block['rank']} " if planner else ""
     print(
         f"{args.command}: {rank}grid={block['grid']['states']} "
-        f"value={block['valueAtInitialBelief']:.6f} -> {report_path}"
+        f"value={block['valueAtInitialBelief']:.6f} -> {args.json_out}"
     )
     return EXIT_OK
 
 
-def _write_sweep_csv(path, rows, no_timings):
-    fields = ["epsilon", "mesh", "gridStates", "value"]
-    if not no_timings:
-        fields.append("seconds")
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(str(row[f]) for f in fields))
+def _write_sweep_csv(path, rows):
+    """One CSV line per sweep row, its keys the header."""
+    lines = [",".join(rows[0])] + [",".join(str(v) for v in row.values()) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -439,12 +424,12 @@ def cmd_compare(args):
         "plannerGap": plan["oracle"]["gap"],
         "baselineGap": base["oracle"]["gap"],
     }
-    report_path = _emit(args, report)
+    _emit(args, report)
     print(
         f"compare: rank={s['rank']} planner grid={s['plannerGridStates']} "
         f"baseline grid={s['baselineGridStates']} "
         f"gaps: planner={s['plannerGap']:.6f} baseline={s['baselineGap']:.6f} "
-        f"-> {report_path}"
+        f"-> {args.json_out}"
     )
     return EXIT_OK
 
@@ -453,6 +438,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handlers = {"plan": cmd_plan, "baseline": cmd_plan, "compare": cmd_compare}
     try:
+        _resolve_paths(args)
         return handlers[args.command](args)
     except (StateCapExceededError, OracleBudgetError, ConvergenceError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)

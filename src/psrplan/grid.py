@@ -463,7 +463,7 @@ def plan_to_json_dict(plan: PlanResult) -> dict:
     """Policy/value dump of the plan's grid, with integer lattice coordinates.
 
     ``states``, ``values`` and ``policy`` stay ndarrays, which the CLI's
-    JSON writer encodes in one C-encoder call each.
+    JSON writer lays out as one ``%`` format each.
     """
     grid = plan.grid
     return {

@@ -219,7 +219,8 @@ def plan(
             "viTol": vi_tol,
             "gridMode": mode,
             "stageSeconds": timings,
-            "diagnostics": grid.diagnostics,
+            # as planned: act() counts its off-grid fallbacks in grid.diagnostics
+            "diagnostics": dict(grid.diagnostics),
             "swapCount": spanner.swap_count,
         }
     )

@@ -94,6 +94,26 @@ def test_start_single_state_and_vector():
     np.testing.assert_allclose(m.initial_belief, [0.2, 0.3, 0.5])
 
 
+ONE_STATE = (
+    "discount: 0.9\nvalues: reward\nstates: 1\nactions: 1\nobservations: 1\n"
+    "start: 0\nT: * uniform\nO: * uniform\nR: * : * : * : * 1.0\n"
+)
+
+
+@pytest.mark.parametrize("start", ["0", "1", "s0", "uniform", "include: 0"])
+def test_one_state_start_by_index_name_or_vector(start):
+    # "0" names the one state; "1" is the one-entry probability vector
+    m = parse_pomdp(ONE_STATE.replace("start: 0", f"start: {start}"))
+    np.testing.assert_array_equal(m.initial_belief, [1.0])
+
+
+def test_start_index_past_the_states_is_unknown():
+    text = ONE_STATE.replace("states: 1", "states: 2").replace("start: 0", "start: 2")
+    with pytest.raises(ParseError, match="unknown state '2'") as err:
+        parse_pomdp(text)
+    assert err.value.line == 6
+
+
 def test_parse_error_carries_line_number():
     text = "discount: 0.9\nvalues: reward\nstates: 2\nactions: 1\nobservations: 1\nT: a0 : s0 : s9 1.0\n"
     with pytest.raises(ParseError) as err:

@@ -341,6 +341,23 @@ def test_sweep_csv_output(tmp_path, capsys):
     assert meshes == [0.25, 0.1]
 
 
+def test_sweep_csv_with_timings_has_a_seconds_column(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        ["plan", DATA / "tiger.POMDP", "--sweep", "0.5,0.2", "--sweep-csv", csv_path,
+         "--json-out", tmp_path / "r.json", "--policy-out", tmp_path / "p.json"],
+        capsys,
+    )
+    assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "epsilon,mesh,gridStates,value,seconds"
+    sweep = read_json(tmp_path / "r.json")["sweep"]
+    assert lines[1:] == [
+        ",".join(str(row[k]) for k in ("epsilon", "mesh", "gridStates", "value", "seconds"))
+        for row in sweep
+    ]
+
+
 def test_sweep_reuses_the_main_plans_basis(tmp_path, capsys, monkeypatch):
     calls = []
     for name in ("discover_basis", "improve_to_spanner"):
@@ -385,6 +402,55 @@ def test_act_fallbacks_reach_the_report(tmp_path, capsys):
     )
     assert code == 0
     assert read_json(report)["baseline"]["grid"]["diagnostics"]["actFallbacks"] == 4
+
+
+@pytest.mark.parametrize("command", ["plan", "baseline"])
+def test_policy_file_does_not_depend_on_the_oracle(tmp_path, capsys, command):
+    # at delta 0.25 the oracle's beliefs fall off the baseline's grid (see
+    # above); the policy dump keeps the diagnostics as the grid was planned
+    mesh = "--delta" if command == "baseline" else "--epsilon"
+    written = []
+    for extra in ([], ["--oracle"]):
+        policy = tmp_path / f"policy{len(written)}.json"
+        code, _, _ = run_cli(
+            [command, DATA / "clones.POMDP", mesh, "0.25", "--no-timings", *extra,
+             "--json-out", tmp_path / "r.json", "--policy-out", policy],
+            capsys,
+        )
+        assert code == 0
+        written.append(policy.read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "t.POMDP", "--json-out", "same.json", "--policy-out", "same.json"],
+        ["plan", "t.POMDP", "--json-out", "t.POMDP"],
+        ["baseline", "t.POMDP", "--policy-out", "sub/../t.POMDP"],
+        ["compare", "t.POMDP", "--json-out", "./t.POMDP"],
+        ["plan", "t.POMDP", "--sweep", "0.5", "--sweep-csv", "t.report.json"],
+    ],
+    ids=["report-is-policy", "report-is-model", "policy-is-model", "compare-report-is-model",
+         "sweep-csv-is-the-default-report"],
+)
+def test_outputs_naming_one_file_exit_2_before_reading_the_model(
+    tmp_path, capsys, monkeypatch, argv
+):
+    (tmp_path / "sub").mkdir()
+    model = tmp_path / "t.POMDP"
+    model.write_bytes((DATA / "tiger.POMDP").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "load_pomdp", lambda *a, **k: calls.append(a))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error ({argv[0]}): ") and "the same file" in err
+    assert err.count("\n") == 1
+    assert calls == []
+    assert model.read_bytes() == (DATA / "tiger.POMDP").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "t.POMDP"]
 
 
 @pytest.mark.parametrize("command", ["plan", "baseline", "compare"])

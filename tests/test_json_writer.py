@@ -23,6 +23,16 @@ def reference(obj):
     return json.dumps(plain(obj), sort_keys=True, indent=2)
 
 
+def mixed_finite_floats(count=10_000):
+    """Finite floats of every scale: normals near 1e-300 to 1e300, subnormals
+    and negative zeros."""
+    rng = np.random.default_rng(24)
+    values = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 301, count)
+    values[3::11] = rng.integers(1, 2**52, values[3::11].size) * 5e-324
+    values[::7] = -0.0
+    return values
+
+
 ARRAYS = {
     "empty vector": np.zeros(0),
     "empty rows": np.zeros((0, 3), dtype=np.int64),
@@ -53,6 +63,12 @@ ARRAYS = {
     "empty uint8 columns": np.zeros((3, 0), dtype=np.uint8),
     "strings holding separators": np.array(["x, y", "], [", "z"]),
     "rank 3": np.arange(8, dtype=np.int64).reshape(2, 2, 2),
+    "float32 vector": np.array([0.1, -0.0, 1e-45, 3.4e38, -2.5], dtype=np.float32),
+    "float32 rows": np.array([[0.1, 1e-40], [-7.0, 65504.0]], dtype=np.float32),
+    "float16 vector": np.array([0.1, -0.0, 6e-8, 65504.0, 1 / 3], dtype=np.float16),
+    "float16 rows": np.array([[0.1, -0.0], [6e-5, -65504.0]], dtype=np.float16),
+    "float rows holding inf": np.array([[0.5, np.inf], [-1.0, 2.0]]),
+    "10,000 finite floats of every scale": mixed_finite_floats(),
 }
 
 
@@ -62,6 +78,17 @@ def test_array_alone_and_in_a_payload(name):
     assert cli._dumps(arr) == reference(arr)
     payload = {"states": arr, "mesh": 0.05, "initialState": 0}
     assert cli._dumps(payload) == reference(payload)
+
+
+def test_floats_wider_than_float64_are_written_as_json_writes_their_list():
+    arr = np.array([1.5, -0.0], dtype=np.longdouble)
+    try:
+        want = reference(arr)
+    except TypeError:  # wider than float64, where json has no form for them
+        with pytest.raises(TypeError):
+            cli._dumps(arr)
+    else:
+        assert cli._dumps(arr) == want
 
 
 def test_policy_payload_mixing_arrays_and_scalars():

@@ -431,6 +431,20 @@ def test_stack_actions_match_one_row_calls(model, epsilon):
         assert grid.diagnostics["actFallbacks"] == 2 * fallbacks, name
 
 
+def test_plan_metadata_keeps_the_diagnostics_as_planned():
+    # act()'s off-grid fallbacks count in grid.diagnostics, not in the
+    # metadata the policy dump writes
+    model = load_pomdp(DATA / "clones.POMDP")
+    beliefs = np.random.default_rng(11).dirichlet(np.ones(model.n), size=300)
+    planned = plan(model, epsilon=0.3)
+    base = plan_baseline(model, delta=0.25)
+    for result, policy in ((planned, act), (base, act_baseline)):
+        planned_diagnostics = dict(result.grid.diagnostics)
+        policy(result, beliefs)
+        assert result.grid.diagnostics["actFallbacks"] > 0
+        assert result.metadata["diagnostics"] == planned_diagnostics
+
+
 def test_same_grid_cell_implies_close_coefficients():
     m = random_pomdp(4, 2, 2, 2, seed=3)
     span = make_spanner(m)
