@@ -7,8 +7,6 @@ value-iteration engine.  This is the guarantee-checking baseline the
 rank-r planner is compared against.
 """
 
-import time
-
 import numpy as np
 
 from . import grid as gridmod
@@ -96,22 +94,8 @@ def plan_baseline(
     state_cap: int = gridmod.DEFAULT_STATE_CAP,
 ) -> gridmod.PlanResult:
     timings = {}
-    t0 = time.perf_counter()
-    grid = build_delta_grid(model, delta, state_cap=state_cap)
-    timings["buildGrid"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    result = gridmod.solve(grid, vi_tol)
-    timings["solve"] = time.perf_counter() - t0
-    result.metadata.update(
-        {
-            "delta": delta,
-            "viTol": vi_tol,
-            "stageSeconds": timings,
-            # as planned: act() counts its off-grid fallbacks in grid.diagnostics
-            "diagnostics": dict(grid.diagnostics),
-        }
-    )
-    return result
+    grid = gridmod.timed(timings, "buildGrid", build_delta_grid, model, delta, state_cap=state_cap)
+    return gridmod.finish_plan(grid, vi_tol, timings, delta=delta)
 
 
 def act_baseline(plan_result: gridmod.PlanResult, beliefs) -> np.ndarray:

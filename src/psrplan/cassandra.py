@@ -29,7 +29,7 @@ import re
 import numpy as np
 
 from .errors import ParseError, UnsupportedConstructError, ValidationError
-from .model import STOCHASTIC_TOL, PomdpModel
+from .model import PomdpModel, check_rows, is_distribution
 
 _KEYWORDS = {"discount", "values", "states", "actions", "observations", "start", "T", "O", "R"}
 _MATRIX_WORDS = {"identity", "uniform"}
@@ -218,13 +218,9 @@ def parse_pomdp(text: str) -> PomdpModel:
     )
     initial_belief = _parse_start(start_stmt, _NameSpace("state", states), len(states))
 
-    _check_rows(
-        transition.sum(axis=2), "transition", states, actions
-    )
+    check_rows(transition.sum(axis=2), "transition", states, actions)
     transition /= transition.sum(axis=2, keepdims=True)
-    _check_rows(
-        obs_kernel.sum(axis=2), "observation", states, actions, arriving=True
-    )
+    check_rows(obs_kernel.sum(axis=2), "observation", states, actions, arriving=True)
     obs_kernel /= obs_kernel.sum(axis=2, keepdims=True)
 
     reward_values, reward_index, scale, offset = _collect_rewards(
@@ -387,20 +383,10 @@ def _parse_start(st, sn, n):
             belief[sn.resolve(tok, st.line)] = 1.0
             return belief
     vals = _floats(tokens, n, st.line, "start belief")
-    if np.any(vals < 0) or abs(vals.sum() - 1.0) > STOCHASTIC_TOL:
+    if not is_distribution(vals):
         raise ParseError("start belief is not a probability vector", st.line)
+    vals[vals < 0.0] = 0.0  # float noise down to -1e-9, which the filter would refuse
     return vals / vals.sum()
-
-
-def _check_rows(sums, kind, states, actions, arriving=False):
-    bad = np.argwhere(np.abs(sums - 1.0) > STOCHASTIC_TOL)
-    if bad.size:
-        s, a = bad[0]
-        role = "arriving state" if arriving else "state"
-        raise ValidationError(
-            f"{kind} row ({role}={states[s]}, action={actions[a]}) sums to "
-            f"{sums[s, a]:.12g}, not 1"
-        )
 
 
 def _collect_rewards(transition, obs_kernel, reward_raw, states, actions, observations):

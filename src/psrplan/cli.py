@@ -440,15 +440,10 @@ def main(argv=None) -> int:
     try:
         _resolve_paths(args)
         return handlers[args.command](args)
-    except (StateCapExceededError, OracleBudgetError, ConvergenceError) as exc:
+    except (PsrPlanError, OSError) as exc:  # OSError: a missing or unwritable file
         print(f"error ({args.command}): {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PsrPlanError as exc:
-        print(f"error ({args.command}): {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:  # a missing model, or an output that cannot be written
-        print(f"error ({args.command}): {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        budget = (StateCapExceededError, OracleBudgetError, ConvergenceError)
+        return EXIT_BUDGET if isinstance(exc, budget) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -116,7 +116,7 @@ def solve_coefficients(decomp: CoreDecomposition, target: np.ndarray) -> np.ndar
     return np.linalg.solve(decomp.M.T, rows.T).T.reshape(target.shape)
 
 
-def improve_to_spanner(model: PomdpModel, decomp: CoreDecomposition) -> SpannerBasis:
+def improve_to_spanner(decomp: CoreDecomposition) -> SpannerBasis:
     """Swap basis rows until every state's coefficients C are at most 2.
 
     C = U M⁻¹ comes from ``solve_coefficients`` and its condition guard.

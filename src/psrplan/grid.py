@@ -11,6 +11,7 @@ form over the flat row ``s * n_actions + a``, and each row's reward.
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -457,6 +458,28 @@ def solve(grid: GridMdp, vi_tol: float = DEFAULT_VI_TOL) -> PlanResult:
             "upperBound": v0 + scale * high,
         },
     )
+
+
+def timed(timings, name, fn, *args, **kwargs):
+    """Run one stage, ``fn(*args, **kwargs)``; its wall time goes to ``timings[name]``."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    timings[name] = time.perf_counter() - t0
+    return result
+
+
+def finish_plan(grid: GridMdp, vi_tol: float, timings: dict, **settings) -> PlanResult:
+    """Both planners' last stage: ``solve``, timed as "solve"; the metadata then
+    records ``settings``, ``viTol``, ``stageSeconds`` and the grid's diagnostics."""
+    result = timed(timings, "solve", solve, grid, vi_tol)
+    result.metadata.update(
+        settings,
+        viTol=vi_tol,
+        stageSeconds=timings,
+        # as planned: act() counts its off-grid fallbacks in grid.diagnostics
+        diagnostics=dict(grid.diagnostics),
+    )
+    return result
 
 
 def plan_to_json_dict(plan: PlanResult) -> dict:

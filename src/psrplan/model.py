@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-STOCHASTIC_TOL = 1e-9
-BELIEF_TOL = 1e-10  # check_belief's slack on signs and on the sum
+STOCHASTIC_TOL = 1e-9  # slack on every probability's sign and every row's sum
 DRIFT_TOL = 1e-12
 
 
@@ -108,22 +107,10 @@ class PomdpModel:
                 raise ValidationError(f"non-finite entry in {name}")
         if not (np.isfinite(self.reward_scale) and np.isfinite(self.reward_offset)):
             raise ValidationError("reward scale and offset must be finite")
-        t_sums = self.transition.sum(axis=2)
-        bad = np.argwhere(np.abs(t_sums - 1.0) > tol)
-        if bad.size:
-            s, a = bad[0]
-            raise ValidationError(
-                f"transition row (state={self.states[s]}, action={self.actions[a]}) "
-                f"sums to {t_sums[s, a]:.12g}, not 1"
-            )
-        k_sums = self.signal_kernel.sum(axis=2)
-        bad = np.argwhere(np.abs(k_sums - 1.0) > tol)
-        if bad.size:
-            s, a = bad[0]
-            raise ValidationError(
-                f"signal row (arriving state={self.states[s]}, action={self.actions[a]}) "
-                f"sums to {k_sums[s, a]:.12g}, not 1"
-            )
+        check_rows(self.transition.sum(axis=2), "transition", self.states, self.actions)
+        check_rows(
+            self.signal_kernel.sum(axis=2), "signal", self.states, self.actions, arriving=True
+        )
         if np.any(self.transition < -tol) or np.any(self.signal_kernel < -tol):
             raise ValidationError("negative kernel entry")
         if np.any(self.reward_values < -tol) or np.any(self.reward_values > 1 + tol):
@@ -132,15 +119,34 @@ class PomdpModel:
             raise ValidationError(f"discount {self.discount} not strictly inside (0, 1)")
         if self.initial_belief.shape != (n,):
             raise ValidationError("initial belief has wrong length")
-        if np.any(self.initial_belief < -tol) or abs(self.initial_belief.sum() - 1) > tol:
+        if not is_distribution(self.initial_belief):
             raise ValidationError("initial belief is not a probability vector")
+
+
+def check_rows(sums, kind, states, actions, arriving=False):
+    """Refuse the first (state, action) row of a kernel whose probabilities,
+    summed to ``sums[s, a]``, miss 1 by more than STOCHASTIC_TOL."""
+    bad = np.argwhere(np.abs(sums - 1.0) > STOCHASTIC_TOL)
+    if bad.size:
+        s, a = bad[0]
+        role = "arriving state" if arriving else "state"
+        raise ValidationError(
+            f"{kind} row ({role}={states[s]}, action={actions[a]}) sums to "
+            f"{sums[s, a]:.12g}, not 1"
+        )
+
+
+def is_distribution(v: np.ndarray) -> bool:
+    """Whether v is a probability vector within STOCHASTIC_TOL: no entry
+    below -STOCHASTIC_TOL, and a sum within it of 1, which a NaN fails."""
+    return not np.any(v < -STOCHASTIC_TOL) and abs(v.sum() - 1.0) <= STOCHASTIC_TOL
 
 
 def check_belief(b: np.ndarray, n: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n,):
         raise ValidationError(f"belief has length {b.shape}, expected ({n},)")
-    if np.any(b < -BELIEF_TOL) or abs(b.sum() - 1.0) > BELIEF_TOL:
+    if not is_distribution(b):
         raise ValidationError("belief is not a probability vector")
     return b
 
@@ -261,7 +267,8 @@ def sample_trajectory(
     """
     rng = np.random.default_rng(rng_seed)
     belief = check_belief(b, model.n)
-    state = int(rng.choice(model.n, p=belief))
+    # an entry in [-STOCHASTIC_TOL, 0) is drawn as 0, which rng.choice requires
+    state = int(rng.choice(model.n, p=np.maximum(belief, 0.0)))
     out = []
     for _ in range(horizon):
         a = int(policy(belief[None])[0])

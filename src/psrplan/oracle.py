@@ -15,7 +15,9 @@ round to the same multiple of ``MEMO_PRECISION``: the first one met stands
 for all, and ids follow first occurrence in (node, action, signal) order,
 which is the order a depth-first search with the same memo would meet them
 in.  Each level is merged once, by one sort of a hash of the rounded
-beliefs (``dedupe``).  ``NODE_BUDGET`` caps the tree's distinct nodes.
+beliefs (``dedupe``).  ``NODE_BUDGET`` caps the tree's distinct nodes;
+every level holds at least one, so a horizon of ``NODE_BUDGET`` or more is
+refused before anything is filtered.
 Each policy is asked once per level about the nodes its actions reach,
 with the representative beliefs the tree holds for them.
 
@@ -57,9 +59,14 @@ def check_slack(slack: float):
 
 
 def horizon_for_slack(gamma: float, slack: float) -> int:
-    """Smallest H with truncation slack at most the requested amount."""
+    """Smallest H with truncation slack at most the requested amount: the
+    closed form ceil(log(slack (1 - gamma)) / log gamma) - 1, at least 0,
+    then stepped by one while ``truncation_slack`` says it is not the
+    smallest, so float rounding in the logarithms cannot move it."""
     check_slack(slack)
-    h = 0
+    h = max(math.ceil((math.log(slack) + math.log1p(-gamma)) / math.log(gamma)) - 1, 0)
+    while h > 0 and truncation_slack(gamma, h - 1) <= slack:
+        h -= 1
     while truncation_slack(gamma, h) > slack:
         h += 1
     return h
@@ -162,6 +169,12 @@ class _Tree:
 
         A level's distinct beliefs are the rows ``first`` of a stack
         ``post``; the root's stack is b alone."""
+        # exact: a node's signal probabilities sum to 1, so each level holds one
+        if horizon + 1 > NODE_BUDGET:
+            raise OracleBudgetError(
+                f"expectimax to horizon {horizon} would have expanded more than "
+                f"{NODE_BUDGET} nodes; shrink the horizon or raise the slack"
+            )
         post = np.asarray(b, dtype=np.float64)[None]
         first = np.zeros(1, dtype=np.int64)
         self._count(1)

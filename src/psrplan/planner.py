@@ -8,7 +8,6 @@ eps_tilde = epsilon / r, builds the induced finite MDP, and value-iterates.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,36 +195,18 @@ def plan(
 ) -> gridmod.PlanResult:
     """Full pipeline: basis discovery, spanner, dynamics, grid, value iteration."""
     timings = {}
-    t0 = time.perf_counter()
-    dec = discover_basis(model)
-    timings["discoverBasis"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    spanner = improve_to_spanner(model, dec)
-    timings["improveToSpanner"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    dynamics = precompute_dynamics(model, spanner)
-    timings["precomputeDynamics"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    grid = build_grid(model, spanner, dynamics, epsilon, mode=mode, state_cap=state_cap)
-    timings["buildGrid"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    result = gridmod.solve(grid, vi_tol)
-    timings["solve"] = time.perf_counter() - t0
-
-    result.metadata.update(
-        {
-            "rank": spanner.decomposition.rank,
-            "epsilon": epsilon,
-            "viTol": vi_tol,
-            "gridMode": mode,
-            "stageSeconds": timings,
-            # as planned: act() counts its off-grid fallbacks in grid.diagnostics
-            "diagnostics": dict(grid.diagnostics),
-            "swapCount": spanner.swap_count,
-        }
+    dec = gridmod.timed(timings, "discoverBasis", discover_basis, model)
+    spanner = gridmod.timed(timings, "improveToSpanner", improve_to_spanner, dec)
+    dynamics = gridmod.timed(timings, "precomputeDynamics", precompute_dynamics, model, spanner)
+    grid = gridmod.timed(
+        timings, "buildGrid", build_grid, model, spanner, dynamics, epsilon,
+        mode=mode, state_cap=state_cap,
     )
-    result.spanner = spanner
-    result.dynamics = dynamics
+    result = gridmod.finish_plan(
+        grid, vi_tol, timings, rank=spanner.decomposition.rank, epsilon=epsilon,
+        gridMode=mode, swapCount=spanner.swap_count,
+    )
+    result.spanner, result.dynamics = spanner, dynamics
     return result
 
 

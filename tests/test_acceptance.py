@@ -188,7 +188,7 @@ def test_a4_spanner_quality(capsys):
     min_ratio = math.inf
     flagged = []
     for model in models:
-        spanner = improve_to_spanner(model, discover_basis(model))
+        spanner = improve_to_spanner(discover_basis(model))
         r = spanner.decomposition.rank
         coeffs = state_coefficients(spanner)
         worst_coeff = max(worst_coeff, float(np.max(np.abs(coeffs))))

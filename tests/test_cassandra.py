@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psrplan import cli
 from psrplan.cassandra import DEFAULT_REWARD_CAP, parse_pomdp
 from psrplan.errors import ParseError, UnsupportedConstructError, ValidationError
 
@@ -92,6 +93,19 @@ def test_start_single_state_and_vector():
     base = MATRIX_FORMS.replace("start exclude: s1", "start: 0.2 0.3 0.5")
     m = parse_pomdp(base)
     np.testing.assert_allclose(m.initial_belief, [0.2, 0.3, 0.5])
+    # within the one stochasticity tolerance, as validate() allows, and read
+    # as 0, as the filter needs
+    base = MATRIX_FORMS.replace("start exclude: s1", "start: 0.5 0.5 -1e-10")
+    m = parse_pomdp(base)
+    np.testing.assert_allclose(m.initial_belief, [0.5, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("start", ["0.5 0.5 -1e-8", "0.2 0.3 0.500000002"])
+def test_start_vector_past_the_tolerance_exits_2(start, tmp_path, capsys):
+    path = tmp_path / "m.POMDP"
+    path.write_text(MATRIX_FORMS.replace("start exclude: s1", f"start: {start}"), encoding="utf-8")
+    assert cli.main(["plan", str(path)]) == 2
+    assert "start belief is not a probability vector" in capsys.readouterr().err
 
 
 ONE_STATE = (

@@ -19,7 +19,7 @@ import pytest
 from psrplan import cassandra
 from psrplan.cassandra import _MATRIX_WORDS, DEFAULT_REWARD_CAP, parse_pomdp
 from psrplan.errors import ParseError, PsrPlanError, ValidationError
-from psrplan.model import PomdpModel
+from psrplan.model import PomdpModel, check_rows
 
 from conftest import DATA
 
@@ -279,9 +279,9 @@ def reference_parse(text):
     initial_belief = cassandra._parse_start(
         start_stmt, cassandra._NameSpace("state", states), n
     )
-    cassandra._check_rows(transition.sum(axis=2), "transition", states, actions)
+    check_rows(transition.sum(axis=2), "transition", states, actions)
     transition /= transition.sum(axis=2, keepdims=True)
-    cassandra._check_rows(
+    check_rows(
         obs_kernel.sum(axis=2), "observation", states, actions, arriving=True
     )
     obs_kernel /= obs_kernel.sum(axis=2, keepdims=True)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,21 @@ def test_state_cap_below_one_exits_2_before_planning(tmp_path, capsys, monkeypat
     assert "argument --state-cap" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "r.json").exists()
+
+
+def test_compare_refuses_a_horizon_past_the_node_budget_at_once(tmp_path, capsys):
+    # at discount 0.999999 the default slack needs horizon 18,420,671: a
+    # one-node-per-level tree above the 10,000,000-node budget
+    coin = tmp_path / "coin.POMDP"
+    text = (DATA / "fair_coin.POMDP").read_text(encoding="utf-8")
+    coin.write_text(text.replace("discount: 0.9", "discount: 0.999999"), encoding="utf-8")
+    report = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    code, _, err = run_cli(["compare", coin, "--json-out", report], capsys)
+    assert time.perf_counter() - t0 < 20.0
+    assert code == 3
+    assert "horizon 18420671 would have expanded more than 10000000 nodes" in err
+    assert not report.exists()
 
 
 def test_nonpositive_oracle_slack_exits_2(tmp_path, capsys, monkeypatch):

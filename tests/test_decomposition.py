@@ -130,7 +130,7 @@ def test_near_low_rank_models_get_a_basis_the_guard_accepts():
             m = near_low_rank(seed, eta)
             dec = discover_basis(m)
             assert np.linalg.cond(dec.M) <= 1.0 / RANK_TOL
-            plannermod.precompute_dynamics(m, improve_to_spanner(m, dec))
+            plannermod.precompute_dynamics(m, improve_to_spanner(dec))
 
 
 @pytest.mark.parametrize(
@@ -213,7 +213,7 @@ def test_state_coefficients_use_the_condition_guard():
 def test_spanner_keeps_full_basis_fixed():
     m = fully_observable_chain()
     dec = discover_basis(m)
-    span = improve_to_spanner(m, dec)
+    span = improve_to_spanner(dec)
     assert span.swap_count == 0
     assert span.decomposition.basis_states == dec.basis_states
     np.testing.assert_array_equal(span.decomposition.M, dec.M)
@@ -229,7 +229,7 @@ def test_near_duplicate_basis_gets_swapped_out():
         core_tests=found.core_tests,
         state_test_matrix=U,
     )
-    span = improve_to_spanner(m, dec)
+    span = improve_to_spanner(dec)
     assert span.swap_count >= 1
     ledger = span.det_log_ledger
     diffs = np.diff(ledger)
@@ -249,7 +249,7 @@ def test_near_duplicate_basis_gets_swapped_out():
 )
 def test_sparse_bases_get_their_full_rank(model):
     # the sparse lift6 and lift7 bases of pipebench's plan-lifted workload
-    span = improve_to_spanner(model, discover_basis(model))
+    span = improve_to_spanner(discover_basis(model))
     assert span.decomposition.rank == stabilized_rank(model, max_len=5)
     assert np.max(np.abs(state_coefficients(span))) <= 2.0
 
@@ -261,7 +261,7 @@ def test_spanner_coefficients_bounded_everywhere():
         cloned_states(),
     ] + [random_pomdp(5, 2, 2, 2, seed=s) for s in range(5)]
     for m in models:
-        span = improve_to_spanner(m, discover_basis(m))
+        span = improve_to_spanner(discover_basis(m))
         coeffs = state_coefficients(span)
         assert np.max(np.abs(coeffs)) <= 2.0 + 1e-6
         # per-state audit through the public solver
@@ -274,7 +274,7 @@ def test_spanner_coefficients_bounded_everywhere():
 
 def test_spanner_covers_random_beliefs():
     m = random_pomdp(5, 2, 2, 2, seed=77)
-    span = improve_to_spanner(m, discover_basis(m))
+    span = improve_to_spanner(discover_basis(m))
     dec = span.decomposition
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -288,7 +288,7 @@ def test_spanner_covers_random_beliefs():
 
 
 def test_json_dump_shape(tiger):
-    span = improve_to_spanner(tiger, discover_basis(tiger))
+    span = improve_to_spanner(discover_basis(tiger))
     d = to_json_dict(span)
     assert d["rank"] == 2
     assert d["basisStates"] == span.decomposition.basis_states

@@ -181,6 +181,28 @@ def test_trajectory_follows_a_planned_policy(tiger):
         assert a == psrplan.act(result, b)[0]
 
 
+@pytest.mark.parametrize(
+    "shift", [[5e-10, 0.0, 0.0], [5e-10, 0.0, -5e-10]], ids=["sum-over-1", "tiny-negative"]
+)
+def test_a_validated_initial_belief_runs_a_trajectory(shift):
+    # validate and check_belief accept the same probability vectors
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    m.initial_belief = np.array([0.6, 0.4, 0.0]) + shift
+    m.validate()
+    out = sample_trajectory(m, m.initial_belief, always(1), 10, rng_seed=4)
+    assert len(out) == 10
+
+
+@pytest.mark.parametrize("belief", [[0.6, 0.4 + 2e-9, 0.0], [0.6 + 2e-9, 0.4, -2e-9]])
+def test_beliefs_past_the_tolerance_are_refused_alike(belief):
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    m.initial_belief = np.array(belief)
+    with pytest.raises(ValidationError, match="initial belief is not a probability vector"):
+        m.validate()
+    with pytest.raises(ValidationError, match="belief is not a probability vector"):
+        sample_trajectory(m, m.initial_belief, always(1), 10, rng_seed=4)
+
+
 def test_expected_reward_matrix_matches_enumeration():
     m = random_pomdp(3, 2, 2, 2, seed=5)
     got = expected_reward_matrix(m)

@@ -235,12 +235,29 @@ def test_node_budget_enforced(tiger, monkeypatch):
 
 
 def test_horizon_for_slack_is_minimal():
-    for g in (0.3, 0.75, 0.9):
-        for slack in (1e-1, 1e-2, 1e-3):
+    for g in (0.3, 0.75, 0.9, 0.999999, 1 - 1e-9):
+        for slack in (1e-300, 1e-1, 1e-2, 1e-3, 1e300):
             H = horizon_for_slack(g, slack)
             assert truncation_slack(g, H) <= slack
             if H > 0:
                 assert truncation_slack(g, H - 1) > slack
+
+
+def test_a_horizon_past_the_node_budget_is_refused_before_filtering(tiger, monkeypatch):
+    # every level holds at least one node, so horizon + 1 nodes is a floor
+    calls = []
+    real = oraclemod.belief_update_state_major
+    monkeypatch.setattr(
+        oraclemod, "belief_update_state_major", lambda *a: calls.append(1) or real(*a)
+    )
+    monkeypatch.setattr(oraclemod, "NODE_BUDGET", 5)
+    with pytest.raises(OracleBudgetError, match="would have expanded more than 5 nodes"):
+        search(tiger, tiger.initial_belief, 5)
+    assert calls == []
+    # one level fewer fits the floor: the search filters, then runs out
+    with pytest.raises(OracleBudgetError, match="expectimax expanded more than 5 nodes"):
+        search(tiger, tiger.initial_belief, 4)
+    assert calls
 
 
 @pytest.mark.parametrize("slack", [0.0, -1e-3, -math.inf, math.inf, math.nan])

@@ -27,7 +27,7 @@ from reference import from_pomdp, fully_observable_chain, sequence_probability
 
 
 def make_spanner(model):
-    return improve_to_spanner(model, discover_basis(model))
+    return improve_to_spanner(discover_basis(model))
 
 
 def test_fair_coin_dynamics(fair_coin):
@@ -443,6 +443,20 @@ def test_plan_metadata_keeps_the_diagnostics_as_planned():
         policy(result, beliefs)
         assert result.grid.diagnostics["actFallbacks"] > 0
         assert result.metadata["diagnostics"] == planned_diagnostics
+
+
+def test_plan_metadata_times_each_stage_once():
+    model = load_pomdp(DATA / "tiger.POMDP")
+    stages = {
+        "discoverBasis", "improveToSpanner", "precomputeDynamics", "buildGrid", "solve",
+    }
+    for result, names in (
+        (plan(model, epsilon=0.3), stages),
+        (plan_baseline(model, delta=0.25), {"buildGrid", "solve"}),
+    ):
+        seconds = result.metadata["stageSeconds"]
+        assert set(seconds) == names
+        assert all(isinstance(t, float) and t >= 0.0 for t in seconds.values())
 
 
 def test_same_grid_cell_implies_close_coefficients():
