@@ -385,7 +385,6 @@ def _parse_start(st, sn, n):
     vals = _floats(tokens, n, st.line, "start belief")
     if not is_distribution(vals):
         raise ParseError("start belief is not a probability vector", st.line)
-    vals[vals < 0.0] = 0.0  # float noise down to -1e-9, which the filter would refuse
     return vals / vals.sum()
 
 

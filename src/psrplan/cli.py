@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -237,7 +236,7 @@ def _oracle_blocks(model, oracle_slack, sides):
     to the optimum, and whether that gap is within ``bound`` plus twice the
     horizon's truncation slack."""
     horizon = oraclemod.horizon_for_slack(model.discount, oracle_slack)
-    v_opt, a_opt, values = oraclemod.search(
+    v_opt, a_opt, values, _ = oraclemod.search(
         model, model.initial_belief, horizon, [policy for policy, _ in sides]
     )
     slack = oraclemod.truncation_slack(model.discount, horizon)
@@ -269,24 +268,21 @@ def _plan_side(model, args, side, target):
     the bound that policy's oracle gap is held to.
     """
     gamma = model.discount
-    t0 = time.perf_counter()
+    wall = {}
     if side == "planner":
-        result = plannermod.plan(
-            model,
-            epsilon=target,
-            vi_tol=args.vi_tol,
-            mode=args.grid_mode,
-            state_cap=args.state_cap,
+        result = gridmod.timed(
+            wall, "total", plannermod.plan, model, epsilon=target, vi_tol=args.vi_tol,
+            mode=args.grid_mode, state_cap=args.state_cap,
         )
         policy = lambda b: plannermod.act(result, b)
         bound = target / (1.0 - gamma) ** 4
     else:
-        result = baselinemod.plan_baseline(
-            model, delta=target, vi_tol=args.vi_tol, state_cap=args.state_cap
+        result = gridmod.timed(
+            wall, "total", baselinemod.plan_baseline, model, delta=target,
+            vi_tol=args.vi_tol, state_cap=args.state_cap,
         )
         policy = lambda b: baselinemod.act_baseline(result, b)
         bound = 2.0 * target / (1.0 - gamma) ** 3
-    wall = time.perf_counter() - t0
     grid = result.grid
     block = {
         "grid": {
@@ -302,7 +298,7 @@ def _plan_side(model, args, side, target):
             "upperBound": result.metadata["upperBound"],
         },
         "valueAtInitialBelief": float(result.values[grid.initial_state]),
-        "stageSeconds": dict(result.metadata["stageSeconds"], total=wall),
+        "stageSeconds": dict(result.metadata["stageSeconds"], **wall),
     }
     if side == "planner":
         block["epsilon"] = target
@@ -370,19 +366,19 @@ def cmd_plan(args):
         rows = []
         # on the main plan's basis and step operators: neither depends on epsilon
         for eps in args.sweep:
-            t0 = time.perf_counter()
-            grid = plannermod.build_grid(
-                model, result.spanner, result.dynamics, eps,
-                mode=args.grid_mode, state_cap=args.state_cap,
+            wall = {}
+            grid = gridmod.timed(
+                wall, "grid", plannermod.build_grid, model, result.spanner, result.dynamics,
+                eps, mode=args.grid_mode, state_cap=args.state_cap,
             )
-            solved = gridmod.solve(grid, args.vi_tol)
+            solved = gridmod.timed(wall, "solve", gridmod.solve, grid, args.vi_tol)
             rows.append(
                 {
                     "epsilon": eps,
                     "mesh": grid.mesh,
                     "gridStates": grid.n_states,
                     "value": float(solved.values[grid.initial_state]),
-                    "seconds": time.perf_counter() - t0,
+                    "seconds": wall["grid"] + wall["solve"],
                 }
             )
         report["sweep"] = rows

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 
 STOCHASTIC_TOL = 1e-9  # slack on every probability's sign and every row's sum
-DRIFT_TOL = 1e-12
+DRIFT_TOL = 1e-12  # a posterior whose sum misses 1 by more is divided by it again
 
 
 class Signal(NamedTuple):
@@ -90,7 +90,8 @@ class PomdpModel:
         ]
 
     def validate(self) -> None:
-        """Raise ValidationError on any violated structural invariant."""
+        """Raise ValidationError on any violated structural invariant, then
+        read each accepted entry below 0 as 0 (``_zero_negatives``)."""
         tol = STOCHASTIC_TOL
         n, na, nz = self.n, self.n_actions, self.n_signals
         if self.transition.shape != (n, na, n):
@@ -117,10 +118,9 @@ class PomdpModel:
             raise ValidationError("reward values must lie in [0, 1] after normalization")
         if not (0.0 < self.discount < 1.0):
             raise ValidationError(f"discount {self.discount} not strictly inside (0, 1)")
-        if self.initial_belief.shape != (n,):
-            raise ValidationError("initial belief has wrong length")
-        if not is_distribution(self.initial_belief):
-            raise ValidationError("initial belief is not a probability vector")
+        self.initial_belief = check_belief(self.initial_belief, n, "initial belief")
+        self.transition = _zero_negatives(self.transition)
+        self.signal_kernel = _zero_negatives(self.signal_kernel)
 
 
 def check_rows(sums, kind, states, actions, arriving=False):
@@ -142,18 +142,38 @@ def is_distribution(v: np.ndarray) -> bool:
     return not np.any(v < -STOCHASTIC_TOL) and abs(v.sum() - 1.0) <= STOCHASTIC_TOL
 
 
-def check_belief(b: np.ndarray, n: int) -> np.ndarray:
+def _zero_negatives(v: np.ndarray) -> np.ndarray:
+    """v with its entries below 0 as 0, re-divided by its sums along the last
+    axis; v itself, every bit, when it holds none (-0.0 is not below 0)."""
+    if not (v < 0.0).any():
+        return v
+    v = np.where(v < 0.0, 0.0, v)
+    return v / v.sum(axis=-1, keepdims=True)
+
+
+def check_belief(b: np.ndarray, n: int, what: str = "belief") -> np.ndarray:
+    """b as a length-n probability vector, read through ``_zero_negatives``."""
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n,):
-        raise ValidationError(f"belief has length {b.shape}, expected ({n},)")
+        raise ValidationError(f"{what} has length {b.shape}, expected ({n},)")
     if not is_distribution(b):
-        raise ValidationError("belief is not a probability vector")
-    return b
+        raise ValidationError(f"{what} is not a probability vector")
+    return _zero_negatives(b)
+
+
+def check_actions(actions, n_actions: int) -> np.ndarray:
+    """actions as int64, refused unless every one lies in [0, n_actions)."""
+    actions = np.asarray(actions, dtype=np.int64)
+    # as uint64 a negative action is above 2**63, so one maximum checks both ends
+    if actions.view(np.uint64).max(initial=0) >= n_actions:
+        bad = actions[(actions < 0) | (actions >= n_actions)][0]
+        raise ValidationError(f"action {bad} outside [0, {n_actions})")
+    return actions
 
 
 def _clean_probabilities(v: np.ndarray) -> np.ndarray:
-    """Clamp tiny negatives to 0; genuinely negative entries are an error."""
-    if v.min(initial=0.0) < -DRIFT_TOL:
+    """v with entries in [-STOCHASTIC_TOL, 0], -0.0 included, as +0.0; lower is refused."""
+    if v.min(initial=0.0) < -STOCHASTIC_TOL:
         raise ValidationError(f"probability went negative: {v.min():.3e}")
     return np.maximum(v, 0.0)
 
@@ -267,11 +287,10 @@ def sample_trajectory(
     """
     rng = np.random.default_rng(rng_seed)
     belief = check_belief(b, model.n)
-    # an entry in [-STOCHASTIC_TOL, 0) is drawn as 0, which rng.choice requires
-    state = int(rng.choice(model.n, p=np.maximum(belief, 0.0)))
+    state = int(rng.choice(model.n, p=belief))
     out = []
     for _ in range(horizon):
-        a = int(policy(belief[None])[0])
+        a = int(check_actions(policy(belief[None]), model.n_actions)[0])
         state = int(rng.choice(model.n, p=model.transition[state, a]))
         z = int(rng.choice(model.n_signals, p=model.signal_kernel[state, a]))
         sig = model.signal_from_index(z)

@@ -39,6 +39,7 @@ from .grid import number_groups, sort_groups
 # reports a missing target, so the name stays importable from this module.
 from .model import belief_update  # noqa: F401
 from .model import PomdpModel, belief_update_state_major, expected_reward_matrix
+from .model import check_actions, check_belief
 
 MEMO_PRECISION = 1e-9
 DEFAULT_SLACK = 1e-2  # the CLI's default truncation slack
@@ -130,13 +131,7 @@ class _Tree:
 
     def _ask(self, policy, beliefs):
         """The policy's k actions at a (k, n) stack of beliefs, checked."""
-        actions = np.asarray(policy(beliefs), dtype=np.int64).reshape(len(beliefs))
-        na = self.model.n_actions
-        # as uint64 a negative action is above 2**63, so one maximum checks both ends
-        if actions.view(np.uint64).max(initial=0) >= na:
-            bad = actions[(actions < 0) | (actions >= na)][0]
-            raise ValidationError(f"action {bad} outside [0, {na})")
-        return actions
+        return check_actions(np.reshape(policy(beliefs), len(beliefs)), self.model.n_actions)
 
     def _expand(self, beliefs):
         """Successors of one level: (p, succ, post, first) with p and succ
@@ -175,7 +170,7 @@ class _Tree:
                 f"expectimax to horizon {horizon} would have expanded more than "
                 f"{NODE_BUDGET} nodes; shrink the horizon or raise the slack"
             )
-        post = np.asarray(b, dtype=np.float64)[None]
+        post = b[None]
         first = np.zeros(1, dtype=np.int64)
         self._count(1)
         reached = [first] * len(policies)  # each policy's nodes on the level
@@ -222,16 +217,17 @@ def _backup(q, weight, succ, values):
 
 
 def search(model: PomdpModel, b, horizon: int, policies=()):
-    """(V_H*(b), optimal first action, [each policy's value]) on one tree.
+    """(V_H*(b), optimal first action, [each policy's value], the root's Q
+    over every action) on one tree, from b as ``check_belief`` reads it.
 
     Each of ``policies`` maps a (k, n) stack of beliefs to k actions; one
     outside [0, A) raises ValidationError.  A policy is asked once per level
     about the distinct nodes its actions reach, the root included, with the
     beliefs the tree holds for them.
     """
-    q, values = _Tree(model).run(b, horizon, policies)
+    q, values = _Tree(model).run(check_belief(b, model.n), horizon, policies)
     best = int(np.argmax(q))
-    return float(q[best]), best, values
+    return float(q[best]), best, values, q
 
 
 def exact_value(model: PomdpModel, b, horizon: int):
@@ -241,9 +237,8 @@ def exact_value(model: PomdpModel, b, horizon: int):
 
 def exact_q(model: PomdpModel, b, a: int, horizon: int):
     """Q_H*(b, a), read off the full tree: the first action fixed, then optimal play."""
-    if not 0 <= a < model.n_actions:
-        raise ValidationError(f"action {a} outside [0, {model.n_actions})")
-    return float(_Tree(model).run(b, horizon, ())[0][a])
+    a = check_actions(a, model.n_actions)
+    return float(search(model, b, horizon)[3][a])
 
 
 def evaluate_policy(model: PomdpModel, policy, b, horizon: int):

@@ -647,3 +647,37 @@ def test_the_cli_does_not_load_the_rank_audit(tmp_path):
         "from psrplan.automaton import stabilized_rank\n"
     )
     subprocess.run([sys.executable, "-I", "-c", code], cwd=tmp_path, check=True)
+
+
+NOISY_ROW = """\
+discount: 0.5
+values: reward
+states: 2
+actions: 2
+observations: 2
+start: 0.5 0.5
+T: 0 : 0
+1.0000000005 -0.0000000005
+T: 0 : 1
+1.0 0.0
+T: 1
+0.0 1.0
+1.0 0.0
+O: *
+0.8 0.2
+0.3 0.7
+R: 1 : * : * : * 1.0
+"""
+
+
+def test_a_row_validate_accepts_runs_every_command(tmp_path, capsys):
+    # -5e-10 is within the tolerance the parser and validate allow; the
+    # filter used to refuse it, and each command exited 2
+    model = tmp_path / "noisy.POMDP"
+    model.write_text(NOISY_ROW)
+    for command in ("plan", "baseline", "compare"):
+        argv = [command, model, "--json-out", tmp_path / f"{command}.json"]
+        if command != "compare":
+            argv += ["--oracle", "--policy-out", tmp_path / f"{command}.policy.json"]
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), command

@@ -144,7 +144,7 @@ def test_near_low_rank_plans_meet_the_accuracy_bound(seed, eta):
     m = near_low_rank(seed, eta, discount=0.4)
     result = plannermod.plan(m, epsilon=epsilon)
     horizon = oraclemod.horizon_for_slack(m.discount, 1e-2)
-    v_opt, _, (v_pol,) = oraclemod.search(
+    v_opt, _, (v_pol,), _ = oraclemod.search(
         m, m.initial_belief, horizon, [lambda b: plannermod.act(result, b)]
     )
     slack = oraclemod.truncation_slack(m.discount, horizon)

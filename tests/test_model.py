@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -181,16 +182,71 @@ def test_trajectory_follows_a_planned_policy(tiger):
         assert a == psrplan.act(result, b)[0]
 
 
-@pytest.mark.parametrize(
-    "shift", [[5e-10, 0.0, 0.0], [5e-10, 0.0, -5e-10]], ids=["sum-over-1", "tiny-negative"]
-)
-def test_a_validated_initial_belief_runs_a_trajectory(shift):
-    # validate and check_belief accept the same probability vectors
+def shifted_belief(shift):
+    """random_pomdp(3, 2, 2, 2, seed=0) starting from [0.6, 0.4, 0.0] + shift."""
     m = random_pomdp(3, 2, 2, 2, seed=0)
     m.initial_belief = np.array([0.6, 0.4, 0.0]) + shift
+    return m
+
+
+def noisy_chain(**entries):
+    """fully_observable_chain with its arrays' rows replaced: name -> (index, row)."""
+    m = fully_observable_chain()
+    for name, (index, row) in entries.items():
+        getattr(m, name)[index] = row
+    return m
+
+
+def perturbed(seed):
+    """random_pomdp(3, 2, 2, 2, seed) with one random row each of the
+    transition, the signal kernel and the initial belief moved within
+    STOCHASTIC_TOL: one entry's mass goes to another, then the first is
+    -u * STOCHASTIC_TOL and the second gains v * STOCHASTIC_TOL, for u and
+    v uniform in [0, 1), so the row's sum moves by less than the tolerance."""
+    m = random_pomdp(3, 2, 2, 2, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in ("transition", "signal_kernel", "initial_belief"):
+        table = getattr(m, name)
+        rows = table.reshape(-1, table.shape[-1])  # a view
+        row = rows[rng.integers(len(rows))]
+        i, j = rng.choice(row.size, size=2, replace=False)
+        row[j] += row[i]
+        u, v = rng.random(2) * modelmod.STOCHASTIC_TOL
+        row[i] = -u
+        row[j] += v
+    return m
+
+
+VALIDATED = {
+    "sum-over-1": lambda: shifted_belief([5e-10, 0.0, 0.0]),
+    "tiny-negative": lambda: shifted_belief([5e-10, 0.0, -5e-10]),
+    "chain-belief": lambda: noisy_chain(initial_belief=(slice(None), [1 + 5e-10, -5e-10])),
+    "chain-kernel": lambda: noisy_chain(signal_kernel=((0, 0), [1 + 5e-10, -5e-10, 0, 0])),
+    **{f"perturbed-{seed}": functools.partial(perturbed, seed) for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize("make", VALIDATED.values(), ids=VALIDATED)
+def test_a_validated_initial_belief_runs_a_trajectory(make):
+    # validate and check_belief accept the same probability vectors, and
+    # every stage runs what validate accepts: it leaves no entry below 0
+    m = make()
     m.validate()
+    for name in ("transition", "signal_kernel", "initial_belief"):
+        assert (getattr(m, name) >= 0.0).all(), name
+    psrplan.plan(m, epsilon=0.5)
+    psrplan.plan_baseline(m, delta=0.25)
+    psrplan.oracle.search(m, m.initial_belief, 3)
     out = sample_trajectory(m, m.initial_belief, always(1), 10, rng_seed=4)
     assert len(out) == 10
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_trajectory_refuses_an_action_outside_the_model(bad):
+    # -1 used to run the last action and record -1, and A died in an IndexError
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    with pytest.raises(ValidationError, match=rf"action {bad} outside \[0, 2\)"):
+        sample_trajectory(m, m.initial_belief, always(bad), 5, rng_seed=4)
 
 
 @pytest.mark.parametrize("belief", [[0.6, 0.4 + 2e-9, 0.0], [0.6 + 2e-9, 0.4, -2e-9]])

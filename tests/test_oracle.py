@@ -109,6 +109,25 @@ def test_policy_action_outside_the_model_is_rejected(bad, horizon, where):
         evaluate_policy(m, policy, root, horizon)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_exact_q_refuses_an_action_outside_the_model(tiger, bad):
+    with pytest.raises(ValidationError, match=rf"action {bad} outside \[0, 3\)"):
+        exact_q(tiger, tiger.initial_belief, bad, 3)
+
+
+@pytest.mark.parametrize(
+    "belief, message",
+    [([0.5, 0.3, 0.2], r"belief has length \(3,\), expected \(2,\)"),
+     ([0.5, 0.4], "belief is not a probability vector")],
+    ids=["wrong-length", "sums-to-0.9"],
+)
+def test_search_refuses_a_belief_validate_would(tiger, belief, message):
+    # the search used to value a belief summing to 0.9, and a wrong length
+    # died in numpy's matvec
+    with pytest.raises(ValidationError, match=message):
+        search(tiger, np.array(belief), 3)
+
+
 def test_value_is_max_of_q(tiger):
     b = np.array([0.3, 0.7])
     H = 6
@@ -140,7 +159,7 @@ def test_optimum_bounds_every_policy_exactly():
             lambda x: baselinemod.act_baseline(base, x),
             lambda x: np.argmax(x, axis=1) % model.n_actions,
         ]
-        v_opt, a_opt, values = search(model, b, horizon, policies)
+        v_opt, a_opt, values, _ = search(model, b, horizon, policies)
         assert (v_opt, a_opt) == exact_value(model, b, horizon)
         for policy, v_pol in zip(policies, values):
             assert v_opt >= v_pol
@@ -221,9 +240,9 @@ def test_block_size_does_not_change_values(monkeypatch):
         runs = []
         for block in (oraclemod.BLOCK_NODES, 1, 7):
             monkeypatch.setattr(oraclemod, "BLOCK_NODES", block)
-            runs.append(oraclemod._Tree(model).run(model.initial_belief, horizon, policies))
-        (q, values), *others = runs
-        for other_q, other_values in others:
+            runs.append(search(model, model.initial_belief, horizon, policies)[2:])
+        (values, q), *others = runs
+        for other_values, other_q in others:
             np.testing.assert_array_equal(other_q, q)
             assert other_values == values
 
