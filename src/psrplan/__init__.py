@@ -17,7 +17,6 @@ from .baseline import (
 from .cassandra import load_pomdp, parse_pomdp
 from .decomposition import (
     CoreDecomposition,
-    SpannerBasis,
     discover_basis,
     improve_to_spanner,
     solve_coefficients,
@@ -68,7 +67,6 @@ __all__ = [
     "load_pomdp",
     "parse_pomdp",
     "CoreDecomposition",
-    "SpannerBasis",
     "discover_basis",
     "improve_to_spanner",
     "solve_coefficients",

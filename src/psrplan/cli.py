@@ -302,7 +302,7 @@ def _plan_side(model, args, side, target):
     }
     if side == "planner":
         block["epsilon"] = target
-        block["rank"] = result.spanner.decomposition.rank
+        block["rank"] = result.spanner.rank
         block["basis"] = decompmod.to_json_dict(result.spanner)
         block["grid"]["mode"] = result.metadata["gridMode"]
     else:

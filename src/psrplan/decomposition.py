@@ -27,10 +27,16 @@ MAX_SWAPS = 10_000
 
 @dataclass
 class CoreDecomposition:
+    """r basis states and r core tests.  ``improve_to_spanner`` returns a
+    copy with rows swapped and its ledger fields set; a basis never
+    improved keeps them empty and NaN, and ``build_grid`` refuses it."""
+
     basis_states: list  # r hidden-state indices
     core_tests: list  # r tests; core_tests[0] is the empty test
     state_test_matrix: np.ndarray  # all n states against the core tests
     extensions: np.ndarray = None  # [s, σ, j]: P(σ∘t_j | s), σ in symbol order
+    det_log_ledger: list = field(default_factory=list)  # log|det M| at start, after each swap
+    max_coefficient: float = np.nan  # max |C| once improved, at most SPANNER_BOUND
     condition_ratio: float = field(init=False)  # σ_max / σ_min of M
 
     def __post_init__(self):
@@ -51,16 +57,10 @@ class CoreDecomposition:
         """The one rank criterion: σ_max / σ_min of M at most 1 / RANK_TOL."""
         return self.condition_ratio <= 1.0 / RANK_TOL
 
-
-@dataclass
-class SpannerBasis:
-    decomposition: CoreDecomposition
-    det_log_ledger: list  # log|det M| after start and after each swap
-    max_coefficient: float = np.nan  # final max |C|, set by improve_to_spanner
-
     @property
-    def swap_count(self):
-        return len(self.det_log_ledger) - 1
+    def swap_count(self) -> int:
+        """Basis rows ``improve_to_spanner`` swapped; 0 if never improved."""
+        return max(len(self.det_log_ledger) - 1, 0)
 
 
 def discover_basis(model: PomdpModel) -> CoreDecomposition:
@@ -116,8 +116,10 @@ def solve_coefficients(decomp: CoreDecomposition, target: np.ndarray) -> np.ndar
     return np.linalg.solve(decomp.M.T, rows.T).T.reshape(target.shape)
 
 
-def improve_to_spanner(decomp: CoreDecomposition) -> SpannerBasis:
-    """Swap basis rows until every state's coefficients C are at most 2.
+def improve_to_spanner(decomp: CoreDecomposition) -> CoreDecomposition:
+    """A copy of the basis with rows swapped until every state's
+    coefficients C are at most 2, its ledger fields set, as ``build_grid``
+    requires.
 
     C = U M⁻¹ comes from ``solve_coefficients`` and its condition guard.
     While max |C| > SPANNER_BOUND, state x replaces basis row i at the
@@ -142,12 +144,11 @@ def improve_to_spanner(decomp: CoreDecomposition) -> SpannerBasis:
         basis[i] = int(x)
         dec = replace(dec, basis_states=list(basis))
         ledger.append(np.linalg.slogdet(dec.M)[1])
-    return SpannerBasis(decomposition=dec, det_log_ledger=ledger, max_coefficient=float(C[x, i]))
+    return replace(dec, det_log_ledger=ledger, max_coefficient=float(C[x, i]))
 
 
-def to_json_dict(spanner: SpannerBasis) -> dict:
-    """JSON form of a SpannerBasis for diagnostics."""
-    dec = spanner.decomposition
+def to_json_dict(dec: CoreDecomposition) -> dict:
+    """JSON form of an improved basis for diagnostics."""
     return {
         "basisStates": list(dec.basis_states),
         "coreTests": [[[a, *signal] for a, signal in t] for t in dec.core_tests],
@@ -155,7 +156,7 @@ def to_json_dict(spanner: SpannerBasis) -> dict:
         "rank": dec.rank,
         "conditionRatio": dec.condition_ratio,
         "spannerBound": SPANNER_BOUND,
-        "maxCoefficient": spanner.max_coefficient,
-        "detLogLedger": list(spanner.det_log_ledger),
-        "swapCount": spanner.swap_count,
+        "maxCoefficient": dec.max_coefficient,
+        "detLogLedger": list(dec.det_log_ledger),
+        "swapCount": dec.swap_count,
     }

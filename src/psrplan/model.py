@@ -78,6 +78,11 @@ class PomdpModel:
     def signal_from_index(self, z: int) -> Signal:
         return Signal(z // self.n_rewards, z % self.n_rewards)
 
+    @property
+    def signal_rewards(self) -> np.ndarray:
+        """[z] the normalized reward value signal z carries."""
+        return np.tile(self.reward_values, self.n_observations)
+
     def symbol_matrices(self) -> list:
         """One (n, n) matrix per test step (a, z), in symbol order a * Z + z:
         entry [i, j] is P(j | i, a) * P(z | j, a).  Times a table u of
@@ -162,13 +167,33 @@ def check_belief(b: np.ndarray, n: int, what: str = "belief") -> np.ndarray:
 
 
 def check_actions(actions, n_actions: int) -> np.ndarray:
-    """actions as int64, refused unless every one lies in [0, n_actions)."""
-    actions = np.asarray(actions, dtype=np.int64)
+    """actions as int64, refused unless every one is a whole number in
+    [0, n_actions): a value the int64 cast would change (1.7, NaN, inf)
+    is refused, not truncated."""
+    actions = np.asarray(actions)
+    if actions.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):  # NaN and inf cast with a warning
+            cast = actions.astype(np.int64)
+        changed = cast != actions
+        if changed.any():
+            raise ValidationError(f"action {actions[changed][0]} is not a whole number")
+        actions = cast
+    actions = actions.astype(np.int64, copy=False)
     # as uint64 a negative action is above 2**63, so one maximum checks both ends
     if actions.view(np.uint64).max(initial=0) >= n_actions:
         bad = actions[(actions < 0) | (actions >= n_actions)][0]
         raise ValidationError(f"action {bad} outside [0, {n_actions})")
     return actions
+
+
+def ask_policy(policy, beliefs: np.ndarray, n_actions: int) -> np.ndarray:
+    """The policy's k actions at a (k, n) stack of beliefs, checked by
+    ``check_actions``: a result of any shape but size k is refused."""
+    k = len(beliefs)
+    actions = np.asarray(policy(beliefs))
+    if actions.size != k:
+        raise ValidationError(f"policy returned {actions.size} action(s) for {k} belief(s)")
+    return check_actions(actions.reshape(k), n_actions)
 
 
 def _clean_probabilities(v: np.ndarray) -> np.ndarray:
@@ -262,12 +287,7 @@ def belief_update_state_major(model: PomdpModel, beliefs: np.ndarray):
 
 def expected_reward_matrix(model: PomdpModel) -> np.ndarray:
     """[s, a] expected one-step normalized reward from hidden state s."""
-    rv = model.reward_values
-    per_arrival = np.einsum(
-        "saz,z->sa",
-        model.signal_kernel,
-        np.tile(rv, model.n_observations),
-    )
+    per_arrival = np.einsum("saz,z->sa", model.signal_kernel, model.signal_rewards)
     return np.einsum("saj,ja->sa", model.transition, per_arrival)
 
 
@@ -290,7 +310,7 @@ def sample_trajectory(
     state = int(rng.choice(model.n, p=belief))
     out = []
     for _ in range(horizon):
-        a = int(check_actions(policy(belief[None]), model.n_actions)[0])
+        a = int(ask_policy(policy, belief[None], model.n_actions)[0])
         state = int(rng.choice(model.n, p=model.transition[state, a]))
         z = int(rng.choice(model.n_signals, p=model.signal_kernel[state, a]))
         sig = model.signal_from_index(z)

@@ -39,7 +39,7 @@ from .grid import number_groups, sort_groups
 # reports a missing target, so the name stays importable from this module.
 from .model import belief_update  # noqa: F401
 from .model import PomdpModel, belief_update_state_major, expected_reward_matrix
-from .model import check_actions, check_belief
+from .model import ask_policy, check_actions, check_belief
 
 MEMO_PRECISION = 1e-9
 DEFAULT_SLACK = 1e-2  # the CLI's default truncation slack
@@ -129,10 +129,6 @@ class _Tree:
     def _key(self, post):
         return np.round(post / MEMO_PRECISION).astype(np.int64)
 
-    def _ask(self, policy, beliefs):
-        """The policy's k actions at a (k, n) stack of beliefs, checked."""
-        return check_actions(np.reshape(policy(beliefs), len(beliefs)), self.model.n_actions)
-
     def _expand(self, beliefs):
         """Successors of one level: (p, succ, post, first) with p and succ
         shaped (k, A, Z), succ = -1 where p <= 0, ``post`` a row per kept
@@ -174,10 +170,11 @@ class _Tree:
         first = np.zeros(1, dtype=np.int64)
         self._count(1)
         reached = [first] * len(policies)  # each policy's nodes on the level
+        na = self.model.n_actions
         levels = []
         for _ in range(horizon):
             beliefs, post = post[first], None  # free the rows before filtering
-            chosen = [self._ask(f, beliefs[ids]) for f, ids in zip(policies, reached)]
+            chosen = [ask_policy(f, beliefs[ids], na) for f, ids in zip(policies, reached)]
             p, succ, post, first = self._expand(beliefs)
             levels.append((self._rewards(beliefs), p, succ, reached, chosen))
             # the next level's nodes each policy reaches, in id order
@@ -191,7 +188,7 @@ class _Tree:
         policy_values = []
         for f, ids in zip(policies, reached):
             v = np.zeros(first.size)
-            v[ids] = q[ids, self._ask(f, post[first[ids]])]
+            v[ids] = q[ids, ask_policy(f, post[first[ids]], na)]
             policy_values.append(v)
         del post
 

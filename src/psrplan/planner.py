@@ -15,7 +15,7 @@ import numpy as np
 from . import grid as gridmod
 from .decomposition import (
     SPANNER_BOUND,
-    SpannerBasis,
+    CoreDecomposition,
     discover_basis,
     improve_to_spanner,
     solve_coefficients,
@@ -41,7 +41,7 @@ class SignalDynamics:
     G: np.ndarray
 
 
-def precompute_dynamics(model: PomdpModel, spanner: SpannerBasis) -> SignalDynamics:
+def precompute_dynamics(model: PomdpModel, dec: CoreDecomposition) -> SignalDynamics:
     """One-step signal probabilities, test extensions, rewards and step
     operators per basis state.
 
@@ -50,13 +50,11 @@ def precompute_dynamics(model: PomdpModel, spanner: SpannerBasis) -> SignalDynam
     view.  G comes from ``solve_coefficients``, so it passes the one
     conditioning guard; in coefficient space an (a, z) step is then the
     fixed linear map alpha -> alpha G[a, z], rescaled by p."""
-    dec = spanner.decomposition
     na, nz, r = model.n_actions, model.n_signals, dec.rank
     ext = dec.extensions.reshape(model.n, na, nz, r)
     W = np.ascontiguousarray(ext[dec.basis_states].transpose(1, 2, 0, 3))
     v = np.ascontiguousarray(W[..., 0])  # extension of the empty test
-    signal_rewards = np.tile(model.reward_values, model.n_observations)
-    rho = np.einsum("azi,z->ai", v, signal_rewards)
+    rho = np.einsum("azi,z->ai", v, model.signal_rewards)
     G = np.ascontiguousarray(solve_coefficients(dec, W).transpose(2, 0, 1, 3).reshape(r, -1))
     return SignalDynamics(v=v, W=W, rho=rho, G=G)
 
@@ -101,9 +99,8 @@ def lattice_radius(mesh: float) -> int:
     return int(math.floor(SPANNER_BOUND / mesh + CELL_NUDGE))
 
 
-def belief_coefficients(spanner: SpannerBasis, b: np.ndarray) -> np.ndarray:
+def belief_coefficients(dec: CoreDecomposition, b: np.ndarray) -> np.ndarray:
     """Coefficients of an arbitrary belief in the spanner basis (clamped)."""
-    dec = spanner.decomposition
     target = np.asarray(b, dtype=np.float64) @ dec.state_test_matrix
     return np.clip(solve_coefficients(dec, target), -SPANNER_BOUND, SPANNER_BOUND)
 
@@ -116,7 +113,7 @@ def check_epsilon(epsilon: float):
 
 def build_grid(
     model: PomdpModel,
-    spanner: SpannerBasis,
+    dec: CoreDecomposition,
     dyn: SignalDynamics,
     epsilon: float,
     mode: str = "reachable",
@@ -124,15 +121,19 @@ def build_grid(
 ) -> gridmod.GridMdp:
     """Discretize the coefficient space with mesh epsilon / r.
 
-    "reachable" grows the closure from the initial belief's grid state;
-    "full" materializes every lattice point in [-2, 2]^r.
+    ``dec`` must come from ``improve_to_spanner``, whose max |C| <= 2 puts
+    every belief on the lattice over [-2, 2]^r.  "reachable" grows the
+    closure from the initial belief's grid state; "full" materializes every
+    lattice point in [-2, 2]^r.
     """
     check_epsilon(epsilon)
     if mode not in ("reachable", "full"):
         raise ValidationError(f"unknown grid mode '{mode}'")
-    mesh = epsilon / spanner.decomposition.rank
+    if not dec.max_coefficient <= SPANNER_BOUND:  # NaN: never improved
+        raise ValidationError(f"basis max |C| {dec.max_coefficient}: run improve_to_spanner first")
+    mesh = epsilon / dec.rank
     m_max = lattice_radius(mesh)
-    g0 = round_to_grid(belief_coefficients(spanner, model.initial_belief), mesh)
+    g0 = round_to_grid(belief_coefficients(dec, model.initial_belief), mesh)
     diagnostics = {
         "mode": mode,
         "mMax": m_max,
@@ -196,17 +197,17 @@ def plan(
     """Full pipeline: basis discovery, spanner, dynamics, grid, value iteration."""
     timings = {}
     dec = gridmod.timed(timings, "discoverBasis", discover_basis, model)
-    spanner = gridmod.timed(timings, "improveToSpanner", improve_to_spanner, dec)
-    dynamics = gridmod.timed(timings, "precomputeDynamics", precompute_dynamics, model, spanner)
+    dec = gridmod.timed(timings, "improveToSpanner", improve_to_spanner, dec)
+    dynamics = gridmod.timed(timings, "precomputeDynamics", precompute_dynamics, model, dec)
     grid = gridmod.timed(
-        timings, "buildGrid", build_grid, model, spanner, dynamics, epsilon,
+        timings, "buildGrid", build_grid, model, dec, dynamics, epsilon,
         mode=mode, state_cap=state_cap,
     )
     result = gridmod.finish_plan(
-        grid, vi_tol, timings, rank=spanner.decomposition.rank, epsilon=epsilon,
-        gridMode=mode, swapCount=spanner.swap_count,
+        grid, vi_tol, timings, rank=dec.rank, epsilon=epsilon,
+        gridMode=mode, swapCount=dec.swap_count,
     )
-    result.spanner, result.dynamics = spanner, dynamics
+    result.spanner, result.dynamics = dec, dynamics
     return result
 
 

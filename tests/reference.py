@@ -99,9 +99,8 @@ def enumerate_tests(model: PomdpModel, max_len: int):
     return tests
 
 
-def state_coefficients(spanner) -> np.ndarray:
-    """Expansion coefficients of every hidden state in the spanner basis."""
-    dec = spanner.decomposition
+def state_coefficients(dec) -> np.ndarray:
+    """Expansion coefficients of every hidden state in the basis."""
     return solve_coefficients(dec, dec.state_test_matrix)
 
 

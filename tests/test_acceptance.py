@@ -189,7 +189,7 @@ def test_a4_spanner_quality(capsys):
     flagged = []
     for model in models:
         spanner = improve_to_spanner(discover_basis(model))
-        r = spanner.decomposition.rank
+        r = spanner.rank
         coeffs = state_coefficients(spanner)
         worst_coeff = max(worst_coeff, float(np.max(np.abs(coeffs))))
         ledger = spanner.det_log_ledger
@@ -312,7 +312,7 @@ def test_a8_full_lattice_counts(capsys):
         model = load_pomdp(path)
         full = plannermod.plan(model, epsilon=eps, mode="full")
         reach = plannermod.plan(model, epsilon=eps, mode="reachable")
-        r = full.spanner.decomposition.rank
+        r = full.spanner.rank
         expected = (2 * math.floor(2 * r / eps) + 1) ** r
         full_set = {tuple(c) for c in full.grid.coords}
         reach_set = {tuple(c) for c in reach.grid.coords}

@@ -7,7 +7,6 @@ from psrplan.automaton import numerical_rank, stabilized_rank
 from psrplan.decomposition import (
     RANK_TOL,
     CoreDecomposition,
-    SpannerBasis,
     discover_basis,
     improve_to_spanner,
     solve_coefficients,
@@ -205,9 +204,8 @@ def test_state_coefficients_use_the_condition_guard():
         state_test_matrix=np.vstack([M, [[0.5, 0.1]]]),
     )
     assert dec.condition_ratio == pytest.approx(2.5e13, rel=1e-3)
-    span = SpannerBasis(decomposition=dec, det_log_ledger=[0.0])
     with pytest.raises(DegenerateBasisError, match="condition"):
-        state_coefficients(span)
+        state_coefficients(dec)
 
 
 def test_spanner_keeps_full_basis_fixed():
@@ -215,8 +213,25 @@ def test_spanner_keeps_full_basis_fixed():
     dec = discover_basis(m)
     span = improve_to_spanner(dec)
     assert span.swap_count == 0
-    assert span.decomposition.basis_states == dec.basis_states
-    np.testing.assert_array_equal(span.decomposition.M, dec.M)
+    assert span.basis_states == dec.basis_states
+    np.testing.assert_array_equal(span.M, dec.M)
+
+
+def test_improvement_returns_a_new_basis_with_its_ledger():
+    m = near_duplicate_states(eps=1e-3)
+    found = discover_basis(m)
+    dec = CoreDecomposition(
+        basis_states=[0, 1], core_tests=found.core_tests, state_test_matrix=found.state_test_matrix
+    )
+    # a basis never improved: empty ledger, no swaps, no coefficient bound
+    assert dec.det_log_ledger == [] and dec.swap_count == 0
+    assert np.isnan(dec.max_coefficient)
+    span = improve_to_spanner(dec)
+    assert isinstance(span, CoreDecomposition)
+    assert dec.basis_states == [0, 1] and dec.det_log_ledger == []
+    assert span.swap_count == len(span.det_log_ledger) - 1 >= 1
+    assert span.det_log_ledger[-1] == np.linalg.slogdet(span.M)[1]
+    assert span.max_coefficient == np.max(np.abs(state_coefficients(span))) <= 2.0
 
 
 def test_near_duplicate_basis_gets_swapped_out():
@@ -235,7 +250,7 @@ def test_near_duplicate_basis_gets_swapped_out():
     diffs = np.diff(ledger)
     assert np.all(diffs >= np.log(2.0) - 1e-9)
     # the well-separated state s2 must enter the basis
-    assert 2 in span.decomposition.basis_states
+    assert 2 in span.basis_states
     assert np.max(np.abs(state_coefficients(span))) <= 2.0 + 1e-6
 
 
@@ -250,7 +265,7 @@ def test_near_duplicate_basis_gets_swapped_out():
 def test_sparse_bases_get_their_full_rank(model):
     # the sparse lift6 and lift7 bases of pipebench's plan-lifted workload
     span = improve_to_spanner(discover_basis(model))
-    assert span.decomposition.rank == stabilized_rank(model, max_len=5)
+    assert span.rank == stabilized_rank(model, max_len=5)
     assert np.max(np.abs(state_coefficients(span))) <= 2.0
 
 
@@ -266,16 +281,15 @@ def test_spanner_coefficients_bounded_everywhere():
         assert np.max(np.abs(coeffs)) <= 2.0 + 1e-6
         # per-state audit through the public solver
         for s in range(m.n):
-            target = span.decomposition.state_test_matrix[s]
-            alpha = solve_coefficients(span.decomposition, target)
-            assert residual(span.decomposition, alpha, target) <= 1e-8
+            target = span.state_test_matrix[s]
+            alpha = solve_coefficients(span, target)
+            assert residual(span, alpha, target) <= 1e-8
             assert np.max(np.abs(alpha)) <= 2.0 + 1e-6
 
 
 def test_spanner_covers_random_beliefs():
     m = random_pomdp(5, 2, 2, 2, seed=77)
-    span = improve_to_spanner(discover_basis(m))
-    dec = span.decomposition
+    dec = improve_to_spanner(discover_basis(m))
     rng = np.random.default_rng(0)
     for _ in range(100):
         b = rng.dirichlet([1.0] * m.n)
@@ -291,10 +305,10 @@ def test_json_dump_shape(tiger):
     span = improve_to_spanner(discover_basis(tiger))
     d = to_json_dict(span)
     assert d["rank"] == 2
-    assert d["basisStates"] == span.decomposition.basis_states
+    assert d["basisStates"] == span.basis_states
     assert d["coreTests"][0] == []
     assert len(d["detLogLedger"]) == span.swap_count + 1
     assert d["spannerBound"] == 2.0
     coeffs = np.abs(state_coefficients(span))
     assert d["maxCoefficient"] == np.max(coeffs) <= 2.0
-    assert d["conditionRatio"] == span.decomposition.condition_ratio >= 1.0
+    assert d["conditionRatio"] == span.condition_ratio >= 1.0

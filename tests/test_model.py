@@ -249,6 +249,30 @@ def test_trajectory_refuses_an_action_outside_the_model(bad):
         sample_trajectory(m, m.initial_belief, always(bad), 5, rng_seed=4)
 
 
+@pytest.mark.parametrize("bad", [1.7, np.nan, np.inf, -np.inf])
+def test_trajectory_refuses_an_action_that_is_not_a_whole_number(bad):
+    # 1.7 used to run action 1 without a word; NaN and inf warned in the
+    # int64 cast, and NaN was then reported as action -2**63
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    with pytest.raises(ValidationError, match=rf"action {bad} is not a whole number"):
+        sample_trajectory(m, m.initial_belief, always(bad), 5, rng_seed=4)
+
+
+@pytest.mark.parametrize("result", [1, [[1]], np.ones((1, 1))], ids=["int", "nested", "float"])
+def test_trajectory_reads_any_shape_of_one_action(result):
+    # as the oracle does; a scalar used to die in an IndexError
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    want = sample_trajectory(m, m.initial_belief, always(1), 5, rng_seed=4)
+    assert sample_trajectory(m, m.initial_belief, lambda beliefs: result, 5, rng_seed=4) == want
+
+
+def test_trajectory_refuses_two_actions_for_one_belief():
+    # the first of them used to run without a word
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    with pytest.raises(ValidationError, match=r"policy returned 2 action\(s\) for 1 belief"):
+        sample_trajectory(m, m.initial_belief, lambda beliefs: np.array([0, 1]), 5, rng_seed=4)
+
+
 @pytest.mark.parametrize("belief", [[0.6, 0.4 + 2e-9, 0.0], [0.6 + 2e-9, 0.4, -2e-9]])
 def test_beliefs_past_the_tolerance_are_refused_alike(belief):
     m = random_pomdp(3, 2, 2, 2, seed=0)

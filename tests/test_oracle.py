@@ -85,8 +85,25 @@ def test_single_action_policy_value_is_exact(fair_coin):
 
 def test_policy_must_return_one_action_per_row(tiger):
     # the root is one row, so a constant passes there; the next level fails
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match=r"policy returned 1 action\(s\) for \d+ belief"):
         evaluate_policy(tiger, lambda beliefs: 0, tiger.initial_belief, 3)
+
+
+def test_policy_returning_one_action_too_many_is_rejected():
+    # numpy's reshape used to raise its own ValueError
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    one_too_many = lambda beliefs: np.ones(len(beliefs) + 1, dtype=int)
+    with pytest.raises(ValidationError, match=r"policy returned 2 action\(s\) for 1 belief"):
+        evaluate_policy(m, one_too_many, m.initial_belief, 3)
+
+
+@pytest.mark.parametrize("bad", [1.7, np.nan, -np.inf])
+def test_policy_action_that_is_not_a_whole_number_is_rejected(bad):
+    # 1.7 used to be valued as action 1; NaN and inf warned in the int64 cast
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    policy = lambda beliefs: np.full(len(beliefs), bad)
+    with pytest.raises(ValidationError, match=rf"action {bad} is not a whole number"):
+        evaluate_policy(m, policy, m.initial_belief, 3)
 
 
 @pytest.mark.parametrize("bad", [-1, 2])
@@ -113,6 +130,15 @@ def test_policy_action_outside_the_model_is_rejected(bad, horizon, where):
 def test_exact_q_refuses_an_action_outside_the_model(tiger, bad):
     with pytest.raises(ValidationError, match=rf"action {bad} outside \[0, 3\)"):
         exact_q(tiger, tiger.initial_belief, bad, 3)
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan])
+def test_exact_q_refuses_an_action_that_is_not_a_whole_number(bad):
+    # 1.5 used to return action 1's Q
+    m = random_pomdp(3, 2, 2, 2, seed=0)
+    with pytest.raises(ValidationError, match=rf"action {bad} is not a whole number"):
+        exact_q(m, m.initial_belief, bad, 3)
+    assert exact_q(m, m.initial_belief, 1.0, 3) == exact_q(m, m.initial_belief, 1, 3)
 
 
 @pytest.mark.parametrize(

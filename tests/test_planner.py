@@ -38,10 +38,9 @@ def test_fair_coin_dynamics(fair_coin):
     np.testing.assert_allclose(dyn.rho, 0.5)
 
 
-def reference_dynamics(model, span):
+def reference_dynamics(model, dec):
     """The per-symbol ``mu[σ] @ U`` loop precompute_dynamics replaced, with
     the step operators derived from its own W."""
-    dec = span.decomposition
     ma, nr = from_pomdp(model), model.n_rewards
     W = np.zeros((model.n_actions, model.n_signals, dec.rank, dec.rank))
     for a in range(model.n_actions):
@@ -60,9 +59,8 @@ def test_dynamics_match_the_symbol_loop_bit_for_bit(seed):
     # step_block's einsum rounds differently on a strided v, so the steps
     # are compared as well as the arrays
     m = random_pomdp(5, 2, 2, 2, seed=seed)
-    span = make_spanner(m)
-    dec = span.decomposition
-    dyn, ref = precompute_dynamics(m, span), reference_dynamics(m, span)
+    dec = make_spanner(m)
+    dyn, ref = precompute_dynamics(m, dec), reference_dynamics(m, dec)
     for name in ("v", "W", "rho", "G"):
         np.testing.assert_array_equal(getattr(dyn, name), getattr(ref, name), err_msg=name)
     alpha = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(200, dec.rank))
@@ -98,7 +96,7 @@ def test_tiger_listen_dynamics_from_model_parameters(tiger):
     r_idx = int(np.argmin(np.abs(raw - -1.0)))
     sig = Signal(m.observations.index("hear-left"), r_idx)
     z = m.signal_index(sig)
-    for i, s in enumerate(span.decomposition.basis_states):
+    for i, s in enumerate(span.basis_states):
         e = np.eye(m.n)[s]
         want = sequence_probability(m, e, ((a, sig),))
         assert dyn.v[a, z, i] == pytest.approx(want, abs=1e-12)
@@ -106,9 +104,8 @@ def test_tiger_listen_dynamics_from_model_parameters(tiger):
 
 def test_dynamics_match_filter_route_everywhere():
     m = random_pomdp(4, 2, 2, 2, seed=57)
-    span = make_spanner(m)
-    dec = span.decomposition
-    dyn = precompute_dynamics(m, span)
+    dec = make_spanner(m)
+    dyn = precompute_dynamics(m, dec)
     for a in range(m.n_actions):
         for z in range(m.n_signals):
             sig = m.signal_from_index(z)
@@ -121,9 +118,8 @@ def test_dynamics_match_filter_route_everywhere():
 
 def test_step_from_basis_corner_matches_filter():
     m = random_pomdp(4, 2, 2, 2, seed=90)
-    span = make_spanner(m)
-    dec = span.decomposition
-    dyn = precompute_dynamics(m, span)
+    dec = make_spanner(m)
+    dyn = precompute_dynamics(m, dec)
     # row i of the block is basis corner i
     p, beta = step_block(dyn, np.eye(dec.rank))
     for i, s in enumerate(dec.basis_states):
@@ -239,7 +235,7 @@ def test_reachable_grid_is_subset_of_full(tiger):
     full = build_grid(tiger, span, dyn, epsilon=0.4, mode="full")
     full_set = set(map(tuple, full.coords))
     assert set(map(tuple, reach.coords)) <= full_set
-    r = span.decomposition.rank
+    r = span.rank
     assert full.n_states == (2 * lattice_radius(0.4 / r) + 1) ** r
 
 
@@ -286,7 +282,7 @@ def test_block_size_does_not_change_the_grid(monkeypatch, tiger, builder):
 def test_block_size_moves_rewards_by_ulps_only(monkeypatch, block):
     # by zero ulps: the rewards are no longer a per-block product
     m = random_pomdp(3, 2, 2, 2, seed=0)
-    assert make_spanner(m).decomposition.rank == 3
+    assert make_spanner(m).rank == 3
     reference = build_planner_grid(m, 0.1)
     assert reference.n_states > 512
     monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
@@ -309,6 +305,15 @@ def test_epsilon_validated(tiger):
         build_grid(tiger, span, dyn, epsilon=0.0)
     with pytest.raises(ValidationError):
         build_grid(tiger, span, dyn, epsilon=0.1, mode="bogus")
+
+
+def test_build_grid_refuses_a_basis_never_improved(tiger):
+    # the lattice covers [-2, 2]^r, which only an improved basis guarantees
+    raw = discover_basis(tiger)
+    assert np.isnan(raw.max_coefficient)
+    dyn = precompute_dynamics(tiger, make_spanner(tiger))
+    with pytest.raises(ValidationError, match="improve_to_spanner"):
+        build_grid(tiger, raw, dyn, epsilon=0.1)
 
 
 def one_action_grid(succ, rewards, discount):
@@ -463,7 +468,7 @@ def test_same_grid_cell_implies_close_coefficients():
     m = random_pomdp(4, 2, 2, 2, seed=3)
     span = make_spanner(m)
     eps = 0.2
-    mesh = eps / span.decomposition.rank
+    mesh = eps / span.rank
     rng = np.random.default_rng(5)
     cells = {}
     for _ in range(300):
