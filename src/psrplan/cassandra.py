@@ -19,7 +19,9 @@ Rewards become part of the observable signal: each raw value
 R(s, a, s', o) is binned into a finite set, affinely normalized into
 [0, 1], and attached to the observation. Because the signal kernel
 conditions on the arriving state only, a file whose reward varies with
-the departing state (on reachable triples) is rejected.
+the departing state (on reachable triples) is rejected.  The raw reward
+table gets a departing-state axis only when some ``R:`` entry names a
+departing state; otherwise it holds A·n·O numbers, not A·n²·O.
 """
 
 import itertools
@@ -281,7 +283,10 @@ def _fill_tables(kernel_stmts, states, actions, observations):
     them, so every entry is one basic-index assignment and a later entry
     overwrites what an earlier one set.  A run of one-line entries is read
     by one ``_run_rows`` call.  Returns ``transition[s, a, s']``,
-    ``obs_kernel[s', a, o]`` and ``reward_raw[a, s, s', o]``.
+    ``obs_kernel[s', a, o]`` and ``reward_raw[a, s, s', o]``, a read-only
+    broadcast view: its departing-state axis is filled only if some R
+    entry names a departing state, and is one row broadcast over all n
+    otherwise, so such a file allocates no A·n²·O table.
     """
     sn = _NameSpace("state", states)
     an = _NameSpace("action", actions)
@@ -289,7 +294,8 @@ def _fill_tables(kernel_stmts, states, actions, observations):
     n, na, no = len(states), len(actions), len(observations)
     transition = np.zeros((n, na, n))
     obs_kernel = np.zeros((n, na, no))
-    reward_raw = np.zeros((na, n, n, no))
+    departing = any(st.keyword == "R" and st.slots[1:2] != ["*"] for st in kernel_stmts)
+    reward_raw = np.zeros((na, n if departing else 1, n, no))
     # keyword -> (table in slot order, slot name spaces, fewest slots,
     #             keywords allowed by body rank)
     kinds = {
@@ -303,7 +309,7 @@ def _fill_tables(kernel_stmts, states, actions, observations):
         kind = kinds[run[0].keyword]
         for st, row in zip(run, rows):
             _apply_entry(st, *kind, row)
-    return transition, obs_kernel, reward_raw
+    return transition, obs_kernel, np.broadcast_to(reward_raw, (na, n, n, no))
 
 
 def _run_key(st):

@@ -76,7 +76,6 @@ def discover_basis(model: PomdpModel) -> CoreDecomposition:
     ``solve_coefficients`` on the current basis.  Terminates after at most
     n-1 additions.
     """
-    mats = model.symbol_matrices()
     nz = model.n_signals
     dec = CoreDecomposition(
         basis_states=[0], core_tests=[()], state_test_matrix=np.ones((model.n, 1))
@@ -84,7 +83,9 @@ def discover_basis(model: PomdpModel) -> CoreDecomposition:
     while True:
         U = dec.state_test_matrix  # U[s, j] = P(core_tests[j] | s)
         alphas = solve_coefficients(dec, U)  # alphas[s] solves M^T alpha = U[s]
-        ext = np.stack([mat @ U for mat in mats], axis=1)  # [s, σ, j]: P(σ∘t_j | s)
+        ext = np.empty((model.n, model.n_actions * nz, U.shape[1]))  # [s, σ, j]: P(σ∘t_j | s)
+        for k in range(ext.shape[1]):  # one (n, n) symbol matrix at a time
+            np.matmul(model.symbol_matrix(k), U, out=ext[:, k])
         gaps = np.abs(ext - np.tensordot(alphas, ext[dec.basis_states], axes=1))
         gaps[dec.basis_states] = 0.0
         s, k, j = np.unravel_index(np.argmax(gaps), gaps.shape)

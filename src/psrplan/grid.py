@@ -411,8 +411,9 @@ def solve(grid: GridMdp, vi_tol: float = DEFAULT_VI_TOL) -> PlanResult:
         lo += rows.size
     entries = np.concatenate(entries)
     succ, prob = grid.succ[entries], grid.prob[entries]
+    del entries  # the sweeps read only the gathered copy
 
-    terms = np.empty(entries.size)
+    terms = np.empty(succ.size)
     q = np.empty((n_actions, n))
     q_rows = q.reshape(-1)
     values = np.zeros(n)

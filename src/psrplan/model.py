@@ -83,16 +83,18 @@ class PomdpModel:
         """[z] the normalized reward value signal z carries."""
         return np.tile(self.reward_values, self.n_observations)
 
+    def symbol_matrix(self, k: int) -> np.ndarray:
+        """The (n, n) matrix of test step (a, z), k = a * Z + z in symbol
+        order: entry [i, j] is P(j | i, a) * P(z | j, a).  Times a table u
+        of per-state test probabilities, it gives those of the tests
+        prefixed by the step."""
+        a, z = divmod(k, self.n_signals)
+        return self.transition[:, a, :] * self.signal_kernel[:, a, z][None, :]
+
     def symbol_matrices(self) -> list:
-        """One (n, n) matrix per test step (a, z), in symbol order a * Z + z:
-        entry [i, j] is P(j | i, a) * P(z | j, a).  Times a table u of
-        per-state test probabilities, it gives those of the tests prefixed
-        by the step."""
-        return [
-            self.transition[:, a, :] * self.signal_kernel[:, a, z][None, :]
-            for a in range(self.n_actions)
-            for z in range(self.n_signals)
-        ]
+        """``symbol_matrix(k)`` for every k, in symbol order: A·Z·n² numbers
+        at once, so discovery builds one at a time."""
+        return [self.symbol_matrix(k) for k in range(self.n_actions * self.n_signals)]
 
     def validate(self) -> None:
         """Raise ValidationError on any violated structural invariant, then

@@ -395,14 +395,17 @@ def _shuffled(rng, entries):
     return [entries[i] for i in rng.permutation(len(entries))]
 
 
-def _kernel_entries(rng, n, na, no):
+def _kernel_entries(rng, n, na, no, departing_wildcard=False):
     """T (1-3 slots), O (1-3) and R (2-4) entries, '*' in every slot
     position, in a shuffled order, so specific entries override wildcards
-    and wildcards override specific entries."""
+    and wildcards override specific entries.  With ``departing_wildcard``
+    every R entry has '*' as its departing state."""
     sizes = {"a": na, "s": n, "o": no}
     entries = []
     for key, kinds, rows, cols in _forms(n, no):
         for mask in _wildcard_masks(len(kinds)):
+            if key == "R":
+                mask[1] = mask[1] or departing_wildcard
             body = _matrix(lambda: rng.uniform(-3.0, 3.0, size=cols), rows)
             if key != "R" and cols > 1 and rng.random() < 0.3:
                 body = " uniform"
@@ -421,15 +424,52 @@ def assert_same_tables(text):
     want = _loop_tables(kernel_stmts, states, actions, observations)
     for table, ref in zip(got, want):
         assert_bytes_equal(table, ref)
+    return got[2]
 
 
-@pytest.mark.parametrize("seed", range(12))
+def has_departing_axis(reward_raw):
+    """Whether the loader filled rewards per departing state, rather than
+    broadcasting one value over them."""
+    return reward_raw.strides[1] != 0
+
+
+@pytest.mark.parametrize("seed", range(24))
 def test_fill_tables_match_reference(seed):
-    """Raw tables, before any row check: every entry form, in any order."""
+    """Raw tables, before any row check: every entry form, in any order.
+    From seed 12 on, every R entry has '*' as its departing state, and the
+    reward table is one value broadcast over departing states."""
+    lean = seed >= 12
     rng = np.random.default_rng(seed)
     n, na, no = _sizes(rng)
-    entries = _kernel_entries(rng, n, na, no) + _kernel_entries(rng, n, na, no)
-    assert_same_tables(PREAMBLE.format(n=n, na=na, no=no) + "\n".join(entries) + "\n")
+    entries = _kernel_entries(rng, n, na, no, lean) + _kernel_entries(rng, n, na, no, lean)
+    text = PREAMBLE.format(n=n, na=na, no=no) + "\n".join(entries) + "\n"
+    assert has_departing_axis(assert_same_tables(text)) != lean
+
+
+DEPARTING_PREAMBLE = (
+    PREAMBLE.format(n="s0 s1", na="go", no="o0") + "T: go uniform\nO: go uniform\n"
+)
+
+
+def test_departing_entry_overwritten_by_a_wildcard_matches_reference():
+    """An entry that names a departing state keeps the departing axis even
+    once a later wildcard entry overwrites it; the rewards then agree."""
+    text = DEPARTING_PREAMBLE + "R: go : s0 : * : * 5.0\nR: go : * : * : * 1.0\n"
+    assert has_departing_axis(assert_same_tables(text))
+    assert assert_same_outcome(text)
+
+
+def test_wildcard_overridden_per_departing_state_is_refused_as_the_reference():
+    """A wildcard reward overridden by entries that name departing states
+    and disagree is refused with the reference's message."""
+    text = (
+        DEPARTING_PREAMBLE
+        + "R: go : * : * : * 1.0\nR: go : s0 : * : * 5.0\nR: go : s1 : * : o0 2.0\n"
+    )
+    assert has_departing_axis(assert_same_tables(text))
+    assert not assert_same_outcome(text)
+    with pytest.raises(ValidationError, match="varies with the departing state"):
+        parse_pomdp(text)
 
 
 def _stochastic_entries(rng, key, n, na, no):
