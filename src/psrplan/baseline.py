@@ -76,6 +76,7 @@ def build_delta_grid(
         expand,
         lambda coords: (coords * delta) @ expected_reward_matrix(model),
         n_actions=na,
+        n_signals=model.n_signals,
         mesh=delta,
         discount=model.discount,
         state_cap=state_cap,

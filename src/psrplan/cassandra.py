@@ -400,24 +400,28 @@ def _collect_rewards(transition, obs_kernel, reward_raw, states, actions, observ
     Emission is tied to (action, arriving state, observation); a reward that
     differs across departing states on reachable triples cannot be expressed
     that way and is rejected.  The value of a reachable (a, s', o) is taken
-    from its first departing state.
+    from its first departing state.  A table whose departing axis is one
+    row broadcast (stride 0) cannot vary with it, so that row is the value.
     """
     support = transition.transpose(1, 0, 2) > 0  # [a, s, s']: s reaches s'
     defined = support.any(axis=1)[:, :, None] & (obs_kernel.transpose(1, 0, 2) > 0)
-    departing = support[:, :, :, None]
-    spread = np.max(reward_raw, axis=1, where=departing, initial=-np.inf)
-    spread -= np.min(reward_raw, axis=1, where=departing, initial=np.inf)
-    bad = np.argwhere(defined & (spread > 1e-12))  # [a, s', o], C order
-    if bad.size:
-        a, s2, o = bad[0]
-        raise ValidationError(
-            f"reward for (action={actions[a]}, arriving state="
-            f"{states[s2]}, observation={observations[o]}) varies "
-            "with the departing state; signals condition on the "
-            "arriving state only, so this model is not expressible"
-        )
-    first = support.argmax(axis=1)[:, None, :, None]
-    value = np.take_along_axis(reward_raw, first, axis=1)[:, 0]  # [a, s', o]
+    if reward_raw.strides[1] == 0:
+        value = reward_raw[:, 0]  # [a, s', o]
+    else:
+        departing = support[:, :, :, None]
+        spread = np.max(reward_raw, axis=1, where=departing, initial=-np.inf)
+        spread -= np.min(reward_raw, axis=1, where=departing, initial=np.inf)
+        bad = np.argwhere(defined & (spread > 1e-12))  # [a, s', o], C order
+        if bad.size:
+            a, s2, o = bad[0]
+            raise ValidationError(
+                f"reward for (action={actions[a]}, arriving state="
+                f"{states[s2]}, observation={observations[o]}) varies "
+                "with the departing state; signals condition on the "
+                "arriving state only, so this model is not expressible"
+            )
+        first = support.argmax(axis=1)[:, None, :, None]
+        value = np.take_along_axis(reward_raw, first, axis=1)[:, 0]  # [a, s', o]
 
     reachable_vals = value[defined]
     if reachable_vals.size == 0:

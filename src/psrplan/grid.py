@@ -22,7 +22,7 @@ logger = logging.getLogger("psrplan")
 
 MAX_VI_ITERATIONS = 1_000_000
 P_MIN = 1e-9  # branches and rows at or below this probability are dropped
-BLOCK_STATES = 256  # states expanded per batch; no grid depends on it
+BLOCK_BRANCHES = 8_192  # (point, action, signal) branches per batch; no output depends on it
 DEFAULT_STATE_CAP = 2_000_000  # both planners' default for closure's state_cap
 DEFAULT_VI_TOL = 1e-4  # both planners' and the CLI's default for solve's vi_tol
 # largest lattice radius: past 2**52 a float no longer holds every half
@@ -83,6 +83,12 @@ class PlanResult:
     spanner: object = None
     # the rank-r planner's step operators; --sweep builds its other grids on them
     dynamics: object = None
+
+
+def batch_size(branches):
+    """Points per batch when each point has ``branches`` branches: as many
+    as BLOCK_BRANCHES holds, and at least one."""
+    return max(1, BLOCK_BRANCHES // branches)
 
 
 def sort_groups(keys):
@@ -257,6 +263,7 @@ def closure(
     reward,
     *,
     n_actions,
+    n_signals,
     mesh,
     discount,
     state_cap,
@@ -270,8 +277,8 @@ def closure(
     Every lattice point lies in the cube [-radius, radius]^dim, whose size
     sets the closure's key kind (see ``Interner``).  With ``full``, every
     point of the cube gets an id first, in C order, then ``start``.  States
-    are expanded in id order, up to BLOCK_STATES at a time:
-    ``expand(coords)`` maps a (k, dim) block to ``(row, succ, weight)``,
+    are expanded in id order, ``batch_size(n_actions * n_signals)`` at a
+    time: ``expand(coords)`` maps a (k, dim) block to ``(row, succ, weight)``,
     where entry i leads from the flat block row ``row[i]`` (state offset *
     n_actions + action) to lattice point ``succ[i]`` with weight
     ``weight[i]``.  Entries must come in (state, action, ...) order; new
@@ -279,7 +286,7 @@ def closure(
     number them, whatever the block size.  Rewards come from the settled
     grid: ``reward(coords)`` maps all N states' (N, dim) coordinates, in id
     order, to their (N, n_actions) rewards in one call.  So nothing the
-    grid holds depends on BLOCK_STATES.
+    grid holds depends on BLOCK_BRANCHES.
 
     Duplicate (row, successor) entries merge by summing their weights in
     entry order, rows are renormalized, and a row of total weight at most
@@ -312,11 +319,12 @@ def closure(
         intern(np.indices((side,) * dim).reshape(dim, -1).T - radius)
     initial_state = int(capped(start)[0])
 
+    block = batch_size(n_actions * n_signals)
     counts, succ_parts, prob_parts = [], [], []
     dead_rows = 0
     lo = 0
     while lo < intern.coords.shape[0]:
-        hi = min(lo + BLOCK_STATES, intern.coords.shape[0])
+        hi = min(lo + block, intern.coords.shape[0])
         row, succ_coords, weight = expand(intern.coords[lo:hi])
         succ = capped(succ_coords)
         n_rows = (hi - lo) * n_actions

@@ -9,8 +9,9 @@ for when comparing against infinite-horizon quantities.
 ``search`` builds one level-synchronous, memoized tree over every action
 and values the optimum and any number of policies on it.  A forward pass
 filters one depth level at a time with ``belief_update_state_major``, bit
-for bit ``belief_update``, and gathers the kept branches' posteriors by
-one ``take`` of columns per block.  It merges successors whose beliefs
+for bit ``belief_update``, in batches of ``grid.BLOCK_BRANCHES`` (node,
+action, signal) branches, and gathers the kept branches' posteriors by
+one ``take`` of columns per batch.  It merges successors whose beliefs
 round to the same multiple of ``MEMO_PRECISION``: the first one met stands
 for all, and ids follow first occurrence in (node, action, signal) order,
 which is the order a depth-first search with the same memo would meet them
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import OracleBudgetError, ValidationError
-from .grid import number_groups, sort_groups
+from .grid import batch_size, number_groups, sort_groups
 
 # Not called here: pipebench/tracer.py wraps psrplan.oracle.belief_update and
 # reports a missing target, so the name stays importable from this module.
@@ -45,7 +46,6 @@ MEMO_PRECISION = 1e-9
 DEFAULT_SLACK = 1e-2  # the CLI's default truncation slack
 NODE_BUDGET = 10_000_000  # distinct nodes per tree; read at each search
 HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd, so are its powers
-BLOCK_NODES = 256  # nodes filtered per batch; leaves are valued 16 blocks at a time
 
 
 def truncation_slack(gamma: float, horizon: int) -> float:
@@ -133,9 +133,10 @@ class _Tree:
         """Successors of one level: (p, succ, post, first) with p and succ
         shaped (k, A, Z), succ = -1 where p <= 0, ``post`` a row per kept
         branch and ``post[first]`` the distinct successors in id order."""
+        block = batch_size(self.model.n_actions * self.model.n_signals)
         p_parts, post_parts, hash_parts = [], [], []
-        for lo in range(0, beliefs.shape[0], BLOCK_NODES):
-            p, post = belief_update_state_major(self.model, beliefs[lo : lo + BLOCK_NODES])
+        for lo in range(0, beliefs.shape[0], block):
+            p, post = belief_update_state_major(self.model, beliefs[lo : lo + block])
             # number the (A, Z, k) branches in memory order, then take the
             # kept ones' posterior columns in (node, action, signal) order
             cols = np.arange(p.size).reshape(p.shape).transpose(2, 0, 1)
@@ -181,8 +182,9 @@ class _Tree:
             live = [succ[ids, a] for ids, a in zip(reached, chosen)]
             reached = [np.flatnonzero(np.bincount(s[s >= 0], minlength=first.size)) for s in live]
 
-        # the leaves' Q values, 16 blocks of nodes at a time
-        chunks = np.split(first, range(16 * BLOCK_NODES, first.size, 16 * BLOCK_NODES))
+        # the leaves' Q values, a branch per (leaf, action)
+        chunk = batch_size(na)
+        chunks = np.split(first, range(chunk, first.size, chunk))
         q = np.concatenate([self._rewards(post[ids]) for ids in chunks])
         values = q.max(axis=1)
         policy_values = []

@@ -176,6 +176,7 @@ def build_grid(
         expand,
         reward,
         n_actions=na,
+        n_signals=nz,
         mesh=mesh,
         discount=model.discount,
         state_cap=state_cap,

@@ -472,6 +472,26 @@ def test_wildcard_overridden_per_departing_state_is_refused_as_the_reference():
         parse_pomdp(text)
 
 
+def test_wildcard_rewards_read_without_the_departing_check_match_the_dense_read():
+    """Rewards with a wildcard departing state are read from the broadcast
+    row; one more entry naming a departing state, setting the reward it
+    already has, makes the table dense and the departing-state check run.
+    Both give the reference's model, and so the same one."""
+    lean = PREAMBLE.format(n=3, na=2, no=2) + (
+        "T: 0 uniform\nT: 1 identity\nO: * uniform\n"
+        "R: * : * : 0 : * -1.0\nR: * : * : 1 : 0 4.0\nR: 1 : * : 2 : * 2.5\n"
+    )
+    dense = lean + "R: 0 : 2 : 1 : 0 4.0\n"
+    assert not has_departing_axis(assert_same_tables(lean))
+    assert has_departing_axis(assert_same_tables(dense))
+    assert assert_same_outcome(lean) and assert_same_outcome(dense)
+    got, want = parse_pomdp(lean), parse_pomdp(dense)
+    assert got.reward_values.size == 4 and got.reward_scale == 5.0
+    for name in ("transition", "signal_kernel", "initial_belief", "reward_values"):
+        assert_bytes_equal(getattr(got, name), getattr(want, name))
+    assert (got.reward_scale, got.reward_offset) == (want.reward_scale, want.reward_offset)
+
+
 def _stochastic_entries(rng, key, n, na, no):
     """T or O entries of every form that keep each row stochastic: point
     masses set as a '*' row of zeros and then one entry of 1."""

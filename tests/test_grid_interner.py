@@ -10,8 +10,9 @@ kind; a row outside the cube must never be taken for another one.
 import numpy as np
 import pytest
 
+from psrplan import grid as gridmod
 from psrplan.baseline import build_delta_grid
-from psrplan.grid import BLOCK_STATES, Interner
+from psrplan.grid import Interner
 from psrplan.zoo import random_pomdp
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -123,9 +124,12 @@ def test_many_calls_with_fresh_rows_in_each(radius):
     assert merged >= 3 and split >= 3
 
 
-def test_a_closure_settles_its_index():
-    grid = build_delta_grid(random_pomdp(4, 2, 2, 2, seed=1, dirichlet=0.5), 0.025)
-    assert grid.n_states > 2 * BLOCK_STATES
+def test_a_closure_settles_its_index(monkeypatch):
+    m = random_pomdp(4, 2, 2, 2, seed=1, dirichlet=0.5)
+    # 256 states per block: the closure spans at least three blocks
+    monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", 256 * m.n_actions * m.n_signals)
+    grid = build_delta_grid(m, 0.025)
+    assert grid.n_states > 2 * 256
     assert grid.coords.flags.owndata  # not a view of the growth buffer
     assert grid.index.recent_keys.size == 0
     np.testing.assert_array_equal(grid.index.find(grid.coords), np.arange(grid.n_states))

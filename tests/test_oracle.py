@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psrplan import baseline as baselinemod
+from psrplan import grid as gridmod
 from psrplan import oracle as oraclemod
 from psrplan import planner as plannermod
 from psrplan.cassandra import load_pomdp
@@ -254,7 +255,11 @@ def test_memoization_does_not_change_values():
 
 def test_block_size_does_not_change_values(monkeypatch):
     """Every value is summed per node, so the batches the filter and the
-    leaves run in change no bit of Q or of a policy's value."""
+    leaves run in change no bit of Q or of a policy's value: at the default
+    branch budget, at one node or seven per batch, and at the floors, a
+    budget below A·Z (one node per batch) and one below A (one leaf per
+    chunk)."""
+    default = gridmod.BLOCK_BRANCHES
     models = [load_pomdp(DATA / f"{name}.POMDP") for name in ("tiger", "clones")]
     horizons = [horizon_for_slack(m.discount, 1e-2) for m in models] + [5]
     models.append(random_pomdp(4, 2, 2, 2, seed=0))
@@ -264,8 +269,10 @@ def test_block_size_does_not_change_values(monkeypatch):
             lambda x: (x[:, 0] > 0.5).astype(np.int64),
         ]
         runs = []
-        for block in (oraclemod.BLOCK_NODES, 1, 7):
-            monkeypatch.setattr(oraclemod, "BLOCK_NODES", block)
+        branches = model.n_actions * model.n_signals
+        assert model.n_actions > 1
+        for budget in (default, branches, 7 * branches, branches - 1, 1):
+            monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", budget)
             runs.append(search(model, model.initial_belief, horizon, policies)[2:])
         (values, q), *others = runs
         for other_values, other_q in others:

@@ -246,10 +246,10 @@ def test_state_cap_aborts_expansion(tiger):
         build_grid(tiger, span, dyn, epsilon=0.1, state_cap=5)
 
 
-def assert_same_grid(other, reference, block):
+def assert_same_grid(other, reference, budget):
     for key in ("coords", "indptr", "succ", "prob", "rewards"):
         np.testing.assert_array_equal(
-            getattr(other, key), getattr(reference, key), err_msg=f"{key} at block {block}"
+            getattr(other, key), getattr(reference, key), err_msg=f"{key} at budget {budget}"
         )
     assert other.initial_state == reference.initial_state
     assert other.diagnostics == reference.diagnostics
@@ -260,9 +260,15 @@ def build_planner_grid(m, epsilon):
     return build_grid(m, span, precompute_dynamics(m, span), epsilon=epsilon)
 
 
+def branches(m, states):
+    """The branch budget that expands ``states`` states per block of m's closure."""
+    return states * m.n_actions * m.n_signals
+
+
 # rewards come from the settled grid and new points are numbered as a FIFO
-# expansion numbers them, so every array is exact at any block size; one
-# state per block is the plain FIFO expansion
+# expansion numbers them, so every array is exact at any branch budget; one
+# state per block is the plain FIFO expansion, which a budget below A·Z
+# also gives
 
 
 @pytest.mark.parametrize("builder", ("planner", "baseline"))
@@ -273,29 +279,33 @@ def test_block_size_does_not_change_the_grid(monkeypatch, tiger, builder):
         build, knob = build_delta_grid, 0.05
     reference = build(tiger, knob)
     assert reference.n_states > 10
-    for block in (1, 7, 512, 4096):
-        monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
-        assert_same_grid(build(tiger, knob), reference, block)
+    for budget in (1, *(branches(tiger, k) for k in (1, 7, 512, 4096))):
+        monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", budget)
+        assert_same_grid(build(tiger, knob), reference, budget)
 
 
-@pytest.mark.parametrize("block", [1, 512])
+@pytest.mark.parametrize("block", [1, 7, 512])
 def test_block_size_moves_rewards_by_ulps_only(monkeypatch, block):
     # by zero ulps: the rewards are no longer a per-block product
     m = random_pomdp(3, 2, 2, 2, seed=0)
     assert make_spanner(m).rank == 3
     reference = build_planner_grid(m, 0.1)
     assert reference.n_states > 512
-    monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
-    assert_same_grid(build_planner_grid(m, 0.1), reference, block)
+    monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", branches(m, block))
+    assert_same_grid(build_planner_grid(m, 0.1), reference, branches(m, block))
 
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_block_size_does_not_change_a_simplex_grid_of_many_blocks(monkeypatch, block):
     m = random_pomdp(4, 2, 2, 2, seed=1, dirichlet=0.5)
+    default = build_delta_grid(m, 0.025)
+    # 256 states per block: the reference spans at least three blocks
+    monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", branches(m, 256))
     reference = build_delta_grid(m, 0.025)
-    assert gridmod.BLOCK_STATES == 256 and reference.n_states > 512
-    monkeypatch.setattr(gridmod, "BLOCK_STATES", block)
-    assert_same_grid(build_delta_grid(m, 0.025), reference, block)
+    assert reference.n_states > 2 * 256
+    assert_same_grid(default, reference, "default")
+    monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", branches(m, block))
+    assert_same_grid(build_delta_grid(m, 0.025), reference, branches(m, block))
 
 
 def test_epsilon_validated(tiger):
