@@ -61,15 +61,16 @@ def build_delta_grid(
     """Reachable closure of the rounded belief walk from the initial belief."""
     k = resolution(delta)
     na = model.n_actions
+    live_action = model.live_symbols // model.n_signals
 
     def expand(coords):
         p, post = belief_update_state_major(model, coords * delta)
-        # (k, A, Z) and (k, A, Z, n) views: kept branches in (state, action,
-        # signal) order
-        p, post = p.transpose(2, 0, 1), post.transpose(3, 1, 2, 0)
+        # (k, L) and (k, L, n) views: kept branches in (state, action,
+        # signal) order, each live slot mapped back to its action
+        p, post = p.T, post.transpose(2, 1, 0)
         keep = p > gridmod.P_MIN
-        states, actions, _ = np.nonzero(keep)
-        return states * na + actions, simplex_round(post[keep], delta), p[keep]
+        states, slots = np.nonzero(keep)
+        return states * na + live_action[slots], simplex_round(post[keep], delta), p[keep]
 
     grid, _ = gridmod.closure(
         simplex_round(model.initial_belief, delta),

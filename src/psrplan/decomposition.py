@@ -73,18 +73,21 @@ def discover_basis(model: PomdpModel) -> CoreDecomposition:
     ``well_conditioned``, the test ``solve_coefficients`` guards with, and
     growth stops at the first candidate that is not: discovery never
     returns an M the guard rejects.  Each α comes from
-    ``solve_coefficients`` on the current basis.  Terminates after at most
-    n-1 additions.
+    ``solve_coefficients`` on the current basis.  Only live symbols'
+    matrices are multiplied (``model.live_symbols``).  Terminates after at
+    most n-1 additions.
     """
-    nz = model.n_signals
+    nz, live = model.n_signals, model.live_symbols
     dec = CoreDecomposition(
         basis_states=[0], core_tests=[()], state_test_matrix=np.ones((model.n, 1))
     )
     while True:
         U = dec.state_test_matrix  # U[s, j] = P(core_tests[j] | s)
         alphas = solve_coefficients(dec, U)  # alphas[s] solves M^T alpha = U[s]
-        ext = np.empty((model.n, model.n_actions * nz, U.shape[1]))  # [s, σ, j]: P(σ∘t_j | s)
-        for k in range(ext.shape[1]):  # one (n, n) symbol matrix at a time
+        # [s, σ, j]: P(σ∘t_j | s); a dead symbol's columns stay +0.0, the
+        # product of its all-zero matrix with U >= 0
+        ext = np.zeros((model.n, model.n_actions * nz, U.shape[1]))
+        for k in live:  # one (n, n) symbol matrix at a time
             np.matmul(model.symbol_matrix(k), U, out=ext[:, k])
         gaps = np.abs(ext - np.tensordot(alphas, ext[dec.basis_states], axes=1))
         gaps[dec.basis_states] = 0.0

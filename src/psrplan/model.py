@@ -9,6 +9,10 @@ Conventions fixed here and relied on everywhere else:
   ``z = observation * n_rewards + reward``;
 * a *test* is a tuple of (action, Signal) steps, () the empty test; the
   step (a, z) is symbol ``a * n_signals + z``;
+* a symbol is *live* when ``signal_kernel[:, a, z]`` has a nonzero entry:
+  some arriving state emits it.  A dead symbol has probability 0 from
+  every belief, so the kernels that loop over symbols run over
+  ``live_symbols`` only;
 * reward values are normalized into [0, 1]; ``reward_scale`` and
   ``reward_offset`` map them back (``raw = value * scale + offset``).
 """
@@ -82,6 +86,11 @@ class PomdpModel:
     def signal_rewards(self) -> np.ndarray:
         """[z] the normalized reward value signal z carries."""
         return np.tile(self.reward_values, self.n_observations)
+
+    @property
+    def live_symbols(self) -> np.ndarray:
+        """The live symbols ``a * Z + z``, ascending: (action, signal) order."""
+        return np.flatnonzero(self.signal_kernel.reshape(self.n, -1).any(axis=0))
 
     def symbol_matrix(self, k: int) -> np.ndarray:
         """The (n, n) matrix of test step (a, z), k = a * Z + z in symbol
@@ -255,9 +264,10 @@ def state_sum(x: np.ndarray) -> np.ndarray:
 
 
 def belief_update_state_major(model: PomdpModel, beliefs: np.ndarray):
-    """belief_update for every action and signal from each row of a (k, n)
-    stack of beliefs, with the hidden state leading and the stack
-    innermost: ``(p, post)`` shaped (A, Z, k) and (n, A, Z, k).
+    """belief_update for every live symbol and each row of a (k, n) stack
+    of beliefs, with the hidden state leading and the stack innermost:
+    ``(p, post)`` shaped (L, k) and (n, L, k), slot l holding symbol
+    ``model.live_symbols[l]``.  A dead symbol's p is 0 from every belief.
 
     Where ``p <= 0`` the posterior is all +0.0 (belief_update returns
     None).  The push-forward is belief_update's, one matrix-vector product
@@ -269,11 +279,16 @@ def belief_update_state_major(model: PomdpModel, beliefs: np.ndarray):
     sums a row, so every other entry is belief_update's bit for bit.
     """
     beliefs = np.asarray(beliefs, dtype=np.float64)
+    live = model.live_symbols
     # each action's [s', s] matrix keeps belief_update's strides (s' contiguous)
     pushed = np.matvec(model.transition.transpose(1, 2, 0), beliefs[:, None, :])
-    joint = np.empty((model.n, model.n_actions, model.n_signals, beliefs.shape[0]))
-    emit = model.signal_kernel[..., np.newaxis]  # (n, A, Z, 1)
-    np.multiply(pushed.transpose(2, 1, 0)[:, :, np.newaxis], emit, out=joint)
+    pushed = pushed.transpose(2, 1, 0)[:, :, np.newaxis]  # (n, A, 1, k)
+    joint = np.empty((model.n, live.size, beliefs.shape[0]))
+    emit = model.signal_kernel.reshape(model.n, -1)[:, live, np.newaxis]  # (n, L, 1)
+    # an action's live symbols are one run of slots
+    bounds = np.searchsorted(live, np.arange(model.n_actions + 1) * model.n_signals)
+    for a, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.multiply(pushed[:, a], emit[:, lo:hi], out=joint[:, lo:hi])
     joint = _clean_probabilities(joint)
     p = state_sum(joint)
     possible = p > 0.0

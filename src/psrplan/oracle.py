@@ -11,22 +11,25 @@ and values the optimum and any number of policies on it.  A forward pass
 filters one depth level at a time with ``belief_update_state_major``, bit
 for bit ``belief_update``, in batches of ``grid.BLOCK_BRANCHES`` (node,
 action, signal) branches, and gathers the kept branches' posteriors by
-one ``take`` of columns per batch.  It merges successors whose beliefs
-round to the same multiple of ``MEMO_PRECISION``: the first one met stands
-for all, and ids follow first occurrence in (node, action, signal) order,
-which is the order a depth-first search with the same memo would meet them
-in.  Each level is merged once, by one sort of a hash of the rounded
-beliefs (``dedupe``).  ``NODE_BUDGET`` caps the tree's distinct nodes;
-every level holds at least one, so a horizon of ``NODE_BUDGET`` or more is
+one ``take`` of columns per batch.  The filter computes the model's live
+symbols only; a dead one's branches are stored with p = 0, as the filter
+would give them.  It merges successors whose beliefs round to the same
+multiple of ``MEMO_PRECISION``: the first one met stands for all, and ids
+follow first occurrence in (node, action, signal) order, which is the
+order a depth-first search with the same memo would meet them in.  Each
+level is merged once, by one sort of a hash of the rounded beliefs
+(``dedupe``).  ``NODE_BUDGET`` caps the tree's distinct nodes; every
+level holds at least one, so a horizon of ``NODE_BUDGET`` or more is
 refused before anything is filtered.
 Each policy is asked once per level about the nodes its actions reach,
 with the representative beliefs the tree holds for them.
 
 A backward pass then sums each level's Q values from the level below,
-signal by signal in the filter's order: over every action for the max,
-and over each reached node's chosen action for a policy.  Both add the
-same products in the same order, so the optimum is at least every
-policy's value exactly, not only up to rounding.
+signal by signal in the filter's order, skipping the signals that no
+action emits: over every action for the max, and over each reached node's
+chosen action for a policy.  Both add the same products in the same
+order, so the optimum is at least every policy's value exactly, not only
+up to rounding.
 """
 
 import math
@@ -111,6 +114,8 @@ class _Tree:
         self.model = model
         self.r_sa = expected_reward_matrix(model)
         self.multipliers = np.cumprod(np.full(model.n, HASH_MULTIPLIER))
+        self.live = model.live_symbols
+        self.emitted = np.unique(self.live % model.n_signals)  # signals some action emits
         self.nodes = 0
 
     def _count(self, k):
@@ -131,21 +136,25 @@ class _Tree:
 
     def _expand(self, beliefs):
         """Successors of one level: (p, succ, post, first) with p and succ
-        shaped (k, A, Z), succ = -1 where p <= 0, ``post`` a row per kept
-        branch and ``post[first]`` the distinct successors in id order."""
-        block = batch_size(self.model.n_actions * self.model.n_signals)
+        shaped (k, A, Z), p = 0 and succ = -1 where p <= 0, ``post`` a row
+        per kept branch and ``post[first]`` the distinct successors in id
+        order."""
+        na, nz = self.model.n_actions, self.model.n_signals
+        block = batch_size(na * nz)
         p_parts, post_parts, hash_parts = [], [], []
         for lo in range(0, beliefs.shape[0], block):
             p, post = belief_update_state_major(self.model, beliefs[lo : lo + block])
-            # number the (A, Z, k) branches in memory order, then take the
+            # number the (L, k) branches in memory order, then take the
             # kept ones' posterior columns in (node, action, signal) order
-            cols = np.arange(p.size).reshape(p.shape).transpose(2, 0, 1)
-            p = p.transpose(2, 0, 1)
+            cols = np.arange(p.size).reshape(p.shape).T
+            p = p.T
             post = post.reshape(post.shape[0], -1).take(cols[p > 0.0], axis=1)
             p_parts.append(p)
             post_parts.append(post)
             hash_parts.append(row_hash(self._key(post.T), self.multipliers))
-        p = np.concatenate(p_parts)
+        p = np.zeros((beliefs.shape[0], na * nz))
+        p[:, self.live] = np.concatenate(p_parts)
+        p = p.reshape(-1, na, nz)
         post = np.concatenate(post_parts, axis=1).T  # a row per kept branch
         post_parts.clear()
         hashes = np.concatenate(hash_parts)
@@ -199,18 +208,21 @@ class _Tree:
             weight = gamma * p
             for i, (ids, a) in enumerate(zip(reached, chosen)):
                 v = np.zeros(rewards.shape[0])
-                v[ids] = _backup(rewards[ids, a], weight[ids, a], succ[ids, a], policy_values[i])
+                v[ids] = _backup(
+                    rewards[ids, a], weight[ids, a], succ[ids, a], policy_values[i], self.emitted
+                )
                 policy_values[i] = v
-            q = _backup(rewards, weight, succ, values)
+            q = _backup(rewards, weight, succ, values, self.emitted)
             values = q.max(axis=1)
         return q[0], [float(v[0]) for v in policy_values]
 
 
-def _backup(q, weight, succ, values):
-    """Add weight[..., z] * values[succ[..., z]] into q for each signal z in
-    order: the one sum of the optimum's and every policy's Q values.  A
-    dead branch (weight 0, succ -1) adds exactly +0.0 to q >= 0."""
-    for z in range(weight.shape[-1]):
+def _backup(q, weight, succ, values, signals):
+    """Add weight[..., z] * values[succ[..., z]] into q for each of the
+    ascending ``signals`` z in order: the one sum of the optimum's and
+    every policy's Q values.  It skips the signals that no action emits: a
+    dead branch (weight 0, succ -1) would add exactly +0.0 to q >= 0."""
+    for z in signals:
         q += weight[..., z] * values[succ[..., z]]
     return q
 

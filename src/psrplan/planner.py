@@ -33,10 +33,13 @@ CLAMP_SLACK = 1e-12
 
 @dataclass
 class SignalDynamics:
-    v: np.ndarray  # (A, Z, r): P(z | basis state i, a)
     W: np.ndarray  # (A, Z, r, r): P((a,z) followed by core test j | basis state i)
     rho: np.ndarray  # (A, r): expected one-step reward from basis state i
-    # (r, A * Z * r): column (a * Z + z) * r + j of row i is G[a, z][i, j],
+    # the step kernel's operands, over the model's live symbols only: slot l
+    # holds symbol live[l] = a * Z + z
+    live: np.ndarray  # (L,) the model's ``live_symbols``
+    v: np.ndarray  # (L, r): P(z | basis state i, a)
+    # (r, L * r): column l * r + j of row i is G[a, z][i, j] for live[l],
     # the step operator G[a, z] = W[a, z] M⁻¹ laid out for one matrix product
     G: np.ndarray
 
@@ -53,25 +56,30 @@ def precompute_dynamics(model: PomdpModel, dec: CoreDecomposition) -> SignalDyna
     na, nz, r = model.n_actions, model.n_signals, dec.rank
     ext = dec.extensions.reshape(model.n, na, nz, r)
     W = np.ascontiguousarray(ext[dec.basis_states].transpose(1, 2, 0, 3))
-    v = np.ascontiguousarray(W[..., 0])  # extension of the empty test
-    rho = np.einsum("azi,z->ai", v, model.signal_rewards)
-    G = np.ascontiguousarray(solve_coefficients(dec, W).transpose(2, 0, 1, 3).reshape(r, -1))
-    return SignalDynamics(v=v, W=W, rho=rho, G=G)
+    # the extension of the empty test; a dead symbol's +0.0 adds nothing
+    rho = np.einsum("azi,z->ai", np.ascontiguousarray(W[..., 0]), model.signal_rewards)
+    live = model.live_symbols
+    W_live = W.reshape(-1, r, r)[live]
+    v = np.ascontiguousarray(W_live[..., 0])
+    G = np.ascontiguousarray(solve_coefficients(dec, W_live).transpose(1, 0, 2).reshape(r, -1))
+    return SignalDynamics(W=W, rho=rho, live=live, v=v, G=G)
 
 
 def step_block(dyn: SignalDynamics, alpha):
-    """Every (action, signal) step from each row of a (k, r) coefficient block.
+    """Every live (action, signal) step from each row of a (k, r)
+    coefficient block.
 
-    Returns (p, beta): p (k, A, Z) holds the signal probabilities under the
-    linear belief extension, clipped to [0, 1]; beta (k, A, Z, r) holds the
-    successor coefficients alpha G[a, z] / p before clamping, meaningful
-    where p > grid.P_MIN.  beta is one matrix product; p keeps its own einsum,
+    Returns (p, beta) in the live layout, slot l for symbol ``dyn.live[l]``:
+    p (k, L) holds the signal probabilities under the linear belief
+    extension, clipped to [0, 1]; beta (k, L, r) holds the successor
+    coefficients alpha G[a, z] / p before clamping, meaningful where
+    p > grid.P_MIN.  beta is one matrix product; p keeps its own einsum,
     whose sums round as the grid's stored probabilities always have.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    na, nz, r = dyn.v.shape
-    p = np.clip(np.einsum("ki,azi->kaz", alpha, dyn.v), 0.0, 1.0)
-    beta = (alpha @ dyn.G).reshape(-1, na, nz, r)
+    n_live, r = dyn.v.shape
+    p = np.clip(np.einsum("ki,li->kl", alpha, dyn.v), 0.0, 1.0)
+    beta = (alpha @ dyn.G).reshape(-1, n_live, r)
     beta /= np.where(p > gridmod.P_MIN, p, 1.0)[..., None]
     return p, beta
 
@@ -142,13 +150,15 @@ def build_grid(
         "rewardClamps": 0,
     }
     na, nz = model.n_actions, model.n_signals
+    live_action = dyn.live // nz
 
     def expand(coords):
         p, beta = step_block(dyn, coords * mesh)
         # kept branches in (state, action, signal) order; flat index
-        # (state * A + action) * Z + signal
+        # state * L + slot, each live slot mapped back to its action
         kept = np.flatnonzero(p > gridmod.P_MIN)
-        row = kept // nz
+        state, slot = np.divmod(kept, dyn.live.size)
+        row = state * na + live_action[slot]
         beta = beta.reshape(-1, beta.shape[-1])
         p = p.reshape(-1)
         if kept.size < p.size:

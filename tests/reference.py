@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from psrplan.cassandra import parse_pomdp
 from psrplan.decomposition import solve_coefficients
 from psrplan.errors import ValidationError
 from psrplan.model import PomdpModel, belief_update
@@ -97,6 +98,37 @@ def enumerate_tests(model: PomdpModel, max_len: int):
         frontier = [t + (s,) for t in frontier for s in symbols]
         tests.extend(frontier)
     return tests
+
+
+def _row(values) -> str:
+    return " ".join(repr(float(v)) for v in values)
+
+
+def parsed_per_signal(model: PomdpModel) -> PomdpModel:
+    """``model`` written as ``.POMDP`` text with one observation per
+    (observation, reward), each carrying its raw reward, and parsed back.
+
+    Every parsed observation has one reward, so of the parsed model's
+    (action, signal) symbols only one in ``n_rewards`` is ever emitted, as
+    in every generated benchmark file.  Floats are written with ``repr``;
+    the parser divides each kernel row by its sum again."""
+    nr = model.n_rewards
+    raw = model.reward_values * model.reward_scale + model.reward_offset
+    obs = [f"z{o}_{r}" for o in range(model.n_observations) for r in range(nr)]
+    lines = [
+        f"discount: {float(model.discount)!r}",
+        "values: reward",
+        "states: " + " ".join(model.states),
+        "actions: " + " ".join(model.actions),
+        "observations: " + " ".join(obs),
+        "start: " + _row(model.initial_belief),
+    ]
+    for key, kernel in (("T", model.transition), ("O", model.signal_kernel)):
+        for a, action in enumerate(model.actions):
+            for s, state in enumerate(model.states):
+                lines += [f"{key}: {action} : {state}", _row(kernel[s, a])]
+    lines += [f"R: * : * : * : {name} {float(raw[z % nr])!r}" for z, name in enumerate(obs)]
+    return parse_pomdp("\n".join(lines) + "\n")
 
 
 def state_coefficients(dec) -> np.ndarray:

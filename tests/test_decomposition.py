@@ -22,6 +22,7 @@ from reference import (
     fully_observable_chain,
     hankel_submatrix,
     near_duplicate_states,
+    parsed_per_signal,
     sequence_probability,
     state_coefficients,
 )
@@ -312,3 +313,23 @@ def test_json_dump_shape(tiger):
     coeffs = np.abs(state_coefficients(span))
     assert d["maxCoefficient"] == np.max(coeffs) <= 2.0
     assert d["conditionRatio"] == span.condition_ratio >= 1.0
+
+
+def test_discovery_multiplies_only_live_symbols(monkeypatch):
+    m = parsed_per_signal(random_pomdp(6, 2, 2, 2, seed=3))
+    live, n_symbols = m.live_symbols, m.n_actions * m.n_signals
+    assert live.size == n_symbols // 2
+    calls = []
+    real = PomdpModel.symbol_matrix
+    monkeypatch.setattr(PomdpModel, "symbol_matrix", lambda self, k: calls.append(k) or real(self, k))
+    dec = discover_basis(m)
+    # one pass over the live symbols per step: the rank - 1 admitted
+    # candidates and the refused one
+    assert dec.rank > 1
+    assert calls == list(live) * dec.rank
+    # every column is the product it stands for, a dead symbol's +0.0
+    for k in range(n_symbols):
+        want = real(m, k) @ dec.state_test_matrix
+        np.testing.assert_array_equal(dec.extensions[:, k], want)
+        if k not in live:
+            assert not want.any() and not np.signbit(dec.extensions[:, k]).any()

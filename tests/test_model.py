@@ -18,7 +18,7 @@ from psrplan.model import (
 from psrplan import model as modelmod
 from psrplan.zoo import random_pomdp
 
-from reference import fully_observable_chain, sequence_probability
+from reference import fully_observable_chain, parsed_per_signal, sequence_probability
 
 
 def random_test(model, length, rng):
@@ -352,18 +352,23 @@ def test_validate_rejects_bad_discount():
 
 def assert_batch_matches_filter(model, beliefs):
     """belief_update_state_major equals belief_update bit for bit, for
-    every row, action and signal."""
+    every row and live symbol, and belief_update gives p = 0 for every dead
+    symbol."""
     p, post = belief_update_state_major(model, beliefs)
-    assert p.shape == (model.n_actions, model.n_signals, len(beliefs))
+    live = model.live_symbols
+    assert p.shape == (live.size, len(beliefs))
     assert post.shape == (model.n,) + p.shape
     for k, b in enumerate(beliefs):
-        for a in range(model.n_actions):
-            for z in range(model.n_signals):
-                p_ref, post_ref = belief_update(model, b, a, z)
-                assert p[a, z, k] == p_ref
-                if post_ref is None:
-                    post_ref = np.zeros(model.n)  # +0.0, not -0.0
-                assert_bits_equal(post[:, a, z, k], post_ref)
+        for symbol in range(model.n_actions * model.n_signals):
+            p_ref, post_ref = belief_update(model, b, *divmod(symbol, model.n_signals))
+            if symbol not in live:
+                assert p_ref == 0.0 and post_ref is None
+                continue
+            slot = int(np.searchsorted(live, symbol))
+            assert p[slot, k] == p_ref
+            if post_ref is None:
+                post_ref = np.zeros(model.n)  # +0.0, not -0.0
+            assert_bits_equal(post[:, slot, k], post_ref)
 
 
 def assert_bits_equal(got, want):
@@ -385,9 +390,11 @@ def test_batched_filter_matches_belief_update():
     for seed, (n, na, no, nr) in enumerate(shapes):
         m = random_pomdp(n, na, no, nr, seed=seed, dirichlet=0.3)
         beliefs = random_beliefs(n, 40, rng)
-        assert_batch_matches_filter(m, beliefs)
-        # an empty stack keeps the documented shapes
-        assert_batch_matches_filter(m, beliefs[:0])
+        # parsed back, the model emits one symbol in nr: the rest are dead
+        for model in (m, parsed_per_signal(m)) if nr > 1 else (m,):
+            assert_batch_matches_filter(model, beliefs)
+            # an empty stack keeps the documented shapes
+            assert_batch_matches_filter(model, beliefs[:0])
     # impossible signals: zero probability and an all-zero posterior
     m = fully_observable_chain()
     beliefs = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]])
@@ -398,6 +405,15 @@ def test_batched_filter_matches_belief_update():
     _, post = belief_update_state_major(m, beliefs)
     assert np.signbit(m.signal_kernel).any() and not np.signbit(post).any()
     assert_batch_matches_filter(m, beliefs)
+
+
+def test_live_symbols_are_those_some_arriving_state_emits():
+    m = fully_observable_chain()
+    # each observation carries one reward: (o0, r0) and (o1, r1) per action
+    np.testing.assert_array_equal(m.live_symbols, [0, 3, 4, 7])
+    m.signal_kernel = np.where(m.signal_kernel == 0.0, -0.0, m.signal_kernel)
+    np.testing.assert_array_equal(m.live_symbols, [0, 3, 4, 7])  # -0.0 emits nothing
+    assert random_pomdp(3, 2, 2, 2, seed=0).live_symbols.size == 8
 
 
 def test_batched_filter_keeps_drift_renormalization(monkeypatch):

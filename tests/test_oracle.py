@@ -25,6 +25,7 @@ from psrplan.oracle import (
 from psrplan.zoo import random_pomdp
 
 from conftest import DATA
+from reference import parsed_per_signal
 from test_oracle_reference import reference_tree
 
 TIGER_GOLDEN_H20 = 3.777986364180994  # pinned output of this oracle
@@ -263,6 +264,8 @@ def test_block_size_does_not_change_values(monkeypatch):
     models = [load_pomdp(DATA / f"{name}.POMDP") for name in ("tiger", "clones")]
     horizons = [horizon_for_slack(m.discount, 1e-2) for m in models] + [5]
     models.append(random_pomdp(4, 2, 2, 2, seed=0))
+    models.append(parsed_per_signal(models[-1]))  # half of its symbols dead
+    horizons.append(5)
     for model, horizon in zip(models, horizons):
         policies = [
             lambda x: np.argmax(x, axis=1) % model.n_actions,
@@ -300,7 +303,7 @@ def test_a_horizon_past_the_node_budget_is_refused_before_filtering(tiger, monke
     calls = []
     real = oraclemod.belief_update_state_major
     monkeypatch.setattr(
-        oraclemod, "belief_update_state_major", lambda *a: calls.append(1) or real(*a)
+        oraclemod, "belief_update_state_major", lambda *a, **k: calls.append(1) or real(*a, **k)
     )
     monkeypatch.setattr(oraclemod, "NODE_BUDGET", 5)
     with pytest.raises(OracleBudgetError, match="would have expanded more than 5 nodes"):

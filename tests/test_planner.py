@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from psrplan.cassandra import load_pomdp
 from psrplan.decomposition import discover_basis, improve_to_spanner, solve_coefficients
 from psrplan.errors import ConvergenceError, StateCapExceededError, ValidationError
 from psrplan.model import Signal, belief_update
-from psrplan.grid import P_MIN
+from psrplan.grid import BLOCK_BRANCHES, P_MIN
 from psrplan.planner import (
     SignalDynamics,
     act,
@@ -19,11 +21,11 @@ from psrplan.planner import (
     round_to_grid,
     step_block,
 )
-from psrplan.oracle import exact_value
+from psrplan.oracle import exact_value, search
 from psrplan.zoo import random_pomdp
 
 from conftest import DATA
-from reference import from_pomdp, fully_observable_chain, sequence_probability
+from reference import from_pomdp, fully_observable_chain, parsed_per_signal, sequence_probability
 
 
 def make_spanner(model):
@@ -40,50 +42,68 @@ def test_fair_coin_dynamics(fair_coin):
 
 def reference_dynamics(model, dec):
     """The per-symbol ``mu[σ] @ U`` loop precompute_dynamics replaced, with
-    the step operators derived from its own W."""
-    ma, nr = from_pomdp(model), model.n_rewards
-    W = np.zeros((model.n_actions, model.n_signals, dec.rank, dec.rank))
+    the step operators derived from its own W, over the live symbols."""
+    ma, nr, r = from_pomdp(model), model.n_rewards, dec.rank
+    W = np.zeros((model.n_actions, model.n_signals, r, r))
     for a in range(model.n_actions):
         for o in range(model.n_observations):
             for rr in range(nr):
                 ext = ma.mu[(a, Signal(o, rr))] @ dec.state_test_matrix
                 W[a, o * nr + rr] = ext[dec.basis_states]
-    v = W[..., 0].copy()
-    rho = np.einsum("azi,z->ai", v, np.tile(model.reward_values, model.n_observations))
-    G = np.ascontiguousarray(solve_coefficients(dec, W).transpose(2, 0, 1, 3).reshape(dec.rank, -1))
-    return SignalDynamics(v=v, W=W, rho=rho, G=G)
+    rho = np.einsum("azi,z->ai", W[..., 0].copy(), np.tile(model.reward_values, model.n_observations))
+    live = model.live_symbols
+    W_live = W.reshape(-1, r, r)[live]
+    G = np.ascontiguousarray(solve_coefficients(dec, W_live).transpose(1, 0, 2).reshape(r, -1))
+    return SignalDynamics(W=W, rho=rho, live=live, v=W_live[..., 0].copy(), G=G)
+
+
+def by_symbol(model, dyn, x):
+    """A live-layout step output, (k, L, ...), as (k, A, Z, ...) with +0.0
+    at every dead symbol."""
+    full = np.zeros((x.shape[0], model.n_actions * model.n_signals) + x.shape[2:])
+    full[:, dyn.live] = x
+    return full.reshape((x.shape[0], model.n_actions, model.n_signals) + x.shape[2:])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dynamics_match_the_symbol_loop_bit_for_bit(seed):
     # step_block's einsum rounds differently on a strided v, so the steps
-    # are compared as well as the arrays
-    m = random_pomdp(5, 2, 2, 2, seed=seed)
-    dec = make_spanner(m)
-    dyn, ref = precompute_dynamics(m, dec), reference_dynamics(m, dec)
-    for name in ("v", "W", "rho", "G"):
-        np.testing.assert_array_equal(getattr(dyn, name), getattr(ref, name), err_msg=name)
-    alpha = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(200, dec.rank))
-    p, beta = step_block(dyn, alpha)
-    for got, want in zip((p, beta), step_block(ref, alpha)):
-        np.testing.assert_array_equal(got, want)
-    # the per-block solve against M that the step operators replaced
-    q = np.einsum("ki,azij->kazj", alpha, dyn.W)
-    q /= np.where(p > P_MIN, p, 1.0)[..., None]
-    np.testing.assert_array_equal(p, np.clip(np.einsum("ki,azi->kaz", alpha, dyn.v), 0.0, 1.0))
-    np.testing.assert_allclose(beta, solve_coefficients(dec, q), rtol=0.0, atol=1e-12)
+    # are compared as well as the arrays; parsed back, the model emits
+    # half of its symbols
+    base = random_pomdp(5, 2, 2, 2, seed=seed)
+    for m in (base, parsed_per_signal(base)):
+        dec = make_spanner(m)
+        dyn, ref = precompute_dynamics(m, dec), reference_dynamics(m, dec)
+        assert dyn.live.size == m.n_actions * m.n_signals // (1 if m is base else 2)
+        for name in ("live", "v", "W", "rho", "G"):
+            np.testing.assert_array_equal(getattr(dyn, name), getattr(ref, name), err_msg=name)
+        alpha = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(200, dec.rank))
+        p, beta = step_block(dyn, alpha)
+        for got, want in zip((p, beta), step_block(ref, alpha)):
+            np.testing.assert_array_equal(got, want)
+        # the per-block solve against M that the step operators replaced
+        q = np.einsum("ki,lij->klj", alpha, dyn.W.reshape(-1, dec.rank, dec.rank)[dyn.live])
+        q /= np.where(p > P_MIN, p, 1.0)[..., None]
+        np.testing.assert_array_equal(p, np.clip(np.einsum("ki,li->kl", alpha, dyn.v), 0.0, 1.0))
+        # the parsed model's beta reaches 1e3 where p is small: 2 ulps there
+        rtol = 0.0 if m is base else 1e-14
+        np.testing.assert_allclose(beta, solve_coefficients(dec, q), rtol=rtol, atol=1e-12)
 
 
 def test_signal_probabilities_sum_to_one():
     m = random_pomdp(4, 2, 2, 2, seed=31)
     dyn = precompute_dynamics(m, make_spanner(m))
-    totals = dyn.v.sum(axis=1)  # (A, r)
+    totals = dyn.W[..., 0].sum(axis=1)  # (A, r)
     np.testing.assert_allclose(totals, 1.0, atol=1e-10)
 
 
 def test_extension_of_empty_test_is_signal_probability(tiger):
     dyn = precompute_dynamics(tiger, make_spanner(tiger))
-    np.testing.assert_allclose(dyn.W[:, :, :, 0], dyn.v, atol=1e-12)
+    r = dyn.v.shape[1]
+    np.testing.assert_array_equal(dyn.W[..., 0].reshape(-1, r)[dyn.live], dyn.v)
+    # a dead symbol extends every test to probability 0
+    dead = np.setdiff1d(np.arange(tiger.n_actions * tiger.n_signals), dyn.live)
+    assert dead.size and not dyn.W.reshape(-1, r, r)[dead].any()
     assert np.all(dyn.rho >= 0.0) and np.all(dyn.rho <= 1.0)
 
 
@@ -99,7 +119,9 @@ def test_tiger_listen_dynamics_from_model_parameters(tiger):
     for i, s in enumerate(span.basis_states):
         e = np.eye(m.n)[s]
         want = sequence_probability(m, e, ((a, sig),))
-        assert dyn.v[a, z, i] == pytest.approx(want, abs=1e-12)
+        assert dyn.v[np.searchsorted(dyn.live, a * m.n_signals + z), i] == pytest.approx(
+            want, abs=1e-12
+        )
 
 
 def test_dynamics_match_filter_route_everywhere():
@@ -121,7 +143,7 @@ def test_step_from_basis_corner_matches_filter():
     dec = make_spanner(m)
     dyn = precompute_dynamics(m, dec)
     # row i of the block is basis corner i
-    p, beta = step_block(dyn, np.eye(dec.rank))
+    p, beta = (by_symbol(m, dyn, x) for x in step_block(dyn, np.eye(dec.rank)))
     for i, s in enumerate(dec.basis_states):
         e = np.eye(m.n)[s]
         for a in range(m.n_actions):
@@ -138,7 +160,7 @@ def test_step_from_basis_corner_matches_filter():
 def test_fair_coin_step_keeps_its_coefficient(fair_coin):
     span = make_spanner(fair_coin)
     dyn = precompute_dynamics(fair_coin, span)
-    p, beta = step_block(dyn, np.array([[1.0]]))
+    p, beta = (by_symbol(fair_coin, dyn, x) for x in step_block(dyn, np.array([[1.0]])))
     z = fair_coin.signal_index(Signal(0, 0))
     assert p[0, 0, z] == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(beta[0, 0, z], [1.0], atol=1e-12)
@@ -150,7 +172,7 @@ def test_step_total_probability_for_genuine_beliefs():
     dyn = precompute_dynamics(m, span)
     rng = np.random.default_rng(4)
     beliefs = np.stack([rng.dirichlet([1.0] * m.n) for _ in range(10)])
-    p, _ = step_block(dyn, belief_coefficients(span, beliefs))
+    p = by_symbol(m, dyn, step_block(dyn, belief_coefficients(span, beliefs))[0])
     np.testing.assert_allclose(p.sum(axis=2), 1.0, rtol=0.0, atol=1e-9)
 
 
@@ -286,26 +308,31 @@ def test_block_size_does_not_change_the_grid(monkeypatch, tiger, builder):
 
 @pytest.mark.parametrize("block", [1, 7, 512])
 def test_block_size_moves_rewards_by_ulps_only(monkeypatch, block):
-    # by zero ulps: the rewards are no longer a per-block product
-    m = random_pomdp(3, 2, 2, 2, seed=0)
-    assert make_spanner(m).rank == 3
-    reference = build_planner_grid(m, 0.1)
-    assert reference.n_states > 512
-    monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", branches(m, block))
-    assert_same_grid(build_planner_grid(m, 0.1), reference, branches(m, block))
+    # by zero ulps: the rewards are no longer a per-block product; parsed
+    # back, the model emits half of its symbols
+    base = random_pomdp(3, 2, 2, 2, seed=0)
+    for m in (base, parsed_per_signal(base)):
+        monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", BLOCK_BRANCHES)
+        assert make_spanner(m).rank == 3
+        reference = build_planner_grid(m, 0.1)
+        assert reference.n_states > 512
+        monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", branches(m, block))
+        assert_same_grid(build_planner_grid(m, 0.1), reference, branches(m, block))
 
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_block_size_does_not_change_a_simplex_grid_of_many_blocks(monkeypatch, block):
-    m = random_pomdp(4, 2, 2, 2, seed=1, dirichlet=0.5)
-    default = build_delta_grid(m, 0.025)
-    # 256 states per block: the reference spans at least three blocks
-    monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", branches(m, 256))
-    reference = build_delta_grid(m, 0.025)
-    assert reference.n_states > 2 * 256
-    assert_same_grid(default, reference, "default")
-    monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", branches(m, block))
-    assert_same_grid(build_delta_grid(m, 0.025), reference, branches(m, block))
+    base = random_pomdp(4, 2, 2, 2, seed=1, dirichlet=0.5)
+    for m in (base, parsed_per_signal(base)):
+        monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", BLOCK_BRANCHES)
+        default = build_delta_grid(m, 0.025)
+        # 256 states per block: the reference spans at least three blocks
+        monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", branches(m, 256))
+        reference = build_delta_grid(m, 0.025)
+        assert reference.n_states > 2 * 256
+        assert_same_grid(default, reference, "default")
+        monkeypatch.setattr(gridmod, "BLOCK_BRANCHES", branches(m, block))
+        assert_same_grid(build_delta_grid(m, 0.025), reference, branches(m, block))
 
 
 def test_epsilon_validated(tiger):
@@ -509,3 +536,33 @@ def test_grid_reward_is_linear_for_genuine_beliefs():
                 for z in range(m.n_signals)
             )
             assert alpha @ dyn.rho[a] == pytest.approx(direct, abs=1e-9)
+
+
+def with_silent_observations(m, count):
+    """m with ``count`` observations appended that no state ever emits."""
+    kernel = np.zeros((m.n, m.n_actions, (m.n_observations + count) * m.n_rewards))
+    kernel[:, :, : m.n_signals] = m.signal_kernel
+    silent = dataclasses.replace(
+        m, observations=m.observations + [f"silent{i}" for i in range(count)], signal_kernel=kernel
+    )
+    silent.validate()
+    return silent
+
+
+@pytest.mark.parametrize("name", ["random", "tiger", "parsed"])
+def test_never_emitted_observations_change_no_plan(tiger, name):
+    """Only live symbols are computed, so appended observations that no
+    state emits change no grid array, value, policy or oracle Q."""
+    base = random_pomdp(4, 2, 2, 2, seed=5, discount=0.6)
+    m = {"random": base, "tiger": tiger, "parsed": parsed_per_signal(base)}[name]
+    silent = with_silent_observations(m, 2)
+    assert np.array_equal(silent.live_symbols % silent.n_signals, m.live_symbols % m.n_signals)
+    for run in (lambda x: plan(x, epsilon=0.2), lambda x: plan_baseline(x, delta=0.1)):
+        got, want = run(silent), run(m)
+        assert_same_grid(got.grid, want.grid, name)
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.policy, want.policy)
+    policy = lambda x: np.argmax(x, axis=1) % m.n_actions  # noqa: E731
+    got, want = (search(x, x.initial_belief, 5, [policy]) for x in (silent, m))
+    assert got[:3] == want[:3]
+    np.testing.assert_array_equal(got[3], want[3])
