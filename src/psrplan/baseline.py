@@ -44,8 +44,9 @@ def simplex_round(b: np.ndarray, delta: float) -> np.ndarray:
     k = resolution(delta)
     scaled = np.asarray(b, dtype=np.float64) * k
     floors = np.floor(scaled + 1e-12).astype(np.int64)
-    leftover = k - floors.sum(axis=-1, keepdims=True)
     n = scaled.shape[-1]
+    # an integer product, exact, and far faster than a sum over a short last axis
+    leftover = k - floors @ np.ones((n, 1), dtype=np.int64)
     # largest remainder first: floors - scaled is minus the remainder, exactly
     order = np.argsort(floors - scaled, axis=-1, kind="stable")
     # each coordinate's position in that order: one scatter inverts it

@@ -51,7 +51,7 @@ class GridMdp:
 
     def locate(self, coords) -> np.ndarray:
         """State ids of a (k, dim) stack of lattice points, off-grid points
-        mapped to the nearest state (L1).
+        mapped to the nearest state (L1), the lower id on a tie.
 
         Off-grid points are expected when a policy meets beliefs outside the
         expanded closure: each fallback counts in diagnostics["actFallbacks"],
@@ -59,8 +59,9 @@ class GridMdp:
         """
         coords = np.asarray(coords, dtype=np.int64)
         sid = self.index.find(coords)
+        ones = np.ones(self.coords.shape[1], dtype=np.int64)  # exact integer L1 sums
         for i in np.flatnonzero(sid < 0):
-            sid[i] = np.argmin(np.abs(self.coords - coords[i]).sum(axis=1))
+            sid[i] = np.argmin(np.abs(self.coords - coords[i]) @ ones)
             count = self.diagnostics.get("actFallbacks", 0)
             self.diagnostics["actFallbacks"] = count + 1
             log = logger.warning if count == 0 else logger.debug
@@ -156,16 +157,19 @@ class Interner:
     fixed-width byte view of the row, whose order is arbitrary but total,
     which is all the lookup needs.  Ids do not depend on the key kind.
 
-    A call numbers its rows by one unstable sort (``sort_groups`` and
-    ``number_groups``, the steps of the oracle's ``dedupe``), then looks
-    its distinct keys up.  The interned keys are kept in two sorted runs
-    for ``searchsorted``: ``keys`` and a recent run (``recent_keys``) that
-    takes each call's new keys and merges into ``keys`` once it holds more
-    than an eighth as many.  So no call copies all N keys, and a closure's
-    cost per state stays flat as it grows.  ``settle`` merges the runs for
-    good.  ``coords`` holds the distinct rows in id order, a view of a
-    buffer whose capacity doubles; ``find`` looks rows up without interning
-    them.  A row outside the cube raises when interned and is never found.
+    A call groups its rows by one unstable sort (``sort_groups``) and looks
+    up one row of each distinct key.  Only the keys not interned before are
+    numbered: a new group's first row is the least row index in it, and one
+    argsort of those first rows gives the new keys ids in order of first
+    occurrence.  Every row then takes its group's id.  The interned keys
+    are kept in two sorted runs for ``searchsorted``: ``keys`` and a recent
+    run (``recent_keys``) that takes each call's new keys and merges into
+    ``keys`` once it holds more than an eighth as many.  So no call copies
+    all N keys, and a closure's cost per state stays flat as it grows.
+    ``settle`` merges the runs for good.  ``coords`` holds the distinct
+    rows in id order, a view of a buffer whose capacity doubles; ``find``
+    looks rows up without interning them.  A row outside the cube raises
+    when interned and is never found.
     """
 
     def __init__(self, dim, radius):
@@ -201,8 +205,9 @@ class Interner:
     def _lookup(self, keys):
         """Ids of keys, -1 where not interned: ``keys``, then the recent run."""
         ids = _search(self.keys, self.ids, keys)
-        miss = np.flatnonzero(ids < 0)
-        ids[miss] = _search(self.recent_keys, self.recent_ids, keys[miss])
+        if self.recent_keys.size:  # empty after every merge, and once settled
+            miss = np.flatnonzero(ids < 0)
+            ids[miss] = _search(self.recent_keys, self.recent_ids, keys[miss])
         return ids
 
     def find(self, coords):
@@ -219,22 +224,24 @@ class Interner:
             raise ValueError(f"lattice point outside [-{self.radius}, {self.radius}]^{self.dim}")
         keys = self._keys(coords)
         order, starts = sort_groups(keys)
-        local, first = number_groups(order, starts)
-        heads = order[starts]  # a row of each distinct key, in key order
-        found = self._lookup(keys[heads])
-        uid = np.empty(first.size, dtype=np.int64)  # by local id
-        uid[local[heads]] = found
-        fresh = uid < 0  # local ids follow first occurrence, as new ids must
-        uid[fresh] = self.coords.shape[0] + np.arange(np.count_nonzero(fresh))
-        self._append(coords[first[fresh]])
-        new = heads[found < 0]
+        at = np.flatnonzero(starts)  # where each group begins in ``order``
+        heads = order[at]  # a row of each distinct key, in key order
+        uid = self._lookup(keys[heads])  # by group
+        new = np.flatnonzero(uid < 0)
         if new.size:
+            # the new groups' first rows, numbered as they first occur
+            first = np.minimum.reduceat(order, at)[new]
+            rank = np.argsort(first)
+            uid[new[rank]] = self.coords.shape[0] + np.arange(new.size)
+            self._append(coords[first[rank]])
             self.recent_keys, self.recent_ids = _merged(
-                self.recent_keys, self.recent_ids, keys[new], uid[local[new]]
+                self.recent_keys, self.recent_ids, keys[heads[new]], uid[new]
             )
             if self.recent_keys.size > self.keys.size // 8:
                 self._merge_runs()
-        return uid[local]
+        ids = np.empty(keys.size, dtype=np.int64)
+        ids[order] = uid[np.cumsum(starts) - 1]
+        return ids
 
     def _append(self, rows):
         n = self.coords.shape[0]

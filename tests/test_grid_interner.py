@@ -133,3 +133,49 @@ def test_a_closure_settles_its_index(monkeypatch):
     assert grid.coords.flags.owndata  # not a view of the growth buffer
     assert grid.index.recent_keys.size == 0
     np.testing.assert_array_equal(grid.index.find(grid.coords), np.arange(grid.n_states))
+
+
+@pytest.mark.parametrize("radius", [3, widest_radius(2) + 1])
+def test_empty_and_all_known_calls_add_no_row(radius):
+    known = np.array([[1, 2], [-3, 0], [0, 0]])
+    empty = np.empty((0, 2), dtype=np.int64)
+    intern = Interner(2, radius)
+    assert intern(empty).dtype == np.int64 and intern(empty).size == 0
+    assert intern.coords.shape == (0, 2)
+    np.testing.assert_array_equal(intern(known), [0, 1, 2])
+    for block in (empty, known[[2, 0, 2, 1, 0]]):
+        runs = (intern.keys.size, intern.recent_keys.size)
+        np.testing.assert_array_equal(intern(block), reference_ids([known, block])[1])
+        assert (intern.keys.size, intern.recent_keys.size) == runs
+        np.testing.assert_array_equal(intern.coords, known)
+
+
+@pytest.mark.parametrize("radius", [3, widest_radius(2) + 1])
+def test_a_call_mixing_new_and_known_rows_numbers_new_ones_as_they_occur(radius):
+    """Known rows whose keys sort after the new ones come first in the call,
+    and the new row met first sorts after the other new one."""
+    known = np.array([[3, 3], [2, 2]])
+    block = np.array([[3, 3], [0, 0], [2, 2], [-1, -1], [0, 0], [3, 3], [-1, -1]])
+    intern = Interner(2, radius)
+    want = reference_ids([known, block])
+    np.testing.assert_array_equal(intern(known), want[0])
+    np.testing.assert_array_equal(intern(block), want[1])
+    np.testing.assert_array_equal(want[1], [0, 2, 1, 3, 2, 0, 3])
+    np.testing.assert_array_equal(intern.coords, [[3, 3], [2, 2], [0, 0], [-1, -1]])
+    np.testing.assert_array_equal(intern.find(intern.coords), np.arange(4))
+
+
+@pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+def test_locate_sends_an_l1_tie_to_the_lower_id(order):
+    """(1, 0) is one L1 step from both (0, 0) and (2, 0), whichever is interned first."""
+    intern = Interner(2, 3)
+    intern(np.array([[0, 0], [2, 0]])[order])
+    empty = np.empty(0)
+    grid = gridmod.GridMdp(
+        mesh=1.0, coords=intern.coords, n_actions=1, rewards=np.zeros(2),
+        indptr=np.zeros(3, dtype=np.int64), succ=empty.astype(np.int64), prob=empty,
+        discount=0.5, initial_state=0, index=intern,
+    )
+    np.testing.assert_array_equal(grid.locate([[1, 0], [2, 0], [1, 1], [-1, 0]]),
+                                  [0, order.index(1), 0, order.index(0)])
+    assert grid.diagnostics["actFallbacks"] == 3

@@ -18,6 +18,7 @@ from psrplan.oracle import (
     exact_value,
     HASH_MULTIPLIER,
     horizon_for_slack,
+    max_over_actions,
     row_hash,
     search,
     truncation_slack,
@@ -382,3 +383,15 @@ def test_row_hash_is_the_wrapping_dot_with_multiplier_powers(width):
         sum(int(k) * pow(h, j + 1, wrap) for j, k in enumerate(row)) % wrap for row in keys
     ]
     assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("k", [0, 1, 4097])
+@pytest.mark.parametrize("actions", [1, 2, 3, 9])
+def test_max_over_actions_is_the_row_max_bit_for_bit(actions, k):
+    """Nonnegative tables with exact ties, all-zero rows among them."""
+    rng = np.random.default_rng(actions * 10_000 + k)
+    q = rng.integers(4, size=(k, actions)) / 4 + rng.choice([0.0, 1e-300], size=(k, actions))
+    q[::5] = 0.0
+    got = max_over_actions(q)
+    assert got.dtype == np.float64 and got.shape == (k,)
+    np.testing.assert_array_equal(got.view(np.uint64), q.max(axis=1).view(np.uint64))
