@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psrplan import cli
-from psrplan.cassandra import DEFAULT_REWARD_CAP, parse_pomdp
+from psrplan.cassandra import DEFAULT_REWARD_CAP, load_pomdp, parse_pomdp
 from psrplan.errors import ParseError, UnsupportedConstructError, ValidationError
 
 
@@ -254,3 +254,65 @@ def test_later_entries_override_earlier_ones_in_file_order():
     )
     np.testing.assert_array_equal(m.signal_kernel[0, 1], [0, 0, 1, 0])
     np.testing.assert_array_equal(m.signal_kernel[1, 1], [0, 0, 0, 1])
+
+
+DIRECTIVE_BASE = (
+    "discount: 0.9\nvalues: reward\nstates: 2\nactions: 1\nobservations: 2\n"
+    "start: uniform\nT: * uniform\nO: * uniform\nR: * : * : * : * 1.0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        # a misspelled keyword after the preamble, once read as observation names
+        ("start: uniform", "Start: uniform", 6),
+        # after a T/O entry, once read as its body and refused at the entry's line
+        ("O: * uniform", "O: * uniform\nobs: 1", 9),
+        ("discount: 0.9", "dicsount: 0.9", 1),
+        ("T: * uniform", "T: * uniform\n  Tr : 0.5", 8),
+    ],
+)
+def test_a_misspelled_directive_is_refused_at_its_own_line(old, new, line):
+    text = DIRECTIVE_BASE.replace(old, new)
+    word = new.split("\n")[-1].split(":")[0].strip()
+    with pytest.raises(ParseError) as err:
+        parse_pomdp(text)
+    assert str(err.value) == f"line {line}: unrecognized directive '{word}'"
+
+
+@pytest.mark.parametrize(
+    "extra, keyword, first",
+    [
+        ("states: 3", "states", 3),
+        ("start: 1.0 0.0", "start", 6),
+        ("discount: 0.5", "discount", 1),
+        ("values: reward", "values", 2),
+        ("actions: 1", "actions", 4),
+        ("observations: o0 o1", "observations", 5),
+    ],
+)
+def test_a_second_declaration_is_refused_at_its_line(extra, keyword, first):
+    # after the entries: a second 'states: 3' once stretched the uniform
+    # entries to three states, and a second 'start' silently won
+    text = DIRECTIVE_BASE + extra + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_pomdp(text)
+    assert str(err.value) == (
+        f"line 10: second '{keyword}' declaration; the first is on line {first}"
+    )
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_load_reads_crlf_and_cr_line_ends(tmp_path, newline):
+    want = parse_pomdp(MATRIX_FORMS)
+    path = tmp_path / "m.POMDP"
+    path.write_bytes(MATRIX_FORMS.replace("\n", newline).encode())
+    got = load_pomdp(path)
+    for name in ("transition", "signal_kernel", "initial_belief", "reward_values"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    # line numbers count each line end once
+    path.write_bytes(MATRIX_FORMS.replace("T: spin", "T: bad").replace("\n", newline).encode())
+    with pytest.raises(ParseError, match="unknown action 'bad'") as err:
+        load_pomdp(path)
+    assert err.value.line == 13

@@ -1,13 +1,15 @@
-"""The vectorized Cassandra loader against the loop-based one it replaced.
+"""The Cassandra loader against a line-by-line, loop-based reference.
 
-``_apply_transition``, ``_apply_observation``, ``_apply_reward``,
-``_collect_rewards`` and ``_signal_kernel`` below are the table-filling
-half of the loader as it was when every ``*`` expanded into a Python loop
-of scalar assignments.  ``reference_parse`` runs them on the statements
-and declarations of the current loader, so the two loaders differ only in
-how they fill the tables and bin the rewards: the model arrays must agree
-byte for byte, and a rejected text must fail with the same error type and
-message.
+The reference below is the loader as it was when every ``*`` expanded
+into a Python loop of scalar assignments and every statement was built
+by one pass over the file's lines: ``_split_statements``,
+``_declarations`` and ``_parse_start`` read the statements,
+``_apply_transition``, ``_apply_observation`` and ``_apply_reward`` fill
+the tables entry by entry, and ``_collect_rewards`` and ``_signal_kernel``
+bin the rewards.  It shares no code with the loader's statement table or
+its run writer, only the checks ``check_rows`` and ``is_distribution``.
+The model arrays must agree byte for byte, and a rejected text must fail
+with the same error type and message.
 """
 
 import math
@@ -18,10 +20,164 @@ import pytest
 
 from psrplan import cassandra
 from psrplan.cassandra import _MATRIX_WORDS, DEFAULT_REWARD_CAP, parse_pomdp
-from psrplan.errors import ParseError, PsrPlanError, ValidationError
-from psrplan.model import PomdpModel, check_rows
+from psrplan.errors import ParseError, PsrPlanError, UnsupportedConstructError, ValidationError
+from psrplan.model import PomdpModel, check_rows, is_distribution
 
 from conftest import DATA
+
+_KEYWORDS = {"discount", "values", "states", "actions", "observations", "start", "T", "O", "R"}
+_HEAD = re.compile(r"^([A-Za-z]+)\s*(:?)\s*(.*)$")
+_START_MODE = re.compile(r"^(include|exclude)\s*:?\s*(.*)$")
+
+
+class _Stmt:
+    def __init__(self, keyword, mode, slots, body, line):
+        self.keyword = keyword
+        self.mode = mode  # include/exclude for start, else None
+        self.slots = slots  # colon-separated header fields
+        self.body = body  # rest of the header line, then continuation lines
+        self.line = line
+
+    def tokens(self):
+        return " ".join(self.body).split()
+
+
+def _split_statements(text):
+    """Group physical lines into statements, one line at a time."""
+    stmts = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _HEAD.match(line) if line[0].isalpha() else None
+        word = m.group(1) if m else None
+        if word in _KEYWORDS:
+            rest = m.group(3)
+            mode = None
+            if word == "start":
+                m2 = _START_MODE.match(rest)
+                if m2:
+                    mode, rest = m2.group(1), m2.group(2)
+            if word in ("T", "O", "R"):
+                if not m.group(2):
+                    raise ParseError(f"expected ':' after {word}", lineno)
+                *parts, last = rest.split(":")
+                slots = []
+                for part in parts:
+                    fields = part.split()
+                    if not fields:
+                        raise ParseError(f"empty field in {word} entry", lineno)
+                    if len(fields) != 1:
+                        raise ParseError(
+                            f"unexpected token '{fields[1]}' in {word} entry", lineno
+                        )
+                    slots.append(fields[0])
+                fields = last.split(None, 1)
+                if not fields:
+                    raise ParseError(f"empty field in {word} entry", lineno)
+                slots.append(fields[0])
+                stmts.append(_Stmt(word, None, slots, fields[1:], lineno))
+            else:
+                stmts.append(_Stmt(word, mode, [], [rest], lineno))
+        elif m and m.group(2):
+            raise ParseError(f"unrecognized directive '{word}'", lineno)
+        else:
+            if not stmts:
+                raise ParseError(f"unrecognized directive '{line.split()[0]}'", lineno)
+            stmts[-1].body.append(line)
+    return stmts
+
+
+def _names_from_tokens(tokens, prefix, line):
+    if not tokens:
+        raise ParseError(f"empty {prefix} declaration", line)
+    if len(tokens) == 1 and re.fullmatch(r"\d+", tokens[0]):
+        count = int(tokens[0])
+        if count < 1:
+            raise ParseError(f"{prefix} count must be positive", line)
+        return [f"{prefix}{i}" for i in range(count)]
+    if len(set(tokens)) != len(tokens):
+        raise ParseError(f"duplicate {prefix} name", line)
+    return list(tokens)
+
+
+def _declarations(stmts):
+    """``(discount, states, actions, observations, start, entries)``."""
+    discount = None
+    states = actions = observations = None
+    start_stmt = None
+    first = {}
+    kernel_stmts = []
+    for st in stmts:
+        if st.keyword in ("T", "O", "R", "start") and (
+            states is None or actions is None or observations is None
+        ):
+            raise ParseError(
+                f"'{st.keyword}' entry before states/actions/observations are declared",
+                st.line,
+            )
+        if st.keyword in ("T", "O", "R"):
+            kernel_stmts.append(st)
+            continue
+        if st.keyword in first:
+            raise ParseError(
+                f"second '{st.keyword}' declaration; the first is on line {first[st.keyword]}",
+                st.line,
+            )
+        first[st.keyword] = st.line
+        if st.keyword == "discount":
+            discount = float(_floats(st.tokens(), 1, st.line, "discount")[0])
+        elif st.keyword == "values":
+            tokens = st.tokens()
+            if tokens == ["cost"]:
+                raise UnsupportedConstructError(
+                    "'values: cost' is not supported; express the model with rewards",
+                    st.line,
+                )
+            if tokens != ["reward"]:
+                raise ParseError(f"bad values declaration {tokens}", st.line)
+        elif st.keyword == "states":
+            states = _names_from_tokens(st.tokens(), "s", st.line)
+        elif st.keyword == "actions":
+            actions = _names_from_tokens(st.tokens(), "a", st.line)
+        elif st.keyword == "observations":
+            observations = _names_from_tokens(st.tokens(), "o", st.line)
+        else:
+            start_stmt = st
+    if discount is None:
+        raise ParseError("missing discount declaration")
+    if states is None or actions is None or observations is None:
+        raise ParseError("missing states/actions/observations declaration")
+    return discount, states, actions, observations, start_stmt, kernel_stmts
+
+
+def _parse_start(st, sn, n):
+    if st is None:
+        return np.full(n, 1.0 / n)
+    tokens = st.tokens()
+    if st.mode is not None:
+        chosen = np.zeros(n, dtype=bool)
+        for tok in tokens:
+            for s in sn.expand(sn.resolve(tok, st.line)):
+                chosen[s] = True
+        if st.mode == "exclude":
+            chosen = ~chosen
+        if not chosen.any():
+            raise ParseError("start set is empty", st.line)
+        return chosen / chosen.sum()
+    if len(tokens) == 1:
+        tok = tokens[0]
+        if tok == "uniform":
+            return np.full(n, 1.0 / n)
+        # with one state, "1" is the probability vector and "0" the state
+        if tok in sn.index or (re.fullmatch(r"\d+", tok) and (n > 1 or int(tok) < n)):
+            belief = np.zeros(n)
+            belief[sn.resolve(tok, st.line)] = 1.0
+            return belief
+    vals = np.array(_floats(tokens, n, st.line, "start belief"))
+    if not is_distribution(vals):
+        raise ParseError("start belief is not a probability vector", st.line)
+    return vals / vals.sum()
 
 
 class _LoopStmt:
@@ -270,15 +426,13 @@ def _loop_tables(kernel_stmts, states, actions, observations):
 
 def reference_parse(text):
     discount, states, actions, observations, start_stmt, kernel_stmts = (
-        cassandra._declarations(cassandra._split_statements(text))
+        _declarations(_split_statements(text))
     )
     transition, obs_kernel, reward_raw = _loop_tables(
         kernel_stmts, states, actions, observations
     )
     n = len(states)
-    initial_belief = cassandra._parse_start(
-        start_stmt, cassandra._NameSpace("state", states), n
-    )
+    initial_belief = _parse_start(start_stmt, _NameSpace("state", states), n)
     check_rows(transition.sum(axis=2), "transition", states, actions)
     transition /= transition.sum(axis=2, keepdims=True)
     check_rows(
@@ -417,10 +571,10 @@ def _kernel_entries(rng, n, na, no, departing_wildcard=False):
 
 def assert_same_tables(text):
     """Both loaders fill the same raw tables, before any row check."""
-    _, states, actions, observations, _, kernel_stmts = cassandra._declarations(
-        cassandra._split_statements(text)
+    _, states, actions, observations, _, kernel_stmts = _declarations(
+        _split_statements(text)
     )
-    got = cassandra._fill_tables(kernel_stmts, states, actions, observations)
+    got = cassandra._fill_tables(cassandra._Statements(text), states, actions, observations)
     want = _loop_tables(kernel_stmts, states, actions, observations)
     for table, ref in zip(got, want):
         assert_bytes_equal(table, ref)
@@ -577,6 +731,14 @@ ERROR_CORPUS = {
         PREAMBLE.format(n=2, na=1, no=1) + "T: a0\n0.5 0.5\n1e999 0\n",
         ParseError,
     ),
+    "misspelled_directive_after_an_entry": (
+        PREAMBLE.format(n=2, na=1, no=1) + "T: * uniform\nobs: 1\nO: * uniform\n",
+        ParseError,
+    ),
+    "second_states_after_the_entries": (
+        PREAMBLE.format(n=2, na=1, no=1) + "T: * uniform\nO: * uniform\nstates: 3\n",
+        ParseError,
+    ),
 }
 
 # Malformed T/O/R entries on 2 states, 1 action and 3 observations, each
@@ -676,3 +838,86 @@ def test_error_corpus_matches_reference(case):
     with pytest.raises(kind):
         reference_parse(text)
     assert not assert_same_outcome(text)
+
+
+def test_the_last_entry_for_a_target_wins_inside_a_run():
+    """One run of one-line ``T: a : s`` rows sets (go, state index 1)
+    fifteen times, never twice in a row.  The state names are digits, so the name
+    ``0`` is index 1 and the index 1 can be written only as ``01``; the
+    action is named or indexed.  The last row wins, byte for byte as in
+    the entry-by-entry reference.  Every row is dyadic and sums to 1, so
+    the normalized rows are the written ones."""
+    run = [
+        ("go : 0", "0.125 0.875"), ("stay : 1", "0.5 0.5"), ("0 : 0", "0.375 0.625"),
+        ("go : 1", "0.1875 0.8125"), ("0 : 01", "0.625 0.375"), ("1 : 00", "0.4375 0.5625"),
+        ("go : 0", "1 0"), ("stay : 0", "0.0625 0.9375"), ("0 : 0", "0.25 0.75"),
+        ("stay : 00", "0.75 0.25"),
+    ]
+    run = run * 3  # long enough to be written by columns
+    assert len(run) >= cassandra._SHORT_RUN
+    text = PREAMBLE.format(n="1 0", na="go stay", no=1) + "".join(
+        f"T: {head} {row}\n" for head, row in run
+    ) + "O: * uniform\n"
+    assert_same_tables(text)
+    assert assert_same_outcome(text)
+    transition = parse_pomdp(text).transition  # [s, a, s']
+    assert transition[1, 0].tolist() == [0.25, 0.75]
+    assert transition[0, 0].tolist() == [0.1875, 0.8125]
+    assert transition[0, 1].tolist() == [0.75, 0.25]
+    assert transition[1, 1].tolist() == [0.0625, 0.9375]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_long_runs_match_reference(seed):
+    """Runs long enough to be written by columns, of every T, O and R form
+    with one-line bodies: each slot a name, an index, an index written
+    with a leading zero (applied entry by entry) or '*', so the runs break
+    into stretches of one '*' pattern, repeat targets and hold irregular
+    entries."""
+    rng = np.random.default_rng(300 + seed)
+    n, na, no = _sizes(rng)
+    sizes = {"a": na, "s": n, "o": no}
+    lines = []
+    for key, kinds, rows, cols in _forms(n, no):
+        if rows != 1:
+            continue
+        count = int(rng.integers(cassandra._SHORT_RUN, 3 * cassandra._SHORT_RUN))
+        for _ in range(count):
+            slots = []
+            for kind in kinds:
+                i, form = int(rng.integers(sizes[kind])), rng.random()
+                slots.append(
+                    "*" if form < 0.3 else f"0{i}" if form < 0.4 else str(i) if form < 0.6
+                    else f"{kind}{i}"
+                )
+            body = " ".join(repr(float(v)) for v in rng.uniform(-3.0, 3.0, size=cols))
+            lines.append(f"{key}: {' : '.join(slots)} {body}")
+    text = PREAMBLE.format(n=n, na=na, no=no) + "\n".join(lines) + "\n"
+    assert_same_tables(text)
+
+
+def benchmark_shaped_text(n, seed):
+    """The layout of the pipeline benchmark's files: every T and O row on
+    the line after its ``T: a : s`` head, and one ``R: * : * : * : z``
+    line per observation."""
+    rng = np.random.default_rng(seed)
+    actions, observations = ["a0", "a1"], [f"z{o}_{r}" for o in range(2) for r in range(2)]
+    lines = [
+        "discount: 0.9", "values: reward", "states: " + " ".join(f"s{i}" for i in range(n)),
+        "actions: " + " ".join(actions), "observations: " + " ".join(observations),
+        "start: " + " ".join(repr(float(p)) for p in rng.dirichlet(np.ones(n))), "",
+    ]
+    for key, width in (("T", n), ("O", len(observations))):
+        for a in actions:
+            for s in range(n):
+                lines.append(f"{key}: {a} : s{s}")
+                lines.append(" ".join(repr(float(p)) for p in rng.dirichlet(np.ones(width))))
+    lines += [f"R: * : * : * : {z} {r % 2 * 0.75!r}" for r, z in enumerate(observations)]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_benchmark_shaped_file_matches_reference():
+    text = benchmark_shaped_text(60, seed=3)
+    assert 2 * 60 >= cassandra._SHORT_RUN  # each T and O run is written by columns
+    assert assert_same_outcome(text)
+    assert not has_departing_axis(assert_same_tables(text))
