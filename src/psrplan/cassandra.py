@@ -6,22 +6,25 @@ Supported grammar: ``discount``/``values``/``states``/``actions``/
 ``T:``/``O:``/``R:`` entries with ``*`` wildcards, row/matrix
 continuation lines and the ``identity``/``uniform`` keyword matrices.
 ``values: cost`` is rejected, and so is a second declaration of any
-preamble keyword or of ``start``.  A line that opens with a word and a
-colon must open a statement: any other ``word:`` is an unrecognized
-directive, wherever it stands.
+preamble keyword or of ``start``, and a declared name that no slot could
+refer to: ``*`` or one with a ``:`` in it.  A line that opens with a word
+and a colon must open a statement: any other ``word:`` is an
+unrecognized directive, wherever it stands.  ``include`` and ``exclude``
+open a start list only as whole words, so ``start: excluded`` names a
+state.
 
 The file becomes a statement table in a few list comprehensions over its
-lines: each statement's keyword, ``:`` fields, first body line, body
-length and line number.  Entries apply in file order: a later entry
-overwrites what an earlier one set, whether either names a ``*`` or not.
-A run of consecutive one-line T/O/R bodies under one keyword and slot
-count is read by one ``np.loadtxt`` call.  A run of ``_SHORT_RUN`` or
-more entries is written by one fancy-index assignment per stretch of
-entries with ``*`` in the same slots, keeping the last of the entries
-that name one target; a shorter one entry by entry.  Every other entry
-(a longer or keyword body, a slot that is not a name, a plain index or
-``*``, a row that does not read as finite numbers of the right count) is
-applied on its own, its body read number by number with Python's
+lines: each statement's keyword, ``:`` fields, body lines and line
+number; a statement is an index into it.  Entries apply in file order: a
+later entry overwrites what an earlier one set, whether either names a
+``*`` or not.  Consecutive one-line T/O/R bodies under one keyword and
+slot count form a run.  A run of ``_SHORT_RUN`` or more entries is read
+by one ``np.loadtxt`` call and written by one fancy-index assignment per
+stretch of entries with ``*`` in the same slots, keeping the last of the
+entries that name one target.  Every other entry (one of a shorter run,
+a longer or keyword body, a slot that is not a name, a plain index or
+``*``, a run that does not read as finite rows of the right width) is
+applied on its own, its body read from its own tokens with Python's
 ``float``.  Both convert with CPython's correctly rounded
 ``PyOS_string_to_double``; a form only ``float`` reads, such as ``0.2_5``
 or non-ASCII digits, sends its run back to ``float``.  A non-finite
@@ -37,7 +40,6 @@ table gets a departing-state axis only when some ``R:`` entry names a
 departing state; otherwise it holds A·n·O numbers, not A·n²·O.
 """
 
-import functools
 import itertools
 import math
 import re
@@ -54,29 +56,18 @@ _HEAD = re.compile(r"([A-Za-z]+)\s*(:?)\s*(.*)")
 # A T/O/R head whose every ':' field is one token, then the body's first
 # line, if any, with no ':' in it: ``_head`` reads such a line the same way.
 _ENTRY_HEAD = re.compile(r"([TOR])\s*:\s*([^\s:]+(?:\s*:\s*[^\s:]+)*)(?:\s+([^:]+))?")
-_START_MODE = re.compile(r"^(include|exclude)\s*:?\s*(.*)$")
+_START_MODE = re.compile(r"^(include|exclude)\b\s*:?\s*(.*)$")
 _INDEX = re.compile(r"\d+")
 _ALL = slice(None)  # a '*' slot
 _WILD, _UNKNOWN = -1, -2  # what ``_NameSpace.lookup`` gives '*' and other tokens
 
 DEFAULT_REWARD_CAP = 64
-# A shorter run is applied entry by entry: writing a run by columns costs
-# about 26 µs plus 0.2 µs per entry, and one entry 1.7 µs (2-core Xeon).
+# A shorter run is applied entry by entry.  At 4 numbers a row, writing a
+# run by columns costs about 48 µs plus 1.9 µs per entry, and reading an
+# entry from its tokens 5.6 µs; columns win from about 14 entries at 4
+# numbers a row, 8 at 30 and 3 at 300 (2-core Xeon).  The benchmark's
+# 3-6 state files parse fastest at 16.
 _SHORT_RUN = 16
-
-
-class _Stmt:
-    __slots__ = ("keyword", "slots", "body", "line")
-
-    def __init__(self, keyword, slots, body, line):
-        self.keyword = keyword
-        self.slots = slots  # colon-separated header fields
-        self.body = body  # value text: rest of the header line, then continuation lines
-        self.line = line
-
-    def tokens(self):
-        """Value tokens (numbers or a matrix keyword), split when applied."""
-        return " ".join(self.body).split()
 
 
 def _head(line, lineno):
@@ -113,18 +104,20 @@ def _head(line, lineno):
 
 
 class _Statements:
-    """A file's statements in file order, as columns.
+    """A file's statements in file order, as columns; statement i is the
+    index i into them.
 
     ``lines`` are the file's non-blank lines with comments and surrounding
-    whitespace stripped, each statement's first line emptied once the
-    columns hold it, and ``numbers`` their 1-based line numbers.
-    Statement i opens at ``lines[at[i]]`` with ``words[i]``, the ``:``
-    fields ``heads[i]`` of a T/O/R entry and ``texts[i]``, the rest of the
-    line; its body is that text, if any, and the lines up to the next
-    statement, ``lengths[i]`` lines in all.  ``keys[i]`` is an entry's run
-    key, one number per keyword and slot count, and -1 for the preamble.
-    Value text stays as whole lines until an entry is applied, so a large
-    file never holds all of its number tokens at once.
+    whitespace stripped, and ``numbers`` their 1-based line numbers.
+    Statement i opens at ``lines[at[i]]`` with ``words[i]`` and, for a
+    T/O/R entry, the ``:`` fields ``heads[i]``.  Once the columns hold
+    them, that line keeps only the rest of it, the first line of the
+    statement's body, which runs up to ``lines[at[i + 1]]`` (``at`` ends
+    with ``len(lines)``); ``lengths[i]`` counts the body's non-empty
+    lines.  ``keys[i]`` is an entry's run key, one number per keyword and
+    slot count, and -1 for the preamble.  Value text stays as whole lines
+    until an entry is applied, so a large file never holds all of its
+    number tokens at once.
     """
 
     def __init__(self, text):
@@ -148,10 +141,10 @@ class _Statements:
         if not all(heads):  # continuation lines that start with a letter
             at = [k for k, h in zip(at, heads) if h]
             heads = [h for h in heads if h]
-        self.words, self.heads, self.texts = zip(*heads) if heads else ((), (), ())
-        for k in at:  # the columns hold copies of what a head line says
-            lines[k] = ""
-        self.lines, self.numbers, self.at = lines, numbers, at
+        self.words, self.heads, rests = zip(*heads) if heads else ((), (), ())
+        for k, rest in zip(at, rests):
+            lines[k] = rest
+        self.lines, self.numbers, self.at = lines, numbers, at + [len(lines)]
         count = len(heads)
         self.keys = np.fromiter(
             map(_ENTRY_CODES.get, self.words, itertools.repeat(-1)), dtype=np.intp, count=count
@@ -159,13 +152,25 @@ class _Statements:
         self.keys += 3 * np.fromiter(
             map(str.count, self.heads, itertools.repeat(":")), dtype=np.intp, count=count
         )
-        starts = np.array(at, dtype=np.intp)
-        self.lengths = np.append(starts[1:], len(lines)) - starts - 1
-        self.lengths += np.fromiter(map(bool, self.texts), dtype=bool, count=count)
+        self.lengths = np.diff(np.array(self.at, dtype=np.intp)) - 1
+        self.lengths += np.fromiter(map(bool, rests), dtype=bool, count=count)
+
+    def line(self, i):
+        """The line number of statement i."""
+        return self.numbers[self.at[i]]
 
     def slots(self, i):
         """The ``:`` fields of statement i."""
         return self.heads[i].replace(":", " ").split()
+
+    def body(self, i):
+        """The body of statement i as whole lines, the first one empty if
+        the head line holds no more."""
+        return self.lines[self.at[i] : self.at[i + 1]]
+
+    def tokens(self, i):
+        """The value tokens of statement i (numbers or a keyword)."""
+        return " ".join(self.body(i)).split()
 
     def slot_columns(self, run, k):
         """The ``:`` fields of statements ``run``, each with ``k`` of them,
@@ -175,49 +180,33 @@ class _Statements:
 
     def first_lines(self, indices):
         """The first body line of each statement in ``indices``."""
-        lines, texts, at = self.lines, self.texts, self.at
-        return [texts[i] or lines[at[i] + 1] for i in indices]
-
-    def stmt(self, i):
-        """Statement i as one ``_Stmt``, its body as whole lines."""
-        k = self.at[i]
-        end = self.at[i + 1] if i + 1 < len(self.at) else len(self.lines)
-        word, text = self.words[i], self.texts[i]
-        body = self.lines[k + 1 : end]
-        if text or word not in _ENTRY_CODES:
-            body.insert(0, text)
-        return _Stmt(word, self.slots(i), body, self.numbers[k])
+        lines, at = self.lines, self.at
+        return [lines[at[i]] or lines[at[i] + 1] for i in indices]
 
 
 class _NameSpace:
     """Resolve a state/action/observation token to an index (a slice for '*').
 
-    ``lookup`` maps every name, every plain decimal index and '*' (to
-    ``_WILD``) at once; a name takes precedence over the index it spells.
+    ``lookup`` maps every name, every index as ``str`` writes it and '*'
+    (to ``_WILD``); a name takes precedence over the index it spells.
     """
 
     def __init__(self, kind, names):
         self.kind = kind
         self.names = names
-        self.index = dict(zip(names, range(len(names))))
-
-    @functools.cached_property
-    def lookup(self):
-        lookup = dict(zip(map(str, range(len(self.names))), range(len(self.names))))
-        lookup.update(self.index)
-        lookup["*"] = _WILD
-        return lookup
+        self.lookup = dict(zip(map(str, range(len(names))), range(len(names))))
+        self.lookup.update(zip(names, range(len(names))))
+        self.lookup["*"] = _WILD
 
     def resolve(self, token, line):
-        if token == "*":
-            return _ALL
-        if token in self.index:
-            return self.index[token]
-        if _INDEX.fullmatch(token):
+        """``lookup``'s index for ``token``, or an index written otherwise,
+        such as ``01``."""
+        i = self.lookup.get(token, _UNKNOWN)
+        if i == _UNKNOWN and _INDEX.fullmatch(token) and int(token) < len(self.names):
             i = int(token)
-            if 0 <= i < len(self.names):
-                return i
-        raise ParseError(f"unknown {self.kind} '{token}'", line)
+        if i == _UNKNOWN:
+            raise ParseError(f"unknown {self.kind} '{token}'", line)
+        return _ALL if i == _WILD else i
 
 
 def _names_from_tokens(tokens, prefix, line):
@@ -228,6 +217,13 @@ def _names_from_tokens(tokens, prefix, line):
         if count < 1:
             raise ParseError(f"{prefix} count must be positive", line)
         return [f"{prefix}{i}" for i in range(count)]
+    for name in tokens:  # no slot could refer to such a name
+        if name == "*" or ":" in name:
+            raise ParseError(
+                f"name '{name}' cannot be written in a slot ('*' is the wildcard, "
+                "':' separates slots)",
+                line,
+            )
     if len(set(tokens)) != len(tokens):
         raise ParseError(f"duplicate {prefix} name", line)
     return list(tokens)
@@ -255,9 +251,9 @@ def _declarations(stmts):
     """The preamble's values, read in file order.
 
     Returns ``(discount, states, actions, observations, start)``, with
-    ``start`` the ``start`` statement or None.  Refuses a second
-    declaration of a keyword, and an entry or ``start`` before all of
-    states, actions and observations are declared.
+    ``start`` the index of the ``start`` statement or None.  Refuses a
+    second declaration of a keyword, and an entry or ``start`` before all
+    of states, actions and observations are declared.
     """
     discount = None
     states = actions = observations = None
@@ -266,40 +262,39 @@ def _declarations(stmts):
     # a later entry cannot come before a declaration the first one had
     preamble = stmts.keys < 0
     order = np.flatnonzero(preamble | (np.cumsum(~preamble) == 1)).tolist()
-    for st in map(stmts.stmt, order):
-        if st.keyword in _ENTRY_CODES or st.keyword == "start":
+    for i in order:
+        word, line = stmts.words[i], stmts.line(i)
+        if word in _ENTRY_CODES or word == "start":
             if states is None or actions is None or observations is None:
                 raise ParseError(
-                    f"'{st.keyword}' entry before states/actions/observations "
-                    "are declared",
-                    st.line,
+                    f"'{word}' entry before states/actions/observations are declared",
+                    line,
                 )
-            if st.keyword in _ENTRY_CODES:
+            if word in _ENTRY_CODES:
                 continue
-        if st.keyword in seen:
+        if word in seen:
             raise ParseError(
-                f"second '{st.keyword}' declaration; the first is on line "
-                f"{seen[st.keyword].line}",
-                st.line,
+                f"second '{word}' declaration; the first is on line {stmts.line(seen[word])}",
+                line,
             )
-        seen[st.keyword] = st
-        if st.keyword == "discount":
-            discount = float(_floats(st.tokens(), 1, st.line, "discount")[0])
-        elif st.keyword == "values":
-            tokens = st.tokens()
+        seen[word] = i
+        if word == "discount":
+            discount = float(_floats(stmts.tokens(i), 1, line, "discount")[0])
+        elif word == "values":
+            tokens = stmts.tokens(i)
             if tokens == ["cost"]:
                 raise UnsupportedConstructError(
                     "'values: cost' is not supported; express the model with rewards",
-                    st.line,
+                    line,
                 )
             if tokens != ["reward"]:
-                raise ParseError(f"bad values declaration {tokens}", st.line)
-        elif st.keyword == "states":
-            states = _names_from_tokens(st.tokens(), "s", st.line)
-        elif st.keyword == "actions":
-            actions = _names_from_tokens(st.tokens(), "a", st.line)
-        elif st.keyword == "observations":
-            observations = _names_from_tokens(st.tokens(), "o", st.line)
+                raise ParseError(f"bad values declaration {tokens}", line)
+        elif word == "states":
+            states = _names_from_tokens(stmts.tokens(i), "s", line)
+        elif word == "actions":
+            actions = _names_from_tokens(stmts.tokens(i), "a", line)
+        elif word == "observations":
+            observations = _names_from_tokens(stmts.tokens(i), "o", line)
 
     if discount is None:
         raise ParseError("missing discount declaration")
@@ -313,7 +308,7 @@ def parse_pomdp(text: str) -> PomdpModel:
     stmts = _Statements(text)
     discount, states, actions, observations, start = _declarations(stmts)
     transition, obs_kernel, reward_raw = _fill_tables(stmts, states, actions, observations)
-    initial_belief = _parse_start(start, _NameSpace("state", states), len(states))
+    initial_belief = _parse_start(stmts, start, _NameSpace("state", states))
 
     # one sum per row serves the check and the division
     sums = transition.sum(axis=2, keepdims=True)
@@ -385,9 +380,9 @@ def _fill_tables(stmts, states, actions, observations):
     them, so an entry is a basic-index assignment and a stretch of a run
     one fancy-index assignment.  Consecutive entries (preamble statements
     between them do not count) with one-line bodies under the same keyword
-    and slot count form a run, read by one ``_run_rows`` call.  Returns
-    ``transition[s, a, s']``, ``obs_kernel[s', a, o]`` and
-    ``reward_raw[a, s, s', o]``, a read-only broadcast view: its
+    and slot count form a run.  Returns ``transition[s, a, s']``,
+    ``obs_kernel[s', a, o]`` and ``reward_raw[a, s, s', o]``, a read-only
+    broadcast view: its
     departing-state axis is filled only if some R entry names a departing
     state, and is one row broadcast over all n otherwise, so such a file
     allocates no A·n²·O table.
@@ -418,41 +413,37 @@ def _fill_tables(stmts, states, actions, observations):
     bounds = np.flatnonzero(breaks).tolist()
     entries = entries.tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        run = entries[lo:hi]
-        rows = _run_rows(stmts.first_lines(run)) if len(run) > 1 else None
-        _apply_run(stmts, run, rows, *kinds[stmts.words[run[0]]])
+        _apply_run(stmts, entries[lo:hi], *kinds[stmts.words[entries[lo]]])
     return transition, obs_kernel, np.broadcast_to(reward_raw, (na, n, n, no))
 
 
-def _run_rows(lines):
+def _run_rows(lines, width):
     """The one-line bodies of a run as the rows of one ``np.loadtxt`` call,
-    or None when they do not read as one finite row per entry; its entries
-    then read their own tokens, which gives every error."""
+    or None when they do not read as one row of ``width`` finite numbers
+    per entry; its entries then read their own tokens, which gives every
+    error."""
     try:
         rows = np.loadtxt(lines, dtype=np.float64, ndmin=2, comments=None)
     except ValueError:
         return None
-    if rows.shape[0] != len(lines) or not np.isfinite(rows).all():
+    if rows.shape != (len(lines), width) or not np.isfinite(rows).all():
         return None
     return rows
 
 
-def _apply_run(stmts, run, rows, table, spaces, fewest, words):
-    """The entries ``run`` of one run, in file order, given their ``rows``
-    (or None).  An entry whose slots all look up and whose row fills its
-    body is regular; in a run of at least ``_SHORT_RUN`` entries, a stretch
-    of regular entries with '*' in the same slots is one ``_assign``, and
-    every other entry one ``_apply_entry``."""
+def _apply_run(stmts, run, table, spaces, fewest, words):
+    """The entries ``run`` of one run, in file order.  A run of at least
+    ``_SHORT_RUN`` entries whose bodies are read by ``_run_rows`` writes
+    each stretch of entries whose slots all look up, with '*' in the same
+    slots, by one ``_assign``; every other entry is one ``_apply_entry``."""
     k = stmts.heads[run[0]].count(":") + 1
-    if rows is None or not fewest <= k <= len(spaces) or rows.shape[1] != math.prod(
-        table.shape[k:]
-    ):
+    rows = None
+    # a lone entry is a run of one whatever its body's length
+    if len(run) >= _SHORT_RUN and stmts.lengths[run[0]] == 1 and fewest <= k <= len(spaces):
+        rows = _run_rows(stmts.first_lines(run), math.prod(table.shape[k:]))
+    if rows is None:
         for i in run:
-            _apply_entry(stmts.stmt(i), table, spaces, fewest, words)
-        return
-    if len(run) < _SHORT_RUN:
-        for i, row in zip(run, rows):
-            _apply_entry(stmts.stmt(i), table, spaces, fewest, words, row)
+            _apply_entry(stmts, i, table, spaces, fewest, words)
         return
     idx = np.empty((len(run), k), dtype=np.intp)
     pattern = np.zeros(len(run), dtype=np.intp)  # bit j: slot j is '*'
@@ -469,7 +460,7 @@ def _apply_run(stmts, run, rows, table, spaces, fewest, words):
     bounds = np.flatnonzero(starts).tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if pattern[lo] < 0:
-            _apply_entry(stmts.stmt(run[lo]), table, spaces, fewest, words, rows[lo])
+            _apply_entry(stmts, run[lo], table, spaces, fewest, words)
         else:
             _assign(table, idx[lo:hi], rows[lo:hi])
 
@@ -507,66 +498,67 @@ def _assign(table, idx, rows):
     table[index] = rows.reshape((m,) + (1,) * k + table.shape[k:])
 
 
-def _apply_entry(st, table, spaces, fewest, words, row=None):
-    """One T/O/R entry: slot k indexes axis k of ``table`` ('*' is a full
+def _apply_entry(stmts, i, table, spaces, fewest, words):
+    """The T/O/R entry i: slot k indexes axis k of ``table`` ('*' is a full
     slice), and the body fills the remaining axes with that many numbers,
-    or with a keyword where ``words`` allows one at the body's rank.
-
-    ``row`` is the body already read by ``_run_rows``; it is used when it
-    holds as many numbers as the body must, and the tokens are read
-    otherwise."""
-    line, slots, k = st.line, st.slots, len(st.slots)
+    or with a keyword where ``words`` allows one at the body's rank."""
+    line, slots = stmts.line(i), stmts.slots(i)
+    k = len(slots)
     index = [spaces[0].resolve(slots[0], line)]
     if not fewest <= k <= len(spaces):
         raise ParseError(
-            f"{st.keyword} entry takes {fewest}-{len(spaces)} ':' fields", line
+            f"{stmts.words[i]} entry takes {fewest}-{len(spaces)} ':' fields", line
         )
-    for i in range(1, k):
-        index.append(spaces[i].resolve(slots[i], line))
+    for j in range(1, k):
+        index.append(spaces[j].resolve(slots[j], line))
     shape = table.shape[k:]
-    if row is not None and row.size == math.prod(shape):
-        table[tuple(index)] = row.reshape(shape)
-        return
     rank = len(shape)
-    tokens = st.tokens()
+    tokens = stmts.tokens(i)
     if len(tokens) == 1 and tokens[0] in words[rank]:
         body = _keyword_body(tokens[0], shape, line)
     else:
-        what = _BODY_NAMES[st.keyword][rank]
+        what = _BODY_NAMES[stmts.words[i]][rank]
         body = _floats(tokens, math.prod(shape), line, what)
         if rank != 1:
             body = body.reshape(shape)
     table[tuple(index)] = body
 
 
-def _parse_start(st, sn, n):
-    if st is None:
+def _parse_start(stmts, i, sn):
+    """The initial belief that the ``start`` statement i gives, uniform
+    if i is None."""
+    n = len(sn.names)
+    if i is None:
         return np.full(n, 1.0 / n)
-    mode = _START_MODE.match(st.body[0])
+    line, body = stmts.line(i), stmts.body(i)
+    mode = _START_MODE.match(body[0])
     if mode is not None:
         mode, first = mode.groups()
-        tokens = " ".join([first, *st.body[1:]]).split()
+        tokens = " ".join([first, *body[1:]]).split()
         chosen = np.zeros(n, dtype=bool)
         for tok in tokens:
-            chosen[sn.resolve(tok, st.line)] = True
+            chosen[sn.resolve(tok, line)] = True
         if mode == "exclude":
             chosen = ~chosen
         if not chosen.any():
-            raise ParseError("start set is empty", st.line)
+            raise ParseError("start set is empty", line)
         return chosen / chosen.sum()
-    tokens = st.tokens()
+    tokens = stmts.tokens(i)
     if len(tokens) == 1:
         tok = tokens[0]
         if tok == "uniform":
             return np.full(n, 1.0 / n)
-        # with one state, "1" is the probability vector and "0" the state
-        if tok in sn.index or (_INDEX.fullmatch(tok) and (n > 1 or int(tok) < n)):
+        # a name or an index; with one state, "1" is the probability
+        # vector and "0" the state
+        if (tok != "*" and tok in sn.lookup) or (
+            _INDEX.fullmatch(tok) and (n > 1 or int(tok) < n)
+        ):
             belief = np.zeros(n)
-            belief[sn.resolve(tok, st.line)] = 1.0
+            belief[sn.resolve(tok, line)] = 1.0
             return belief
-    vals = _floats(tokens, n, st.line, "start belief")
+    vals = _floats(tokens, n, line, "start belief")
     if not is_distribution(vals):
-        raise ParseError("start belief is not a probability vector", st.line)
+        raise ParseError("start belief is not a probability vector", line)
     return vals / vals.sum()
 
 

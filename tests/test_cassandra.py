@@ -121,6 +121,45 @@ def test_one_state_start_by_index_name_or_vector(start):
     np.testing.assert_array_equal(m.initial_belief, [1.0])
 
 
+MODE_WORD_NAMES = (
+    "discount: 0.9\nvalues: reward\nstates: excluded includeok ok\nactions: 1\n"
+    "observations: 1\nstart: uniform\nT: * uniform\nO: * uniform\nR: * : * : * : * 1.0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "start, belief",
+    [
+        # once read as 'exclude: d' (an unknown state) and 'include: ok'
+        ("excluded", [1.0, 0.0, 0.0]),
+        ("includeok", [0.0, 1.0, 0.0]),
+        ("exclude: excluded", [0.0, 0.5, 0.5]),
+        ("include: includeok", [0.0, 1.0, 0.0]),
+    ],
+)
+def test_a_start_state_may_begin_with_a_mode_word(start, belief):
+    m = parse_pomdp(MODE_WORD_NAMES.replace("start: uniform", f"start: {start}"))
+    np.testing.assert_array_equal(m.initial_belief, belief)
+
+
+@pytest.mark.parametrize(
+    "declaration, name, line",
+    [("states: * b", "*", 3), ("states: a:b c", "a:b", 3), ("actions: go *", "*", 4),
+     ("observations: low hi:gh", "hi:gh", 5)],
+)
+def test_a_name_no_slot_can_refer_to_is_refused(declaration, name, line):
+    # '*' in a slot is the wildcard and ':' separates slots, so such a
+    # name once parsed but could never be referred to
+    keyword = declaration.split(":")[0]
+    text = ONE_STATE.replace(f"{keyword}: 1", declaration)
+    with pytest.raises(ParseError) as err:
+        parse_pomdp(text)
+    assert str(err.value) == (
+        f"line {line}: name '{name}' cannot be written in a slot ('*' is the wildcard, "
+        "':' separates slots)"
+    )
+
+
 def test_start_index_past_the_states_is_unknown():
     text = ONE_STATE.replace("states: 1", "states: 2").replace("start: 0", "start: 2")
     with pytest.raises(ParseError, match="unknown state '2'") as err:

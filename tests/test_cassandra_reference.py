@@ -27,7 +27,7 @@ from conftest import DATA
 
 _KEYWORDS = {"discount", "values", "states", "actions", "observations", "start", "T", "O", "R"}
 _HEAD = re.compile(r"^([A-Za-z]+)\s*(:?)\s*(.*)$")
-_START_MODE = re.compile(r"^(include|exclude)\s*:?\s*(.*)$")
+_START_MODE = re.compile(r"^(include|exclude)\b\s*:?\s*(.*)$")
 
 
 class _Stmt:
@@ -96,6 +96,13 @@ def _names_from_tokens(tokens, prefix, line):
         if count < 1:
             raise ParseError(f"{prefix} count must be positive", line)
         return [f"{prefix}{i}" for i in range(count)]
+    for name in tokens:
+        if name == "*" or ":" in name:
+            raise ParseError(
+                f"name '{name}' cannot be written in a slot ('*' is the wildcard, "
+                "':' separates slots)",
+                line,
+            )
     if len(set(tokens)) != len(tokens):
         raise ParseError(f"duplicate {prefix} name", line)
     return list(tokens)
@@ -487,7 +494,7 @@ def assert_same_outcome(text):
 
 @pytest.mark.parametrize("name", ["tiger", "fair_coin", "clones"])
 def test_data_models_match_reference(name):
-    assert assert_same_outcome((DATA / f"{name}.POMDP").read_text())
+    assert assert_same_outcome((DATA / f"{name}.POMDP").read_text(encoding="utf-8"))
 
 
 PREAMBLE = (
@@ -496,17 +503,21 @@ PREAMBLE = (
 )
 
 
-def test_keyword_forms_match_reference():
-    base = PREAMBLE.format(n=3, na=2, no=3)
-    texts = [
-        base + "T: * identity\nO: * uniform\nR: * : * : * : * 1.5\n",
-        base + "T: * uniform\nT: a1 identity\nO: a0 identity\nO: a1 uniform\n"
+KEYWORD_FORMS = [
+    PREAMBLE.format(n=3, na=2, no=3) + body
+    for body in (
+        "T: * identity\nO: * uniform\nR: * : * : * : * 1.5\n",
+        "T: * uniform\nT: a1 identity\nO: a0 identity\nO: a1 uniform\n"
         "R: a1 : * : s2 : o1 -4\n",
-        base + "T: * : * uniform\nT: a0 : s1 : * 0.0\nT: a0 : s1 : s2 1.0\n"
+        "T: * : * uniform\nT: a0 : s1 : * 0.0\nT: a0 : s1 : s2 1.0\n"
         "O: * : s0 uniform\nO: * : s1 uniform\nO: * : s2 uniform\n"
         "R: * : *\n1 2 3\n4 5 6\n7 8 9\n",
-    ]
-    for text in texts:
+    )
+]
+
+
+def test_keyword_forms_match_reference():
+    for text in KEYWORD_FORMS:
         assert assert_same_outcome(text)
 
 
@@ -684,18 +695,22 @@ def _reward_entries(rng, n, na, no, departing_wildcard):
     return _shuffled(rng, entries)
 
 
+def generated_model_text(seed):
+    """A model with T, O and R entries of every form, stochastic rows and
+    four reward values; even seeds give the departing state a wildcard
+    in every reward."""
+    rng = np.random.default_rng(100 + seed)
+    n, na, no = _sizes(rng)
+    entries = (
+        _stochastic_entries(rng, "T", n, na, no)
+        + _stochastic_entries(rng, "O", n, na, no)
+        + _reward_entries(rng, n, na, no, departing_wildcard=seed % 2 == 0)
+    )
+    return PREAMBLE.format(n=n, na=na, no=no) + "\n".join(entries) + "\n"
+
+
 def test_generated_models_match_reference():
-    built = 0
-    for seed in range(40):
-        rng = np.random.default_rng(100 + seed)
-        n, na, no = _sizes(rng)
-        entries = (
-            _stochastic_entries(rng, "T", n, na, no)
-            + _stochastic_entries(rng, "O", n, na, no)
-            + _reward_entries(rng, n, na, no, departing_wildcard=seed % 2 == 0)
-        )
-        text = PREAMBLE.format(n=n, na=na, no=no) + "\n".join(entries) + "\n"
-        built += assert_same_outcome(text)
+    built = sum(assert_same_outcome(generated_model_text(seed)) for seed in range(40))
     # half the texts give the departing state a wildcard in every reward
     assert built >= 20
 
@@ -739,6 +754,15 @@ ERROR_CORPUS = {
         PREAMBLE.format(n=2, na=1, no=1) + "T: * uniform\nO: * uniform\nstates: 3\n",
         ParseError,
     ),
+    # no slot can name a state '*' or 'a:b'
+    "wildcard_state_name": (
+        PREAMBLE.format(n="* b", na=1, no=1).replace("uniform", "*"),
+        ParseError,
+    ),
+    "state_name_with_a_colon": (
+        PREAMBLE.format(n="a:b c", na=1, no=1) + "T: * uniform\nO: * uniform\n",
+        ParseError,
+    ),
 }
 
 # Malformed T/O/R entries on 2 states, 1 action and 3 observations, each
@@ -759,6 +783,7 @@ BAD_ENTRIES = {
     "unknown_action_before_slot_count": "T: nope : a : b : c : d 1",
     "count_transition_matrix": "T: go\n0.5 0.5\n1.0",
     "count_transition_row": "T: go : s0 0.5 0.25 0.25",
+    "count_transition_row_continued": "T: go : s0 0.5 0.5\n0.25",
     "count_transition_entry": "T: go : s0 : s1 0.5 0.5",
     "count_observation_matrix": "O: go\n0.5 0.5 0.0\n1.0 0.0",
     "count_observation_row": "O: go : s1 0.5 0.5",
@@ -867,8 +892,7 @@ def test_the_last_entry_for_a_target_wins_inside_a_run():
     assert transition[1, 1].tolist() == [0.0625, 0.9375]
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_long_runs_match_reference(seed):
+def long_run_text(seed):
     """Runs long enough to be written by columns, of every T, O and R form
     with one-line bodies: each slot a name, an index, an index written
     with a leading zero (applied entry by entry) or '*', so the runs break
@@ -892,8 +916,12 @@ def test_long_runs_match_reference(seed):
                 )
             body = " ".join(repr(float(v)) for v in rng.uniform(-3.0, 3.0, size=cols))
             lines.append(f"{key}: {' : '.join(slots)} {body}")
-    text = PREAMBLE.format(n=n, na=na, no=no) + "\n".join(lines) + "\n"
-    assert_same_tables(text)
+    return PREAMBLE.format(n=n, na=na, no=no) + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_long_runs_match_reference(seed):
+    assert_same_tables(long_run_text(seed))
 
 
 def benchmark_shaped_text(n, seed):
@@ -921,3 +949,46 @@ def test_a_benchmark_shaped_file_matches_reference():
     assert 2 * 60 >= cassandra._SHORT_RUN  # each T and O run is written by columns
     assert assert_same_outcome(text)
     assert not has_departing_axis(assert_same_tables(text))
+
+
+def raw_tables(text):
+    stmts = cassandra._Statements(text)
+    _, states, actions, observations, _ = cassandra._declarations(stmts)
+    return cassandra._fill_tables(stmts, states, actions, observations)
+
+
+def model_arrays(text):
+    model = parse_pomdp(text)
+    return [getattr(model, name)
+            for name in ("transition", "signal_kernel", "initial_belief", "reward_values")]
+
+
+def bytes_or_error(build, text):
+    """The bytes of each array ``build`` gives, or its error's type and message."""
+    try:
+        arrays = build(text)
+    except PsrPlanError as exc:
+        return type(exc), str(exc)
+    return [array.tobytes() for array in arrays]
+
+
+def test_the_parse_does_not_depend_on_the_short_run_threshold(monkeypatch):
+    """``_SHORT_RUN`` only chooses how a run is written: every text gives
+    the same raw tables and model, or the same error, whether every run,
+    each run of two or more entries, only long runs or no run is written
+    by columns."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.POMDP"))]
+    texts.append(benchmark_shaped_text(20, seed=5))
+    texts += [text for text, _ in ERROR_CORPUS.values()]
+    texts += [PREAMBLE.format(n="s0 s1", na="go", no="o0 o1") + t for t in RUN_TEXTS.values()]
+    texts += KEYWORD_FORMS + [generated_model_text(seed) for seed in range(40)]
+    texts += [long_run_text(seed) for seed in range(8)]
+    outcomes = {}
+    for short_run in (1, 2, 16, 10**9):
+        monkeypatch.setattr(cassandra, "_SHORT_RUN", short_run)
+        outcomes[short_run] = [
+            (bytes_or_error(raw_tables, text), bytes_or_error(model_arrays, text))
+            for text in texts
+        ]
+    assert outcomes[1] == outcomes[2] == outcomes[16] == outcomes[10**9]
+    assert sum(isinstance(model, list) for _, model in outcomes[16]) >= 30

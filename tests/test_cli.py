@@ -84,7 +84,8 @@ def test_malformed_model_exits_2_with_stderr(tmp_path, capsys):
     bad = tmp_path / "bad.POMDP"
     bad.write_text(
         "discount: 0.9\nvalues: reward\nstates: 2\nactions: 1\n"
-        "observations: 1\nT: 0 : s9 : 0 1.0\n"
+        "observations: 1\nT: 0 : s9 : 0 1.0\n",
+        encoding="utf-8",
     )
     report = tmp_path / "report.json"
     code, out, err = run_cli(
@@ -104,7 +105,8 @@ def test_non_finite_number_exits_2(tmp_path, capsys, entry):
     bad = tmp_path / "bad.POMDP"
     bad.write_text(
         "discount: 0.9\nvalues: reward\nstates: 2\nactions: 1\nobservations: 1\n"
-        f"T: * uniform\nO: * uniform\n{entry}\n"
+        f"T: * uniform\nO: * uniform\n{entry}\n",
+        encoding="utf-8",
     )
     report = tmp_path / "report.json"
     code, _, err = run_cli(
@@ -350,7 +352,7 @@ def test_sweep_csv_output(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = csv_path.read_text().strip().splitlines()
+    rows = csv_path.read_text(encoding="utf-8").strip().splitlines()
     assert rows[0] == "epsilon,mesh,gridStates,value"
     assert len(rows) == 3
     meshes = [float(r.split(",")[1]) for r in rows[1:]]
@@ -365,7 +367,7 @@ def test_sweep_csv_with_timings_has_a_seconds_column(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    lines = csv_path.read_text().splitlines()
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "epsilon,mesh,gridStates,value,seconds"
     sweep = read_json(tmp_path / "r.json")["sweep"]
     assert lines[1:] == [
@@ -569,7 +571,7 @@ def test_full_grid_mode_reaches_the_plan_and_the_sweep(tmp_path, capsys):
     assert rep["planner"]["grid"]["mode"] == "full"
     assert rep["planner"]["grid"]["states"] == 289
     assert [row["gridStates"] for row in rep["sweep"]] == [81, 289]
-    rows = csv_path.read_text().strip().splitlines()[1:]
+    rows = csv_path.read_text(encoding="utf-8").strip().splitlines()[1:]
     assert [int(row.split(",")[2]) for row in rows] == [81, 289]
 
 
@@ -674,7 +676,7 @@ def test_a_row_validate_accepts_runs_every_command(tmp_path, capsys):
     # -5e-10 is within the tolerance the parser and validate allow; the
     # filter used to refuse it, and each command exited 2
     model = tmp_path / "noisy.POMDP"
-    model.write_text(NOISY_ROW)
+    model.write_text(NOISY_ROW, encoding="utf-8")
     for command in ("plan", "baseline", "compare"):
         argv = [command, model, "--json-out", tmp_path / f"{command}.json"]
         if command != "compare":

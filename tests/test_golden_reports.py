@@ -74,7 +74,7 @@ def run_cases(names, out_dir):
     with tempfile.TemporaryDirectory() as cwd:
         done = subprocess.run(
             [sys.executable, "-I", "-c", RUNNER, str(SRC), json.dumps(argvs)],
-            cwd=cwd, capture_output=True, text=True,
+            cwd=cwd, capture_output=True, text=True, encoding="utf-8",
         )
     assert done.returncode == 0, done.stderr
 

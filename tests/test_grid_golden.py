@@ -65,7 +65,7 @@ def grid_record(name):
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text())
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 def split_drift(record):
@@ -89,5 +89,5 @@ def test_grid_matches_golden(name, golden):
 
 if __name__ == "__main__":
     records = {name: grid_record(name) for name in sorted(CASES)}
-    GOLDEN.write_text(json.dumps(records, sort_keys=True, indent=2) + "\n")
+    GOLDEN.write_text(json.dumps(records, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     sys.exit(0)

@@ -63,7 +63,7 @@ def oracle_record(name):
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text())
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -73,5 +73,5 @@ def test_oracle_matches_golden(name, golden):
 
 if __name__ == "__main__":
     records = {name: oracle_record(name) for name in sorted(CASES)}
-    GOLDEN.write_text(json.dumps(records, sort_keys=True, indent=2) + "\n")
+    GOLDEN.write_text(json.dumps(records, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     sys.exit(0)
