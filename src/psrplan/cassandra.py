@@ -11,7 +11,8 @@ refer to: ``*`` or one with a ``:`` in it.  A line that opens with a word
 and a colon must open a statement: any other ``word:`` is an
 unrecognized directive, wherever it stands.  ``include`` and ``exclude``
 open a start list only as whole words, so ``start: excluded`` names a
-state.
+state.  An index, a lone start token or a count of more than 4,300
+digits, more than ``int`` reads by default, is a ParseError at its line.
 
 The file becomes a statement table in a few list comprehensions over its
 lines: each statement's keyword, ``:`` fields, body lines and line
@@ -68,6 +69,9 @@ DEFAULT_REWARD_CAP = 64
 # numbers a row, 8 at 30 and 3 at 300 (2-core Xeon).  The benchmark's
 # 3-6 state files parse fastest at 16.
 _SHORT_RUN = 16
+# CPython's default limit on the digits ``int`` converts; a longer index,
+# start token or count is refused before ``int`` reads it
+_MAX_DIGITS = 4_300
 
 
 def _head(line, lineno):
@@ -184,6 +188,15 @@ class _Statements:
         return [lines[at[i]] or lines[at[i] + 1] for i in indices]
 
 
+def _integer(token, line):
+    """``int(token)`` for a token of digits; a longer one than ``_MAX_DIGITS`` is a ParseError."""
+    if len(token) > _MAX_DIGITS:
+        raise ParseError(
+            f"integer of {len(token):,} digits; at most {_MAX_DIGITS:,} are read", line
+        )
+    return int(token)
+
+
 class _NameSpace:
     """Resolve a state/action/observation token to an index (a slice for '*').
 
@@ -202,7 +215,7 @@ class _NameSpace:
         """``lookup``'s index for ``token``, or an index written otherwise,
         such as ``01``."""
         i = self.lookup.get(token, _UNKNOWN)
-        if i == _UNKNOWN and _INDEX.fullmatch(token) and int(token) < len(self.names):
+        if i == _UNKNOWN and _INDEX.fullmatch(token) and _integer(token, line) < len(self.names):
             i = int(token)
         if i == _UNKNOWN:
             raise ParseError(f"unknown {self.kind} '{token}'", line)
@@ -213,7 +226,7 @@ def _names_from_tokens(tokens, prefix, line):
     if not tokens:
         raise ParseError(f"empty {prefix} declaration", line)
     if len(tokens) == 1 and _INDEX.fullmatch(tokens[0]):
-        count = int(tokens[0])
+        count = _integer(tokens[0], line)
         if count < 1:
             raise ParseError(f"{prefix} count must be positive", line)
         return [f"{prefix}{i}" for i in range(count)]
@@ -551,7 +564,7 @@ def _parse_start(stmts, i, sn):
         # a name or an index; with one state, "1" is the probability
         # vector and "0" the state
         if (tok != "*" and tok in sn.lookup) or (
-            _INDEX.fullmatch(tok) and (n > 1 or int(tok) < n)
+            _INDEX.fullmatch(tok) and (n > 1 or _integer(tok, line) < n)
         ):
             belief = np.zeros(n)
             belief[sn.resolve(tok, line)] = 1.0

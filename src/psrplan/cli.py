@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 validation/parse failures, unreadable or
 unwritable files and outputs that name the model or each other, 3
-resource budgets (grid state cap, oracle node budget).  All JSON outputs
+resource budgets (grid state cap, oracle node budget) and memory
+exhausted (a MemoryError, say from a grid under the state cap at a fine
+mesh); each failure prints one line to stderr.  All JSON outputs
 are written atomically, exactly as
 ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, and
 carry a schemaVersion; --no-timings strips wall-clock fields so reports
@@ -440,6 +442,10 @@ def main(argv=None) -> int:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         budget = (StateCapExceededError, OracleBudgetError, ConvergenceError)
         return EXIT_BUDGET if isinstance(exc, budget) else EXIT_VALIDATION
+    except MemoryError as exc:
+        detail = str(exc) or "MemoryError"
+        print(f"error ({args.command}): out of memory: {detail}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

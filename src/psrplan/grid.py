@@ -4,9 +4,10 @@ Both planners (coefficient lattice and belief simplex) reduce to one job:
 grow the closure of a start point under a model-specific batched step,
 intern every new lattice point, and value-iterate the induced finite MDP.
 ``closure`` does everything that is not model-specific; a planner only
-supplies ``expand`` and ``reward``.  A GridMdp holds integer lattice
-coordinates per state, per-(state, action) successor distributions in CSR
-form over the flat row ``s * n_actions + a``, and each row's reward.
+supplies ``expand`` and ``reward``.  A GridMdp stores row r = a * N + s
+(action a at state s) in the layout the Bellman sweep reads, jagged
+diagonals without the row sort: ``succ`` and ``prob`` hold column after
+column, column j the j-th entry of each row wider than j, rows ascending.
 """
 
 import logging
@@ -36,10 +37,10 @@ class GridMdp:
     mesh: float
     coords: np.ndarray  # (N, dim) integer lattice coordinates
     n_actions: int
-    rewards: np.ndarray  # (N * n_actions,) row index s * n_actions + a
-    indptr: np.ndarray  # CSR over the same flat rows
-    succ: np.ndarray
-    prob: np.ndarray
+    rewards: np.ndarray  # (n_actions * N,) reward of row a * N + s
+    indptr: np.ndarray  # (n_actions * N + 1,) cumulative row widths
+    succ: np.ndarray  # successor state of each entry, column by column
+    prob: np.ndarray  # probability of each entry, as succ
     discount: float
     initial_state: int
     diagnostics: dict = field(default_factory=dict)
@@ -77,12 +78,10 @@ class PlanResult:
     residual: float
     iterations: int
     metadata: dict = field(default_factory=dict)
-    # the grid solved, for policy execution and serialization
-    grid: object = None
-    # attached by the rank-r planner, whose policy maps beliefs through it;
-    # --sweep builds its other grids on it
+    grid: object = None  # the grid solved, for policy execution and serialization
+    # the rank-r planner's spanner, through which its policy maps beliefs, and
+    # step operators: --sweep builds its other grids on both
     spanner: object = None
-    # the rank-r planner's step operators; --sweep builds its other grids on them
     dynamics: object = None
 
 
@@ -264,6 +263,26 @@ class Interner:
         self.coords = self._buffer = self.coords.copy()
 
 
+def sweep_layout(rewards, widths, succ_parts, prob_parts):
+    """GridMdp's ``rewards``, ``indptr``, ``succ`` and ``prob``, as a dict, from (N, n_actions)
+    rewards and (state, action)-row CSR; each list of entry parts is emptied once joined."""
+    starts = (np.cumsum(widths) - widths).reshape(rewards.shape).T.reshape(-1)
+    widths = widths.reshape(rewards.shape).T.reshape(-1)
+
+    def gathered(parts):
+        joined = np.concatenate(parts)
+        parts.clear()
+        out, lo = np.empty_like(joined), 0
+        for j in range(int(widths.max(initial=0))):
+            at = starts[widths > j] + j
+            out[lo : lo + at.size] = joined[at]
+            lo += at.size
+        return out
+
+    return dict(succ=gathered(succ_parts), prob=gathered(prob_parts),
+                rewards=rewards.T.reshape(-1), indptr=np.concatenate([[0], np.cumsum(widths)]))
+
+
 def closure(
     start,
     expand,
@@ -361,20 +380,15 @@ def closure(
         lo = hi
 
     intern.settle()
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))]).astype(np.int64)
-    grid = GridMdp(
+    return GridMdp(
         mesh=float(mesh),
         coords=intern.coords,
         n_actions=n_actions,
-        rewards=reward(intern.coords).reshape(-1),
-        indptr=indptr,
-        succ=np.concatenate(succ_parts),
-        prob=np.concatenate(prob_parts),
+        **sweep_layout(reward(intern.coords), np.concatenate(counts), succ_parts, prob_parts),
         discount=float(discount),
         initial_state=initial_state,
         index=intern,
-    )
-    return grid, dead_rows
+    ), dead_rows
 
 
 def check_vi_tol(vi_tol: float):
@@ -399,44 +413,30 @@ def solve(grid: GridMdp, vi_tol: float = DEFAULT_VI_TOL) -> PlanResult:
     after tens of sweeps, not about 1,400.  One with several absorbing
     states of different rewards gains little.
 
-    The sweep runs in an action-major layout built once per call: row
-    ``a * N + s`` holds flat row ``s * n_actions + a``, so Q is an
-    (n_actions, N) array and the max over actions is elementwise.  The CSR
-    is split into columns, column j holding the j-th entry of every row
-    with more than j entries.  Each Jacobi sweep gathers and weighs every
-    entry at once, then adds the columns in order onto a zeroed Q: each row
-    sums its entries in CSR order, starting from 0.0.  The layout still
-    pays at tens of sweeps: on pipebench's high-discount workload, solve
-    with it, layout build included, takes less than half the time of one
-    bincount per sweep.
+    Q is (n_actions, N); a sweep adds the grid's weighted columns in order
+    onto a zeroed Q, so each row sums its entries in order, from 0.0.
     """
     check_vi_tol(vi_tol)
     gamma = grid.discount
     threshold = vi_tol * (1.0 - gamma)
-    n, n_actions = grid.n_states, grid.n_actions
-    widths = np.diff(grid.indptr).reshape(n, n_actions).T.reshape(-1)
-    starts = grid.indptr[:-1].reshape(n, n_actions).T.reshape(-1)
-    rewards = grid.rewards.reshape(n, n_actions).T.copy()
-    columns, entries, lo = [], [np.empty(0, dtype=np.int64)], 0
+    widths = np.diff(grid.indptr)
+    rewards = grid.rewards.reshape(grid.n_actions, grid.n_states)
+    columns, lo = [], 0
     for j in range(int(widths.max(initial=0))):
         rows = np.flatnonzero(widths > j)
-        entries.append(starts[rows] + j)
         full = rows.size == widths.size
         columns.append((slice(None) if full else rows, slice(lo, lo + rows.size)))
         lo += rows.size
-    entries = np.concatenate(entries)
-    succ, prob = grid.succ[entries], grid.prob[entries]
-    del entries  # the sweeps read only the gathered copy
 
-    terms = np.empty(succ.size)
-    q = np.empty((n_actions, n))
+    terms = np.empty(grid.succ.size)
+    q = np.empty(rewards.shape)
     q_rows = q.reshape(-1)
-    values = np.zeros(n)
+    values = np.zeros(grid.n_states)
     for iteration in range(1, MAX_VI_ITERATIONS + 1):
         # succ is in range, so "clip" clips nothing; unlike "raise", it
         # writes into out without a temporary copy
-        np.take(values, succ, out=terms, mode="clip")
-        terms *= prob
+        np.take(values, grid.succ, out=terms, mode="clip")
+        terms *= grid.prob
         q.fill(0.0)
         for rows, column in columns:
             q_rows[rows] += terms[column]

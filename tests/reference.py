@@ -131,6 +131,30 @@ def parsed_per_signal(model: PomdpModel) -> PomdpModel:
     return parse_pomdp("\n".join(lines) + "\n")
 
 
+def csr_rows(grid) -> dict:
+    """A grid's ``indptr``, ``succ``, ``prob`` and ``rewards`` as
+    (state, action)-row CSR over rows s * n_actions + a, each row's
+    entries in stored order.  Decoded from the stored layout as the
+    ``grid`` module docstring defines it: row a * N + s, entries column
+    by column, column j holding the j-th entry of every row with more
+    than j entries, rows ascending."""
+    n, k = grid.n_states, grid.n_actions
+    widths = np.diff(grid.indptr)
+    columns = [np.flatnonzero(widths > j) for j in range(int(widths.max(initial=0)))]
+    rows = np.concatenate([np.empty(0, dtype=np.int64), *columns])
+    column = np.repeat(np.arange(len(columns)), [rows_j.size for rows_j in columns])
+    indptr = np.concatenate([[0], np.cumsum(widths.reshape(k, n).T.reshape(-1))])
+    at = indptr[(rows % n) * k + rows // n] + column
+    succ, prob = np.empty_like(grid.succ), np.empty_like(grid.prob)
+    succ[at], prob[at] = grid.succ, grid.prob
+    return {
+        "indptr": indptr,
+        "succ": succ,
+        "prob": prob,
+        "rewards": grid.rewards.reshape(k, n).T.reshape(-1),
+    }
+
+
 def state_coefficients(dec) -> np.ndarray:
     """Expansion coefficients of every hidden state in the basis."""
     return solve_coefficients(dec, dec.state_test_matrix)

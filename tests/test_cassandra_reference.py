@@ -88,11 +88,18 @@ def _split_statements(text):
     return stmts
 
 
+def _integer(token, line):
+    """An index, start token or count; ``int`` reads at most 4,300 digits."""
+    if len(token) > 4300:
+        raise ParseError(f"integer of {len(token):,} digits; at most 4,300 are read", line)
+    return int(token)
+
+
 def _names_from_tokens(tokens, prefix, line):
     if not tokens:
         raise ParseError(f"empty {prefix} declaration", line)
     if len(tokens) == 1 and re.fullmatch(r"\d+", tokens[0]):
-        count = int(tokens[0])
+        count = _integer(tokens[0], line)
         if count < 1:
             raise ParseError(f"{prefix} count must be positive", line)
         return [f"{prefix}{i}" for i in range(count)]
@@ -177,7 +184,9 @@ def _parse_start(st, sn, n):
         if tok == "uniform":
             return np.full(n, 1.0 / n)
         # with one state, "1" is the probability vector and "0" the state
-        if tok in sn.index or (re.fullmatch(r"\d+", tok) and (n > 1 or int(tok) < n)):
+        if tok in sn.index or (
+            re.fullmatch(r"\d+", tok) and (n > 1 or _integer(tok, st.line) < n)
+        ):
             belief = np.zeros(n)
             belief[sn.resolve(tok, st.line)] = 1.0
             return belief
@@ -211,7 +220,7 @@ class _NameSpace:
         if token in self.index:
             return self.index[token]
         if re.fullmatch(r"\d+", token):
-            i = int(token)
+            i = _integer(token, line)
             if 0 <= i < len(self.names):
                 return i
         raise ParseError(f"unknown {self.kind} '{token}'", line)
@@ -763,6 +772,14 @@ ERROR_CORPUS = {
         PREAMBLE.format(n="a:b c", na=1, no=1) + "T: * uniform\nO: * uniform\n",
         ParseError,
     ),
+    # more digits than int() reads: an index, a lone start token, a count
+    "long_index": (
+        PREAMBLE.format(n=2, na=1, no=1) + f"T: {'0' * 5000} : 0 : 0 1.0\n", ParseError,
+    ),
+    "long_start_token": (
+        PREAMBLE.format(n=1, na=1, no=1).replace("uniform", "0" * 4301), ParseError,
+    ),
+    "long_count": (PREAMBLE.format(n="1" * 4301, na=1, no=1), ParseError),
 }
 
 # Malformed T/O/R entries on 2 states, 1 action and 3 observations, each
@@ -992,3 +1009,62 @@ def test_the_parse_does_not_depend_on_the_short_run_threshold(monkeypatch):
         ]
     assert outcomes[1] == outcomes[2] == outcomes[16] == outcomes[10**9]
     assert sum(isinstance(model, list) for _, model in outcomes[16]) >= 30
+
+
+# Fragments a fuzz edit inserts: separators, keywords, start modes, numbers
+# each reader takes differently, and an index longer than int() reads.  A
+# declared count is not yet checked against a size budget, so a seed whose
+# edits join a digit to a cut-down long token declares a count of thousands
+# of digits, and both readers build names until memory runs out; the seed
+# below makes no such edit.
+FUZZ_TOKENS = [
+    " ", "\n", "\t", ":", "*", "#", "\u00a0", "0", "1", "01", "0.5", "-1", "1e999", "nan",
+    "0.2_5", "uniform", "identity", "include", "exclude", "reward", "cost", "s0", "a0",
+    "o0", "T:", "O:", "R:", "start:", "states:", "discount:", "0" * 4301,
+]
+FUZZ_CHARS = list("0123456789 :*.-e\nsaoTOR#")
+
+
+def fuzzed_text(rng, text):
+    """``text`` after one to three random edits: a span of up to 8
+    characters deleted, a fragment inserted, one character replaced, or a
+    line deleted, doubled or swapped with another."""
+    for _ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(len(text) + 1))
+        lines = text.split("\n")
+        i, j = (int(k) for k in rng.integers(len(lines), size=2))
+        kind = int(rng.integers(6))
+        if kind == 0:
+            text = text[:at] + text[at + int(rng.integers(1, 9)) :]
+        elif kind == 1:
+            text = text[:at] + FUZZ_TOKENS[int(rng.integers(len(FUZZ_TOKENS)))] + text[at:]
+        elif kind == 2:
+            text = text[:at] + FUZZ_CHARS[int(rng.integers(len(FUZZ_CHARS)))] + text[at + 1 :]
+        elif kind == 3:
+            text = "\n".join(lines[:i] + lines[i + 1 :])
+        elif kind == 4:
+            text = "\n".join(lines[: i + 1] + lines[i:])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+    return text
+
+
+def test_fuzzed_texts_match_reference():
+    """Seeded random edits of the data files, the generated texts and the
+    long runs: each must give the reference's model bytes or its exact
+    error, and nothing but a PsrPlanError may escape either reader."""
+    rng = np.random.default_rng(2024)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.POMDP"))]
+    texts += [generated_model_text(seed) for seed in range(40)]
+    texts += [long_run_text(seed) for seed in range(8)]
+    outcomes = []
+    for k in range(500):
+        source = int(rng.integers(len(texts)))
+        text = fuzzed_text(rng, texts[source])
+        try:
+            outcomes.append(assert_same_outcome(text))
+        except Exception as exc:  # a mismatch, or an error other than the reference's
+            raise AssertionError(f"edit {k}, of text {source}: {type(exc).__name__}") from exc
+    # the edits keep some models valid and break the others
+    assert 20 <= sum(outcomes) <= 480

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from psrplan import cli
+from psrplan import grid as gridmod
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -116,6 +117,51 @@ def test_non_finite_number_exits_2(tmp_path, capsys, entry):
     assert code == 2
     assert "line 8" in err and "non-finite" in err
     assert not report.exists()
+
+
+LONG_INTEGER = "0" * 5_000  # more digits than int() reads by default
+
+
+@pytest.mark.parametrize(
+    "states, entry, line",
+    [
+        ("2", f"T: {LONG_INTEGER} : 0 : 0 1.0", 6),  # an index in a slot
+        ("1", f"start: {LONG_INTEGER}", 6),  # a one-state model's lone start token
+        (LONG_INTEGER, "", 3),  # a count
+    ],
+)
+def test_an_integer_token_too_long_for_int_exits_2(tmp_path, capsys, states, entry, line):
+    bad = tmp_path / "bad.POMDP"
+    bad.write_text(
+        f"discount: 0.9\nvalues: reward\nstates: {states}\nactions: 1\nobservations: 1\n"
+        f"{entry}\nT: * uniform\nO: * uniform\n",
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(
+        ["plan", bad, "--json-out", tmp_path / "r.json", "--policy-out", tmp_path / "p.json"],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error (plan): line {line}: integer of 5,000 digits; at most 4,300 are read\n"
+
+
+@pytest.mark.parametrize("command", ["plan", "baseline", "compare"])
+def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array with shape (2**60,)")
+
+    monkeypatch.setattr(gridmod, "solve", exhausted)
+    outputs = ["--json-out", tmp_path / "r.json"]
+    if command != "compare":  # compare writes no policy
+        outputs += ["--policy-out", tmp_path / "p.json"]
+    code, out, err = run_cli([command, DATA / "tiger.POMDP", *outputs], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"error ({command}): out of memory: "
+        "Unable to allocate 8.00 EiB for an array with shape (2**60,)\n"
+    )
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

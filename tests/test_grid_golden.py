@@ -3,8 +3,10 @@
 The tiger, fair_coin and clones goldens have rank 1 or 2; these pin the
 lifted regime, where the planner steps rank-3..6 coefficient vectors and
 the baseline steps beliefs of 3 or 4 states.  Each case stores the sha256
-of the raw bytes of the grid's ``coords``, ``indptr``, ``succ``,
-``prob`` and ``rewards``, the solved value at the initial state as
+of the raw bytes of the grid's ``coords`` and of its ``indptr``,
+``succ``, ``prob`` and ``rewards`` as (state, action)-row CSR
+(``reference.csr_rows``), so that the file pins what the grid holds, not
+how it is stored; and the solved value at the initial state as
 ``float.hex``, and the grid's diagnostics (the full-lattice case clamps,
 clips rewards to [0, 1] and has dead ends).  Two cases, a rank-12
 coefficient lattice and a 12-state simplex, have lattices too wide for
@@ -24,6 +26,8 @@ import pytest
 from psrplan import baseline as baselinemod
 from psrplan import planner as plannermod
 from psrplan.zoo import random_pomdp
+
+from reference import csr_rows
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "grids_random.json"
 ARRAYS = ("coords", "indptr", "succ", "prob", "rewards")
@@ -53,7 +57,8 @@ def grid_record(name):
     else:
         result = baselinemod.plan_baseline(model, delta=knob)
     grid = result.grid
-    record = {key: hashlib.sha256(getattr(grid, key).tobytes()).hexdigest() for key in ARRAYS}
+    arrays = {"coords": grid.coords, **csr_rows(grid)}
+    record = {key: hashlib.sha256(arrays[key].tobytes()).hexdigest() for key in ARRAYS}
     record["states"] = grid.n_states
     record["value"] = float(result.values[grid.initial_state]).hex()
     record["diagnostics"] = {

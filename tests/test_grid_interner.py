@@ -172,8 +172,9 @@ def test_locate_sends_an_l1_tie_to_the_lower_id(order):
     intern(np.array([[0, 0], [2, 0]])[order])
     empty = np.empty(0)
     grid = gridmod.GridMdp(
-        mesh=1.0, coords=intern.coords, n_actions=1, rewards=np.zeros(2),
-        indptr=np.zeros(3, dtype=np.int64), succ=empty.astype(np.int64), prob=empty,
+        mesh=1.0, coords=intern.coords, n_actions=1,
+        **gridmod.sweep_layout(np.zeros((2, 1)), np.zeros(2, dtype=np.int64),
+                               [empty.astype(np.int64)], [empty]),
         discount=0.5, initial_state=0, index=intern,
     )
     np.testing.assert_array_equal(grid.locate([[1, 0], [2, 0], [1, 1], [-1, 0]]),

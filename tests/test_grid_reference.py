@@ -1,7 +1,8 @@
 """The column-layout Bellman sweep against the bincount sweep it replaced.
 
 ``reference_solve`` below runs a fixed number of Jacobi sweeps, each
-summing the CSR entries per flat row with one ``np.bincount``, and
+summing the grid's (state, action)-row CSR entries, decoded by
+``reference.csr_rows``, per flat row with one ``np.bincount``, and
 applies ``grid.solve``'s documented midpoint shift to its last iterate.
 The column sweep adds the same products onto 0.0 in the same CSR order,
 so run for ``solve``'s sweep count the two must agree byte for byte in
@@ -18,10 +19,11 @@ from psrplan import grid as gridmod
 from psrplan import planner as plannermod
 from psrplan.cassandra import load_pomdp
 from psrplan.errors import ConvergenceError, ValidationError
-from psrplan.grid import GridMdp, PlanResult
+from psrplan.grid import GridMdp, PlanResult, sweep_layout
 from psrplan.zoo import random_pomdp
 
 from conftest import DATA
+from reference import csr_rows
 
 
 def reference_solve(grid: GridMdp, sweeps: int, vi_tol: float = 1e-4) -> PlanResult:
@@ -34,13 +36,14 @@ def reference_solve(grid: GridMdp, sweeps: int, vi_tol: float = 1e-4) -> PlanRes
     the span max Delta - min Delta.  A non-finite span raises.
     """
     gamma = grid.discount
-    entry_row = np.repeat(np.arange(grid.indptr.size - 1), np.diff(grid.indptr))
+    csr = csr_rows(grid)
+    entry_row = np.repeat(np.arange(csr["indptr"].size - 1), np.diff(csr["indptr"]))
     values = np.zeros(grid.n_states)
     for sweep in range(1, sweeps + 1):
         future = np.bincount(
-            entry_row, weights=grid.prob * values[grid.succ], minlength=grid.rewards.size
+            entry_row, weights=csr["prob"] * values[csr["succ"]], minlength=csr["rewards"].size
         )
-        q = (grid.rewards + gamma * future).reshape(-1, grid.n_actions)
+        q = (csr["rewards"] + gamma * future).reshape(-1, grid.n_actions)
         new_values = q.max(axis=1)
         low = float(np.min(new_values - values))
         high = float(np.max(new_values - values))
@@ -100,17 +103,40 @@ def ragged_grid(seed, n, n_actions, discount, width_range=(1, 6), dead_frac=0.1)
         succ.append(np.sort(rng.choice(n, size=min(width, n), replace=False)))
         prob.append(rng.dirichlet(np.ones(len(succ[-1]))))
     widths = np.array([len(s) for s in succ])
+    rewards = rng.uniform(-1.0, 1.0, size=(n, n_actions))
     return GridMdp(
         mesh=0.5,
         coords=np.arange(n, dtype=np.int64)[:, None],
         n_actions=n_actions,
-        rewards=rng.uniform(-1.0, 1.0, size=n_rows),
-        indptr=np.concatenate([[0], np.cumsum(widths)]).astype(np.int64),
-        succ=np.concatenate(succ).astype(np.int64),
-        prob=np.concatenate(prob),
+        **sweep_layout(rewards, widths, [np.concatenate(succ).astype(np.int64)],
+                       [np.concatenate(prob)]),
         discount=discount,
         initial_state=0,
     )
+
+
+def test_sweep_layout_stores_action_major_columns():
+    """Three states, two actions; CSR entry e carries probability e, so the
+    stored order names the entries."""
+    widths = np.array([2, 1, 3, 1, 1, 2])  # rows (0, 0), (0, 1), (1, 0), ...
+    succ = np.array([0, 2, 1, 0, 1, 2, 2, 1, 0, 1])
+    rewards = np.array([[10.0, 11.0], [20.0, 21.0], [30.0, 31.0]])
+    succ_parts, prob_parts = [succ[:4], succ[4:]], [np.arange(10.0)]
+    layout = sweep_layout(rewards, widths, succ_parts, prob_parts)
+    assert succ_parts == [] and prob_parts == []
+    # rows a * 3 + s have widths 2, 3, 1, 1, 1, 2; column 0 holds all six
+    # rows, column 1 rows 0, 1 and 5, column 2 row 1
+    np.testing.assert_array_equal(layout["indptr"], [0, 2, 5, 6, 7, 8, 10])
+    np.testing.assert_array_equal(layout["prob"], [0, 3, 7, 2, 6, 8, 1, 4, 9, 5])
+    np.testing.assert_array_equal(layout["succ"], succ[[0, 3, 7, 2, 6, 8, 1, 4, 9, 5]])
+    np.testing.assert_array_equal(layout["rewards"], [10, 20, 30, 11, 21, 31])
+    grid = GridMdp(mesh=1.0, coords=np.zeros((3, 1), dtype=np.int64), n_actions=2,
+                   **layout, discount=0.5, initial_state=0)
+    csr = csr_rows(grid)
+    np.testing.assert_array_equal(csr["indptr"], np.concatenate([[0], np.cumsum(widths)]))
+    np.testing.assert_array_equal(csr["succ"], succ)
+    np.testing.assert_array_equal(csr["prob"], np.arange(10.0))
+    np.testing.assert_array_equal(csr["rewards"], rewards.reshape(-1))
 
 
 @pytest.mark.parametrize("name", ["tiger", "fair_coin", "clones"])
@@ -161,7 +187,7 @@ def test_uniform_rows_match_reference():
 
 def test_all_dead_rows_match_reference():
     grid = ragged_grid(7, 12, 3, 0.9, dead_frac=1.0)
-    assert np.array_equal(grid.succ, np.repeat(np.arange(12), 3))
+    assert np.array_equal(csr_rows(grid)["succ"], np.repeat(np.arange(12), 3))
     check(grid)
 
 

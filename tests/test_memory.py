@@ -113,7 +113,8 @@ def test_closure_batches_stay_small_beside_the_grid():
     """The closure expands BLOCK_BRANCHES (state, action, signal) branches
     per batch, so a batch's tables stay small beside the grid it builds.
     Here the grid holds 16,560 states and 132,480 nonzeros, and the peak
-    above what the closure returns is 18 bytes per nonzero (2.40 MB); with
+    above what the closure returns is 16 bytes per nonzero (2.16 MB), at
+    the gather of the last entry list into the sweep's columns; with
     batches of 43,690 branches, 1 MiB of float64 per batch, it is 54."""
     m = random_pomdp(3, 2, 2, 2, seed=0)
     dec = improve_to_spanner(discover_basis(m))
@@ -128,13 +129,14 @@ def test_closure_batches_stay_small_beside_the_grid():
     assert peak - held < 36 * grid.succ.size
 
 
-def test_solve_frees_its_gather_index_before_the_sweeps():
-    """The sweeps hold the gathered successors, probabilities and
-    products, 24 bytes per nonzero, and a few arrays per grid state; the
-    gather index adds 8 more while it lives (here 38 bytes per nonzero at
-    the peak, 46 with the index held through the sweeps)."""
+def test_solve_copies_no_grid_array():
+    """The grid is stored in the sweep's layout, so the sweeps hold only
+    the products, 8 bytes per nonzero, each column's rows, at most 8 more,
+    and a few arrays per grid state: here 18 bytes per nonzero at the peak
+    (2.80 MB).  Gathering a copy of the successors and probabilities from a
+    (state, action)-row CSR, as solve did, peaked at 38 (5.90 MB)."""
     base = random_pomdp(3, 2, 2, 2, seed=2, discount=0.5)
     dec = improve_to_spanner(discover_basis(base))
     grid = build_grid(base, dec, precompute_dynamics(base, dec), 0.003)
     assert grid.succ.size > 100_000
-    assert peak_bytes(solve, grid) < 42 * grid.succ.size
+    assert peak_bytes(solve, grid) < 24 * grid.succ.size

@@ -360,10 +360,8 @@ def one_action_grid(succ, rewards, discount):
         mesh=1.0,
         coords=np.arange(n)[:, None],
         n_actions=1,
-        rewards=np.asarray(rewards, dtype=np.float64),
-        indptr=np.arange(n + 1),
-        succ=np.asarray(succ),
-        prob=np.ones(n),
+        **gridmod.sweep_layout(np.asarray(rewards, dtype=np.float64).reshape(n, 1),
+                               np.ones(n, dtype=np.int64), [np.asarray(succ)], [np.ones(n)]),
         discount=discount,
         initial_state=0,
     )

@@ -14,6 +14,7 @@ from psrplan import grid as gridmod
 from psrplan import planner as plannermod
 from psrplan.zoo import random_pomdp
 
+from reference import csr_rows
 from test_grid_reference import ragged_grid
 
 # floating-point slack for the bounds only: when V*(s0) is approached
@@ -25,10 +26,11 @@ BOUND_FP_SLACK = 1e-9
 def dense_model(grid):
     """(trans, rewards): trans[s, a] is the successor distribution of row (s, a)."""
     n, k = grid.n_states, grid.n_actions
-    rows = np.repeat(np.arange(n * k), np.diff(grid.indptr))
+    csr = csr_rows(grid)
+    rows = np.repeat(np.arange(n * k), np.diff(csr["indptr"]))
     trans = np.zeros((n * k, n))
-    np.add.at(trans, (rows, grid.succ), grid.prob)
-    return trans.reshape(n, k, n), grid.rewards.reshape(n, k)
+    np.add.at(trans, (rows, csr["succ"]), csr["prob"])
+    return trans.reshape(n, k, n), csr["rewards"].reshape(n, k)
 
 
 def policy_value(trans, rewards, gamma, policy):
