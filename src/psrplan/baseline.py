@@ -17,6 +17,9 @@ from .model import PomdpModel, belief_update_state_major, expected_reward_matrix
 # name and would report it missing.
 from .model import belief_update  # noqa: F401
 
+RESOLUTION_TOL = 1e-9  # how far k·delta may miss 1 for 1/delta to read as the integer k
+FLOOR_NUDGE = 1e-12  # a scaled coordinate this far below an integer floors to it
+
 
 def resolution(delta: float) -> int:
     """1/delta as an exact integer; rejects meshes that do not divide 1 and
@@ -28,7 +31,7 @@ def resolution(delta: float) -> int:
             f"delta {delta} is too fine: 1/delta exceeds {gridmod.MAX_RADIUS}"
         )
     k = round(1.0 / delta)
-    if abs(k * delta - 1.0) > 1e-9:
+    if abs(k * delta - 1.0) > RESOLUTION_TOL:
         raise ValidationError(f"1/delta must be an integer, got 1/{delta}")
     return int(k)
 
@@ -43,7 +46,7 @@ def simplex_round(b: np.ndarray, delta: float) -> np.ndarray:
     """
     k = resolution(delta)
     scaled = np.asarray(b, dtype=np.float64) * k
-    floors = np.floor(scaled + 1e-12).astype(np.int64)
+    floors = np.floor(scaled + FLOOR_NUDGE).astype(np.int64)
     n = scaled.shape[-1]
     # an integer product, exact, and far faster than a sum over a short last axis
     leftover = k - floors @ np.ones((n, 1), dtype=np.int64)

@@ -13,6 +13,11 @@ unrecognized directive, wherever it stands.  ``include`` and ``exclude``
 open a start list only as whole words, so ``start: excluded`` names a
 state.  An index, a lone start token or a count of more than 4,300
 digits, more than ``int`` reads by default, is a ParseError at its line.
+So is a model whose T, O or R table would hold more than
+``TABLE_BUDGET`` entries, at the declaration or ``R:`` entry that takes
+it past, before any name list or table is built; a count with more
+digits than the budget, leading zeros aside, is refused before ``int``
+reads it.
 
 The file becomes a statement table in a few list comprehensions over its
 lines: each statement's keyword, ``:`` fields, body lines and line
@@ -63,6 +68,11 @@ _ALL = slice(None)  # a '*' slot
 _WILD, _UNKNOWN = -1, -2  # what ``_NameSpace.lookup`` gives '*' and other tokens
 
 DEFAULT_REWARD_CAP = 64
+# The most entries a dense table may hold: A·n² for T, A·n·O for O and,
+# when an R entry names a departing state, A·n²·O for R; 2**27 float64
+# entries are 1 GiB.
+TABLE_BUDGET = 2**27
+REWARD_SPREAD_TOL = 1e-12  # the most a reachable reward may vary with the departing state
 # A shorter run is applied entry by entry.  At 4 numbers a row, writing a
 # run by columns costs about 48 µs plus 1.9 µs per entry, and reading an
 # entry from its tokens 5.6 µs; columns win from about 14 entries at 4
@@ -222,24 +232,51 @@ class _NameSpace:
         return _ALL if i == _WILD else i
 
 
-def _names_from_tokens(tokens, prefix, line):
+def _check_budget(table, size, line):
+    """Refuse a table of more than TABLE_BUDGET entries at ``line``."""
+    if size > TABLE_BUDGET:
+        raise ParseError(
+            f"{table} table of at least {size:,} entries is past the budget of "
+            f"{TABLE_BUDGET:,}",
+            line,
+        )
+
+
+def _names_from_tokens(tokens, word, line, counts):
+    """The names a states/actions/observations declaration gives, from a
+    count or a list.  ``counts`` holds how many each of the three
+    declares, 1 until it is read: this one's number goes there, and the T
+    and O tables are checked against TABLE_BUDGET, before any name is
+    built."""
     if not tokens:
-        raise ParseError(f"empty {prefix} declaration", line)
-    if len(tokens) == 1 and _INDEX.fullmatch(tokens[0]):
-        count = _integer(tokens[0], line)
-        if count < 1:
-            raise ParseError(f"{prefix} count must be positive", line)
-        return [f"{prefix}{i}" for i in range(count)]
-    for name in tokens:  # no slot could refer to such a name
-        if name == "*" or ":" in name:
+        raise ParseError(f"empty {word} declaration", line)
+    numbered = len(tokens) == 1 and _INDEX.fullmatch(tokens[0])
+    if numbered:
+        digits = len(tokens[0].lstrip("0"))
+        if digits > len(str(TABLE_BUDGET)):
             raise ParseError(
-                f"name '{name}' cannot be written in a slot ('*' is the wildcard, "
-                "':' separates slots)",
+                f"{word} count of {digits:,} digits is past the table budget of "
+                f"{TABLE_BUDGET:,} entries",
                 line,
             )
-    if len(set(tokens)) != len(tokens):
-        raise ParseError(f"duplicate {prefix} name", line)
-    return list(tokens)
+        counts[word] = _integer(tokens[0], line)
+        if counts[word] < 1:
+            raise ParseError(f"{word} count must be positive", line)
+    else:
+        for name in tokens:  # no slot could refer to such a name
+            if name == "*" or ":" in name:
+                raise ParseError(
+                    f"name '{name}' cannot be written in a slot ('*' is the wildcard, "
+                    "':' separates slots)",
+                    line,
+                )
+        if len(set(tokens)) != len(tokens):
+            raise ParseError(f"duplicate {word} name", line)
+        counts[word] = len(tokens)
+    n, na, no = counts["states"], counts["actions"], counts["observations"]
+    _check_budget("transition", na * n * n, line)
+    _check_budget("observation", na * n * no, line)
+    return [f"{word[0]}{i}" for i in range(counts[word])] if numbered else list(tokens)
 
 
 def _floats(tokens, expected, line, what):
@@ -271,6 +308,7 @@ def _declarations(stmts):
     discount = None
     states = actions = observations = None
     seen = {}
+    counts = dict.fromkeys(("states", "actions", "observations"), 1)
     # the preamble and the first entry: as no keyword is declared twice,
     # a later entry cannot come before a declaration the first one had
     preamble = stmts.keys < 0
@@ -303,11 +341,11 @@ def _declarations(stmts):
             if tokens != ["reward"]:
                 raise ParseError(f"bad values declaration {tokens}", line)
         elif word == "states":
-            states = _names_from_tokens(stmts.tokens(i), "s", line)
+            states = _names_from_tokens(stmts.tokens(i), word, line, counts)
         elif word == "actions":
-            actions = _names_from_tokens(stmts.tokens(i), "a", line)
+            actions = _names_from_tokens(stmts.tokens(i), word, line, counts)
         elif word == "observations":
-            observations = _names_from_tokens(stmts.tokens(i), "o", line)
+            observations = _names_from_tokens(stmts.tokens(i), word, line, counts)
 
     if discount is None:
         raise ParseError("missing discount declaration")
@@ -404,13 +442,15 @@ def _fill_tables(stmts, states, actions, observations):
     an = _NameSpace("action", actions)
     on = _NameSpace("observation", observations)
     n, na, no = len(states), len(actions), len(observations)
-    transition = np.zeros((n, na, n))
-    obs_kernel = np.zeros((n, na, no))
     entries = np.flatnonzero(stmts.keys >= 0)
     key = stmts.keys[entries]
     rewards = entries[key % 3 == _ENTRY_CODES["R"]].tolist()
-    departing = any(stmts.slots(i)[1:2] != ["*"] for i in rewards)
-    reward_raw = np.zeros((na, n if departing else 1, n, no))
+    departing = next((i for i in rewards if stmts.slots(i)[1:2] != ["*"]), None)
+    if departing is not None:
+        _check_budget("reward", na * n * n * no, stmts.line(departing))
+    transition = np.zeros((n, na, n))
+    obs_kernel = np.zeros((n, na, no))
+    reward_raw = np.zeros((na, 1 if departing is None else n, n, no))
     # keyword -> (table in slot order, slot name spaces, fewest slots,
     #             keywords allowed by body rank)
     kinds = {
@@ -592,7 +632,7 @@ def _collect_rewards(transition, obs_kernel, reward_raw, states, actions, observ
         departing = support[:, :, :, None]
         spread = np.max(reward_raw, axis=1, where=departing, initial=-np.inf)
         spread -= np.min(reward_raw, axis=1, where=departing, initial=np.inf)
-        bad = np.argwhere(defined & (spread > 1e-12))  # [a, s', o], C order
+        bad = np.argwhere(defined & (spread > REWARD_SPREAD_TOL))  # [a, s', o], C order
         if bad.size:
             a, s2, o = bad[0]
             raise ValidationError(

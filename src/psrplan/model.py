@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ValidationError
 
 STOCHASTIC_TOL = 1e-9  # slack on every probability's sign and every row's sum
-DRIFT_TOL = 1e-12  # a posterior whose sum misses 1 by more is divided by it again
 
 
 class Signal(NamedTuple):
@@ -208,10 +207,11 @@ def ask_policy(policy, beliefs: np.ndarray, n_actions: int) -> np.ndarray:
 
 
 def _clean_probabilities(v: np.ndarray) -> np.ndarray:
-    """v with entries in [-STOCHASTIC_TOL, 0], -0.0 included, as +0.0; lower is refused."""
+    """v, in place, with entries in [-STOCHASTIC_TOL, 0], -0.0 included, as
+    +0.0; lower is refused."""
     if v.min(initial=0.0) < -STOCHASTIC_TOL:
         raise ValidationError(f"probability went negative: {v.min():.3e}")
-    return np.maximum(v, 0.0)
+    return np.maximum(v, 0.0, out=v)
 
 
 def belief_update(model: PomdpModel, b: np.ndarray, a: int, sig):
@@ -227,11 +227,7 @@ def belief_update(model: PomdpModel, b: np.ndarray, a: int, sig):
     p = float(joint.sum())
     if p <= 0.0:
         return 0.0, None
-    post = joint / p
-    drift = abs(post.sum() - 1.0)
-    if drift > DRIFT_TOL:
-        post = post / post.sum()
-    return p, post
+    return p, joint / p
 
 
 def state_sum(x: np.ndarray) -> np.ndarray:
@@ -273,8 +269,8 @@ def belief_update_state_major(model: PomdpModel, beliefs: np.ndarray):
     None).  The push-forward is belief_update's, one matrix-vector product
     per belief and action: a matrix product over the stack would sum in
     another order and move the ties that simplex rounding breaks.
-    Everything after it (the emission product, the clamp, the two sums over
-    states and the divisions) is one elementwise pass over the k beliefs
+    Everything after it (the emission product, the clamp, one sum over
+    states and one division) is one elementwise pass over the k beliefs
     per hidden state, and ``state_sum`` adds the states in the order numpy
     sums a row, so every other entry is belief_update's bit for bit.
     """
@@ -282,24 +278,14 @@ def belief_update_state_major(model: PomdpModel, beliefs: np.ndarray):
     live = model.live_symbols
     # each action's [s', s] matrix keeps belief_update's strides (s' contiguous)
     pushed = np.matvec(model.transition.transpose(1, 2, 0), beliefs[:, None, :])
-    pushed = pushed.transpose(2, 1, 0)[:, :, np.newaxis]  # (n, A, 1, k)
-    joint = np.empty((model.n, live.size, beliefs.shape[0]))
-    emit = model.signal_kernel.reshape(model.n, -1)[:, live, np.newaxis]  # (n, L, 1)
-    # an action's live symbols are one run of slots
-    bounds = np.searchsorted(live, np.arange(model.n_actions + 1) * model.n_signals)
-    for a, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.multiply(pushed[:, a], emit[:, lo:hi], out=joint[:, lo:hi])
-    joint = _clean_probabilities(joint)
+    # slot l reads the push-forward at its symbol's action: (n, L, k)
+    joint = np.take(pushed.transpose(2, 1, 0), live // model.n_signals, axis=1)
+    joint *= model.signal_kernel.reshape(model.n, -1)[:, live, np.newaxis]
+    _clean_probabilities(joint)
     p = state_sum(joint)
-    possible = p > 0.0
     # where p = 0 every entry of joint is +0.0 (the clamp maps -0.0 to
     # +0.0), so dividing by 1 there leaves the all-zero posterior
-    post = np.divide(joint, np.where(possible, p, 1.0), out=joint)
-    total = state_sum(post)
-    drifted = possible & (np.abs(total - 1.0) > DRIFT_TOL)
-    if drifted.any():
-        np.divide(post, np.where(drifted, total, 1.0), out=post)
-    return p, post
+    return p, np.divide(joint, np.where(p > 0.0, p, 1.0), out=joint)
 
 
 def expected_reward_matrix(model: PomdpModel) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from psrplan import cassandra
-from psrplan.cassandra import _MATRIX_WORDS, DEFAULT_REWARD_CAP, parse_pomdp
+from psrplan.cassandra import _MATRIX_WORDS, DEFAULT_REWARD_CAP, TABLE_BUDGET, parse_pomdp
 from psrplan.errors import ParseError, PsrPlanError, UnsupportedConstructError, ValidationError
 from psrplan.model import PomdpModel, check_rows, is_distribution
 
@@ -95,24 +95,49 @@ def _integer(token, line):
     return int(token)
 
 
-def _names_from_tokens(tokens, prefix, line):
+def _within_budget(table, size, line):
+    if size > TABLE_BUDGET:
+        raise ParseError(
+            f"{table} table of at least {size:,} entries is past the budget of "
+            f"{TABLE_BUDGET:,}",
+            line,
+        )
+
+
+def _names_from_tokens(tokens, keyword, line, sizes):
+    """The declared names, once ``sizes[keyword]`` holds their number and
+    the T and O tables, at 1 for each count not yet declared, fit the
+    budget."""
     if not tokens:
-        raise ParseError(f"empty {prefix} declaration", line)
+        raise ParseError(f"empty {keyword} declaration", line)
     if len(tokens) == 1 and re.fullmatch(r"\d+", tokens[0]):
-        count = _integer(tokens[0], line)
-        if count < 1:
-            raise ParseError(f"{prefix} count must be positive", line)
-        return [f"{prefix}{i}" for i in range(count)]
-    for name in tokens:
-        if name == "*" or ":" in name:
+        significant = tokens[0].lstrip("0")
+        if len(significant) > len(str(TABLE_BUDGET)):
             raise ParseError(
-                f"name '{name}' cannot be written in a slot ('*' is the wildcard, "
-                "':' separates slots)",
+                f"{keyword} count of {len(significant):,} digits is past the table "
+                f"budget of {TABLE_BUDGET:,} entries",
                 line,
             )
-    if len(set(tokens)) != len(tokens):
-        raise ParseError(f"duplicate {prefix} name", line)
-    return list(tokens)
+        count = _integer(tokens[0], line)
+        if count < 1:
+            raise ParseError(f"{keyword} count must be positive", line)
+        names = None
+    else:
+        for name in tokens:
+            if name == "*" or ":" in name:
+                raise ParseError(
+                    f"name '{name}' cannot be written in a slot ('*' is the wildcard, "
+                    "':' separates slots)",
+                    line,
+                )
+        if len(set(tokens)) != len(tokens):
+            raise ParseError(f"duplicate {keyword} name", line)
+        count, names = len(tokens), list(tokens)
+    sizes[keyword] = count
+    n, na, no = sizes["states"], sizes["actions"], sizes["observations"]
+    _within_budget("transition", na * n * n, line)
+    _within_budget("observation", na * n * no, line)
+    return names or [f"{keyword[0]}{i}" for i in range(count)]
 
 
 def _declarations(stmts):
@@ -122,6 +147,7 @@ def _declarations(stmts):
     start_stmt = None
     first = {}
     kernel_stmts = []
+    sizes = {"states": 1, "actions": 1, "observations": 1}
     for st in stmts:
         if st.keyword in ("T", "O", "R", "start") and (
             states is None or actions is None or observations is None
@@ -151,11 +177,11 @@ def _declarations(stmts):
             if tokens != ["reward"]:
                 raise ParseError(f"bad values declaration {tokens}", st.line)
         elif st.keyword == "states":
-            states = _names_from_tokens(st.tokens(), "s", st.line)
+            states = _names_from_tokens(st.tokens(), "states", st.line, sizes)
         elif st.keyword == "actions":
-            actions = _names_from_tokens(st.tokens(), "a", st.line)
+            actions = _names_from_tokens(st.tokens(), "actions", st.line, sizes)
         elif st.keyword == "observations":
-            observations = _names_from_tokens(st.tokens(), "o", st.line)
+            observations = _names_from_tokens(st.tokens(), "observations", st.line, sizes)
         else:
             start_stmt = st
     if discount is None:
@@ -427,6 +453,11 @@ def _loop_tables(kernel_stmts, states, actions, observations):
     an = _NameSpace("action", actions)
     on = _NameSpace("observation", observations)
     n, na, no = len(states), len(actions), len(observations)
+    for st in kernel_stmts:
+        # an R entry that names a departing state (or has no slot for one)
+        if st.keyword == "R" and st.slots[1:2] != ["*"]:
+            _within_budget("reward", na * n * n * no, st.line)
+            break
     transition = np.zeros((n, na, n))
     obs_kernel = np.zeros((n, na, no))
     reward_raw = np.zeros((na, n, n, no))
@@ -1012,11 +1043,10 @@ def test_the_parse_does_not_depend_on_the_short_run_threshold(monkeypatch):
 
 
 # Fragments a fuzz edit inserts: separators, keywords, start modes, numbers
-# each reader takes differently, and an index longer than int() reads.  A
-# declared count is not yet checked against a size budget, so a seed whose
-# edits join a digit to a cut-down long token declares a count of thousands
-# of digits, and both readers build names until memory runs out; the seed
-# below makes no such edit.
+# each reader takes differently, and an index longer than int() reads.  An
+# edit that joins a digit to a cut-down long token declares a count of
+# thousands of digits, which both readers refuse by the table budget
+# before they build a name.
 FUZZ_TOKENS = [
     " ", "\n", "\t", ":", "*", "#", "\u00a0", "0", "1", "01", "0.5", "-1", "1e999", "nan",
     "0.2_5", "uniform", "identity", "include", "exclude", "reward", "cost", "s0", "a0",

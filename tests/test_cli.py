@@ -145,6 +145,98 @@ def test_an_integer_token_too_long_for_int_exits_2(tmp_path, capsys, states, ent
     assert err == f"error (plan): line {line}: integer of 5,000 digits; at most 4,300 are read\n"
 
 
+# cli.main in a child whose address space is capped at 2 GiB: a model the
+# parser fails to refuse raises MemoryError there, or reads to some other
+# end, instead of taking the machine's memory.  One BLAS thread, as
+# OpenBLAS reserves a buffer per thread when numpy is imported.
+LIMITED_CLI = """\
+import os, resource, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[1])
+from psrplan.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+BUDGET = "is past the budget of 134,217,728"
+
+
+@pytest.mark.parametrize(
+    "declarations, message",
+    [
+        # the 74-byte file: 10**8 state names, then a 1.6e17-byte table
+        ("states: 100000000\nactions: 2\nobservations: 2\n",
+         f"line 3: transition table of at least 10,000,000,000,000,000 entries {BUDGET}"),
+        ("states: 20000\nactions: 2\nobservations: 2\n",
+         f"line 3: transition table of at least 400,000,000 entries {BUDGET}"),
+        # 9,000 states fit alone; the fourth action does not
+        ("states: 9000\nactions: 4\nobservations: 2\n",
+         f"line 4: transition table of at least 324,000,000 entries {BUDGET}"),
+        ("actions: 2\nstates: 100\nobservations: 2000000\n",
+         f"line 5: observation table of at least 400,000,000 entries {BUDGET}"),
+        # only an R entry that names a departing state makes the A·n²·O table
+        ("states: 2000\nactions: 2\nobservations: 40\nT: * uniform\nO: * uniform\n"
+         "R: * : * : * : * 1\nR: * : 5 : * : * 2\n",
+         f"line 9: reward table of at least 320,000,000 entries {BUDGET}"),
+        # leading zeros do not count: 10 digits to the budget's 9
+        ("states: 2\nactions: 0001234567890\nobservations: 2\n",
+         "line 4: actions count of 10 digits is past the table budget of 134,217,728 entries"),
+    ],
+    ids=["1e8-states", "20000-states", "fourth-action", "observations", "departing-reward",
+         "count-digits"],
+)
+def test_a_model_past_the_table_budget_exits_2_before_allocating(tmp_path, declarations, message):
+    model = tmp_path / "big.POMDP"
+    model.write_text(f"discount: 0.9\nvalues: reward\n{declarations}", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", LIMITED_CLI, str(SRC), "plan", str(model),
+         "--json-out", str(tmp_path / "r.json"), "--policy-out", str(tmp_path / "p.json")],
+        cwd=tmp_path, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error (plan): {message}\n"
+
+
+MODEL_ERRORS = {
+    "empty_declaration": (
+        "states:\nactions: 1\nobservations: 1\n", "line 3: empty states declaration"
+    ),
+    "zero_count": (
+        "states: 2\nactions: 0\nobservations: 1\n", "line 4: actions count must be positive"
+    ),
+    "duplicate_name": (
+        "states: 2\nactions: 1\nobservations: o o\n", "line 5: duplicate observations name"
+    ),
+    "missing_declaration": (
+        "states: 2\nactions: 1\n", "missing states/actions/observations declaration"
+    ),
+    "empty_start_set": (
+        "states: 2\nactions: 1\nobservations: 1\nstart: exclude: s0 s1\n"
+        "T: * uniform\nO: * uniform\n",
+        "line 6: start set is empty",
+    ),
+    # the row sums to 1 within STOCHASTIC_TOL, but -1e-7 is below -STOCHASTIC_TOL
+    "negative_entry": (
+        "states: 2\nactions: 1\nobservations: 1\nT: * : 0\n1.0000001 -0.0000001\n"
+        "T: * : 1 uniform\nO: * uniform\n",
+        "negative kernel entry",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_ERRORS))
+def test_a_refused_model_exits_2_with_its_message(tmp_path, capsys, case):
+    text, message = MODEL_ERRORS[case]
+    model = tmp_path / "bad.POMDP"
+    model.write_text(f"discount: 0.9\nvalues: reward\n{text}", encoding="utf-8")
+    code, out, err = run_cli(
+        ["plan", model, "--json-out", tmp_path / "r.json", "--policy-out", tmp_path / "p.json"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error (plan): {message}\n"
+    assert not list(tmp_path.glob("*.json"))
+
+
 @pytest.mark.parametrize("command", ["plan", "baseline", "compare"])
 def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, command):
     def exhausted(*args, **kwargs):
@@ -223,6 +315,17 @@ def test_baseline_non_integral_resolution_exits_2(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "r.json").exists()
 
 
+def test_baseline_delta_zero_exits_2(tmp_path, capsys, monkeypatch):
+    err = exits_2_at_parsing(
+        ["baseline", DATA / "tiger.POMDP", "--delta", "0", "--json-out", tmp_path / "r.json"],
+        monkeypatch, capsys,
+    )
+    assert err.splitlines()[-1] == (
+        "psrplan baseline: error: argument --delta: delta 0.0 outside (0, 1]"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("delta", ["1e-19", "1e-300", "5e-324"])
 def test_baseline_delta_finer_than_floats_count_exits_2(tmp_path, capsys, monkeypatch, delta):
     # past grid.MAX_RADIUS cells, floats no longer round onto the lattice
@@ -244,6 +347,20 @@ def test_state_cap_exits_3(tmp_path, capsys):
     assert code == 3
     assert "state cap" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_full_lattice_past_the_state_cap_exits_3(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["plan", DATA / "tiger.POMDP", "--grid-mode", "full", "--state-cap", "10",
+         "--json-out", tmp_path / "r.json", "--policy-out", tmp_path / "p.json"],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error (plan): full lattice has 81^2 states, above the cap of 10; "
+        "raise --state-cap or use a larger epsilon\n"
+    )
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
