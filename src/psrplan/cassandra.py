@@ -8,12 +8,13 @@ continuation lines and the ``identity``/``uniform`` keyword matrices.
 ``values: cost`` is rejected, and so is a second declaration of any
 preamble keyword or of ``start``, and a declared name that no slot could
 refer to: ``*`` or one with a ``:`` in it.  A line that opens with a word
-and a colon must open a statement: any other ``word:`` is an
-unrecognized directive, wherever it stands.  ``include`` and ``exclude``
-open a start list only as whole words, so ``start: excluded`` names a
-state.  An index, a lone start token or a count of more than 4,300
-digits, more than ``int`` reads by default, is a ParseError at its line.
-So is a model whose T, O or R table would hold more than
+(letters as ``str.isalpha`` reads them) and a colon must open a
+statement: any other ``word:`` is an unrecognized directive, wherever it
+stands.  ``include`` and ``exclude`` open a start list only as whole
+words, so ``start: excluded`` names a state.  An index, a lone start
+token or a count of more than 4,300 digits, more than ``int`` reads by
+default, is a ParseError at its line.  So is a model whose T, O or R
+table, or whose names at ``NAME_ENTRIES`` each, would hold more than
 ``TABLE_BUDGET`` entries, at the declaration or ``R:`` entry that takes
 it past, before any name list or table is built; a count with more
 digits than the budget, leading zeros aside, is refused before ``int``
@@ -21,21 +22,23 @@ reads it.
 
 The file becomes a statement table in a few list comprehensions over its
 lines: each statement's keyword, ``:`` fields, body lines and line
-number; a statement is an index into it.  Entries apply in file order: a
-later entry overwrites what an earlier one set, whether either names a
-``*`` or not.  Consecutive one-line T/O/R bodies under one keyword and
-slot count form a run.  A run of ``_SHORT_RUN`` or more entries is read
-by one ``np.loadtxt`` call and written by one fancy-index assignment per
-stretch of entries with ``*`` in the same slots, keeping the last of the
-entries that name one target.  Every other entry (one of a shorter run,
-a longer or keyword body, a slot that is not a name, a plain index or
-``*``, a run that does not read as finite rows of the right width) is
-applied on its own, its body read from its own tokens with Python's
-``float``.  Both convert with CPython's correctly rounded
-``PyOS_string_to_double``; a form only ``float`` reads, such as ``0.2_5``
-or non-ASCII digits, sends its run back to ``float``.  A non-finite
-number (``nan``, ``inf``, or an overflow such as ``1e999``) is a
-ParseError.
+number; a statement is an index into it.  Each kind has one name map,
+and only its ``resolve`` reads a ``*`` slot.  Entries apply in file
+order: a later entry overwrites what an earlier one set, whether either
+names a ``*`` or not.  Consecutive one-line T/O/R bodies under one
+keyword and slot count form a run.  A run of ``_SHORT_RUN`` or more
+entries is read by one ``np.loadtxt`` call and written by one
+fancy-index assignment per stretch of entries whose slots are all names
+or plain indices, keeping the last of the entries that name one target;
+an entry with another slot (``*``, an index such as ``01``) is applied
+on its own from its run's row.  Every other entry (one of a shorter
+run, a longer or keyword body, a run that does not read as finite rows
+of the right width) is applied on its own, its body read from its own
+tokens with Python's ``float``.  Both convert with CPython's correctly
+rounded ``PyOS_string_to_double``; a form only ``float`` reads, such as
+``0.2_5`` or non-ASCII digits, sends its run back to ``float``.  A
+non-finite number (``nan``, ``inf``, or an overflow such as ``1e999``)
+is a ParseError.
 
 Rewards become part of the observable signal: each raw value
 R(s, a, s', o) is binned into a finite set, affinely normalized into
@@ -58,20 +61,23 @@ from .model import PomdpModel, check_rows, is_distribution
 _KEYWORDS = {"discount", "values", "states", "actions", "observations", "start", "T", "O", "R"}
 _ENTRY_CODES = {"T": 0, "O": 1, "R": 2}  # the entry keywords, by run key modulo 3
 _MATRIX_WORDS = {"identity", "uniform"}
-_HEAD = re.compile(r"([A-Za-z]+)\s*(:?)\s*(.*)")
+_HEAD = re.compile(r"([^\W\d_]+)\s*(:?)\s*(.*)")  # a word: letters as str.isalpha reads them
 # A T/O/R head whose every ':' field is one token, then the body's first
 # line, if any, with no ':' in it: ``_head`` reads such a line the same way.
 _ENTRY_HEAD = re.compile(r"([TOR])\s*:\s*([^\s:]+(?:\s*:\s*[^\s:]+)*)(?:\s+([^:]+))?")
 _START_MODE = re.compile(r"^(include|exclude)\b\s*:?\s*(.*)$")
 _INDEX = re.compile(r"\d+")
 _ALL = slice(None)  # a '*' slot
-_WILD, _UNKNOWN = -1, -2  # what ``_NameSpace.lookup`` gives '*' and other tokens
+_UNKNOWN = -1  # what a run reads for a token ``_NameSpace.lookup`` does not map
 
 DEFAULT_REWARD_CAP = 64
 # The most entries a dense table may hold: A·n² for T, A·n·O for O and,
 # when an R entry names a departing state, A·n²·O for R; 2**27 float64
 # entries are 1 GiB.
 TABLE_BUDGET = 2**27
+# What a declared name costs against TABLE_BUDGET: the name and its two
+# lookup entries hold 244-288 bytes, about 32 float64 entries.
+NAME_ENTRIES = 32
 REWARD_SPREAD_TOL = 1e-12  # the most a reachable reward may vary with the departing state
 # A shorter run is applied entry by entry.  At 4 numbers a row, writing a
 # run by columns costs about 48 µs plus 1.9 µs per entry, and reading an
@@ -89,10 +95,7 @@ def _head(line, lineno):
     ``_ENTRY_HEAD`` gives them: a T/O/R entry's ``:`` fields as one string
     of tokens and colons, and ``text`` the rest of the line; None for a
     continuation line."""
-    m = _HEAD.match(line)
-    if m is None:
-        return None
-    word, colon, rest = m.groups()
+    word, colon, rest = _HEAD.match(line).groups()  # line opens with a letter
     if word not in _KEYWORDS:
         if colon:
             raise ParseError(f"unrecognized directive '{word}'", lineno)
@@ -210,8 +213,8 @@ def _integer(token, line):
 class _NameSpace:
     """Resolve a state/action/observation token to an index (a slice for '*').
 
-    ``lookup`` maps every name, every index as ``str`` writes it and '*'
-    (to ``_WILD``); a name takes precedence over the index it spells.
+    ``lookup`` maps every name and every index as ``str`` writes it; a
+    name takes precedence over the index it spells.
     """
 
     def __init__(self, kind, names):
@@ -219,17 +222,18 @@ class _NameSpace:
         self.names = names
         self.lookup = dict(zip(map(str, range(len(names))), range(len(names))))
         self.lookup.update(zip(names, range(len(names))))
-        self.lookup["*"] = _WILD
 
     def resolve(self, token, line):
-        """``lookup``'s index for ``token``, or an index written otherwise,
-        such as ``01``."""
-        i = self.lookup.get(token, _UNKNOWN)
-        if i == _UNKNOWN and _INDEX.fullmatch(token) and _integer(token, line) < len(self.names):
+        """``_ALL`` for '*', else ``lookup``'s index for ``token`` or an
+        index written otherwise, such as ``01``."""
+        if token == "*":
+            return _ALL
+        i = self.lookup.get(token)
+        if i is None and _INDEX.fullmatch(token) and _integer(token, line) < len(self.names):
             i = int(token)
-        if i == _UNKNOWN:
+        if i is None:
             raise ParseError(f"unknown {self.kind} '{token}'", line)
-        return _ALL if i == _WILD else i
+        return i
 
 
 def _check_budget(table, size, line):
@@ -246,8 +250,8 @@ def _names_from_tokens(tokens, word, line, counts):
     """The names a states/actions/observations declaration gives, from a
     count or a list.  ``counts`` holds how many each of the three
     declares, 1 until it is read: this one's number goes there, and the T
-    and O tables are checked against TABLE_BUDGET, before any name is
-    built."""
+    and O tables and the names, at NAME_ENTRIES each, are checked against
+    TABLE_BUDGET, before any name is built."""
     if not tokens:
         raise ParseError(f"empty {word} declaration", line)
     numbered = len(tokens) == 1 and _INDEX.fullmatch(tokens[0])
@@ -276,6 +280,7 @@ def _names_from_tokens(tokens, word, line, counts):
     n, na, no = counts["states"], counts["actions"], counts["observations"]
     _check_budget("transition", na * n * n, line)
     _check_budget("observation", na * n * no, line)
+    _check_budget("name", NAME_ENTRIES * (n + na + no), line)
     return [f"{word[0]}{i}" for i in range(counts[word])] if numbered else list(tokens)
 
 
@@ -300,13 +305,14 @@ def _floats(tokens, expected, line, what):
 def _declarations(stmts):
     """The preamble's values, read in file order.
 
-    Returns ``(discount, states, actions, observations, start)``, with
-    ``start`` the index of the ``start`` statement or None.  Refuses a
-    second declaration of a keyword, and an entry or ``start`` before all
-    of states, actions and observations are declared.
+    Returns ``(discount, states, actions, observations, start)``, the
+    names as one ``_NameSpace`` per kind and ``start`` the index of the
+    ``start`` statement or None.  Refuses a second declaration of a
+    keyword, and an entry or ``start`` before all of states, actions and
+    observations are declared.
     """
     discount = None
-    states = actions = observations = None
+    spaces = {}  # states, actions and observations, as name maps
     seen = {}
     counts = dict.fromkeys(("states", "actions", "observations"), 1)
     # the preamble and the first entry: as no keyword is declared twice,
@@ -316,7 +322,7 @@ def _declarations(stmts):
     for i in order:
         word, line = stmts.words[i], stmts.line(i)
         if word in _ENTRY_CODES or word == "start":
-            if states is None or actions is None or observations is None:
+            if len(spaces) < 3:
                 raise ParseError(
                     f"'{word}' entry before states/actions/observations are declared",
                     line,
@@ -340,26 +346,25 @@ def _declarations(stmts):
                 )
             if tokens != ["reward"]:
                 raise ParseError(f"bad values declaration {tokens}", line)
-        elif word == "states":
-            states = _names_from_tokens(stmts.tokens(i), word, line, counts)
-        elif word == "actions":
-            actions = _names_from_tokens(stmts.tokens(i), word, line, counts)
-        elif word == "observations":
-            observations = _names_from_tokens(stmts.tokens(i), word, line, counts)
+        elif word != "start":  # a name map of kind "state", "action" or "observation"
+            names = _names_from_tokens(stmts.tokens(i), word, line, counts)
+            spaces[word] = _NameSpace(word[:-1], names)
 
     if discount is None:
         raise ParseError("missing discount declaration")
-    if states is None or actions is None or observations is None:
+    if len(spaces) < 3:
         raise ParseError("missing states/actions/observations declaration")
-    return discount, states, actions, observations, seen.get("start")
+    sn, an, on = (spaces[word] for word in ("states", "actions", "observations"))
+    return discount, sn, an, on, seen.get("start")
 
 
 def parse_pomdp(text: str) -> PomdpModel:
     """Parse file contents into a validated PomdpModel."""
     stmts = _Statements(text)
-    discount, states, actions, observations, start = _declarations(stmts)
-    transition, obs_kernel, reward_raw = _fill_tables(stmts, states, actions, observations)
-    initial_belief = _parse_start(stmts, start, _NameSpace("state", states))
+    discount, sn, an, on, start = _declarations(stmts)
+    transition, obs_kernel, reward_raw = _fill_tables(stmts, sn, an, on)
+    initial_belief = _parse_start(stmts, start, sn)
+    states, actions, observations = sn.names, an.names, on.names
 
     # one sum per row serves the check and the division
     sums = transition.sum(axis=2, keepdims=True)
@@ -424,8 +429,9 @@ _BODY_NAMES = {
 }
 
 
-def _fill_tables(stmts, states, actions, observations):
-    """Raw T, O and R tables, entries applied in file order.
+def _fill_tables(stmts, sn, an, on):
+    """Raw T, O and R tables, entries applied in file order, their slots
+    read by the state, action and observation name maps.
 
     Each table is viewed with its axes in the order an entry's slots name
     them, so an entry is a basic-index assignment and a stretch of a run
@@ -438,10 +444,7 @@ def _fill_tables(stmts, states, actions, observations):
     state, and is one row broadcast over all n otherwise, so such a file
     allocates no A·n²·O table.
     """
-    sn = _NameSpace("state", states)
-    an = _NameSpace("action", actions)
-    on = _NameSpace("observation", observations)
-    n, na, no = len(states), len(actions), len(observations)
+    n, na, no = len(sn.names), len(an.names), len(on.names)
     entries = np.flatnonzero(stmts.keys >= 0)
     key = stmts.keys[entries]
     rewards = entries[key % 3 == _ENTRY_CODES["R"]].tolist()
@@ -487,8 +490,10 @@ def _run_rows(lines, width):
 def _apply_run(stmts, run, table, spaces, fewest, words):
     """The entries ``run`` of one run, in file order.  A run of at least
     ``_SHORT_RUN`` entries whose bodies are read by ``_run_rows`` writes
-    each stretch of entries whose slots all look up, with '*' in the same
-    slots, by one ``_assign``; every other entry is one ``_apply_entry``."""
+    each stretch of entries whose slots all look up by one ``_assign``;
+    an entry with a slot ``lookup`` does not map ('*', an index such as
+    ``01``, an unknown name) is one ``_apply_entry`` from its row, and
+    so is every entry of any other run, from its tokens."""
     k = stmts.heads[run[0]].count(":") + 1
     rows = None
     # a lone entry is a run of one whatever its body's length
@@ -499,62 +504,46 @@ def _apply_run(stmts, run, table, spaces, fewest, words):
             _apply_entry(stmts, i, table, spaces, fewest, words)
         return
     idx = np.empty((len(run), k), dtype=np.intp)
-    pattern = np.zeros(len(run), dtype=np.intp)  # bit j: slot j is '*'
+    alone = np.zeros(len(run), dtype=bool)  # some slot is not in ``lookup``
     for j, column in enumerate(stmts.slot_columns(run, k)):
         idx[:, j] = np.fromiter(
             map(spaces[j].lookup.get, column, itertools.repeat(_UNKNOWN)),
             dtype=np.intp,
             count=len(run),
         )
-        pattern += (idx[:, j] == _WILD) << j
-    pattern[np.flatnonzero(idx == _UNKNOWN) // k] = -1  # irregular
+        alone |= idx[:, j] == _UNKNOWN
     starts = np.ones(len(run) + 1, dtype=bool)
-    starts[1:-1] = (pattern[1:] != pattern[:-1]) | (pattern[1:] < 0)
+    starts[1:-1] = alone[1:] | alone[:-1]
     bounds = np.flatnonzero(starts).tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if pattern[lo] < 0:
-            _apply_entry(stmts, run[lo], table, spaces, fewest, words)
+        if alone[lo]:
+            _apply_entry(stmts, run[lo], table, spaces, fewest, words, rows[lo])
         else:
             _assign(table, idx[lo:hi], rows[lo:hi])
 
 
 def _assign(table, idx, rows):
-    """``table[idx[e]] = rows[e]`` for each entry e in order, where an
-    index of ``_WILD`` is '*' and every entry has it in the same slots.
+    """``table[idx[e]] = rows[e]`` for each entry e in order.
 
     Entries that name the same target keep only the last one: numpy leaves
     unspecified which of the values given to one position in a fancy-index
     assignment it keeps.
     """
     k = idx.shape[1]
-    dims = table.shape[:k]
-    wild = idx[0] == _WILD
-    if wild.all():  # each entry covers the table: the last is all that stays
-        table[(_ALL,) * k] = rows[-1].reshape(table.shape[k:])
-        return
-    target = np.ravel_multi_index(
-        tuple(idx[:, ~wild].T), tuple(d for d, w in zip(dims, wild) if not w)
-    )
+    target = np.ravel_multi_index(tuple(idx.T), table.shape[:k])
     ordered = np.sort(target)
-    if (ordered[1:] == ordered[:-1]).any():
+    if (ordered[1:] == ordered[:-1]).any():  # only then copy the rows
         _, last = np.unique(target[::-1], return_index=True)
         keep = len(idx) - 1 - last
         idx, rows = idx[keep], rows[keep]
-    m = len(idx)
-    # indices broadcast to (entry, slot 0, ..., slot k-1): a '*' slot spans
-    # its axis, a named one has length 1
-    index = tuple(
-        np.arange(d).reshape((d,) + (1,) * (k - 1 - j)) if w
-        else idx[:, j].reshape((m,) + (1,) * k)
-        for j, (d, w) in enumerate(zip(dims, wild))
-    )
-    table[index] = rows.reshape((m,) + (1,) * k + table.shape[k:])
+    table[tuple(idx.T)] = rows.reshape((len(idx),) + table.shape[k:])
 
 
-def _apply_entry(stmts, i, table, spaces, fewest, words):
+def _apply_entry(stmts, i, table, spaces, fewest, words, row=None):
     """The T/O/R entry i: slot k indexes axis k of ``table`` ('*' is a full
     slice), and the body fills the remaining axes with that many numbers,
-    or with a keyword where ``words`` allows one at the body's rank."""
+    or with a keyword where ``words`` allows one at the body's rank.
+    ``row`` is the body as its run's ``_run_rows`` already read it."""
     line, slots = stmts.line(i), stmts.slots(i)
     k = len(slots)
     index = [spaces[0].resolve(slots[0], line)]
@@ -566,15 +555,14 @@ def _apply_entry(stmts, i, table, spaces, fewest, words):
         index.append(spaces[j].resolve(slots[j], line))
     shape = table.shape[k:]
     rank = len(shape)
-    tokens = stmts.tokens(i)
-    if len(tokens) == 1 and tokens[0] in words[rank]:
-        body = _keyword_body(tokens[0], shape, line)
-    else:
-        what = _BODY_NAMES[stmts.words[i]][rank]
-        body = _floats(tokens, math.prod(shape), line, what)
-        if rank != 1:
-            body = body.reshape(shape)
-    table[tuple(index)] = body
+    if row is None:
+        tokens = stmts.tokens(i)
+        if len(tokens) == 1 and tokens[0] in words[rank]:
+            row = _keyword_body(tokens[0], shape, line)
+        else:
+            what = _BODY_NAMES[stmts.words[i]][rank]
+            row = _floats(tokens, math.prod(shape), line, what)
+    table[tuple(index)] = row.reshape(shape)
 
 
 def _parse_start(stmts, i, sn):
@@ -603,7 +591,7 @@ def _parse_start(stmts, i, sn):
             return np.full(n, 1.0 / n)
         # a name or an index; with one state, "1" is the probability
         # vector and "0" the state
-        if (tok != "*" and tok in sn.lookup) or (
+        if tok in sn.lookup or (
             _INDEX.fullmatch(tok) and (n > 1 or _integer(tok, line) < n)
         ):
             belief = np.zeros(n)

@@ -248,3 +248,37 @@ def cloned_states(seed: int = 11, discount: float = 0.5) -> PomdpModel:
     )
     model.validate()
     return model
+
+
+def mixture_departures(n: int, r: int, seed: int, discount: float = 0.5) -> PomdpModel:
+    """n hidden states of observable rank r, none of them a clone.
+
+    States 0 to r - 1 are anchors, whose departing rows, per action, are
+    0.1 * Dirichlet(1) + 0.9 / n over all n states.  Every other state's
+    row is sum_k W[s, k] * (anchor k's row) with W[s] = 5 * Dirichlet(1)
+    - 4 / r, which sums to 1 and may be negative, so a state sits outside
+    the anchors' simplex and the spanner has swaps to make; W is redrawn
+    where a row would go negative.  Emissions condition on the arriving
+    state, so they are arbitrary and leave every test row in the anchors'
+    span.
+    """
+    rng = np.random.default_rng(seed)
+    na, no, nr = 2, 2, 2
+    anchors = 0.1 * rng.dirichlet(np.ones(n), size=(r, na)) + 0.9 / n  # [k, a, s']
+    weights = list(np.eye(r))
+    while len(weights) < n:
+        w = 5.0 * rng.dirichlet(np.ones(r)) - 4.0 / r
+        if (np.tensordot(w, anchors, axes=1) >= 0.0).all():
+            weights.append(w)
+    model = PomdpModel(
+        states=[f"s{i}" for i in range(n)],
+        actions=[f"a{i}" for i in range(na)],
+        observations=[f"o{i}" for i in range(no)],
+        reward_values=np.array([0.0, 1.0]),
+        transition=np.tensordot(np.array(weights), anchors, axes=1),
+        signal_kernel=rng.dirichlet(np.ones(no * nr), size=(n, na)),
+        discount=discount,
+        initial_belief=np.full(n, 1.0 / n),
+    )
+    model.validate()
+    return model

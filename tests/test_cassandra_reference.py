@@ -19,14 +19,16 @@ import numpy as np
 import pytest
 
 from psrplan import cassandra
-from psrplan.cassandra import _MATRIX_WORDS, DEFAULT_REWARD_CAP, TABLE_BUDGET, parse_pomdp
+from psrplan.cassandra import (
+    _MATRIX_WORDS, DEFAULT_REWARD_CAP, NAME_ENTRIES, TABLE_BUDGET, parse_pomdp,
+)
 from psrplan.errors import ParseError, PsrPlanError, UnsupportedConstructError, ValidationError
 from psrplan.model import PomdpModel, check_rows, is_distribution
 
 from conftest import DATA
 
 _KEYWORDS = {"discount", "values", "states", "actions", "observations", "start", "T", "O", "R"}
-_HEAD = re.compile(r"^([A-Za-z]+)\s*(:?)\s*(.*)$")
+_HEAD = re.compile(r"^([^\W\d_]+)\s*(:?)\s*(.*)$")
 _START_MODE = re.compile(r"^(include|exclude)\b\s*:?\s*(.*)$")
 
 
@@ -106,8 +108,8 @@ def _within_budget(table, size, line):
 
 def _names_from_tokens(tokens, keyword, line, sizes):
     """The declared names, once ``sizes[keyword]`` holds their number and
-    the T and O tables, at 1 for each count not yet declared, fit the
-    budget."""
+    the T and O tables and the names, at 1 for each count not yet
+    declared, fit the budget."""
     if not tokens:
         raise ParseError(f"empty {keyword} declaration", line)
     if len(tokens) == 1 and re.fullmatch(r"\d+", tokens[0]):
@@ -137,6 +139,7 @@ def _names_from_tokens(tokens, keyword, line, sizes):
     n, na, no = sizes["states"], sizes["actions"], sizes["observations"]
     _within_budget("transition", na * n * n, line)
     _within_budget("observation", na * n * no, line)
+    _within_budget("name", NAME_ENTRIES * (n + na + no), line)
     return names or [f"{keyword[0]}{i}" for i in range(count)]
 
 
@@ -625,7 +628,7 @@ def assert_same_tables(text):
     _, states, actions, observations, _, kernel_stmts = _declarations(
         _split_statements(text)
     )
-    got = cassandra._fill_tables(cassandra._Statements(text), states, actions, observations)
+    got = raw_tables(text)
     want = _loop_tables(kernel_stmts, states, actions, observations)
     for table, ref in zip(got, want):
         assert_bytes_equal(table, ref)
@@ -790,6 +793,21 @@ ERROR_CORPUS = {
         PREAMBLE.format(n=2, na=1, no=1) + "T: * uniform\nobs: 1\nO: * uniform\n",
         ParseError,
     ),
+    # a word is letters as str.isalpha reads them, so a non-ASCII word and
+    # a colon opens a statement, after an entry or inside its body, and a
+    # body line that opens with such a word and no colon continues the body
+    "non_ascii_directive_after_an_entry": (
+        PREAMBLE.format(n=2, na=1, no=1) + "T: * uniform\n\u00e9tats: 3\nO: * uniform\n",
+        ParseError,
+    ),
+    "non_ascii_directive_inside_a_body": (
+        PREAMBLE.format(n=2, na=1, no=1) + "T: 0\n0.5 0.5\n\u00e9tats: 3\n0.5 0.5\n",
+        ParseError,
+    ),
+    "non_ascii_word_on_a_body_line": (
+        PREAMBLE.format(n=2, na=1, no=1) + "T: 0\n0.5 0.5\n\u00c9tage 4\nO: * uniform\n",
+        ParseError,
+    ),
     "second_states_after_the_entries": (
         PREAMBLE.format(n=2, na=1, no=1) + "T: * uniform\nO: * uniform\nstates: 3\n",
         ParseError,
@@ -913,6 +931,21 @@ def test_error_corpus_matches_reference(case):
     assert not assert_same_outcome(text)
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("non_ascii_directive_after_an_entry", "line 8: unrecognized directive '\u00e9tats'"),
+        ("non_ascii_directive_inside_a_body", "line 9: unrecognized directive '\u00e9tats'"),
+        ("non_ascii_word_on_a_body_line",
+         "line 7: transition matrix: could not convert string to float: '\u00c9tage'"),
+    ],
+)
+def test_a_non_ascii_word_is_read_as_a_word(case, message):
+    with pytest.raises(ParseError) as err:
+        parse_pomdp(ERROR_CORPUS[case][0])
+    assert str(err.value) == message
+
+
 def test_the_last_entry_for_a_target_wins_inside_a_run():
     """One run of one-line ``T: a : s`` rows sets (go, state index 1)
     fifteen times, never twice in a row.  The state names are digits, so the name
@@ -972,10 +1005,11 @@ def test_long_runs_match_reference(seed):
     assert_same_tables(long_run_text(seed))
 
 
-def benchmark_shaped_text(n, seed):
+def benchmark_shaped_text(n, seed, wildcard=False):
     """The layout of the pipeline benchmark's files: every T and O row on
     the line after its ``T: a : s`` head, and one ``R: * : * : * : z``
-    line per observation."""
+    line per observation.  With ``wildcard`` each row's head is
+    ``T: * : s``, one per state."""
     rng = np.random.default_rng(seed)
     actions, observations = ["a0", "a1"], [f"z{o}_{r}" for o in range(2) for r in range(2)]
     lines = [
@@ -984,7 +1018,7 @@ def benchmark_shaped_text(n, seed):
         "start: " + " ".join(repr(float(p)) for p in rng.dirichlet(np.ones(n))), "",
     ]
     for key, width in (("T", n), ("O", len(observations))):
-        for a in actions:
+        for a in ["*"] if wildcard else actions:
             for s in range(n):
                 lines.append(f"{key}: {a} : s{s}")
                 lines.append(" ".join(repr(float(p)) for p in rng.dirichlet(np.ones(width))))
@@ -997,6 +1031,25 @@ def test_a_benchmark_shaped_file_matches_reference():
     assert 2 * 60 >= cassandra._SHORT_RUN  # each T and O run is written by columns
     assert assert_same_outcome(text)
     assert not has_departing_axis(assert_same_tables(text))
+
+
+def test_wildcard_rows_in_a_long_run_are_written_from_the_run(monkeypatch):
+    """``T: * : s`` and ``O: * : s`` rows, each run long enough to be read
+    by columns, give the reference's tables and model, and no T or O entry
+    reads its own tokens again: ``_floats`` reads the discount, the start
+    and the four ``R:`` lines, a short run, only."""
+    text = benchmark_shaped_text(cassandra._SHORT_RUN + 4, seed=7, wildcard=True)
+    assert_same_tables(text)
+    assert assert_same_outcome(text)
+    read, floats = [], cassandra._floats
+
+    def counted(tokens, expected, line, what):
+        read.append(what)
+        return floats(tokens, expected, line, what)
+
+    monkeypatch.setattr(cassandra, "_floats", counted)
+    parse_pomdp(text)
+    assert sorted(read) == ["discount", *["reward entry"] * 4, "start belief"]
 
 
 def raw_tables(text):

@@ -180,9 +180,12 @@ BUDGET = "is past the budget of 134,217,728"
         # leading zeros do not count: 10 digits to the budget's 9
         ("states: 2\nactions: 0001234567890\nobservations: 2\n",
          "line 4: actions count of 10 digits is past the table budget of 134,217,728 entries"),
+        # the tables fit, but 10**8 names do not: each counts NAME_ENTRIES
+        ("states: 1\nactions: 1\nobservations: 100000000\n",
+         f"line 5: name table of at least 3,200,000,064 entries {BUDGET}"),
     ],
     ids=["1e8-states", "20000-states", "fourth-action", "observations", "departing-reward",
-         "count-digits"],
+         "count-digits", "1e8-names"],
 )
 def test_a_model_past_the_table_budget_exits_2_before_allocating(tmp_path, declarations, message):
     model = tmp_path / "big.POMDP"

@@ -6,6 +6,7 @@ from psrplan import planner as plannermod
 from psrplan.automaton import numerical_rank, stabilized_rank
 from psrplan.decomposition import (
     RANK_TOL,
+    SPANNER_BOUND,
     CoreDecomposition,
     discover_basis,
     improve_to_spanner,
@@ -21,6 +22,7 @@ from reference import (
     enumerate_tests,
     fully_observable_chain,
     hankel_submatrix,
+    mixture_departures,
     near_duplicate_states,
     parsed_per_signal,
     sequence_probability,
@@ -106,6 +108,34 @@ def test_rank_agreement_on_random_corpus():
         m = random_pomdp(4, 2, 2, 2, seed=100 + seed)
         dec = discover_basis(m)
         assert dec.rank == stabilized_rank(m, max_len=4)
+
+
+# (n, r) -> seeds; at each size at least one seed makes the spanner swap
+MIXTURE_SEEDS = {(12, 3): range(8), (40, 4): range(4), (120, 5): range(3)}
+
+
+@pytest.mark.parametrize("n, r", sorted(MIXTURE_SEEDS))
+def test_mixture_departures_give_the_spanner_work(n, r):
+    """States outside their anchors' simplex: discovery finds rank r, some
+    seeds make the spanner swap, each swap at least doubles |det M|, and
+    the improved basis has coefficients other than 0 and 1, at most
+    SPANNER_BOUND in size."""
+    swapped = 0
+    for seed in MIXTURE_SEEDS[(n, r)]:
+        model = mixture_departures(n, r, seed)
+        dec = discover_basis(model)
+        assert dec.rank == r
+        if n <= 12:  # the Hankel audit is independent of discovery
+            h = hankel_submatrix(model, list(np.eye(n)), enumerate_tests(model, 2))
+            assert numerical_rank(h) == r
+        improved = improve_to_spanner(dec)
+        steps = np.diff(improved.det_log_ledger)
+        assert steps.size == improved.swap_count and (steps >= np.log(2.0)).all()
+        swapped += improved.swap_count > 0
+        C = state_coefficients(improved)
+        assert np.abs(C).max() == improved.max_coefficient <= SPANNER_BOUND
+        assert (C < 0).any() and ((C != 0) & (C != 1)).any()
+    assert swapped
 
 
 def test_basis_matrix_invariants():
