@@ -63,7 +63,8 @@ _ENTRY_CODES = {"T": 0, "O": 1, "R": 2}  # the entry keywords, by run key modulo
 _MATRIX_WORDS = {"identity", "uniform"}
 _HEAD = re.compile(r"([^\W\d_]+)\s*(:?)\s*(.*)")  # a word: letters as str.isalpha reads them
 # A T/O/R head whose every ':' field is one token, then the body's first
-# line, if any, with no ':' in it: ``_head`` reads such a line the same way.
+# line, if any, with no ':' in it; ``_head`` explains why a T/O/R line
+# that does not match is refused.
 _ENTRY_HEAD = re.compile(r"([TOR])\s*:\s*([^\s:]+(?:\s*:\s*[^\s:]+)*)(?:\s+([^:]+))?")
 _START_MODE = re.compile(r"^(include|exclude)\b\s*:?\s*(.*)$")
 _INDEX = re.compile(r"\d+")
@@ -91,10 +92,10 @@ _MAX_DIGITS = 4_300
 
 
 def _head(line, lineno):
-    """``(keyword, slots, text)`` for a statement's first line, as
-    ``_ENTRY_HEAD`` gives them: a T/O/R entry's ``:`` fields as one string
-    of tokens and colons, and ``text`` the rest of the line; None for a
-    continuation line."""
+    """``(keyword, "", text)`` for a preamble statement's first line, with
+    ``text`` the rest of the line, and None for a continuation line.  It
+    reads only lines ``_ENTRY_HEAD`` does not match, so a T/O/R line raises
+    the ParseError that says why."""
     word, colon, rest = _HEAD.match(line).groups()  # line opens with a letter
     if word not in _KEYWORDS:
         if colon:
@@ -105,19 +106,12 @@ def _head(line, lineno):
     if not colon:
         raise ParseError(f"expected ':' after {word}", lineno)
     *parts, last = rest.split(":")
-    slots = []
-    for part in parts:
-        fields = part.split()
+    for fields in [part.split() for part in parts] + [last.split()[:1]]:
         if not fields:
             raise ParseError(f"empty field in {word} entry", lineno)
         if len(fields) != 1:
             raise ParseError(f"unexpected token '{fields[1]}' in {word} entry", lineno)
-        slots.append(fields[0])
-    fields = last.split(None, 1)
-    if not fields:
-        raise ParseError(f"empty field in {word} entry", lineno)
-    slots.append(fields[0])
-    return word, " : ".join(slots), fields[1] if len(fields) > 1 else ""
+    raise ParseError(f"malformed {word} entry", lineno)
 
 
 class _Statements:
@@ -632,10 +626,8 @@ def _collect_rewards(transition, obs_kernel, reward_raw, states, actions, observ
         first = support.argmax(axis=1)[:, None, :, None]
         value = np.take_along_axis(reward_raw, first, axis=1)[:, 0]  # [a, s', o]
 
-    reachable_vals = value[defined]
-    if reachable_vals.size == 0:
-        reachable_vals = np.array([0.0])
-    distinct = np.unique(reachable_vals)
+    # check_rows left a positive entry in every row, so some triple is reachable
+    distinct = np.unique(value[defined])
     if distinct.size > DEFAULT_REWARD_CAP:
         raise ValidationError(
             f"model uses {distinct.size} distinct reward values, above the "

@@ -140,8 +140,11 @@ class PomdpModel:
 
 def check_rows(sums, kind, states, actions, arriving=False):
     """Refuse the first (state, action) row of a kernel whose probabilities,
-    summed to ``sums[s, a]``, miss 1 by more than STOCHASTIC_TOL."""
-    bad = np.argwhere(np.abs(sums - 1.0) > STOCHASTIC_TOL)
+    summed to ``sums[s, a]``, miss 1 by more than STOCHASTIC_TOL or sum to
+    NaN, as finite entries can (1e308 and -1e308 in different partial sums
+    of numpy's pairwise sum overflow to inf - inf).  A row that passes
+    holds a positive entry."""
+    bad = np.argwhere(~(np.abs(sums - 1.0) <= STOCHASTIC_TOL))
     if bad.size:
         s, a = bad[0]
         role = "arriving state" if arriving else "state"

@@ -29,8 +29,10 @@ signal by signal in the filter's order, skipping the signals that no
 action emits: over every action for the max, and over each reached node's
 chosen action for a policy.  Both add the same products in the same
 order, so the optimum is at least every policy's value exactly, not only
-up to rounding.  The max over actions, at the leaves and at every level,
-is taken one action at a time (``max_over_actions``).
+up to rounding.  Every table is stored as the filter gives it, the short
+axis first and the nodes innermost: signal probabilities and successor
+ids (Z, A, k), rewards and Q values (A, k), so the max over actions
+reduces the leading axis, as ``grid.solve`` does.
 """
 
 import math
@@ -128,18 +130,18 @@ class _Tree:
             )
 
     def _rewards(self, beliefs):
-        # one strided dot per (belief, action), as b @ r_sa[:, a]; a matrix
-        # product would round differently
-        return np.vecdot(beliefs[:, None, :], self.r_sa.T[None])
+        # (A, k): one strided dot per (belief, action), as b @ r_sa[:, a]; a
+        # matrix product would round differently
+        return np.vecdot(beliefs[None], self.r_sa.T[:, None])
 
     def _key(self, post):
         return np.round(post / MEMO_PRECISION).astype(np.int64)
 
     def _expand(self, beliefs):
-        """Successors of one level: (p, succ, post, first) with p and succ
-        shaped (k, A, Z), p = 0 and succ = -1 where p <= 0, ``post`` a row
-        per kept branch and ``post[first]`` the distinct successors in id
-        order."""
+        """Successors of a level's k beliefs: (p, succ, post, first) with p
+        and succ (Z, A, k) views of tables with a row per symbol a·Z + z,
+        p = 0 and succ = -1 where p <= 0, ``post`` a row per kept branch
+        and ``post[first]`` the distinct successors in id order."""
         na, nz = self.model.n_actions, self.model.n_signals
         block = batch_size(na * nz)
         p_parts, post_parts, hash_parts = [], [], []
@@ -148,14 +150,12 @@ class _Tree:
             # number the (L, k) branches in memory order, then take the
             # kept ones' posterior columns in (node, action, signal) order
             cols = np.arange(p.size).reshape(p.shape).T
-            p = p.T
-            post = post.reshape(post.shape[0], -1).take(cols[p > 0.0], axis=1)
+            post = post.reshape(post.shape[0], -1).take(cols[p.T > 0.0], axis=1)
             p_parts.append(p)
             post_parts.append(post)
             hash_parts.append(row_hash(self._key(post.T), self.multipliers))
-        p = np.zeros((beliefs.shape[0], na * nz))
-        p[:, self.live] = np.concatenate(p_parts)
-        p = p.reshape(-1, na, nz)
+        p = np.zeros((na * nz, beliefs.shape[0]))
+        p[self.live] = np.concatenate(p_parts, axis=1)
         post = np.concatenate(post_parts, axis=1).T  # a row per kept branch
         post_parts.clear()
         hashes = np.concatenate(hash_parts)
@@ -163,7 +163,8 @@ class _Tree:
         ids, first = dedupe(post, hashes, self._key)
         self._count(first.size)
         succ = np.full(p.shape, -1, dtype=np.int64)
-        succ[p > 0.0] = ids
+        succ.T[p.T > 0.0] = ids
+        p, succ = (t.reshape(na, nz, -1).transpose(1, 0, 2) for t in (p, succ))
         return p, succ, post, first
 
     def run(self, b, horizon, policies):
@@ -189,18 +190,18 @@ class _Tree:
             p, succ, post, first = self._expand(beliefs)
             levels.append((self._rewards(beliefs), p, succ, reached, chosen))
             # the next level's nodes each policy reaches, in id order
-            live = [succ[ids, a] for ids, a in zip(reached, chosen)]
+            live = [succ[:, a, ids] for ids, a in zip(reached, chosen)]
             reached = [np.flatnonzero(np.bincount(s[s >= 0], minlength=first.size)) for s in live]
 
-        # the leaves' Q values, a branch per (leaf, action)
+        # the leaves' Q values, a branch per (action, leaf)
         chunk = batch_size(na)
         chunks = np.split(first, range(chunk, first.size, chunk))
-        q = np.concatenate([self._rewards(post[ids]) for ids in chunks])
-        values = max_over_actions(q)
+        q = np.concatenate([self._rewards(post[ids]) for ids in chunks], axis=1)
+        values = q.max(axis=0)
         policy_values = []
         for f, ids in zip(policies, reached):
             v = np.zeros(first.size)
-            v[ids] = q[ids, ask_policy(f, post[first[ids]], na)]
+            v[ids] = q[ask_policy(f, post[first[ids]], na), ids]
             policy_values.append(v)
         del post
 
@@ -208,37 +209,25 @@ class _Tree:
         for rewards, p, succ, reached, chosen in reversed(levels):
             weight = gamma * p
             for i, (ids, a) in enumerate(zip(reached, chosen)):
-                v = np.zeros(rewards.shape[0])
+                v = np.zeros(rewards.shape[1])
                 v[ids] = _backup(
-                    rewards[ids, a], weight[ids, a], succ[ids, a], policy_values[i], self.emitted
+                    rewards[a, ids], weight[:, a, ids], succ[:, a, ids], policy_values[i],
+                    self.emitted,
                 )
                 policy_values[i] = v
             q = _backup(rewards, weight, succ, values, self.emitted)
-            values = max_over_actions(q)
-        return q[0], [float(v[0]) for v in policy_values]
-
-
-def max_over_actions(q):
-    """Row maxima of a (k, A) table of Q values, by one elementwise
-    ``np.maximum`` per action into a copy of column 0.  numpy reduces a
-    short trailing axis row by row, many times slower than a pass per
-    column.  Equal to ``q.max(axis=1)`` bit for bit on tables without NaN
-    or -0.0, as the oracle's are: sums that start at +0.0 and add
-    nonnegative terms.  With a -0.0 it may differ, since at A >= 9 numpy's
-    SIMD reduction can return either zero on a +-0.0 tie."""
-    values = q[:, 0].copy()
-    for a in range(1, q.shape[1]):
-        np.maximum(values, q[:, a], out=values)
-    return values
+            values = q.max(axis=0)
+        return q[:, 0], [float(v[0]) for v in policy_values]
 
 
 def _backup(q, weight, succ, values, signals):
-    """Add weight[..., z] * values[succ[..., z]] into q for each of the
-    ascending ``signals`` z in order: the one sum of the optimum's and
-    every policy's Q values.  It skips the signals that no action emits: a
-    dead branch (weight 0, succ -1) would add exactly +0.0 to q >= 0."""
+    """Add weight[z] * values[succ[z]] into q for each of the ascending
+    ``signals`` z in order: the one sum of the optimum's Q, (A, k) from
+    (Z, A, k) tables, and of each policy's, (m,) from (Z, m) slices.  It
+    skips the signals that no action emits: a dead branch (weight 0,
+    succ -1) would add exactly +0.0 to q >= 0."""
     for z in signals:
-        q += weight[..., z] * values[succ[..., z]]
+        q += weight[z] * values[succ[z]]
     return q
 
 

@@ -540,6 +540,45 @@ def test_data_models_match_reference(name):
     assert assert_same_outcome((DATA / f"{name}.POMDP").read_text(encoding="utf-8"))
 
 
+def test_unicode_whitespace_in_entry_heads_matches_reference():
+    """U+00A0, U+2003 and U+3000 separate a head's fields as a space does:
+    ``_ENTRY_HEAD``'s ``\\s`` and ``str.split`` read the same whitespace."""
+    plain = (DATA / "tiger.POMDP").read_text(encoding="utf-8")
+    seps = ["\u00a0", "\u2003", "\u3000"]
+    lines = []
+    for k, line in enumerate(plain.splitlines()):
+        if line[:1] in ("T", "O", "R"):
+            line = line.replace(":", seps[k % 3] + ":", 1)
+            line = re.sub(" ", lambda m: seps[m.start() % 3], line)
+        lines.append(line)
+    text = "\n".join(lines) + "\n"
+    assert all(sep in text for sep in seps) and text.count(" ") < plain.count(" ")
+    assert assert_same_outcome(text)
+    got, want = parse_pomdp(text), parse_pomdp(plain)
+    for name in ("transition", "signal_kernel", "initial_belief", "reward_values"):
+        assert_bytes_equal(getattr(got, name), getattr(want, name))
+
+
+def test_rows_that_sum_to_nan_are_refused_by_the_row_check():
+    """Finite entries can sum to NaN: numpy sums a row of 16 in eight
+    partial sums, and 1e308 at 0 and 8 against -1e308 at 1 and 9 give
+    inf - inf.  With every transition row so, no (a, s', o) is reachable;
+    the row check refuses the file before the rewards are binned."""
+    with pytest.raises(ValidationError, match="sums to nan"):
+        check_rows(np.array([[math.nan]]), "transition", ["s"], ["a"])
+    n = 16
+    row = ["0"] * n
+    row[0] = row[8] = "1e308"
+    row[1] = row[9] = "-1e308"
+    text = PREAMBLE.format(n=n, na=1, no=1) + "".join(
+        f"T: 0 : {s}\n{' '.join(row)}\n" for s in range(n)
+    ) + "O: * uniform\nR: * : * : * : * 1\n"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not assert_same_outcome(text)
+        with pytest.raises(ValidationError, match=r"transition row \(state=s0, action=a0\) sums to"):
+            parse_pomdp(text)
+
+
 PREAMBLE = (
     "discount: 0.75\nvalues: reward\nstates: {n}\nactions: {na}\n"
     "observations: {no}\nstart: uniform\n"

@@ -15,6 +15,7 @@ from psrplan.cassandra import parse_pomdp
 from psrplan.decomposition import discover_basis, improve_to_spanner
 from psrplan.grid import solve
 from psrplan.model import PomdpModel
+from psrplan.oracle import search
 from psrplan.planner import build_grid, precompute_dynamics
 from psrplan.zoo import random_pomdp
 
@@ -140,3 +141,18 @@ def test_solve_copies_no_grid_array():
     grid = build_grid(base, dec, precompute_dynamics(base, dec), 0.003)
     assert grid.succ.size > 100_000
     assert peak_bytes(solve, grid) < 24 * grid.succ.size
+
+
+def test_search_holds_the_leaves_posteriors_at_most_twice():
+    """A search peaks while it joins the last level's posteriors, a row
+    per leaf branch, and still holds the batches it joins.  Here the
+    32,768 leaves' posteriors are 1.57 MB and one search valuing two
+    policies peaks at 4.41 MB (2.80 times); copying the joined stack's
+    transposed view into rows peaks at 5.91 MB (3.76 times)."""
+    model = random_pomdp(6, 2, 2, 2, seed=0, discount=0.4)
+    horizon = 5
+    policies = [lambda x: np.argmax(x, axis=1) % model.n_actions, lambda x: np.zeros(len(x), int)]
+    search(model, model.initial_belief, horizon, policies)  # one-time imports
+    leaves = (model.n_actions * model.n_signals) ** horizon  # no two merge here
+    peak = peak_bytes(search, model, model.initial_belief, horizon, policies)
+    assert peak < 3.25 * leaves * model.n * 8

@@ -249,6 +249,25 @@ def test_horizon_zero_matches_reference(tiger):
     check_policy(tiger, belief_policy(tiger), b, 0)
 
 
+@pytest.mark.parametrize("horizon", [0, 1, 3])
+def test_nine_actions_with_exact_ties_match_reference(horizon):
+    """Actions 4 and 7 copy action 0 and action 8 copies action 2, so Q
+    ties exactly at every node: the max over nine actions, at the leaves
+    and at every level, keeps the reference's values and policy rows."""
+    model = random_pomdp(3, 9, 2, 1, seed=9, discount=0.4)
+    for copy, source in ((4, 0), (7, 0), (8, 2)):
+        model.transition[:, copy] = model.transition[:, source]
+        model.signal_kernel[:, copy] = model.signal_kernel[:, source]
+    model.validate()
+    b = np.random.default_rng(9).dirichlet(np.ones(model.n))
+    ref = reference_tree(model, b, horizon)
+    check_value(model, b, horizon, ref=ref)
+    check_q(model, b, horizon)
+    # a policy that plays the copies
+    copies = np.array([4, 7, 8])
+    check_policy(model, lambda x: copies[np.argmax(x, axis=1)], b, horizon, ref=ref)
+
+
 @pytest.mark.parametrize("name", ["tiger", "random-n4"])
 def test_hash_collisions_fall_back_to_a_key_sort(name, monkeypatch, lexsort_calls):
     """With every belief hashed alike, each level is grouped by a lexsort of

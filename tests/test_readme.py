@@ -1,7 +1,11 @@
-"""README's Python quick start runs as written."""
+"""README's Python quick start runs as written, and its flags table
+matches the CLI."""
 
+import argparse
 import re
 from pathlib import Path
+
+from psrplan.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -14,3 +18,40 @@ def test_quick_start_runs(monkeypatch):
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["v_opt"] >= namespace["v_base"]
+
+
+def readme_flags():
+    """{flag: default cell} of README's "Useful flags" table; a row may
+    name several flags, which share its default."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Useful flags:", 1)[1].split("\n\n")[1]
+    flags = {}
+    for row in table.splitlines()[2:]:
+        names, _, default = (cell.strip() for cell in row.strip("|").split("|"))
+        for name in re.findall(r"`(--[\w-]+)`", names):
+            flags[name] = default.strip("`")
+    return flags
+
+
+def cli_flags():
+    """{flag: default} over every subcommand of the CLI's parser."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {}
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            for name in action.option_strings:
+                if name.startswith("--") and name != "--help":
+                    assert flags.setdefault(name, action.default) == action.default, name
+    return flags
+
+
+def test_the_flags_table_lists_every_cli_flag_with_its_default():
+    table, flags = readme_flags(), cli_flags()
+    assert sorted(table) == sorted(flags)
+    for name, default in flags.items():
+        numeric = isinstance(default, (int, float)) and not isinstance(default, bool)
+        if numeric:
+            assert float(table[name]) == default, name
+        else:
+            assert not re.fullmatch(r"[\d.e+-]+", table[name]), name
