@@ -360,13 +360,15 @@ def parse_pomdp(text: str) -> PomdpModel:
     initial_belief = _parse_start(stmts, start, sn)
     states, actions, observations = sn.names, an.names, on.names
 
-    # one sum per row serves the check and the division
-    sums = transition.sum(axis=2, keepdims=True)
-    check_rows(sums[..., 0], "transition", states, actions)
-    transition /= sums
-    sums = obs_kernel.sum(axis=2, keepdims=True)
-    check_rows(sums[..., 0], "observation", states, actions, arriving=True)
-    obs_kernel /= sums
+    # one sum per row serves the check and the division; finite entries
+    # can sum to inf or NaN, which check_rows refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_sums = transition.sum(axis=2, keepdims=True)
+        o_sums = obs_kernel.sum(axis=2, keepdims=True)
+    check_rows(t_sums[..., 0], "transition", states, actions)
+    transition /= t_sums
+    check_rows(o_sums[..., 0], "observation", states, actions, arriving=True)
+    obs_kernel /= o_sums
 
     reward_values, reward_index, scale, offset = _collect_rewards(
         transition, obs_kernel, reward_raw, states, actions, observations
@@ -613,7 +615,8 @@ def _collect_rewards(transition, obs_kernel, reward_raw, states, actions, observ
     else:
         departing = support[:, :, :, None]
         spread = np.max(reward_raw, axis=1, where=departing, initial=-np.inf)
-        spread -= np.min(reward_raw, axis=1, where=departing, initial=np.inf)
+        with np.errstate(over="ignore"):  # an inf spread is refused below
+            spread -= np.min(reward_raw, axis=1, where=departing, initial=np.inf)
         bad = np.argwhere(defined & (spread > REWARD_SPREAD_TOL))  # [a, s', o], C order
         if bad.size:
             a, s2, o = bad[0]
@@ -638,7 +641,13 @@ def _collect_rewards(transition, obs_kernel, reward_raw, states, actions, observ
     if lo >= 0.0 and hi <= 1.0:
         scale, offset = 1.0, 0.0
     else:
-        scale = (hi - lo) if hi > lo else 1.0
+        with np.errstate(over="ignore"):
+            width = hi - lo
+        if not np.isfinite(width):
+            raise ValidationError(
+                f"reward values from {lo:.12g} to {hi:.12g} span more than a float holds"
+            )
+        scale = width if hi > lo else 1.0
         offset = lo
     reward_values = (distinct - offset) / scale
 

@@ -141,9 +141,8 @@ class PomdpModel:
 def check_rows(sums, kind, states, actions, arriving=False):
     """Refuse the first (state, action) row of a kernel whose probabilities,
     summed to ``sums[s, a]``, miss 1 by more than STOCHASTIC_TOL or sum to
-    NaN, as finite entries can (1e308 and -1e308 in different partial sums
-    of numpy's pairwise sum overflow to inf - inf).  A row that passes
-    holds a positive entry."""
+    NaN, as finite entries can (1e308 + 1e308 overflows to inf, and
+    inf - inf is NaN).  A row that passes holds a positive entry."""
     bad = np.argwhere(~(np.abs(sums - 1.0) <= STOCHASTIC_TOL))
     if bad.size:
         s, a = bad[0]
@@ -156,8 +155,11 @@ def check_rows(sums, kind, states, actions, arriving=False):
 
 def is_distribution(v: np.ndarray) -> bool:
     """Whether v is a probability vector within STOCHASTIC_TOL: no entry
-    below -STOCHASTIC_TOL, and a sum within it of 1, which a NaN fails."""
-    return not np.any(v < -STOCHASTIC_TOL) and abs(v.sum() - 1.0) <= STOCHASTIC_TOL
+    below -STOCHASTIC_TOL, and a sum within it of 1, which an inf or NaN
+    sum of finite entries fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = v.sum()
+    return not np.any(v < -STOCHASTIC_TOL) and abs(total - 1.0) <= STOCHASTIC_TOL
 
 
 def _zero_negatives(v: np.ndarray) -> np.ndarray:
@@ -227,37 +229,18 @@ def belief_update(model: PomdpModel, b: np.ndarray, a: int, sig):
     pushed = b @ model.transition[:, a, :]
     joint = pushed * model.signal_kernel[:, a, z]
     joint = _clean_probabilities(joint)
-    p = float(joint.sum())
+    p = float(state_sum(joint))
     if p <= 0.0:
         return 0.0, None
     return p, joint / p
 
 
 def state_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis, bit for bit as numpy's ``sum`` adds a
-    contiguous row: one elementwise add per row of x.
-
-    numpy sums a row of fewer than 8 numbers in order and a row of up to
-    128 in eight interleaved accumulators, combined pairwise, plus the rest
-    in order; a longer row is the sum of its two halves, split at a
-    multiple of 8.  It starts from +0.0, so a row of -0.0 sums to +0.0;
-    adding +0.0 to the first rows does the same and changes nothing else.
-    """
-    n = x.shape[0]
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return state_sum(x[:half]) + state_sum(x[half:])
-    if n < 8:
-        total = x[0] + 0.0
-        for row in x[1:]:
-            total += row
-        return total
-    acc = x[:8] + 0.0
-    for lo in range(8, n - n % 8, 8):
-        acc += x[lo : lo + 8]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for row in x[n - n % 8 :]:
+    """Sum over the leading axis: the rows of x added in order, one
+    elementwise add per row, starting from +0.0, so a row of -0.0 sums to
+    +0.0.  Both filters sum over hidden states with it."""
+    total = x[0] + 0.0
+    for row in x[1:]:
         total += row
     return total
 
@@ -274,8 +257,8 @@ def belief_update_state_major(model: PomdpModel, beliefs: np.ndarray):
     another order and move the ties that simplex rounding breaks.
     Everything after it (the emission product, the clamp, one sum over
     states and one division) is one elementwise pass over the k beliefs
-    per hidden state, and ``state_sum`` adds the states in the order numpy
-    sums a row, so every other entry is belief_update's bit for bit.
+    per hidden state, and both filters add the states in order with
+    ``state_sum``, so every other entry is belief_update's bit for bit.
     """
     beliefs = np.asarray(beliefs, dtype=np.float64)
     live = model.live_symbols

@@ -401,7 +401,9 @@ def _collect_rewards(transition, obs_kernel, reward_raw, states, actions, observ
                 if obs_kernel[s2, a, o] <= 0:
                     continue
                 vals = reward_raw[a, support_s, s2, o]
-                if np.ptp(vals) > 1e-12:
+                with np.errstate(over="ignore"):
+                    spread = np.ptp(vals)
+                if spread > 1e-12:
                     raise ValidationError(
                         f"reward for (action={actions[a]}, arriving state="
                         f"{states[s2]}, observation={observations[o]}) varies "
@@ -425,7 +427,13 @@ def _collect_rewards(transition, obs_kernel, reward_raw, states, actions, observ
     if lo >= 0.0 and hi <= 1.0:
         scale, offset = 1.0, 0.0
     else:
-        scale = (hi - lo) if hi > lo else 1.0
+        with np.errstate(over="ignore"):
+            width = hi - lo
+        if not np.isfinite(width):
+            raise ValidationError(
+                f"reward values from {lo:.12g} to {hi:.12g} span more than a float holds"
+            )
+        scale = width if hi > lo else 1.0
         offset = lo
     reward_values = (distinct - offset) / scale
 
@@ -483,12 +491,12 @@ def reference_parse(text):
     )
     n = len(states)
     initial_belief = _parse_start(start_stmt, _NameSpace("state", states), n)
-    check_rows(transition.sum(axis=2), "transition", states, actions)
-    transition /= transition.sum(axis=2, keepdims=True)
-    check_rows(
-        obs_kernel.sum(axis=2), "observation", states, actions, arriving=True
-    )
-    obs_kernel /= obs_kernel.sum(axis=2, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_sums, o_sums = transition.sum(axis=2), obs_kernel.sum(axis=2)
+    check_rows(t_sums, "transition", states, actions)
+    transition /= t_sums[..., None]
+    check_rows(o_sums, "observation", states, actions, arriving=True)
+    obs_kernel /= o_sums[..., None]
     reward_values, reward_index, scale, offset = _collect_rewards(
         transition, obs_kernel, reward_raw, states, actions, observations
     )
@@ -573,10 +581,9 @@ def test_rows_that_sum_to_nan_are_refused_by_the_row_check():
     text = PREAMBLE.format(n=n, na=1, no=1) + "".join(
         f"T: 0 : {s}\n{' '.join(row)}\n" for s in range(n)
     ) + "O: * uniform\nR: * : * : * : * 1\n"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not assert_same_outcome(text)
-        with pytest.raises(ValidationError, match=r"transition row \(state=s0, action=a0\) sums to"):
-            parse_pomdp(text)
+    assert not assert_same_outcome(text)
+    with pytest.raises(ValidationError, match=r"transition row \(state=s0, action=a0\) sums to"):
+        parse_pomdp(text)
 
 
 PREAMBLE = (
@@ -868,6 +875,22 @@ ERROR_CORPUS = {
         PREAMBLE.format(n=1, na=1, no=1).replace("uniform", "0" * 4301), ParseError,
     ),
     "long_count": (PREAMBLE.format(n="1" * 4301, na=1, no=1), ParseError),
+    # finite rewards whose range or departing-state spread overflows
+    "reward_range_overflows": (
+        PREAMBLE.format(n=2, na=1, no="o0 o1")
+        + "T: * uniform\nO: * uniform\nR: * : * : * : o0 1e308\nR: * : * : * : o1 -1e308\n",
+        ValidationError,
+    ),
+    "departing_spread_overflows": (
+        PREAMBLE.format(n=2, na=1, no=1)
+        + "T: * uniform\nO: * uniform\nR: * : s0 : * : * 1e308\nR: * : s1 : * : * -1e308\n",
+        ValidationError,
+    ),
+    "start_sum_overflows": (
+        PREAMBLE.format(n=2, na=1, no=1).replace("uniform", "1e308 1e308")
+        + "T: * uniform\nO: * uniform\n",
+        ParseError,
+    ),
 }
 
 # Malformed T/O/R entries on 2 states, 1 action and 3 observations, each

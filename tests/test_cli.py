@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,48 @@ def test_a_refused_model_exits_2_with_its_message(tmp_path, capsys, case):
     assert (code, out) == (2, "")
     assert err == f"error (plan): {message}\n"
     assert not list(tmp_path.glob("*.json"))
+
+
+_TWO_STATES = "states: 2\nactions: 1\nobservations: o0 o1\n"
+_OVERFLOW_ROW = " ".join(["1e308", "1e308", "-1e308", "-1e308"] + ["0"] * 4)
+# finite entries whose sums and differences overflow to inf or NaN
+OVERFLOWING_MODELS = {
+    "row_sum": (
+        "states: 8\nactions: 1\nobservations: 1\nstart: uniform\n"
+        + "".join(f"T: 0 : {s}\n{_OVERFLOW_ROW}\n" for s in range(8))
+        + "O: * uniform\n",
+        "transition row (state=s0, action=a0) sums to nan, not 1",
+    ),
+    "reward_range": (
+        _TWO_STATES + "T: * uniform\nO: * uniform\n"
+        "R: * : * : * : o0 1e308\nR: * : * : * : o1 -1e308\n",
+        "reward values from -1e+308 to 1e+308 span more than a float holds",
+    ),
+    "departing_spread": (
+        _TWO_STATES + "T: * uniform\nO: * uniform\n"
+        "R: * : s0 : * : * 1e308\nR: * : s1 : * : * -1e308\n",
+        "reward for (action=a0, arriving state=s0, observation=o0) varies with the "
+        "departing state; signals condition on the arriving state only, so this "
+        "model is not expressible",
+    ),
+    "start_sum": (
+        _TWO_STATES + "start: 1e308 1e308\nT: * uniform\nO: * uniform\n",
+        "line 6: start belief is not a probability vector",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_MODELS))
+def test_an_overflowing_model_exits_2_with_one_line_and_no_warning(tmp_path, capsys, case):
+    text, message = OVERFLOWING_MODELS[case]
+    model = tmp_path / "bad.POMDP"
+    model.write_text(f"discount: 0.9\nvalues: reward\n{text}", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["plan", model, "--json-out", tmp_path / "r.json"], capsys)
+    assert [str(w.message) for w in seen] == []
+    assert (code, out) == (2, "")
+    assert err == f"error (plan): {message}\n"
 
 
 @pytest.mark.parametrize("command", ["plan", "baseline", "compare"])

@@ -18,7 +18,12 @@ from psrplan.model import (
 from psrplan import model as modelmod
 from psrplan.zoo import random_pomdp
 
-from reference import fully_observable_chain, parsed_per_signal, sequence_probability
+from reference import (
+    fully_observable_chain,
+    mixture_departures,
+    parsed_per_signal,
+    sequence_probability,
+)
 
 
 def random_test(model, length, rng):
@@ -408,8 +413,8 @@ def random_beliefs(n, count, rng):
 
 def test_batched_filter_matches_belief_update():
     rng = np.random.default_rng(19)
-    # below 8 states the sums over states run in order; 9 and 17 states
-    # take eight accumulators and a remainder, 130 the split above 128
+    # both filters add the states in order with state_sum; 9, 17 and 130
+    # states are long enough sums for any other order to round apart
     shapes = ((3, 2, 2, 2), (6, 3, 2, 1), (9, 2, 3, 2), (17, 2, 2, 1), (130, 2, 1, 2))
     for seed, (n, na, no, nr) in enumerate(shapes):
         m = random_pomdp(n, na, no, nr, seed=seed, dirichlet=0.3)
@@ -419,6 +424,9 @@ def test_batched_filter_matches_belief_update():
             assert_batch_matches_filter(model, beliefs)
             # an empty stack keeps the documented shapes
             assert_batch_matches_filter(model, beliefs[:0])
+    # low-rank models with many states, none of them a clone
+    for n, r, seed in ((40, 4, 0), (40, 4, 1), (120, 5, 0)):
+        assert_batch_matches_filter(mixture_departures(n, r, seed), random_beliefs(n, 40, rng))
     # impossible signals: zero probability and an all-zero posterior
     m = fully_observable_chain()
     beliefs = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]])
@@ -470,17 +478,23 @@ def test_batched_filter_rejects_negative_probability():
         belief_update_state_major(m, b)
 
 
-def test_state_sum_adds_as_numpy_sums_a_row():
+def test_state_sum_adds_the_rows_in_order_from_zero():
+    """state_sum over any shape is a plain += loop per column from +0.0."""
     rng = np.random.default_rng(23)
     for n in range(1, 301):
-        # mixed magnitudes and signs, so that the order of the adds shows
-        x = rng.standard_normal((n, 8)) * 10.0 ** rng.integers(-20, 20, size=(n, 8))
-        x[:, 0] = -0.0  # numpy sums from +0.0: a row of -0.0 sums to +0.0
-        x[:, 1] = 0.0
-        x[::2, 2] = -0.0
-        x[:, 3] = np.abs(x[:, 3])
-        got = state_sum(x)
-        rows = np.ascontiguousarray(x.T)
-        assert_bits_equal(got, rows.sum(axis=-1))
-        assert_bits_equal(got, [row.sum() for row in rows])
-    assert not np.signbit(state_sum(np.full((3, 2), -0.0))).any()
+        for shape in ((n,), (n, 1), (n, 8), (n, 3, 5)):
+            # mixed magnitudes and signs, so that the order of the adds shows
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+            x[::3] = np.abs(x[::3])
+            x[1::5] = -0.0
+            want = []
+            for column in x.reshape(n, -1).T:
+                total = 0.0
+                for v in column:
+                    total += v
+                want.append(total)
+            got = state_sum(x)
+            assert got.shape == shape[1:]
+            assert_bits_equal(np.reshape(got, -1), want)
+    for shape in ((3,), (3, 2), (9, 3, 5)):
+        assert not np.signbit(state_sum(np.full(shape, -0.0))).any()

@@ -1,5 +1,5 @@
-"""README's Python quick start runs as written, and its flags table
-matches the CLI."""
+"""README's Python quick start runs as written, its flags table matches
+the CLI, and its Layout names every module."""
 
 import argparse
 import re
@@ -55,3 +55,12 @@ def test_the_flags_table_lists_every_cli_flag_with_its_default():
             assert float(table[name]) == default, name
         else:
             assert not re.fullmatch(r"[\d.e+-]+", table[name]), name
+
+
+def test_the_layout_names_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("## Layout", 1)[1].split("```")[1]
+    package = layout.split("src/psrplan/\n", 1)[1].split("\npipebench/", 1)[0]
+    listed = set(re.findall(r"^  (\w+\.py) ", package, re.MULTILINE))
+    modules = {p.name for p in (ROOT / "src" / "psrplan").glob("*.py")} - {"__init__.py"}
+    assert listed == modules
