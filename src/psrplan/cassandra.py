@@ -18,7 +18,10 @@ table, or whose names at ``NAME_ENTRIES`` each, would hold more than
 ``TABLE_BUDGET`` entries, at the declaration or ``R:`` entry that takes
 it past, before any name list or table is built; a count with more
 digits than the budget, leading zeros aside, is refused before ``int``
-reads it.
+reads it.  Faults are reported by phase, the first in the file within
+one: every statement head (an unknown ``word:``, a malformed T/O/R
+head), then declarations, entry bodies, ``start``, row sums and rewards,
+and ``validate``; a bad head at line 8 beats an empty line-4 declaration.
 
 The file becomes a statement table in a few list comprehensions over its
 lines: each statement's keyword, ``:`` fields, body lines and line
@@ -59,7 +62,7 @@ from .errors import ParseError, UnsupportedConstructError, ValidationError
 from .model import PomdpModel, check_rows, is_distribution
 
 _KEYWORDS = {"discount", "values", "states", "actions", "observations", "start", "T", "O", "R"}
-_ENTRY_CODES = {"T": 0, "O": 1, "R": 2}  # the entry keywords, by run key modulo 3
+_ENTRIES = {"T", "O", "R"}  # the entry keywords
 _MATRIX_WORDS = {"identity", "uniform"}
 _HEAD = re.compile(r"([^\W\d_]+)\s*(:?)\s*(.*)")  # a word: letters as str.isalpha reads them
 # A T/O/R head whose every ':' field is one token, then the body's first
@@ -101,7 +104,7 @@ def _head(line, lineno):
         if colon:
             raise ParseError(f"unrecognized directive '{word}'", lineno)
         return None
-    if word not in _ENTRY_CODES:
+    if word not in _ENTRIES:
         return word, "", rest
     if not colon:
         raise ParseError(f"expected ':' after {word}", lineno)
@@ -125,10 +128,8 @@ class _Statements:
     them, that line keeps only the rest of it, the first line of the
     statement's body, which runs up to ``lines[at[i + 1]]`` (``at`` ends
     with ``len(lines)``); ``lengths[i]`` counts the body's non-empty
-    lines.  ``keys[i]`` is an entry's run key, one number per keyword and
-    slot count, and -1 for the preamble.  Value text stays as whole lines
-    until an entry is applied, so a large file never holds all of its
-    number tokens at once.
+    lines.  Value text stays as whole lines until an entry is applied, so
+    a large file never holds all of its number tokens at once.
     """
 
     def __init__(self, text):
@@ -156,15 +157,7 @@ class _Statements:
         for k, rest in zip(at, rests):
             lines[k] = rest
         self.lines, self.numbers, self.at = lines, numbers, at + [len(lines)]
-        count = len(heads)
-        self.keys = np.fromiter(
-            map(_ENTRY_CODES.get, self.words, itertools.repeat(-1)), dtype=np.intp, count=count
-        )
-        self.keys += 3 * np.fromiter(
-            map(str.count, self.heads, itertools.repeat(":")), dtype=np.intp, count=count
-        )
-        self.lengths = np.diff(np.array(self.at, dtype=np.intp)) - 1
-        self.lengths += np.fromiter(map(bool, rests), dtype=bool, count=count)
+        self.lengths = [hi - lo - 1 + bool(r) for lo, hi, r in zip(at, self.at[1:], rests)]
 
     def line(self, i):
         """The line number of statement i."""
@@ -309,20 +302,15 @@ def _declarations(stmts):
     spaces = {}  # states, actions and observations, as name maps
     seen = {}
     counts = dict.fromkeys(("states", "actions", "observations"), 1)
-    # the preamble and the first entry: as no keyword is declared twice,
-    # a later entry cannot come before a declaration the first one had
-    preamble = stmts.keys < 0
-    order = np.flatnonzero(preamble | (np.cumsum(~preamble) == 1)).tolist()
-    for i in order:
-        word, line = stmts.words[i], stmts.line(i)
-        if word in _ENTRY_CODES or word == "start":
-            if len(spaces) < 3:
-                raise ParseError(
-                    f"'{word}' entry before states/actions/observations are declared",
-                    line,
-                )
-            if word in _ENTRY_CODES:
-                continue
+    for i, word in enumerate(stmts.words):
+        if len(spaces) < 3 and (word in _ENTRIES or word == "start"):
+            raise ParseError(
+                f"'{word}' entry before states/actions/observations are declared",
+                stmts.line(i),
+            )
+        if word in _ENTRIES:
+            continue
+        line = stmts.line(i)
         if word in seen:
             raise ParseError(
                 f"second '{word}' declaration; the first is on line {stmts.line(seen[word])}",
@@ -435,15 +423,14 @@ def _fill_tables(stmts, sn, an, on):
     between them do not count) with one-line bodies under the same keyword
     and slot count form a run.  Returns ``transition[s, a, s']``,
     ``obs_kernel[s', a, o]`` and ``reward_raw[a, s, s', o]``, a read-only
-    broadcast view: its
-    departing-state axis is filled only if some R entry names a departing
-    state, and is one row broadcast over all n otherwise, so such a file
-    allocates no A·n²·O table.
+    broadcast view: its departing-state axis is filled only if some R
+    entry names a departing state, and is one row broadcast over all n
+    otherwise, so such a file allocates no A·n²·O table.
     """
     n, na, no = len(sn.names), len(an.names), len(on.names)
-    entries = np.flatnonzero(stmts.keys >= 0)
-    key = stmts.keys[entries]
-    rewards = entries[key % 3 == _ENTRY_CODES["R"]].tolist()
+    words, heads, lengths = stmts.words, stmts.heads, stmts.lengths
+    entries = [i for i, word in enumerate(words) if word in _ENTRIES]
+    rewards = (i for i in entries if words[i] == "R")
     departing = next((i for i in rewards if stmts.slots(i)[1:2] != ["*"]), None)
     if departing is not None:
         _check_budget("reward", na * n * n * no, stmts.line(departing))
@@ -458,14 +445,12 @@ def _fill_tables(stmts, sn, an, on):
         "R": (reward_raw, (an, sn, sn, on), 2, ((), (), ())),
     }
     # a run breaks where the keyword or slot count changes and around
-    # every entry whose body is not one line
-    one_line = stmts.lengths[entries] == 1
-    breaks = np.ones(len(entries) + 1, dtype=bool)
-    breaks[1:-1] = (key[1:] != key[:-1]) | ~one_line[1:] | ~one_line[:-1]
-    bounds = np.flatnonzero(breaks).tolist()
-    entries = entries.tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        _apply_run(stmts, entries[lo:hi], *kinds[stmts.words[entries[lo]]])
+    # every entry whose body is not one line, which is a key of its own
+    for _, run in itertools.groupby(
+        entries, lambda i: (words[i], heads[i].count(":")) if lengths[i] == 1 else i
+    ):
+        run = list(run)
+        _apply_run(stmts, run, *kinds[words[run[0]]])
     return transition, obs_kernel, np.broadcast_to(reward_raw, (na, n, n, no))
 
 

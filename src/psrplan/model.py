@@ -17,6 +17,7 @@ Conventions fixed here and relied on everywhere else:
   ``reward_offset`` map them back (``raw = value * scale + offset``).
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -201,6 +202,17 @@ def check_actions(actions, n_actions: int) -> np.ndarray:
     return actions
 
 
+def check_horizon(horizon) -> int:
+    """horizon as an int, refused unless ``operator.index`` reads it and it is >= 0."""
+    try:
+        steps = operator.index(horizon)
+    except TypeError:
+        steps = -1
+    if steps < 0:
+        raise ValidationError(f"horizon {horizon} is not a whole number of steps >= 0")
+    return steps
+
+
 def ask_policy(policy, beliefs: np.ndarray, n_actions: int) -> np.ndarray:
     """The policy's k actions at a (k, n) stack of beliefs, checked by
     ``check_actions``: a result of any shape but size k is refused."""
@@ -298,7 +310,7 @@ def sample_trajectory(
     belief = check_belief(b, model.n)
     state = int(rng.choice(model.n, p=belief))
     out = []
-    for _ in range(horizon):
+    for _ in range(check_horizon(horizon)):
         a = int(ask_policy(policy, belief[None], model.n_actions)[0])
         state = int(rng.choice(model.n, p=model.transition[state, a]))
         z = int(rng.choice(model.n_signals, p=model.signal_kernel[state, a]))

@@ -46,7 +46,7 @@ from .grid import batch_size, number_groups, sort_groups
 # reports a missing target, so the name stays importable from this module.
 from .model import belief_update  # noqa: F401
 from .model import PomdpModel, belief_update_state_major, expected_reward_matrix
-from .model import ask_policy, check_actions, check_belief
+from .model import ask_policy, check_actions, check_belief, check_horizon
 
 MEMO_PRECISION = 1e-9
 DEFAULT_SLACK = 1e-2  # the CLI's default truncation slack
@@ -233,14 +233,15 @@ def _backup(q, weight, succ, values, signals):
 
 def search(model: PomdpModel, b, horizon: int, policies=()):
     """(V_H*(b), optimal first action, [each policy's value], the root's Q
-    over every action) on one tree, from b as ``check_belief`` reads it.
+    over every action) on one tree, from b as ``check_belief`` reads it,
+    to the depth ``check_horizon`` reads.
 
     Each of ``policies`` maps a (k, n) stack of beliefs to k actions; one
     outside [0, A) raises ValidationError.  A policy is asked once per level
     about the distinct nodes its actions reach, the root included, with the
     beliefs the tree holds for them.
     """
-    q, values = _Tree(model).run(check_belief(b, model.n), horizon, policies)
+    q, values = _Tree(model).run(check_belief(b, model.n), check_horizon(horizon), policies)
     best = int(np.argmax(q))
     return float(q[best]), best, values, q
 

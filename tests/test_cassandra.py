@@ -342,6 +342,32 @@ def test_a_second_declaration_is_refused_at_its_line(extra, keyword, first):
     )
 
 
+PHASES = "discount: 0.5\nvalues: reward\nstates: 2\nactions: {na}\nobservations: 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # heads before declarations, whatever their lines
+        (PHASES.format(na="") + "T: * uniform\nobs: 1\n", "line 7: unrecognized directive 'obs'"),
+        # declarations before entry bodies
+        (PHASES.format(na=1) + "T: * 0.5\nstates: 3\n",
+         "line 7: second 'states' declaration; the first is on line 3"),
+        # entry bodies before start
+        (PHASES.format(na=1) + "start: 2\nT: * 0.5\n",
+         "line 7: transition matrix: expected 4 numbers, found 1"),
+        # start before the row sums
+        (PHASES.format(na=1) + "start: 2\nT: * 0.9 0.9 0.9 0.9\nO: * uniform\n",
+         "line 6: unknown state '2'"),
+    ],
+    ids=["head", "declaration", "entry", "start"],
+)
+def test_a_file_reports_its_faults_phase_by_phase(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_pomdp(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
 def test_load_reads_crlf_and_cr_line_ends(tmp_path, newline):
     want = parse_pomdp(MATRIX_FORMS)

@@ -839,6 +839,12 @@ ERROR_CORPUS = {
         PREAMBLE.format(n=2, na=1, no=1) + "T: * uniform\nobs: 1\nO: * uniform\n",
         ParseError,
     ),
+    # every head is read before any declaration, so the directive at line 8
+    # is reported ahead of the empty actions declaration at line 4
+    "directive_after_an_empty_declaration": (
+        PREAMBLE.format(n=2, na="", no=1) + "T: * uniform\nobs: 1\n",
+        ParseError,
+    ),
     # a word is letters as str.isalpha reads them, so a non-ASCII word and
     # a colon opens a statement, after an entry or inside its body, and a
     # body line that opens with such a word and no colon continues the body

@@ -10,7 +10,7 @@ from psrplan import planner as plannermod
 from psrplan.cassandra import load_pomdp
 from psrplan.errors import OracleBudgetError, ValidationError
 from psrplan.grid import Interner
-from psrplan.model import PomdpModel, expected_reward_matrix
+from psrplan.model import PomdpModel, expected_reward_matrix, sample_trajectory
 from psrplan.oracle import (
     dedupe,
     evaluate_policy,
@@ -154,6 +154,29 @@ def test_search_refuses_a_belief_validate_would(tiger, belief, message):
     # died in numpy's matvec
     with pytest.raises(ValidationError, match=message):
         search(tiger, np.array(belief), 3)
+
+
+HORIZON_TAKERS = {
+    "search": lambda m, h: search(m, m.initial_belief, h),
+    "exact_value": lambda m, h: exact_value(m, m.initial_belief, h),
+    "exact_q": lambda m, h: exact_q(m, m.initial_belief, 0, h),
+    "evaluate_policy": lambda m, h: evaluate_policy(
+        m, lambda beliefs: np.zeros(len(beliefs), dtype=int), m.initial_belief, h
+    ),
+    "sample_trajectory": lambda m, h: sample_trajectory(
+        m, m.initial_belief, lambda beliefs: np.zeros(len(beliefs), dtype=int), h, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("horizon", [-1, 2.5])
+@pytest.mark.parametrize("taker", sorted(HORIZON_TAKERS))
+def test_a_horizon_that_is_no_step_count_is_refused(tiger, taker, horizon):
+    # -1 used to give the horizon-0 value or an empty trajectory, and 2.5
+    # died in a TypeError from range()
+    with pytest.raises(ValidationError, match=rf"horizon {horizon} is not a whole number"):
+        HORIZON_TAKERS[taker](tiger, horizon)
+    HORIZON_TAKERS[taker](tiger, np.int64(2))
 
 
 def test_value_is_max_of_q(tiger):

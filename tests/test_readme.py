@@ -1,9 +1,13 @@
 """README's Python quick start runs as written, its flags table matches
-the CLI, and its Layout names every module."""
+the CLI, its Layout names every module, and the constants its prose
+quotes are the code's."""
 
 import argparse
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 from psrplan.cli import build_parser
 
@@ -64,3 +68,43 @@ def test_the_layout_names_every_module():
     listed = set(re.findall(r"^  (\w+\.py) ", package, re.MULTILINE))
     modules = {p.name for p in (ROOT / "src" / "psrplan").glob("*.py")} - {"__init__.py"}
     assert listed == modules
+
+
+# the constants README's prose quotes, each with the phrases that quote
+# it, the figure as group 1; README's whitespace is collapsed to single
+# spaces before matching
+README_CONSTANTS = {
+    "cassandra._SHORT_RUN": [r"run of ([\d,]+) or more"],
+    "grid.BLOCK_BRANCHES": [r"`grid\.BLOCK_BRANCHES` \(([\d,]+)\)"],
+    "cassandra.TABLE_BUDGET": [
+        r"more than (\S+) entries \(`cassandra\.TABLE_BUDGET`",
+        r"NAME_ENTRIES each, would hold more than (\S+) entries",
+    ],
+    "cassandra.NAME_ENTRIES": [r"at ([\d,]+) entries each \(`cassandra\.NAME_ENTRIES`"],
+    "cassandra.DEFAULT_REWARD_CAP": [r"At most ([\d,]+) distinct reward values"],
+    "cassandra._MAX_DIGITS": [r"more than ([\d,]+) digits"],
+    "model.STOCHASTIC_TOL": [r"`model\.STOCHASTIC_TOL` \(([\d.e-]+)\)"],
+    "oracle.NODE_BUDGET": [r"`psrplan\.oracle\.NODE_BUDGET` \(([\d,]+) distinct"],
+    "cli.SCHEMA_VERSION": [r"`schemaVersion` \(currently `(\d+)`\)"],
+}
+SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+
+
+def figure(text):
+    """A README figure as a number: ``8,192``, ``1e-9``, ``2²⁷`` or ``2**27``."""
+    power = re.fullmatch(r"(\d+)(?:\*\*(\d+)|([⁰¹²³⁴⁵⁶⁷⁸⁹]+))", text)
+    if power:
+        base, exponent, superscript = power.groups()
+        return int(base) ** int(exponent or superscript.translate(SUPERSCRIPTS))
+    return float(text.replace(",", ""))
+
+
+@pytest.mark.parametrize("constant", sorted(README_CONSTANTS))
+def test_the_readme_quotes_each_constant_as_the_code_sets_it(constant):
+    module, name = constant.split(".")
+    value = getattr(importlib.import_module(f"psrplan.{module}"), name)
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    for phrase in README_CONSTANTS[constant]:
+        found = re.findall(phrase, readme)
+        assert found, phrase
+        assert [figure(text) for text in found] == [value] * len(found), phrase
